@@ -10,15 +10,27 @@ Penalty state is kept per (fork-block, branch) pair, where a branch is
 identified by the fork-block child it passes through.  Every head descending
 through a penalized branch is penalized; the first branch observed to reach
 the confirmation depth is the baseline and is never penalized at that fork.
+
+Every block carries a fork-choice index entry, inherited from its parent when
+it is connected, so no score or penalty query walks the tree.  Its reset
+anchor is the deepest block on its path where a chain's score was re-based.
+A reset is recorded only at the deepest block of a penalized branch, which is
+a leaf of the view's tree at that moment, so setting the anchor on that block
+alone is exact.  Its fork path holds a (fork state, branch child) entry per
+fork it descends through, in fork-creation order: a new branch child swaps
+the entry in a sibling's path, and a new fork, the newest, is appended along
+its existing subtree in one walk, where blocks that shared an entry share
+the extended one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .chain import Block, BlockId, BlockTree, ChainRef
-from .errors import NotPenalized
+from .errors import NotPenalized, UnknownBlock
 
 #: Tolerance used when comparing weighted lengths at the canonical boundary.
 _BOUNDARY_EPS = 1e-9
@@ -42,12 +54,12 @@ class AdessParams:
     def __post_init__(self):
         if self.alpha < 1:
             raise ValueError("alpha must be >= 1")
-        if self.xi <= 0:
-            raise ValueError("xi must be > 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.latency_bound < 0:
-            raise ValueError("latency_bound must be >= 0")
+        if not 0 < self.xi < math.inf:
+            raise ValueError("xi must be finite and > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and > 0")
+        if not 0 <= self.latency_bound < math.inf:
+            raise ValueError("latency_bound must be finite and >= 0")
 
 
 class ObservationLog:
@@ -103,8 +115,6 @@ class _ForkState:
     suppressed: bool = False
     undecidable: bool = False
     baseline_branch: Optional[BlockId] = None
-    # lazily filled block -> branch-child map with path compression
-    memo: Dict[BlockId, Optional[BlockId]] = field(default_factory=dict)
 
 
 class NodeView:
@@ -121,7 +131,9 @@ class NodeView:
         self._pending: Dict[BlockId, List[Tuple[Block, float]]] = {}
         # reset anchor block -> (cumdiff at anchor, re-based score at anchor)
         self._resets: Dict[BlockId, Tuple[float, float]] = {}
-        self._synced_blocks: int = 0
+        # block -> (deepest reset anchor on its path or None, fork path of
+        # (fork state, branch child) pairs); equal entries share one tuple
+        self._index: Dict[BlockId, tuple] = {self.tree.genesis_id: (None, ())}
 
     # -- observation -------------------------------------------------------
 
@@ -152,8 +164,6 @@ class NodeView:
     def _connect(self, block: Block, arrival: float, synced: bool = False):
         self.tree.insert(block)
         idx = self.log.append(block.id, arrival)
-        if synced:
-            self._synced_blocks += 1
         parent = block.parent
         assert parent is not None
         siblings = self.tree.children[parent]
@@ -162,6 +172,8 @@ class NodeView:
             self._new_fork(parent, block, idx, arrival, synced)
         elif parent in self._forks and len(siblings) > 2:
             self._new_branch(self._forks[parent], block, idx, arrival, synced)
+        else:
+            self._index[block.id] = self._index[parent]
 
         self._advance(block, idx, arrival, synced)
 
@@ -182,20 +194,29 @@ class NodeView:
         for c in existing:
             self._scan_branch(fs, c)
         fs.branch_len[new_child.id] = (1, new_child.id)
-        fs.memo[new_child.id] = new_child.id
+        self._index_branch_child(fs, new_child.id)
         if not synced and any(fs.alpha_reached):
             self._fire(fs, arrival)
 
     def _scan_branch(self, fs: _ForkState, branch: BlockId):
-        """Initialize length and alpha bookkeeping for a pre-existing branch."""
+        """Initialize length and alpha bookkeeping for a pre-existing branch
+        and append (fs, branch) to the fork path of every block on it."""
         fork_h = self.tree.block(fs.fork).height
         alpha = self.params.alpha
         best_len, best_block = 0, branch
         alpha_idx: Optional[Tuple[int, BlockId]] = None
+        entry = (fs, branch)
+        # id(old index entry) -> (old, extended); holding `old` keeps its id
+        # from being reused while the walk runs
+        extended: Dict[int, tuple] = {}
         stack = [branch]
         while stack:
             bid = stack.pop()
-            fs.memo[bid] = branch
+            old = self._index[bid]
+            hit = extended.get(id(old))
+            if hit is None:
+                hit = extended[id(old)] = (old, (old[0], old[1] + (entry,)))
+            self._index[bid] = hit[1]
             depth = self.tree.block(bid).height - fork_h
             if depth > best_len or (depth == best_len and bid < best_block):
                 best_len, best_block = depth, bid
@@ -211,7 +232,7 @@ class NodeView:
     def _new_branch(self, fs: _ForkState, block: Block, idx: int,
                     arrival: float, synced: bool):
         fs.branch_len[block.id] = (1, block.id)
-        fs.memo[block.id] = block.id
+        self._index_branch_child(fs, block.id)
         if synced or fs.undecidable:
             return
         if fs.assigned and not fs.suppressed:
@@ -219,31 +240,26 @@ class NodeView:
             rec = self._make_record(fs, block.id, arrival)
             self._cross_check(fs, rec, arrival)
 
+    def _index_branch_child(self, fs: _ForkState, bid: BlockId):
+        """Index `bid`, a new child of fs.fork: the parent's anchor, and an
+        indexed sibling's fork path with the branch entry swapped for bid."""
+        sibling = self.tree.children[fs.fork][0]
+        path = tuple((fs, bid) if e[0] is fs else e
+                     for e in self._index[sibling][1])
+        self._index[bid] = (self._index[fs.fork][0], path)
+
+    def _fork_path(self, bid: BlockId) -> tuple:
+        entry = self._index.get(bid)
+        if entry is None:
+            raise UnknownBlock(f"unknown block {bid}")
+        return entry[1]
+
     def _branch_at(self, fs: _ForkState, bid: BlockId) -> Optional[BlockId]:
         """Branch child of fs.fork through which `bid` descends, or None."""
-        memo = fs.memo
-        fork_h = self.tree.block(fs.fork).height
-        path: List[BlockId] = []
-        cur = bid
-        res: Optional[BlockId] = None
-        while True:
-            hit = memo.get(cur, _MISS)
-            if hit is not _MISS:
-                res = hit
-                break
-            blk = self.tree.block(cur)
-            if blk.height <= fork_h:
-                res = None
-                break
-            if blk.parent == fs.fork:
-                path.append(cur)
-                res = cur
-                break
-            path.append(cur)
-            cur = blk.parent
-        for p in path:
-            memo[p] = res
-        return res
+        for f, c in self._fork_path(bid):
+            if f is fs:
+                return c
+        return None
 
     # -- penalty assignment ------------------------------------------------
 
@@ -251,10 +267,7 @@ class NodeView:
         """Update per-fork lengths for the new block, record alpha arrivals,
         fire assignments and sweep the canonical boundary."""
         alpha = self.params.alpha
-        for fs in self._forks.values():
-            c = self._branch_at(fs, block.id)
-            if c is None:
-                continue
+        for fs, c in self._fork_path(block.id):
             depth = block.height - self.tree.block(fs.fork).height
             cur_len, _ = fs.branch_len[c]
             if depth > cur_len:
@@ -305,11 +318,8 @@ class NodeView:
 
     def _chain_has_active_penalty(self, bid: BlockId,
                                   exclude: Optional[_ForkState] = None) -> bool:
-        for fs in self._forks.values():
+        for fs, c in self._fork_path(bid):
             if fs is exclude or not fs.assigned or fs.suppressed:
-                continue
-            c = self._branch_at(fs, bid)
-            if c is None:
                 continue
             rec = fs.records.get(c)
             if rec is not None and rec.active:
@@ -335,11 +345,8 @@ class NodeView:
         # last active penalty on this chain: re-base to the highest-scoring
         # baseline among penalties deactivated at this instant
         best = None
-        for other in self._forks.values():
+        for other, c in self._fork_path(head_pen):
             if not other.assigned or other.suppressed:
-                continue
-            c = self._branch_at(other, head_pen)
-            if c is None:
                 continue
             orec = other.records.get(c)
             if orec is None or orec.active or orec.deactivated_at != arrival:
@@ -348,10 +355,12 @@ class NodeView:
             if best is None or score > best:
                 best = score
         if best is not None:
+            assert not self.tree.children[head_pen]  # leaf: see module doc
             self._resets[head_pen] = (
                 self.tree.cumulative_difficulty(head_pen),
                 best + self.params.epsilon,
             )
+            self._index[head_pen] = (head_pen, self._index[head_pen][1])
 
     def _best_baseline_score(self, fs: _ForkState) -> float:
         assert fs.baseline_branch is not None
@@ -379,17 +388,11 @@ class NodeView:
     def adjusted_score(self, chain: ChainRef) -> float:
         """Cumulative difficulty, re-based past the deepest crossing anchor
         on the chain's path."""
-        head = chain.head
-        cum = self.tree.cumulative_difficulty(head)
-        best_anchor = None
-        best_height = -1
-        for anchor in self._resets:
-            h = self.tree.block(anchor).height
-            if h > best_height and self.tree.is_ancestor(anchor, head):
-                best_anchor, best_height = anchor, h
-        if best_anchor is None:
+        cum = self.tree.cumulative_difficulty(chain.head)
+        anchor = self._index[chain.head][0]
+        if anchor is None:
             return cum
-        anchor_cum, value = self._resets[best_anchor]
+        anchor_cum, value = self._resets[anchor]
         return value + (cum - anchor_cum)
 
     def penalized_score(self, chain: ChainRef, fork: BlockId) -> float:
@@ -406,11 +409,8 @@ class NodeView:
 
     def active_penalties(self, chain: ChainRef) -> List[PenaltyRecord]:
         out = []
-        for fs in self._forks.values():
+        for fs, c in self._fork_path(chain.head):
             if not fs.assigned or fs.suppressed:
-                continue
-            c = self._branch_at(fs, chain.head)
-            if c is None:
                 continue
             rec = fs.records.get(c)
             if rec is not None and rec.active:
@@ -489,6 +489,3 @@ class NodeView:
                 f"baseline={rec.baseline.head} active={1 if rec.active else 0} "
                 f"t_on={rec.assigned_at!r} t_off={t_off}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-_MISS = object()

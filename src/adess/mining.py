@@ -32,8 +32,8 @@ class Stochastic:
     tick: float = 0.01
 
     def __post_init__(self):
-        if self.tick <= 0:
-            raise ValueError("tick must be > 0")
+        if not 0 < self.tick < math.inf:
+            raise ValueError("tick must be finite and > 0")
 
 
 MiningMode = object  # CertaintyEquivalent | Stochastic
@@ -55,8 +55,8 @@ class DifficultyRule:
             raise ValueError("beta must be in (0, 1]")
         if self.epoch_length < 1:
             raise ValueError("epoch length must be >= 1")
-        if self.target_block_time <= 0:
-            raise ValueError("target block time must be > 0")
+        if not 0 < self.target_block_time < math.inf:
+            raise ValueError("target block time must be finite and > 0")
 
     @classmethod
     def full(cls, target_block_time: float = 1.0) -> "DifficultyRule":

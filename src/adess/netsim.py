@@ -81,18 +81,21 @@ class ScenarioConfig:
             raise ConfigError(f"unknown strategy {self.attacker_strategy!r}")
         if self.attacker_strategy == "fixed_growth" and self.growth is None:
             raise ConfigError("fixed_growth requires a growth rate")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be > 0")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigError("horizon must be finite and > 0")
         if self.n_honest_nodes < 1:
             raise ConfigError("need at least one honest node")
         rates = self.hashrates()
-        if any(h < 0 for h in rates.values()) or not any(rates.values()):
-            raise ConfigError("honest hashrates must be >= 0 with some > 0")
+        if not (all(0 <= h < math.inf for h in rates.values())
+                and any(rates.values())):
+            raise ConfigError("honest hashrates must be finite, >= 0, some > 0")
         unknown = set(rates) - set(self.node_names())
         if unknown:
             raise ConfigError(f"hashrates name unknown nodes: {sorted(unknown)}")
-        if self.delay < 0:
-            raise ConfigError("delay must be >= 0")
+        if not 0 <= self.delay < math.inf:
+            raise ConfigError("delay must be finite and >= 0")
+        if not all(0 <= d < math.inf for d in (self.delays or {}).values()):
+            raise ConfigError("delays entries must be finite and >= 0")
         if self.attack_start_height < 1:
             raise ConfigError("attack_start_height must be >= 1")
         if self.protocol == "adess" and self.adess.alpha != self.attack.alpha:
@@ -165,6 +168,9 @@ class _Simulation:
         self._heap: List[tuple] = []
         self.rng_honest = random.Random(cfg.seed)
         self.rng_attacker = random.Random(cfg.seed ^ 0x5DEECE66D)
+        # (node, hashrate) of every mining node, in name order
+        self._miners = [(name, rate) for name, rate
+                        in sorted(cfg.hashrates().items()) if rate > 0]
 
         self.nodes: Dict[str, NodeView] = {
             name: NodeView(cfg.adess, name=name)
@@ -237,18 +243,13 @@ class _Simulation:
 
     # -- honest mining -----------------------------------------------------
 
-    def _mining_nodes(self) -> List[Tuple[str, float]]:
-        rates = self.cfg.hashrates()
-        return [(name, rates[name]) for name in sorted(rates)
-                if rates[name] > 0]
-
     def _regroup(self):
         """Regroup honest hashrate by canonical head and (re)schedule one
         block-found event per group.  Groups whose head and hashrate are
         unchanged keep their pending event so rescheduling never resets a
         slow group's progress."""
         groups: Dict[BlockId, float] = {}
-        for name, rate in self._mining_nodes():
+        for name, rate in self._miners:
             head = self._canonical[name]
             groups[head] = groups.get(head, 0.0) + rate
         for head, rate in list(self._active_groups.items()):
@@ -292,10 +293,10 @@ class _Simulation:
         self._check_broadcast_condition()
 
     def _leader_for(self, head: BlockId) -> str:
-        for name, _ in self._mining_nodes():
+        for name, _ in self._miners:
             if self._canonical[name] == head:
                 return name
-        return self._mining_nodes()[0][0]
+        return self._miners[0][0]
 
     # -- observation -------------------------------------------------------
 

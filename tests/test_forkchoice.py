@@ -50,6 +50,14 @@ def test_params_validation():
     assert AdessParams().alpha == 6
 
 
+def test_params_reject_non_finite():
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(xi=nan), dict(xi=inf), dict(epsilon=nan),
+                dict(epsilon=inf), dict(latency_bound=nan)):
+        with pytest.raises(ValueError):
+            AdessParams(**bad)
+
+
 def test_observation_log_rules():
     log = ObservationLog()
     log.append(1, 1.0)

@@ -85,6 +85,14 @@ def test_rule_validation():
         DifficultyRule.epoch(0)
 
 
+def test_non_finite_mining_params_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Stochastic(tick=bad)
+        with pytest.raises(ValueError):
+            DifficultyRule.full(target_block_time=bad)
+
+
 def test_hashrate_series_full():
     assert required_hashrate_series(1.0, 3, DifficultyRule.full()) == [2, 4, 8]
 

@@ -209,6 +209,25 @@ def test_config_errors():
     adess_cfg().validate()
 
 
+def test_config_rejects_non_finite_values_before_any_event():
+    nan, inf = float("nan"), float("inf")
+    bad = [
+        dict(horizon=inf),
+        dict(horizon=nan),  # run_scenario hangs on it
+        dict(delay=nan),
+        dict(delay=inf),
+        dict(delays={(ATTACKER, "n0"): -1.0}),
+        dict(delays={("n0", "n0"): nan}),
+        dict(honest_hashrates={"n0": inf}),  # run_scenario hangs on it
+        dict(honest_hashrates={"n0": nan}),
+    ]
+    for kw in bad:
+        with pytest.raises(ConfigError):
+            adess_cfg(**kw).validate()
+        with pytest.raises(ConfigError):
+            run_scenario(adess_cfg(**kw))
+
+
 def test_epoch_rule_scenario_runs():
     cfg = adess_cfg(difficulty=DifficultyRule.epoch(10 ** 6))
     rep = run_scenario(cfg)
