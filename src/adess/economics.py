@@ -45,6 +45,9 @@ class AttackParams:
     B: int = 0                # extra secret blocks past the boundary
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.v, self.p_B, self.c, self.xi,
+                                       self.epsilon_extra))):
+            raise ValueError("v, p_B, c, xi and epsilon_extra must be finite")
         if self.v < 0 or self.p_B <= 0 or self.c <= 0:
             raise ValueError("v >= 0 and p_B, c > 0 required")
         if not 0.0 < self.delta <= 1.0:
@@ -193,8 +196,11 @@ def attack_plan_profit(p: AttackParams, tau: int = 0,
     g = 1.0 + gamma
     K = boundary_blocks(N, p.xi)
     revenue = d ** (N + B - 1) * (p.v + p.p_B * (K + B))
-    cost = c * (sum(d ** (n / g) * g ** n for n in range(K))
-                + sum(d ** (N + b) for b in range(B)))
+    try:
+        cost = c * (sum(d ** (n / g) * g ** n for n in range(K))
+                    + sum(d ** (N + b) for b in range(B)))
+    except OverflowError:
+        raise DomainError(f"attack cost overflows: {g!r}^n, n < {K}") from None
     return ProfitBreakdown(revenue, cost, K + B)
 
 

@@ -21,6 +21,12 @@ fork it descends through, in fork-creation order: a new branch child swaps
 the entry in a sibling's path, and a new fork, the newest, is appended along
 its existing subtree in one walk, where blocks that shared an entry share
 the extended one.
+
+The ADESS canonical (score, head) is cached.  A connecting block takes it
+over if penalty-free and strictly heavier (the older head wins a tie), or
+else clears it if it extends the cached head.  Only `_make_record` and the
+deactivation branch of `_cross_check` (which re-bases) change other heads'
+eligibility or scores; both clear it, and the next query rescores all heads.
 """
 
 from __future__ import annotations
@@ -134,6 +140,7 @@ class NodeView:
         # block -> (deepest reset anchor on its path or None, fork path of
         # (fork state, branch child) pairs); equal entries share one tuple
         self._index: Dict[BlockId, tuple] = {self.tree.genesis_id: (None, ())}
+        self._best: Optional[Tuple[float, BlockId]] = None  # see module doc
 
     # -- observation -------------------------------------------------------
 
@@ -176,6 +183,13 @@ class NodeView:
             self._index[block.id] = self._index[parent]
 
         self._advance(block, idx, arrival, synced)
+        if self._best is not None:
+            score = self.adjusted_score(ChainRef(block.id))
+            if (score > self._best[0]
+                    and not self._chain_has_active_penalty(block.id)):
+                self._best = (score, block.id)
+            elif parent == self._best[1]:
+                self._best = None
 
         # flush any orphans waiting on this block
         for child, child_arrival in self._pending.pop(block.id, []):
@@ -314,6 +328,7 @@ class NodeView:
             baseline_branch=fs.baseline_branch,
         )
         fs.records[branch] = rec
+        self._best = None
         return rec
 
     def _chain_has_active_penalty(self, bid: BlockId,
@@ -340,6 +355,7 @@ class NodeView:
             return
         rec.active = False
         rec.deactivated_at = arrival
+        self._best = None
         if self._chain_has_active_penalty(head_pen):
             return
         # last active penalty on this chain: re-base to the highest-scoring
@@ -433,30 +449,31 @@ class NodeView:
 
     # -- canonical choice --------------------------------------------------
 
-    def _pick(self, scored: List[Tuple[float, BlockId]]) -> ChainRef:
+    def _pick(self, scored: List[Tuple[float, BlockId]]) -> tuple:
         best_score = max(s for s, _ in scored)
         tied = [h for s, h in scored if s == best_score]
         if len(tied) > 1:
             tied.sort(key=lambda h: (self.log.first_seen[h], h))
-        return ChainRef(tied[0])
+        return best_score, tied[0]
 
     def nakamoto_canonical(self) -> ChainRef:
         """Head with maximal raw cumulative difficulty; ties broken by
         earliest first-seen arrival, then lowest id."""
         scored = [(self.tree.cumulative_difficulty(h), h)
                   for h in self.tree.heads]
-        return self._pick(scored)
+        return ChainRef(self._pick(scored)[1])
 
     def adess_canonical(self) -> ChainRef:
         """Head with maximal (possibly re-based) cumulative difficulty among
         chains carrying no active penalty."""
-        eligible = [h for h in self.tree.heads
-                    if not self.active_penalties(ChainRef(h))]
-        if not eligible:
-            raise RuntimeError(
-                "no penalty-free chain: internal invariant violation")
-        scored = [(self.adjusted_score(ChainRef(h)), h) for h in eligible]
-        return self._pick(scored)
+        if self._best is None:
+            scored = [(self.adjusted_score(ChainRef(h)), h)
+                      for h in self.tree.heads
+                      if not self._chain_has_active_penalty(h)]
+            if not scored:
+                raise RuntimeError("no penalty-free chain: invariant violated")
+            self._best = self._pick(scored)
+        return ChainRef(self._best[1])
 
     # -- diagnostics -------------------------------------------------------
 

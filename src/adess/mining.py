@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 #: Sentinel returned when hashrate is zero: the chain is stalled.
 NEVER_FOUND = math.inf
@@ -36,7 +36,7 @@ class Stochastic:
             raise ValueError("tick must be finite and > 0")
 
 
-MiningMode = object  # CertaintyEquivalent | Stochastic
+MiningMode = Union[CertaintyEquivalent, Stochastic]
 
 
 @dataclass(frozen=True)

@@ -89,13 +89,16 @@ class ScenarioConfig:
         if not (all(0 <= h < math.inf for h in rates.values())
                 and any(rates.values())):
             raise ConfigError("honest hashrates must be finite, >= 0, some > 0")
-        unknown = set(rates) - set(self.node_names())
-        if unknown:
-            raise ConfigError(f"hashrates name unknown nodes: {sorted(unknown)}")
+        for what in ("honest_hashrates", "eclipse_set", "eclipse_from_honest"):
+            unknown = set(getattr(self, what) or ()) - set(self.node_names())
+            if unknown:
+                raise ConfigError(f"{what} name unknown nodes: {sorted(unknown)}")
         if not 0 <= self.delay < math.inf:
             raise ConfigError("delay must be finite and >= 0")
         if not all(0 <= d < math.inf for d in (self.delays or {}).values()):
             raise ConfigError("delays entries must be finite and >= 0")
+        if not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.attack_start_height < 1:
             raise ConfigError("attack_start_height must be >= 1")
         if self.protocol == "adess" and self.adess.alpha != self.attack.alpha:
@@ -168,9 +171,9 @@ class _Simulation:
         self._heap: List[tuple] = []
         self.rng_honest = random.Random(cfg.seed)
         self.rng_attacker = random.Random(cfg.seed ^ 0x5DEECE66D)
-        # (node, hashrate) of every mining node, in name order
-        self._miners = [(name, rate) for name, rate
-                        in sorted(cfg.hashrates().items()) if rate > 0]
+        # node -> hashrate of every mining node, in name order
+        self._miners = {name: rate for name, rate
+                        in sorted(cfg.hashrates().items()) if rate > 0}
 
         self.nodes: Dict[str, NodeView] = {
             name: NodeView(cfg.adess, name=name)
@@ -247,9 +250,12 @@ class _Simulation:
         """Regroup honest hashrate by canonical head and (re)schedule one
         block-found event per group.  Groups whose head and hashrate are
         unchanged keep their pending event so rescheduling never resets a
-        slow group's progress."""
+        slow group's progress.  Groups depend only on miners' heads and equal
+        `_active_groups` after each call, so a non-miner's head change skips
+        it.  Superseded draws are kept: the seeded RNG stream that fixes every
+        run's output includes them, so dropping them would change outputs."""
         groups: Dict[BlockId, float] = {}
-        for name, rate in self._miners:
+        for name, rate in self._miners.items():
             head = self._canonical[name]
             groups[head] = groups.get(head, 0.0) + rate
         for head, rate in list(self._active_groups.items()):
@@ -293,10 +299,10 @@ class _Simulation:
         self._check_broadcast_condition()
 
     def _leader_for(self, head: BlockId) -> str:
-        for name, _ in self._miners:
+        for name in self._miners:
             if self._canonical[name] == head:
                 return name
-        return self._miners[0][0]
+        return next(iter(self._miners))
 
     # -- observation -------------------------------------------------------
 
@@ -317,7 +323,8 @@ class _Simulation:
             self._canonical[node] = head
             self.series.append(
                 (self.time, node, head, self.tree.block(head).height))
-            self._regroup()
+            if node in self._miners:
+                self._regroup()
         self._check_conveyance(node, block)
         self._check_broadcast_condition()
 

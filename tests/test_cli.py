@@ -184,6 +184,19 @@ def test_bad_config_exits_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_string_seed_in_config_exits_one(capsys, tmp_path):
+    cfg = tmp_path / "seed.json"
+    cfg.write_text('{"seed": "7"}')
+    code, _, err = run(capsys, "simulate", "--config", str(cfg),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1 and "error:" in err and "seed" in err
+
+
+def test_overflowing_attack_cost_exits_one(capsys):
+    code, _, err = run(capsys, "safe-v", "--xi", "5", "--alpha", "2000")
+    assert code == 1 and "error:" in err and "overflow" in err
+
+
 def test_bad_log_level_exits_one(capsys, monkeypatch):
     monkeypatch.setenv("ADESS_LOG", "chatty")
     code, _, err = run(capsys, "safe-v", "--xi", "1")

@@ -150,6 +150,20 @@ def test_profit_breakdown_identity():
         br.discounted_revenue - br.discounted_cost)
 
 
+def test_attack_params_reject_non_finite_values():
+    nan, inf = float("nan"), float("inf")
+    for kw in (dict(v=nan), dict(c=inf), dict(xi=nan),
+               dict(epsilon_extra=nan), dict(p_B=inf)):
+        with pytest.raises(ValueError):
+            params(**kw)
+
+
+def test_attack_cost_overflow_is_a_domain_error():
+    # (1+xi)^n overflows a float well before the 12,000th boundary block
+    with pytest.raises(DomainError):
+        attack_plan_profit(params(xi=5.0, alpha=2000))
+
+
 def test_broadcast_margin():
     assert broadcast_margin(params()) == pytest.approx(0.0)
     m = broadcast_margin(params(v=100.0, delta=0.99, alpha=6))

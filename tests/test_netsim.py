@@ -228,6 +228,15 @@ def test_config_rejects_non_finite_values_before_any_event():
             run_scenario(adess_cfg(**kw))
 
 
+def test_config_rejects_eclipse_sets_naming_unknown_nodes():
+    for kw in (dict(eclipse_set=("n7",)), dict(eclipse_from_honest=("n7",)),
+               dict(eclipse_set=(ATTACKER,))):
+        with pytest.raises(ConfigError):
+            adess_cfg(n_honest_nodes=2, **kw).validate()
+    adess_cfg(n_honest_nodes=2, eclipse_set=("n1",),
+              eclipse_from_honest=("n0",)).validate()
+
+
 def test_epoch_rule_scenario_runs():
     cfg = adess_cfg(difficulty=DifficultyRule.epoch(10 ** 6))
     rep = run_scenario(cfg)
