@@ -157,24 +157,29 @@ class BlockTree:
 
     @classmethod
     def from_snapshot(cls, text: str) -> "BlockTree":
+        """Parse `snapshot` output; a malformed line raises ValueError."""
         tree: Optional[BlockTree] = None
         for line in text.splitlines():
             line = line.strip()
-            if not line or not line.startswith("block "):
+            if not line.startswith("block "):
                 continue
-            parts = line.split()
-            bid = int(parts[1])
-            fields = dict(p.split("=", 1) for p in parts[2:])
-            parent = None if fields["parent"] == "-" else int(fields["parent"])
-            if parent is None:
-                tree = cls(genesis_difficulty=float(fields["d"]),
-                           miner=fields["miner"], time=float(fields["t"]),
-                           genesis_id=bid)
-            else:
-                assert tree is not None, "genesis line must come first"
-                tree.insert(Block(bid, parent, int(fields["h"]),
-                                  float(fields["d"]), fields["miner"],
-                                  float(fields["t"])))
+            try:
+                parts = line.split()
+                bid = int(parts[1])
+                fields = dict(p.split("=", 1) for p in parts[2:])
+                parent = None if fields["parent"] == "-" else int(fields["parent"])
+                if (parent is None) != (tree is None):
+                    raise ValueError("need exactly one genesis line, first")
+                if tree is None:
+                    tree = cls(genesis_difficulty=float(fields["d"]),
+                               miner=fields["miner"], time=float(fields["t"]),
+                               genesis_id=bid)
+                else:
+                    tree.insert(Block(bid, parent, int(fields["h"]),
+                                      float(fields["d"]), fields["miner"],
+                                      float(fields["t"])))
+            except (KeyError, ValueError) as e:
+                raise ValueError(f"bad snapshot line {line!r}: {e!r}") from None
         if tree is None:
             raise ValueError("snapshot contains no genesis block")
         return tree

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, SolverFailure
 
@@ -39,8 +39,6 @@ class AttackParams:
     alpha: int = 6            # confirmation depth, >= 1
     sigma: int = 0            # blocks between fork and tx inclusion
     epsilon_extra: float = 0.01  # classic attacker's marginal surplus hashrate
-    beta: float = 1.0         # partial difficulty-adjustment factor
-    latency: float = 0.0      # propagation delay bound
     N: Optional[int] = None   # post-fork IC blocks at the boundary (default alpha+sigma)
     B: int = 0                # extra secret blocks past the boundary
 
@@ -54,8 +52,6 @@ class AttackParams:
             raise ValueError("delta must be in (0, 1]")
         if self.xi < 0 or self.alpha < 1 or self.sigma < 0 or self.B < 0:
             raise ValueError("xi >= 0, alpha >= 1, sigma >= 0, B >= 0 required")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must be in (0, 1]")
 
     @property
     def horizon_blocks(self) -> int:
@@ -161,6 +157,14 @@ def fork_depth_growth(N: int, xi: float, tau: int) -> float:
     return xi + tau / N
 
 
+def _boundary_cost(delta: float, g: float, base: float, K: int) -> float:
+    """Sum of delta^(n/g) base^n over the K blocks up to the boundary."""
+    try:
+        return sum(delta ** (n / g) * base ** n for n in range(K))
+    except OverflowError:
+        raise DomainError(f"attack cost overflows: {base!r}^n, n < {K}") from None
+
+
 def adess_attack_cost(N: int, xi: float, delta: float = 1.0,
                       c: float = 1.0) -> float:
     """Discounted cost of growing the attack chain at rate (1+xi) until the
@@ -168,8 +172,7 @@ def adess_attack_cost(N: int, xi: float, delta: float = 1.0,
     if N < 1:
         raise ValueError("N must be >= 1")
     g = 1.0 + xi
-    return c * sum(delta ** (n / g) * g ** n
-                   for n in range(boundary_blocks(N, xi)))
+    return c * _boundary_cost(delta, g, g, boundary_blocks(N, xi))
 
 
 def partial_adjustment_attack_cost(N: int, xi: float, beta: float,
@@ -177,31 +180,38 @@ def partial_adjustment_attack_cost(N: int, xi: float, beta: float,
     """Attack cost when difficulty only partially adjusts: the hashrate base
     softens from (1+xi) to (1+beta*xi) while the block count and pace are
     still set by the penalty xi."""
-    g = 1.0 + xi
-    base = 1.0 + beta * xi
-    return c * sum(delta ** (n / g) * base ** n
-                   for n in range(boundary_blocks(N, xi)))
+    return c * _boundary_cost(delta, 1.0 + xi, 1.0 + beta * xi,
+                              boundary_blocks(N, xi))
+
+
+def plan_profits(p: AttackParams, tau: int, N: int,
+                 b_max: int) -> Iterator[ProfitBreakdown]:
+    """Profits of the plans (fork tau blocks back, reach the boundary at
+    incumbent block N, then mine B more secret blocks) for B = 0..b_max; the
+    boundary cost is summed once, the B terms left to right as `sum()` does."""
+    if N < 1 or tau < 0 or b_max < 0:
+        raise ValueError("N >= 1, tau >= 0, B >= 0 required")
+    d, c = p.delta, p.c
+    g = 1.0 + fork_depth_growth(N, p.xi, tau)
+    K = boundary_blocks(N, p.xi)
+    boundary = _boundary_cost(d, g, g, K)
+    discount, secret = d ** (N - 1), 0
+    for B in range(b_max + 1):
+        yield ProfitBreakdown(discount * (p.v + p.p_B * (K + B)),
+                              c * (boundary + secret), K + B)
+        discount = d ** (N + B)
+        secret += discount
 
 
 def attack_plan_profit(p: AttackParams, tau: int = 0,
                        N: Optional[int] = None, B: Optional[int] = None) -> ProfitBreakdown:
     """Profit of the general plan (fork tau blocks back, reach the boundary
-    at incumbent block N, then mine B more secret blocks)."""
-    N = p.horizon_blocks if N is None else N
-    B = p.B if B is None else B
-    if N < 1 or tau < 0 or B < 0:
-        raise ValueError("N >= 1, tau >= 0, B >= 0 required")
-    d, c = p.delta, p.c
-    gamma = fork_depth_growth(N, p.xi, tau)
-    g = 1.0 + gamma
-    K = boundary_blocks(N, p.xi)
-    revenue = d ** (N + B - 1) * (p.v + p.p_B * (K + B))
-    try:
-        cost = c * (sum(d ** (n / g) * g ** n for n in range(K))
-                    + sum(d ** (N + b) for b in range(B)))
-    except OverflowError:
-        raise DomainError(f"attack cost overflows: {g!r}^n, n < {K}") from None
-    return ProfitBreakdown(revenue, cost, K + B)
+    at incumbent block N, then mine B more secret blocks): the last entry of
+    `plan_profits`, bit-identical to summing this plan's costs on their own."""
+    for br in plan_profits(p, tau, p.horizon_blocks if N is None else N,
+                           p.B if B is None else B):
+        pass
+    return br
 
 
 def adess_attack_profit(p: AttackParams) -> ProfitBreakdown:
@@ -415,15 +425,15 @@ def proposition1_check(grid: Iterable[Tuple[Fraction, Fraction, int, str]]
 def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
                              n_extra: int = 10, b_max: int = 20
                              ) -> Tuple[int, int, int]:
-    """Exhaustive search over (tau, N, B) for the most profitable plan."""
+    """Exhaustive search over (tau, N, B), in that order, for the most
+    profitable plan; the first of equal plans wins.  Each (tau, N) boundary
+    cost is summed once for all B, bit-identical to `attack_plan_profit`."""
     n0 = p.alpha + p.sigma
-    best = None
-    best_plan = None
+    best = best_plan = None
     for tau in range(tau_max + 1):
         for N in range(n0, n0 + n_extra + 1):
-            for B in range(b_max + 1):
-                profit = attack_plan_profit(p, tau=tau, N=N, B=B).profit
-                if best is None or profit > best:
-                    best, best_plan = profit, (tau, N, B)
+            for B, br in enumerate(plan_profits(p, tau, N, b_max)):
+                if best is None or br.profit > best:
+                    best, best_plan = br.profit, (tau, N, B)
     assert best_plan is not None
     return best_plan

@@ -95,6 +95,27 @@ def test_snapshot_roundtrip():
     assert back.heads == tree.heads
 
 
+def test_snapshot_block_before_genesis_is_a_value_error():
+    text = "block 1 parent=0 h=1 d=1.0 t=0.0 miner=a\n" \
+        "block 0 parent=- h=0 d=1.0 t=0.0 miner=g\n"
+    with pytest.raises(ValueError, match="block 1 parent=0"):
+        BlockTree.from_snapshot(text)
+
+
+def test_snapshot_missing_field_is_a_value_error():
+    text = "block 0 parent=- h=0 d=1.0 miner=g\n"
+    with pytest.raises(ValueError, match="block 0 parent=-.*'t'"):
+        BlockTree.from_snapshot(text)
+
+
+def test_snapshot_second_genesis_is_a_value_error():
+    tree = BlockTree()
+    chain(tree, tree.genesis_id, 2)
+    text = tree.snapshot() + "block 9 parent=- h=0 d=1.0 t=0.0 miner=g\n"
+    with pytest.raises(ValueError, match="block 9 parent=-"):
+        BlockTree.from_snapshot(text)
+
+
 @st.composite
 def random_trees(draw):
     n = draw(st.integers(min_value=1, max_value=60))

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from adess.cli import SWEEP_HEADER, main
+from adess.cli import SWEEP_HEADER, main, scenario_from_dict
+from adess.errors import ConfigError
 
 
 def run(capsys, *argv) -> tuple:
@@ -195,6 +196,19 @@ def test_string_seed_in_config_exits_one(capsys, tmp_path):
 def test_overflowing_attack_cost_exits_one(capsys):
     code, _, err = run(capsys, "safe-v", "--xi", "5", "--alpha", "2000")
     assert code == 1 and "error:" in err and "overflow" in err
+
+
+def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
+    # AttackParams no longer has the inert beta and latency fields
+    for key in ("beta", "latency"):
+        with pytest.raises(ConfigError, match=key):
+            scenario_from_dict({"attack": {key: 0.5}})
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({"kind": "profit", "attack": {key: 0.5},
+                                   "grid": {"values": [1.0]}}))
+        code, _, err = run(capsys, "sweep", "--config", str(cfg),
+                           "--out", str(tmp_path / "out"))
+        assert code == 1 and "error:" in err and key in err
 
 
 def test_bad_log_level_exits_one(capsys, monkeypatch):

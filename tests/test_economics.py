@@ -6,6 +6,7 @@ evaluations of the closed forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -26,7 +27,8 @@ from adess.economics import (AttackParams, adess_attack_cost,
                              moroz_round_payoff, nakamoto_attack_profit,
                              nakamoto_min_profitable_v, nakamoto_zero_profit_v,
                              partial_adjustment_attack_cost, penalty_margin,
-                             proposition1_check, safe_value_interval)
+                             plan_profits, proposition1_check,
+                             safe_value_interval)
 from adess.errors import DomainError, SolverFailure
 
 
@@ -162,6 +164,101 @@ def test_attack_cost_overflow_is_a_domain_error():
     # (1+xi)^n overflows a float well before the 12,000th boundary block
     with pytest.raises(DomainError):
         attack_plan_profit(params(xi=5.0, alpha=2000))
+
+
+def test_adess_attack_cost_overflow_is_a_domain_error():
+    with pytest.raises(DomainError):
+        adess_attack_cost(2000, 5.0)
+
+
+def test_partial_adjustment_cost_overflow_is_a_domain_error():
+    with pytest.raises(DomainError):
+        partial_adjustment_attack_cost(2000, 5.0, 1.0)
+
+
+# -- plan profits against a per-plan oracle ----------------------------------
+
+def oracle_plan_profit(p: AttackParams, tau: int, N: int, B: int):
+    """Each plan's profit from scratch, as one K-term and one B-term `sum()`.
+
+    `plan_profits` must match it bit for bit.  That holds while `sum()` adds
+    floats left to right from 0, as CPython does up to 3.11."""
+    d, c = p.delta, p.c
+    g = 1.0 + fork_depth_growth(N, p.xi, tau)
+    K = boundary_blocks(N, p.xi)
+    revenue = d ** (N + B - 1) * (p.v + p.p_B * (K + B))
+    cost = c * (sum(d ** (n / g) * g ** n for n in range(K))
+                + sum(d ** (N + b) for b in range(B)))
+    return revenue, cost, K + B
+
+
+def assert_bit_identical(br, want):
+    got = (br.discounted_revenue, br.discounted_cost,
+           br.blocks_on_attacker_chain)
+    assert got == want and repr(got) == repr(want)
+
+
+ORACLE_GRID = [
+    params(alpha=alpha, sigma=sigma, xi=xi, delta=delta, v=v, c=c, p_B=p_B)
+    for alpha, sigma in ((1, 0), (3, 2))
+    for xi in (0.0, 0.4, 1.0, 2.5)
+    for delta in (0.9, 0.99, 1.0, 1)
+    for v, c, p_B in ((0.0, 1.0, 1.0), (7.5, 1.3, 1.0), (3.0, 0.6, 2.0))]
+
+
+def test_plan_profits_bit_identical_to_oracle():
+    b_max = 6
+    for p in ORACLE_GRID:
+        n0 = p.alpha + p.sigma
+        for tau, N in itertools.product(range(4), range(n0, n0 + 3)):
+            rows = list(plan_profits(p, tau, N, b_max))
+            assert len(rows) == b_max + 1
+            for B in range(b_max + 1):
+                want = oracle_plan_profit(p, tau, N, B)
+                assert_bit_identical(rows[B], want)
+                assert_bit_identical(attack_plan_profit(p, tau, N, B), want)
+
+
+def test_default_plan_is_oracle_plan():
+    p = params(alpha=3, sigma=1, xi=0.7, delta=0.97, v=4.0, B=2)
+    assert_bit_identical(attack_plan_profit(p),
+                         oracle_plan_profit(p, 0, 4, 2))
+
+
+def oracle_best_plan(p: AttackParams, tau_max: int = 10, n_extra: int = 10,
+                     b_max: int = 20):
+    """First most profitable plan in (tau, N, B) order, by the oracle."""
+    n0 = p.alpha + p.sigma
+    plans = list(itertools.product(range(tau_max + 1),
+                                   range(n0, n0 + n_extra + 1),
+                                   range(b_max + 1)))
+    profits = []
+    for plan in plans:
+        revenue, cost, _ = oracle_plan_profit(p, *plan)
+        profits.append(revenue - cost)
+    return plans[max(range(len(plans)), key=profits.__getitem__)]
+
+
+def test_brute_force_is_first_argmax_of_oracle():
+    # the grid has exact ties (xi = 0, delta = 1, p_B = c: every head-fork
+    # plan earns v) and points where later N and B win (p_B > c)
+    grid = dict(tau_max=3, n_extra=3, b_max=5)
+    for p in ORACLE_GRID:
+        assert brute_force_optimal_plan(p, **grid) == oracle_best_plan(p, **grid)
+
+
+def test_brute_force_is_first_argmax_of_oracle_on_full_search_grid():
+    for p in (params(alpha=2, xi=1.0, delta=0.999, v=1.0),
+              params(alpha=1, xi=0.0, delta=1.0, v=1.0),
+              params(alpha=2, xi=0.5, delta=0.99, p_B=1.5, v=3.0)):
+        assert brute_force_optimal_plan(p) == oracle_best_plan(p)
+
+
+def test_plan_profits_rejects_negative_b_max():
+    with pytest.raises(ValueError):
+        list(plan_profits(params(), 0, 2, -1))
+    with pytest.raises(ValueError):
+        attack_plan_profit(params(), tau=-1)
 
 
 def test_broadcast_margin():
