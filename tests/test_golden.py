@@ -1,0 +1,152 @@
+"""Golden output digests: a byte-level safety net for fork-choice refactors.
+
+Each constant is the SHA-256 of outputs recorded before NodeView was
+restructured; a refactor that keeps every output must keep every digest.
+They assume CPython 3.11, like `bench/digests.json` (float sums, `repr`).
+To re-record after a deliberate output change, print `digests()`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from dataclasses import replace
+
+import pytest
+
+from adess.economics import AttackParams
+from adess.forkchoice import AdessParams, NodeView
+from adess.mining import DifficultyRule, Stochastic
+from adess.netsim import (ScenarioConfig, disconnected_node_probe,
+                          latency_split_check, run_scenario)
+
+from test_forkchoice_fuzz import build_random_view
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+BASE = ScenarioConfig(
+    protocol="adess",
+    adess=AdessParams(alpha=2, xi=1.0),
+    attack=AttackParams(alpha=2, xi=1.0, v=11.0),
+    horizon=40.0,
+)
+SPLIT = replace(
+    BASE,
+    adess=AdessParams(alpha=2, xi=2.0),
+    attack=AttackParams(alpha=2, xi=2.0, v=11.0),
+    delay=6.0, attacker_strategy="fixed_growth", growth=2.0, horizon=30.0,
+)
+FOUR_MINERS = dict(
+    n_honest_nodes=4, delay=0.3,
+    honest_hashrates={"n0": 0.4, "n1": 0.3, "n2": 0.2, "n3": 0.1},
+    mining=Stochastic(tick=0.01), horizon=60.0,
+)
+
+SCENARIOS = {
+    "adess_paper_optimal": lambda: run_scenario(BASE),
+    "nakamoto_budish": lambda: run_scenario(replace(
+        BASE, protocol="nakamoto", attacker_strategy="budish",
+        attack=AttackParams(alpha=2, xi=1.0, v=11.0, epsilon_extra=0.01))),
+    "adess_fixed_growth": lambda: run_scenario(replace(
+        BASE, attacker_strategy="fixed_growth", growth=1.5, horizon=60.0)),
+    "adess_accelerated": lambda: run_scenario(replace(
+        BASE, attacker_strategy="accelerated", delay=0.5, n_honest_nodes=2)),
+    "adess_stochastic": lambda: run_scenario(replace(
+        BASE, mining=Stochastic(tick=0.01), seed=777, horizon=25.0)),
+    "nakamoto_stochastic": lambda: run_scenario(replace(
+        BASE, protocol="nakamoto", mining=Stochastic(tick=0.01), seed=3)),
+    "adess_epoch": lambda: run_scenario(replace(
+        BASE, difficulty=DifficultyRule.epoch(10 ** 6))),
+    "adess_four_miners": lambda: run_scenario(replace(
+        BASE, seed=11, **FOUR_MINERS)),
+    "nakamoto_four_miners": lambda: run_scenario(replace(
+        BASE, protocol="nakamoto", seed=12, **FOUR_MINERS)),
+    "split_fixed_growth": lambda: latency_split_check(SPLIT),
+    "split_accelerated": lambda: latency_split_check(
+        replace(SPLIT, attacker_strategy="accelerated")),
+}
+
+PROBES = (
+    (replace(BASE, attacker_strategy="fixed_growth", growth=1.5,
+             n_honest_nodes=2, delay=0.5), (0.0, 1.5, 3.0, 10.0, 35.0)),
+    (replace(BASE, seed=11, **FOUR_MINERS), (0.0, 3.0, 10.0, 20.0, 35.0)),
+)
+VIEW_SEEDS = range(200)
+
+
+def scenario_digest(name: str) -> str:
+    rep = SCENARIOS[name]()
+    return _sha(rep.to_text() + "\x00" + rep.series_csv())
+
+
+def probe_digest() -> str:
+    return _sha("\n".join(repr(disconnected_node_probe(cfg, t))
+                          for cfg, joins in PROBES for t in joins))
+
+
+def views_digest() -> str:
+    """Per-observe (ADESS, Nakamoto) heads and the final ledger of a replay of
+    each fuzz tree."""
+    h = hashlib.sha256()
+    for seed in VIEW_SEEDS:
+        source = build_random_view(random.Random(seed))
+        view = NodeView(source.params)
+        for bid, arrival in source.log.entries[1:]:
+            view.observe(source.tree.block(bid), arrival)
+            h.update(f"{view.adess_canonical().head},"
+                     f"{view.nakamoto_canonical().head};".encode())
+        h.update(view.penalty_ledger().encode())
+    return h.hexdigest()
+
+
+def digests() -> dict:
+    out = {name: scenario_digest(name) for name in SCENARIOS}
+    out["probe"] = probe_digest()
+    out["views"] = views_digest()
+    return out
+
+
+GOLDEN = {
+    "adess_paper_optimal":
+        "20743b04117123ae184dc9b7a47f16ab528adf069a28a5b9e852e3458dcb08fc",
+    "nakamoto_budish":
+        "011b6797d96dcb0bbffcefdfa14763efe5115eb222cfb3632b4cecd6ea91a7b7",
+    "adess_fixed_growth":
+        "163c80519fa3d6c3523d3809db6933d5b1e5b53247958dbd8cb16137abaf902c",
+    "adess_accelerated":
+        "1b93dee885d4f5629d7dd5a6d69a5f1c72dc003d02bbb17a0b54e771742b2a69",
+    "adess_stochastic":
+        "667345fe4449f1b2d9aee2dee36996c5d916d63b3ef1439dea3b436897ad3af7",
+    "nakamoto_stochastic":
+        "73898646402afa95ac9fbcb0ae8bd3b5794a24d4149696d1110c20a3bc5b25c9",
+    "adess_epoch":
+        "2381ee1c2ebc01c3c771ec8ddb7c64e2d8de42578e3dfe34c911f8a3b155869d",
+    "adess_four_miners":
+        "50a466939b50087f86e5c820cf421feabb29eba8310cf48b3619769be1457f62",
+    "nakamoto_four_miners":
+        "cadb5e7bc171e12980c2f9a970d4bcf7da02890e12c0b93a4aab936aeec279fd",
+    "split_fixed_growth":
+        "2133ac85b478a978aa23ae15d98df7681c9cb43ed2cfe02b32ee1a78c58682bb",
+    "split_accelerated":
+        "071fdfed4e77d4f6176a0041ce4a2dc96982ae377b963307b68daf35ab71e696",
+    "probe":
+        "4aa9ba013ec743379c5cd6cce9696debac83d3f4b47aecb254399ac43fea2d17",
+    "views":
+        "b44f752e034ff5a4f368c604f1344c80bf35f606b7acfb6025ca64fcfe5ff5a6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_digest(name):
+    assert scenario_digest(name) == GOLDEN[name]
+
+
+def test_probe_digest():
+    assert probe_digest() == GOLDEN["probe"]
+
+
+def test_views_digest():
+    assert views_digest() == GOLDEN["views"]
