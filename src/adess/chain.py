@@ -7,6 +7,7 @@ always represented by its head block; segments are derived on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set
 
@@ -42,8 +43,8 @@ class BlockTree:
 
     def __init__(self, genesis_difficulty: float = 1.0, miner: str = "genesis",
                  time: float = 0.0, genesis_id: BlockId = GENESIS_ID):
-        if genesis_difficulty <= 0:
-            raise InvalidDifficulty("genesis difficulty must be > 0")
+        if not 0 < genesis_difficulty < math.inf:
+            raise InvalidDifficulty("genesis difficulty must be finite and > 0")
         genesis = Block(genesis_id, None, 0, genesis_difficulty, miner, time)
         self.blocks: Dict[BlockId, Block] = {genesis_id: genesis}
         self.children: Dict[BlockId, List[BlockId]] = {genesis_id: []}
@@ -71,8 +72,9 @@ class BlockTree:
             return
         if block.parent is None or block.parent not in self.blocks:
             raise UnknownBlock(f"unknown parent {block.parent}")
-        if block.difficulty <= 0:
-            raise InvalidDifficulty(f"difficulty {block.difficulty} <= 0")
+        if not 0 < block.difficulty < math.inf:
+            raise InvalidDifficulty(
+                f"difficulty {block.difficulty} is not finite and > 0")
         parent = self.blocks[block.parent]
         if block.height != parent.height + 1:
             raise ValueError(

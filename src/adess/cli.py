@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -48,16 +49,30 @@ def _setup_logging():
 # config files
 # ---------------------------------------------------------------------------
 
-def _build(cls, data: dict, what: str):
+@contextmanager
+def _config_shape(what: str):
+    """Turn a value of the wrong shape or type into a ConfigError."""
     try:
-        return cls(**data)
-    except TypeError as e:
+        yield
+    except (AttributeError, TypeError) as e:
         raise ConfigError(f"bad {what} config: {e}") from None
 
 
+def _build(cls, data: dict, what: str):
+    with _config_shape(what):
+        return cls(**data)
+
+
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from parsed JSON; keys mirror field names."""
-    data = dict(data)
+    """Build and validate a ScenarioConfig from parsed JSON; keys mirror
+    field names."""
+    with _config_shape("scenario"):
+        cfg = ScenarioConfig(**_scenario_kwargs(dict(data)))
+        cfg.validate()
+    return cfg
+
+
+def _scenario_kwargs(data: dict) -> dict:
     kwargs = {}
     if "adess" in data:
         kwargs["adess"] = _build(AdessParams, data.pop("adess"), "adess")
@@ -91,19 +106,20 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
         kwargs[key] = data.pop(key)
-    cfg = _build(ScenarioConfig, kwargs, "scenario")
-    cfg.validate()
-    return cfg
+    return kwargs
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return data
 
 
 def _attack_params(args) -> AttackParams:
@@ -283,14 +299,15 @@ def cmd_sweep(args) -> int:
     kind = data.get("kind", "profit")
     params = _build(AttackParams, data.get("attack", {}), "attack")
     grid = data.get("grid", {})
-    if kind == "profit":
-        rows = _sweep_profit(params, grid)
-    elif kind == "hashrate":
-        rows = _sweep_hashrate(params, grid)
-    elif kind == "malicious-cost":
-        rows = _sweep_malicious(params, grid)
-    else:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
+    with _config_shape("sweep"):
+        if kind == "profit":
+            rows = _sweep_profit(params, grid)
+        elif kind == "hashrate":
+            rows = _sweep_hashrate(params, grid)
+        elif kind == "malicious-cost":
+            rows = _sweep_malicious(params, grid)
+        else:
+            raise ConfigError(f"unknown sweep kind {kind!r}")
     out = _out_dir(args)
     _write(out / "sweep.csv", "\n".join(rows) + "\n")
     meta = {"kind": kind, "grid": grid, "attack": asdict(params),

@@ -6,10 +6,18 @@ machinery derived from it.  Penalty assignment is driven purely by the order
 in which this node observed blocks, so two views fed the same blocks in
 different orders may disagree; identical orders agree exactly.
 
+Every block enters through `observe`.  A block marked `synced` (bulk sync
+for a node that was offline when it was broadcast) carries no temporal order;
+that matters only if it opens a fork, which is then created undecidable and
+never assigns a penalty.
+
 Penalty state is kept per (fork-block, branch) pair, where a branch is
 identified by the fork-block child it passes through.  Every head descending
 through a penalized branch is penalized; the first branch observed to reach
 the confirmation depth is the baseline and is never penalized at that fork.
+Records exist only at resolved forks: a decidable fork whose baseline chain
+was penalty-free when it reached the depth.  A record reads its chains live
+from the fork's branch lengths, and is active until `deactivated_at` is set.
 
 Every block carries a fork-choice index entry, inherited from its parent when
 it is connected, so no score or penalty query walks the tree.  Its reset
@@ -49,13 +57,11 @@ class AdessParams:
     alpha: confirmation depth in blocks (>= 1).
     xi: penalty parameter; a penalized chain scores 1/(1+xi) per block.
     epsilon: score bump granted on crossing the canonical boundary.
-    latency_bound: propagation delay upper bound, carried for scenario use.
     """
 
     alpha: int = 6
     xi: float = 1.0
     epsilon: float = 1e-6
-    latency_bound: float = 0.0
 
     def __post_init__(self):
         if self.alpha < 1:
@@ -64,8 +70,6 @@ class AdessParams:
             raise ValueError("xi must be finite and > 0")
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and > 0")
-        if not 0 <= self.latency_bound < math.inf:
-            raise ValueError("latency_bound must be finite and >= 0")
 
 
 class ObservationLog:
@@ -94,18 +98,31 @@ class ObservationLog:
 
 @dataclass
 class PenaltyRecord:
-    """An assigned penalty: (penalized chain, fork, baseline chain, active?)."""
+    """A penalty assigned at `fork` to the branch through `penalized_branch`,
+    against the baseline branch; active until `deactivated_at` is set."""
 
-    penalized: ChainRef
     fork: BlockId
-    baseline: ChainRef
-    active: bool
+    penalized_branch: BlockId
+    baseline_branch: BlockId
     assigned_at: float
+    # the fork's branch child -> (length, deepest block) table, shared
+    _branch_len: Dict[BlockId, Tuple[int, BlockId]] = field(
+        repr=False, compare=False)
     deactivated_at: Optional[float] = None
-    # branch children at the fork; the ChainRef fields above are refreshed
-    # from these when records are read back out.
-    penalized_branch: BlockId = -1
-    baseline_branch: BlockId = -1
+
+    @property
+    def active(self) -> bool:
+        return self.deactivated_at is None
+
+    @property
+    def penalized(self) -> ChainRef:
+        """Current deepest head of the penalized branch."""
+        return ChainRef(self._branch_len[self.penalized_branch][1])
+
+    @property
+    def baseline(self) -> ChainRef:
+        """Current deepest head of the baseline branch."""
+        return ChainRef(self._branch_len[self.baseline_branch][1])
 
 
 @dataclass
@@ -118,7 +135,6 @@ class _ForkState:
     branch_len: Dict[BlockId, Tuple[int, BlockId]] = field(default_factory=dict)
     records: Dict[BlockId, PenaltyRecord] = field(default_factory=dict)
     assigned: bool = False
-    suppressed: bool = False
     undecidable: bool = False
     baseline_branch: Optional[BlockId] = None
 
@@ -144,45 +160,37 @@ class NodeView:
 
     # -- observation -------------------------------------------------------
 
-    def observe(self, block: Block, arrival: float) -> "NodeView":
+    def observe(self, block: Block, arrival: float,
+                synced: bool = False) -> "NodeView":
         """Record the arrival of `block`; orphans are buffered until their
-        parent is observed (in-order delivery per chain)."""
+        parent is observed (in-order delivery per chain).
+
+        `synced` ingests the block without temporal-order information (bulk
+        sync for a node that was not connected when it was broadcast).  It
+        matters only if the block opens a fork: that fork can never receive
+        a penalty assignment and is flagged undecidable.  A synced block on
+        a fork opened live counts toward alpha and the boundary like any
+        other; syncing every earlier block before observing any live one,
+        as a replay in arrival order does, never mixes the two."""
         if block.id in self.tree:
             return self
         if block.parent not in self.tree:
             self._pending.setdefault(block.parent, []).append((block, arrival))
             return self
-        self._connect(block, arrival)
+        self._connect(block, arrival, synced)
         return self
 
-    def sync_observe(self, block: Block, arrival: float) -> "NodeView":
-        """Ingest a block without temporal-order information (bulk sync for a
-        node that was not connected when the blocks were broadcast).  Forks
-        discovered this way can never receive a penalty assignment and are
-        flagged undecidable."""
-        if block.id in self.tree:
-            return self
-        if block.parent not in self.tree:
-            self._pending.setdefault(block.parent, []).append((block, arrival))
-            return self
-        self._connect(block, arrival, synced=True)
-        return self
-
-    def _connect(self, block: Block, arrival: float, synced: bool = False):
+    def _connect(self, block: Block, arrival: float, synced: bool):
         self.tree.insert(block)
         idx = self.log.append(block.id, arrival)
         parent = block.parent
         assert parent is not None
-        siblings = self.tree.children[parent]
-
-        if len(siblings) == 2 and parent not in self._forks:
-            self._new_fork(parent, block, idx, arrival, synced)
-        elif parent in self._forks and len(siblings) > 2:
-            self._new_branch(self._forks[parent], block, idx, arrival, synced)
+        if len(self.tree.children[parent]) > 1:
+            self._new_branch(parent, block, arrival, synced)
         else:
             self._index[block.id] = self._index[parent]
 
-        self._advance(block, idx, arrival, synced)
+        self._advance(block, idx, arrival)
         if self._best is not None:
             score = self.adjusted_score(ChainRef(block.id))
             if (score > self._best[0]
@@ -193,24 +201,9 @@ class NodeView:
 
         # flush any orphans waiting on this block
         for child, child_arrival in self._pending.pop(block.id, []):
-            self._connect(child, max(child_arrival, arrival), synced=synced)
+            self._connect(child, max(child_arrival, arrival), synced)
 
     # -- fork bookkeeping --------------------------------------------------
-
-    def _new_fork(self, fork: BlockId, new_child: Block, idx: int,
-                  arrival: float, synced: bool):
-        fs = _ForkState(fork=fork, undecidable=synced)
-        self._forks[fork] = fs
-        if synced:
-            fs.assigned = True
-            fs.suppressed = True
-        existing = [c for c in self.tree.children[fork] if c != new_child.id]
-        for c in existing:
-            self._scan_branch(fs, c)
-        fs.branch_len[new_child.id] = (1, new_child.id)
-        self._index_branch_child(fs, new_child.id)
-        if not synced and any(fs.alpha_reached):
-            self._fire(fs, arrival)
 
     def _scan_branch(self, fs: _ForkState, branch: BlockId):
         """Initialize length and alpha bookkeeping for a pre-existing branch
@@ -243,16 +236,23 @@ class NodeView:
         if alpha_idx is not None:
             fs.alpha_reached[branch] = alpha_idx
 
-    def _new_branch(self, fs: _ForkState, block: Block, idx: int,
-                    arrival: float, synced: bool):
+    def _new_branch(self, fork: BlockId, block: Block, arrival: float,
+                    synced: bool):
+        """Add `block` as a branch of `fork`, opening the fork state on its
+        second child; a synced block opens it undecidable."""
+        fs = self._forks.get(fork)
+        if fs is None:
+            fs = self._forks[fork] = _ForkState(
+                fork=fork, assigned=synced, undecidable=synced)
+            for c in self.tree.children[fork][:-1]:  # all but `block`
+                self._scan_branch(fs, c)
         fs.branch_len[block.id] = (1, block.id)
         self._index_branch_child(fs, block.id)
-        if synced or fs.undecidable:
-            return
-        if fs.assigned and not fs.suppressed:
+        if fs.records:
             # late sibling at an already-resolved fork: penalized immediately
-            rec = self._make_record(fs, block.id, arrival)
-            self._cross_check(fs, rec, arrival)
+            self._cross_check(self._make_record(fs, block.id, arrival), arrival)
+        else:
+            self._fire(fs, arrival)
 
     def _index_branch_child(self, fs: _ForkState, bid: BlockId):
         """Index `bid`, a new child of fs.fork: the parent's anchor, and an
@@ -277,7 +277,7 @@ class NodeView:
 
     # -- penalty assignment ------------------------------------------------
 
-    def _advance(self, block: Block, idx: int, arrival: float, synced: bool):
+    def _advance(self, block: Block, idx: int, arrival: float):
         """Update per-fork lengths for the new block, record alpha arrivals,
         fire assignments and sweep the canonical boundary."""
         alpha = self.params.alpha
@@ -286,16 +286,13 @@ class NodeView:
             cur_len, _ = fs.branch_len[c]
             if depth > cur_len:
                 fs.branch_len[c] = (depth, block.id)
-            if synced or fs.undecidable:
-                continue
             if depth == alpha and c not in fs.alpha_reached:
                 fs.alpha_reached[c] = (idx, block.id)
-                if not fs.assigned:
-                    self._fire(fs, arrival)
-            if fs.assigned and not fs.suppressed:
-                rec = fs.records.get(c)
-                if rec is not None and rec.active and depth > cur_len:
-                    self._cross_check(fs, rec, arrival)
+                self._fire(fs, arrival)
+            rec = fs.records.get(c)
+            if (rec is not None and rec.deactivated_at is None
+                    and depth > cur_len):
+                self._cross_check(rec, arrival)
 
     def _fire(self, fs: _ForkState, arrival: float):
         """Penalty assignment at a fork whose first branch just reached alpha."""
@@ -305,55 +302,42 @@ class NodeView:
         fs.assigned = True
         fs.baseline_branch = baseline
         _, alpha_block = fs.alpha_reached[baseline]
-        if self._chain_has_active_penalty(alpha_block, exclude=fs):
+        if self._chain_has_active_penalty(alpha_block):
             # generalized rule: a first-to-alpha chain that is itself under an
             # active penalty suppresses assignment at this fork entirely
-            fs.suppressed = True
             return
         new = [self._make_record(fs, c, arrival)
                for c in self.tree.children[fs.fork] if c != baseline]
         for rec in new:
-            self._cross_check(fs, rec, arrival)
+            self._cross_check(rec, arrival)
 
     def _make_record(self, fs: _ForkState, branch: BlockId,
                      arrival: float) -> PenaltyRecord:
         assert fs.baseline_branch is not None
-        rec = PenaltyRecord(
-            penalized=ChainRef(fs.branch_len[branch][1]),
-            fork=fs.fork,
-            baseline=ChainRef(fs.branch_len[fs.baseline_branch][1]),
-            active=True,
-            assigned_at=arrival,
-            penalized_branch=branch,
-            baseline_branch=fs.baseline_branch,
-        )
+        rec = PenaltyRecord(fs.fork, branch, fs.baseline_branch, arrival,
+                            fs.branch_len)
         fs.records[branch] = rec
         self._best = None
         return rec
 
-    def _chain_has_active_penalty(self, bid: BlockId,
-                                  exclude: Optional[_ForkState] = None) -> bool:
+    def _chain_has_active_penalty(self, bid: BlockId) -> bool:
         for fs, c in self._fork_path(bid):
-            if fs is exclude or not fs.assigned or fs.suppressed:
-                continue
             rec = fs.records.get(c)
-            if rec is not None and rec.active:
+            if rec is not None and rec.deactivated_at is None:
                 return True
         return False
 
     # -- canonical boundary ------------------------------------------------
 
-    def _cross_check(self, fs: _ForkState, rec: PenaltyRecord, arrival: float):
+    def _cross_check(self, rec: PenaltyRecord, arrival: float):
         """Deactivate `rec` if the penalized branch has reached the canonical
         boundary, re-basing the chain's score when its last penalty clears."""
-        if not rec.active:
+        if rec.deactivated_at is not None:
             return
-        assert fs.baseline_branch is not None
-        len_pen, head_pen = fs.branch_len[rec.penalized_branch]
-        len_base, _ = fs.branch_len[fs.baseline_branch]
+        len_pen, head_pen = rec._branch_len[rec.penalized_branch]
+        len_base, _ = rec._branch_len[rec.baseline_branch]
         if len_pen < (1.0 + self.params.xi) * len_base - _BOUNDARY_EPS:
             return
-        rec.active = False
         rec.deactivated_at = arrival
         self._best = None
         if self._chain_has_active_penalty(head_pen):
@@ -362,10 +346,8 @@ class NodeView:
         # baseline among penalties deactivated at this instant
         best = None
         for other, c in self._fork_path(head_pen):
-            if not other.assigned or other.suppressed:
-                continue
             orec = other.records.get(c)
-            if orec is None or orec.active or orec.deactivated_at != arrival:
+            if orec is None or orec.deactivated_at != arrival:
                 continue
             score = self._best_baseline_score(other)
             if best is None or score > best:
@@ -393,10 +375,8 @@ class NodeView:
     def check_boundary(self, rec: PenaltyRecord,
                        at_time: Optional[float] = None) -> PenaltyRecord:
         """Re-evaluate one record against current lengths and return it."""
-        fs = self._forks[rec.fork]
-        when = at_time if at_time is not None else (
-            self.log.entries[-1][1] if self.log.entries else 0.0)
-        self._cross_check(fs, rec, when)
+        when = at_time if at_time is not None else self.log.entries[-1][1]
+        self._cross_check(rec, when)
         return rec
 
     # -- scoring -----------------------------------------------------------
@@ -414,37 +394,22 @@ class NodeView:
     def penalized_score(self, chain: ChainRef, fork: BlockId) -> float:
         """Discounted post-fork length of an actively penalized chain."""
         fs = self._forks.get(fork)
-        if fs is None or not fs.assigned or fs.suppressed:
-            raise NotPenalized(f"no active penalty at fork {fork}")
-        c = self._branch_at(fs, chain.head)
-        rec = fs.records.get(c) if c is not None else None
-        if rec is None or not rec.active:
+        rec = fs.records.get(self._branch_at(fs, chain.head)) if fs else None
+        if rec is None or rec.deactivated_at is not None:
             raise NotPenalized(f"chain {chain.head} not penalized at {fork}")
         n = self.tree.post_fork_length(chain, fork)
         return n / (1.0 + self.params.xi)
 
     def active_penalties(self, chain: ChainRef) -> List[PenaltyRecord]:
-        out = []
-        for fs, c in self._fork_path(chain.head):
-            if not fs.assigned or fs.suppressed:
-                continue
-            rec = fs.records.get(c)
-            if rec is not None and rec.active:
-                out.append(rec)
-        return out
+        recs = (fs.records.get(c) for fs, c in self._fork_path(chain.head))
+        return [r for r in recs if r is not None and r.deactivated_at is None]
 
     def penalty_records(self) -> List[PenaltyRecord]:
-        """All records ever assigned, with chain refs refreshed to the current
-        deepest head of each branch."""
+        """All records ever assigned, by fork then penalized branch."""
         out = []
         for fork in sorted(self._forks):
-            fs = self._forks[fork]
-            for branch in sorted(fs.records):
-                rec = fs.records[branch]
-                rec.penalized = ChainRef(fs.branch_len[branch][1])
-                assert fs.baseline_branch is not None
-                rec.baseline = ChainRef(fs.branch_len[fs.baseline_branch][1])
-                out.append(rec)
+            records = self._forks[fork].records
+            out.extend(records[b] for b in sorted(records))
         return out
 
     # -- canonical choice --------------------------------------------------
@@ -486,12 +451,9 @@ class NodeView:
         at every fork; returns a head that never carried a penalty."""
         cur = self.tree.genesis_id
         while self.tree.children[cur]:
-            kids = sorted(self.tree.children[cur])
             fs = self._forks.get(cur)
-            if fs is None or not fs.assigned or fs.suppressed:
-                cur = kids[0]
-                continue
-            clean = [c for c in kids if c not in fs.records]
+            clean = sorted(c for c in self.tree.children[cur]
+                           if fs is None or c not in fs.records)
             assert clean, f"every branch penalized at fork {cur}"
             cur = clean[0]
         return ChainRef(cur)

@@ -81,6 +81,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown strategy {self.attacker_strategy!r}")
         if self.attacker_strategy == "fixed_growth" and self.growth is None:
             raise ConfigError("fixed_growth requires a growth rate")
+        if self.growth is not None and not math.isfinite(self.growth):
+            raise ConfigError("growth must be finite")
         if not 0 < self.horizon < math.inf:
             raise ConfigError("horizon must be finite and > 0")
         if self.n_honest_nodes < 1:
@@ -104,6 +106,9 @@ class ScenarioConfig:
         if self.protocol == "adess" and self.adess.alpha != self.attack.alpha:
             raise ConfigError(
                 "protocol and attack confirmation depths must agree")
+        if self.protocol == "adess" and self.adess.xi != self.attack.xi:
+            raise ConfigError(
+                "protocol and attack penalty parameters xi must agree")
 
 
 @dataclass
@@ -535,11 +540,9 @@ def disconnected_node_probe(cfg: ScenarioConfig, join_time: float
         if bid == reference.tree.genesis_id:
             continue
         block = reference.tree.block(bid)
-        if arrival < join_time:
-            late.sync_observe(block, arrival)
-        else:
-            late.observe(block, arrival)
-            post_join += 1
+        synced = arrival < join_time
+        late.observe(block, arrival, synced=synced)
+        post_join += not synced
     undecidable = bool(late.undecidable_forks)
     inferred = None
     inference_used = False

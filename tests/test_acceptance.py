@@ -223,7 +223,7 @@ def test_acceptance_10_realized_cost_matches_closed_form():
 def test_acceptance_11_latency_split():
     split = dict(
         protocol="adess",
-        adess=AdessParams(alpha=2, xi=2.0, latency_bound=6.0),
+        adess=AdessParams(alpha=2, xi=2.0),
         attack=AttackParams(alpha=2, xi=2.0, v=11.0),
         delay=6.0, attacker_strategy="fixed_growth", growth=2.0,
         horizon=30.0)

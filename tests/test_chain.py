@@ -45,6 +45,20 @@ def test_append_errors():
         tree.insert(Block(5, tree.genesis_id, 1, -1.0, "", 0.0))
 
 
+def test_non_finite_difficulty_is_rejected():
+    nan, inf = float("nan"), float("inf")
+    for d in (nan, inf):
+        with pytest.raises(InvalidDifficulty):
+            BlockTree(genesis_difficulty=d)
+        with pytest.raises(InvalidDifficulty):
+            BlockTree().insert(Block(1, 0, 1, d, "", 0.0))
+    with pytest.raises(InvalidDifficulty):
+        BlockTree.from_snapshot("block 0 parent=- h=0 d=nan t=0 miner=g\n")
+    with pytest.raises(InvalidDifficulty):
+        BlockTree.from_snapshot("block 0 parent=- h=0 d=1.0 t=0 miner=g\n"
+                                "block 1 parent=0 h=1 d=nan t=0 miner=a\n")
+
+
 def test_fork_block_common_ancestor():
     tree = BlockTree()
     b98 = chain(tree, tree.genesis_id, 98)

@@ -209,6 +209,32 @@ def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--config", str(cfg),
                            "--out", str(tmp_path / "out"))
         assert code == 1 and "error:" in err and key in err
+    # nor AdessParams the inert latency_bound
+    with pytest.raises(ConfigError, match="latency_bound"):
+        scenario_from_dict({"adess": {"latency_bound": 6.0}})
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("simulate", {"honest_hashrates": 5}),
+    ("simulate", {"eclipse_set": 5}),
+    ("simulate", {"delays": 5}),
+    ("simulate", {"mining": 5}),
+    ("simulate", {"horizon": "x"}),
+    ("simulate", {"n_honest_nodes": "3"}),
+    ("simulate", {"delay": None}),
+    ("simulate", {"attack_start_height": None}),
+    ("simulate", {"attacker_strategy": "fixed_growth", "growth": "x"}),
+    ("simulate", []),
+    ("sweep", {"grid": 5}),
+    ("sweep", {"grid": {"values": 5}}),
+    ("sweep", []),
+])
+def test_malformed_config_shape_exits_one(capsys, tmp_path, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, command, "--config", str(path),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1 and "error:" in err and "Traceback" not in err
 
 
 def test_bad_log_level_exits_one(capsys, monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 
 from adess.chain import Block, ChainRef
 from adess.errors import NotPenalized
-from adess.forkchoice import AdessParams, NodeView, ObservationLog
+from adess.forkchoice import (AdessParams, NodeView, ObservationLog,
+                               PenaltyRecord)
 
 
 class Script:
@@ -44,7 +45,7 @@ def feed(view: NodeView, blocks, start: float = 1.0) -> float:
 
 def test_params_validation():
     for bad in (dict(alpha=0), dict(xi=0.0), dict(xi=-1.0),
-                dict(epsilon=0.0), dict(latency_bound=-1.0)):
+                dict(epsilon=0.0)):
         with pytest.raises(ValueError):
             AdessParams(**bad)
     assert AdessParams().alpha == 6
@@ -53,7 +54,7 @@ def test_params_validation():
 def test_params_reject_non_finite():
     nan, inf = float("nan"), float("inf")
     for bad in (dict(xi=nan), dict(xi=inf), dict(epsilon=nan),
-                dict(epsilon=inf), dict(latency_bound=nan)):
+                dict(epsilon=inf)):
         with pytest.raises(ValueError):
             AdessParams(**bad)
 
@@ -179,6 +180,36 @@ def test_crossing_deactivates_and_rebases():
     assert view.check_boundary(rec).deactivated_at == t
 
 
+def test_held_record_reads_current_heads():
+    view, s, ic_head, a_rest, t = boundary_view()
+    rec = view.penalty_records()[0]
+    assert rec.penalized.head == a_rest[-2].id
+    assert rec.baseline.head == ic_head
+    ic6 = s.block(ic_head)
+    view.observe(ic6, t)
+    view.observe(a_rest[-1], t + 1.0)
+    # no second penalty_records() call: the record follows the branches
+    assert rec.baseline.head == ic6.id
+    assert rec.penalized.head == a_rest[-1].id
+    assert rec.active  # 10 post-fork blocks no longer reach 2 * 6
+
+
+def test_record_readers_assign_nothing(monkeypatch):
+    view, _, _, a_rest, t = boundary_view()
+    view.observe(a_rest[-1], t)
+    written = []
+
+    def record_write(rec, name, value):
+        written.append(name)
+        object.__setattr__(rec, name, value)
+
+    monkeypatch.setattr(PenaltyRecord, "__setattr__", record_write)
+    recs = view.penalty_records()
+    ledger = view.penalty_ledger()
+    assert recs and ledger.startswith("penalty chain=")
+    assert written == []
+
+
 def test_post_crossing_comparison_uses_rebased_score():
     view, s, ic_head, a_rest, t = boundary_view()
     view.observe(a_rest[-1], t)
@@ -288,12 +319,37 @@ def test_sync_observed_fork_is_undecidable():
     b1, b2 = s.chain(0, 2)
     view = NodeView(AdessParams(alpha=1, xi=1.0))
     feed(view, [a1, a2])
-    view.sync_observe(b1, 3.0)
-    view.sync_observe(b2, 4.0)
+    view.observe(b1, 3.0, synced=True)
+    view.observe(b2, 4.0, synced=True)
     assert view.undecidable_forks == [0]
     assert view.penalty_records() == []
     assert view.adess_canonical() == view.nakamoto_canonical() \
         == ChainRef(a2.id)
+
+
+def test_synced_flag_matters_only_where_a_fork_opens():
+    s = Script()
+    a1 = s.block(0)
+    b1, b2 = s.chain(0, 2)
+    c1 = s.block(0)
+    x1, x2, x3 = s.chain(a1.id, 3)
+    y1 = s.block(a1.id)
+    view = NodeView(AdessParams(alpha=2, xi=1.0))
+    feed(view, [a1, b1])  # fork 0 opened live
+    # a synced block on a live fork counts toward alpha: b reaches it first
+    view.observe(b2, 3.0, synced=True)
+    (rec,) = view.penalty_records()
+    assert (rec.penalized.head, rec.baseline.head) == (a1.id, b2.id)
+    # and a synced late sibling at the resolved fork is penalized at once
+    view.observe(c1, 4.0, synced=True)
+    assert [r.penalized_branch for r in view.penalty_records()] \
+        == [a1.id, c1.id]
+    # a fork opened by a synced block stays undecidable under live blocks
+    view.observe(x1, 5.0)
+    view.observe(y1, 6.0, synced=True)
+    feed(view, [x2, x3], start=7.0)
+    assert view.undecidable_forks == [a1.id]
+    assert [r.fork for r in view.penalty_records()] == [0, 0]
 
 
 def test_live_observation_has_no_undecidable_forks():

@@ -137,7 +137,7 @@ def test_subthreshold_growth_never_crosses():
 def split_cfg(**kw) -> ScenarioConfig:
     base = dict(
         protocol="adess",
-        adess=AdessParams(alpha=2, xi=2.0, latency_bound=6.0),
+        adess=AdessParams(alpha=2, xi=2.0),
         attack=AttackParams(alpha=2, xi=2.0, v=11.0),
         delay=6.0,
         attacker_strategy="fixed_growth",
@@ -202,6 +202,7 @@ def test_config_errors():
         dict(delay=-1.0),
         dict(attack_start_height=0),
         dict(attack=AttackParams(alpha=5, xi=1.0)),  # depth mismatch
+        dict(attack=AttackParams(alpha=2, xi=2.0)),  # penalty mismatch
     ]
     for kw in bad:
         with pytest.raises(ConfigError):
@@ -220,6 +221,7 @@ def test_config_rejects_non_finite_values_before_any_event():
         dict(delays={("n0", "n0"): nan}),
         dict(honest_hashrates={"n0": inf}),  # run_scenario hangs on it
         dict(honest_hashrates={"n0": nan}),
+        dict(attacker_strategy="fixed_growth", growth=nan),
     ]
     for kw in bad:
         with pytest.raises(ConfigError):
