@@ -1,7 +1,9 @@
 """Golden output digests: a byte-level safety net for fork-choice refactors.
 
 Each constant is the SHA-256 of outputs recorded before NodeView was
-restructured; a refactor that keeps every output must keep every digest.
+restructured (the three arrival-batching scenarios: before the simulator
+batched arrivals per instant); a refactor that keeps every output must keep
+every digest.
 They assume CPython 3.11, like `bench/digests.json` (float sums, `repr`).
 To re-record after a deliberate output change, print `digests()`.
 """
@@ -14,6 +16,7 @@ from dataclasses import replace
 
 import pytest
 
+from adess.chain import BlockTree
 from adess.economics import AttackParams
 from adess.forkchoice import AdessParams, NodeView
 from adess.mining import DifficultyRule, Stochastic
@@ -45,6 +48,26 @@ FOUR_MINERS = dict(
     mining=Stochastic(tick=0.01), horizon=60.0,
 )
 
+# arrival batching corner cases: eclipsed miners; a per-link delay table
+# whose sums tie (t + 0.3 == t + (0.1 + 0.2) for most t >= 1); nakamoto
+ECLIPSED = replace(
+    BASE, seed=21, n_honest_nodes=5, delay=0.3,
+    honest_hashrates={"n0": 0.4, "n1": 0.3, "n2": 0.2, "n3": 0.1},
+    eclipse_from_honest=("n3", "n4"), eclipse_set=("n1",),
+    mining=Stochastic(tick=0.01), horizon=40.0)
+TIED_DELAYS = replace(
+    BASE, seed=22, n_honest_nodes=4, delay=0.3,
+    honest_hashrates={"n0": 0.4, "n1": 0.3, "n2": 0.2, "n3": 0.1},
+    delays={("n0", "n1"): 0.1 + 0.2, ("n0", "n3"): 0.7,
+            ("n1", "n2"): 0.1 + 0.2, ("n2", "n0"): 0.0,
+            ("attacker", "n2"): 0.1 + 0.2, ("attacker", "n3"): 0.6},
+    mining=Stochastic(tick=0.01), horizon=40.0)
+NAKAMOTO_DELAYS = replace(
+    BASE, protocol="nakamoto", seed=23, n_honest_nodes=5, delay=0.2,
+    honest_hashrates={f"n{i}": 0.2 for i in range(5)},
+    delays={("n0", "n4"): 0.5, ("n4", "n0"): 0.5, ("attacker", "n0"): 0.4},
+    mining=Stochastic(tick=0.01), horizon=40.0)
+
 SCENARIOS = {
     "adess_paper_optimal": lambda: run_scenario(BASE),
     "nakamoto_budish": lambda: run_scenario(replace(
@@ -67,6 +90,9 @@ SCENARIOS = {
     "split_fixed_growth": lambda: latency_split_check(SPLIT),
     "split_accelerated": lambda: latency_split_check(
         replace(SPLIT, attacker_strategy="accelerated")),
+    "adess_eclipsed_miners": lambda: run_scenario(ECLIPSED),
+    "adess_tied_delays": lambda: run_scenario(TIED_DELAYS),
+    "nakamoto_delays_miners": lambda: run_scenario(NAKAMOTO_DELAYS),
 }
 
 PROBES = (
@@ -132,6 +158,12 @@ GOLDEN = {
         "2133ac85b478a978aa23ae15d98df7681c9cb43ed2cfe02b32ee1a78c58682bb",
     "split_accelerated":
         "071fdfed4e77d4f6176a0041ce4a2dc96982ae377b963307b68daf35ab71e696",
+    "adess_eclipsed_miners":
+        "5c0b417b8fc2a1df877ae09ba97ce27b3aeee333d48f3c0d733b60f964494948",
+    "adess_tied_delays":
+        "0b783fe106fb52640a2282d7121eeb5128d77b51f9723ab080be3f380d106cd3",
+    "nakamoto_delays_miners":
+        "b0f43fea9f8d6817d7559bec13df1438f80934a98b3bb6d004764e7da9e7e4f6",
     "probe":
         "4aa9ba013ec743379c5cd6cce9696debac83d3f4b47aecb254399ac43fea2d17",
     "views":
@@ -142,6 +174,17 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_digest(name):
     assert scenario_digest(name) == GOLDEN[name]
+
+
+def test_tied_delays_scenario_ties_arrivals_across_delays():
+    # blocks whose fan-out reaches two nodes at one instant by unequal delays
+    tree = BlockTree.from_snapshot(run_scenario(TIED_DELAYS).snapshot)
+    ties = 0
+    for block in tree.blocks.values():
+        delays = {TIED_DELAYS.link_delay(block.miner, node)
+                  for node in TIED_DELAYS.node_names()}
+        ties += len({block.created_at + d for d in delays}) < len(delays)
+    assert ties > 10
 
 
 def test_probe_digest():
