@@ -19,8 +19,8 @@ from .economics import (AttackParams, ProfitBreakdown, adess_attack_cost,
 from .errors import (AdessError, ConfigError, DomainError, InvalidDifficulty,
                      NotAnAncestor, NotPenalized, SolverFailure, UnknownBlock)
 from .forkchoice import AdessParams, NodeView, ObservationLog, PenaltyRecord
-from .mining import (CertaintyEquivalent, DifficultyRule, MinerAgent,
-                     Stochastic, adjust_difficulty, next_block_time,
+from .mining import (CertaintyEquivalent, DifficultyRule, Stochastic,
+                     adjust_difficulty, next_block_time,
                      required_hashrate_series, sustained_growth_cost)
 from .netsim import (ProbeReport, RunReport, ScenarioConfig, accelerated_rate,
                      disconnected_node_probe, latency_split_check,
@@ -29,8 +29,8 @@ from .netsim import (ProbeReport, RunReport, ScenarioConfig, accelerated_rate,
 __all__ = [
     "AdessError", "AdessParams", "AttackParams", "Block", "BlockId",
     "BlockTree", "CertaintyEquivalent", "ChainRef", "ConfigError",
-    "DifficultyRule", "DomainError", "InvalidDifficulty", "MinerAgent",
-    "NodeView", "NotAnAncestor", "NotPenalized", "ObservationLog",
+    "DifficultyRule", "DomainError", "InvalidDifficulty", "NodeView",
+    "NotAnAncestor", "NotPenalized", "ObservationLog",
     "PenaltyRecord", "ProbeReport", "ProfitBreakdown", "RunReport",
     "ScenarioConfig", "SolverFailure", "Stochastic", "UnknownBlock",
     "accelerated_rate", "adess_attack_cost", "adess_attack_profit",

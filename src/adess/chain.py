@@ -180,7 +180,8 @@ class BlockTree:
                     tree.insert(Block(bid, parent, int(fields["h"]),
                                       float(fields["d"]), fields["miner"],
                                       float(fields["t"])))
-            except (KeyError, ValueError) as e:
+            except (KeyError, ValueError, InvalidDifficulty,
+                    UnknownBlock) as e:
                 raise ValueError(f"bad snapshot line {line!r}: {e!r}") from None
         if tree is None:
             raise ValueError("snapshot contains no genesis block")

@@ -92,10 +92,9 @@ def _scenario_kwargs(data: dict) -> dict:
                                       "difficulty")
     if "delays" in data:
         raw = data.pop("delays")
-        kwargs["delays"] = {(s, n): float(d) for s, n, d in raw}
+        kwargs["delays"] = {(s, n): d for s, n, d in raw}
     if "honest_hashrates" in data:
-        kwargs["honest_hashrates"] = {
-            k: float(v) for k, v in data.pop("honest_hashrates").items()}
+        kwargs["honest_hashrates"] = dict(data.pop("honest_hashrates").items())
     if "eclipse_set" in data:
         kwargs["eclipse_set"] = tuple(data.pop("eclipse_set"))
     if "eclipse_from_honest" in data:

@@ -30,11 +30,15 @@ the entry in a sibling's path, and a new fork, the newest, is appended along
 its existing subtree in one walk, where blocks that shared an entry share
 the extended one.
 
-The ADESS canonical (score, head) is cached.  A connecting block takes it
-over if penalty-free and strictly heavier (the older head wins a tie), or
-else clears it if it extends the cached head.  Only `_make_record` and the
-deactivation branch of `_cross_check` (which re-bases) change other heads'
-eligibility or scores; both clear it, and the next query rescores all heads.
+Each block also counts the active penalties on its path, inherited from its
+parent, so a penalty test is one lookup.  Its only writers, `_make_record`
+(+1) and the deactivation in `_cross_check` (-1, which may re-base), walk
+the penalized branch's subtree; only they change other heads' eligibility
+or scores.  The ADESS canonical (score, head) is cached, the head as the
+`ChainRef` that `adess_canonical` returns.  A connecting block takes it over
+if penalty-free and strictly heavier (the older head wins a tie), or else
+clears it if it extends the cached head; the two writers clear it too, and
+the next query rescores all heads.
 """
 
 from __future__ import annotations
@@ -128,6 +132,7 @@ class PenaltyRecord:
 @dataclass
 class _ForkState:
     fork: BlockId
+    height: int  # of the fork block
     # branch child -> (observation index, achieving block) of the alpha-th
     # post-fork block on that branch
     alpha_reached: Dict[BlockId, Tuple[int, BlockId]] = field(default_factory=dict)
@@ -156,7 +161,9 @@ class NodeView:
         # block -> (deepest reset anchor on its path or None, fork path of
         # (fork state, branch child) pairs); equal entries share one tuple
         self._index: Dict[BlockId, tuple] = {self.tree.genesis_id: (None, ())}
-        self._best: Optional[Tuple[float, BlockId]] = None  # see module doc
+        # block -> number of active penalties on its path; see module doc
+        self._active: Dict[BlockId, int] = {self.tree.genesis_id: 0}
+        self._best: Optional[Tuple[float, ChainRef]] = None  # see module doc
 
     # -- observation -------------------------------------------------------
 
@@ -183,20 +190,20 @@ class NodeView:
     def _connect(self, block: Block, arrival: float, synced: bool):
         self.tree.insert(block)
         idx = self.log.append(block.id, arrival)
-        parent = block.parent
+        bid, parent = block.id, block.parent
         assert parent is not None
+        self._active[bid] = self._active[parent]
         if len(self.tree.children[parent]) > 1:
-            self._new_branch(parent, block, arrival, synced)
+            self._new_branch(parent, block, idx, arrival, synced)
         else:
-            self._index[block.id] = self._index[parent]
+            self._index[bid] = self._index[parent]
 
         self._advance(block, idx, arrival)
         if self._best is not None:
-            score = self.adjusted_score(ChainRef(block.id))
-            if (score > self._best[0]
-                    and not self._chain_has_active_penalty(block.id)):
-                self._best = (score, block.id)
-            elif parent == self._best[1]:
+            score = self._score(bid)
+            if score > self._best[0] and not self._active[bid]:
+                self._best = (score, ChainRef(bid))
+            elif parent == self._best[1].head:
                 self._best = None
 
         # flush any orphans waiting on this block
@@ -208,7 +215,6 @@ class NodeView:
     def _scan_branch(self, fs: _ForkState, branch: BlockId):
         """Initialize length and alpha bookkeeping for a pre-existing branch
         and append (fs, branch) to the fork path of every block on it."""
-        fork_h = self.tree.block(fs.fork).height
         alpha = self.params.alpha
         best_len, best_block = 0, branch
         alpha_idx: Optional[Tuple[int, BlockId]] = None
@@ -224,7 +230,7 @@ class NodeView:
             if hit is None:
                 hit = extended[id(old)] = (old, (old[0], old[1] + (entry,)))
             self._index[bid] = hit[1]
-            depth = self.tree.block(bid).height - fork_h
+            depth = self.tree.block(bid).height - fs.height
             if depth > best_len or (depth == best_len and bid < best_block):
                 best_len, best_block = depth, bid
             if depth == alpha:
@@ -236,31 +242,29 @@ class NodeView:
         if alpha_idx is not None:
             fs.alpha_reached[branch] = alpha_idx
 
-    def _new_branch(self, fork: BlockId, block: Block, arrival: float,
-                    synced: bool):
+    def _new_branch(self, fork: BlockId, block: Block, idx: int,
+                    arrival: float, synced: bool):
         """Add `block` as a branch of `fork`, opening the fork state on its
         second child; a synced block opens it undecidable."""
         fs = self._forks.get(fork)
         if fs is None:
             fs = self._forks[fork] = _ForkState(
-                fork=fork, assigned=synced, undecidable=synced)
+                fork, block.height - 1, assigned=synced, undecidable=synced)
             for c in self.tree.children[fork][:-1]:  # all but `block`
                 self._scan_branch(fs, c)
         fs.branch_len[block.id] = (1, block.id)
-        self._index_branch_child(fs, block.id)
+        if self.params.alpha == 1:  # _advance sees no growth for this entry
+            fs.alpha_reached[block.id] = (idx, block.id)
+        # index it: the parent's anchor, and a sibling's fork path with the
+        # entry for this fork swapped
+        path = tuple((fs, block.id) if e[0] is fs else e
+                     for e in self._index[self.tree.children[fork][0]][1])
+        self._index[block.id] = (self._index[fork][0], path)
         if fs.records:
             # late sibling at an already-resolved fork: penalized immediately
             self._cross_check(self._make_record(fs, block.id, arrival), arrival)
         else:
             self._fire(fs, arrival)
-
-    def _index_branch_child(self, fs: _ForkState, bid: BlockId):
-        """Index `bid`, a new child of fs.fork: the parent's anchor, and an
-        indexed sibling's fork path with the branch entry swapped for bid."""
-        sibling = self.tree.children[fs.fork][0]
-        path = tuple((fs, bid) if e[0] is fs else e
-                     for e in self._index[sibling][1])
-        self._index[bid] = (self._index[fs.fork][0], path)
 
     def _fork_path(self, bid: BlockId) -> tuple:
         entry = self._index.get(bid)
@@ -278,20 +282,20 @@ class NodeView:
     # -- penalty assignment ------------------------------------------------
 
     def _advance(self, block: Block, idx: int, arrival: float):
-        """Update per-fork lengths for the new block, record alpha arrivals,
-        fire assignments and sweep the canonical boundary."""
+        """Update per-fork lengths for the new block and, on each branch it
+        lengthens, record an alpha arrival (a branch already alpha long has
+        one), fire assignments and sweep the canonical boundary."""
         alpha = self.params.alpha
-        for fs, c in self._fork_path(block.id):
-            depth = block.height - self.tree.block(fs.fork).height
-            cur_len, _ = fs.branch_len[c]
-            if depth > cur_len:
-                fs.branch_len[c] = (depth, block.id)
-            if depth == alpha and c not in fs.alpha_reached:
+        for fs, c in self._index[block.id][1]:
+            depth = block.height - fs.height
+            if depth <= fs.branch_len[c][0]:
+                continue
+            fs.branch_len[c] = (depth, block.id)
+            if depth == alpha:
                 fs.alpha_reached[c] = (idx, block.id)
                 self._fire(fs, arrival)
             rec = fs.records.get(c)
-            if (rec is not None and rec.deactivated_at is None
-                    and depth > cur_len):
+            if rec is not None and rec.deactivated_at is None:
                 self._cross_check(rec, arrival)
 
     def _fire(self, fs: _ForkState, arrival: float):
@@ -302,7 +306,7 @@ class NodeView:
         fs.assigned = True
         fs.baseline_branch = baseline
         _, alpha_block = fs.alpha_reached[baseline]
-        if self._chain_has_active_penalty(alpha_block):
+        if self._active[alpha_block]:
             # generalized rule: a first-to-alpha chain that is itself under an
             # active penalty suppresses assignment at this fork entirely
             return
@@ -317,15 +321,17 @@ class NodeView:
         rec = PenaltyRecord(fs.fork, branch, fs.baseline_branch, arrival,
                             fs.branch_len)
         fs.records[branch] = rec
+        self._count_penalty(branch, 1)
         self._best = None
         return rec
 
-    def _chain_has_active_penalty(self, bid: BlockId) -> bool:
-        for fs, c in self._fork_path(bid):
-            rec = fs.records.get(c)
-            if rec is not None and rec.deactivated_at is None:
-                return True
-        return False
+    def _count_penalty(self, branch: BlockId, delta: int):
+        """Add `delta` to the active-penalty count of `branch`'s subtree."""
+        stack = [branch]
+        while stack:
+            bid = stack.pop()
+            self._active[bid] += delta
+            stack.extend(self.tree.children[bid])
 
     # -- canonical boundary ------------------------------------------------
 
@@ -339,8 +345,9 @@ class NodeView:
         if len_pen < (1.0 + self.params.xi) * len_base - _BOUNDARY_EPS:
             return
         rec.deactivated_at = arrival
+        self._count_penalty(rec.penalized_branch, -1)
         self._best = None
-        if self._chain_has_active_penalty(head_pen):
+        if self._active[head_pen]:
             return
         # last active penalty on this chain: re-base to the highest-scoring
         # baseline among penalties deactivated at this instant
@@ -365,11 +372,11 @@ class NodeView:
         best = None
         for h in self.tree.heads:
             if self._branch_at(fs, h) == fs.baseline_branch:
-                s = self.adjusted_score(ChainRef(h))
+                s = self._score(h)
                 if best is None or s > best:
                     best = s
         if best is None:  # baseline branch has no head only if it IS a head
-            best = self.adjusted_score(ChainRef(fs.baseline_branch))
+            best = self._score(fs.baseline_branch)
         return best
 
     def check_boundary(self, rec: PenaltyRecord,
@@ -384,8 +391,11 @@ class NodeView:
     def adjusted_score(self, chain: ChainRef) -> float:
         """Cumulative difficulty, re-based past the deepest crossing anchor
         on the chain's path."""
-        cum = self.tree.cumulative_difficulty(chain.head)
-        anchor = self._index[chain.head][0]
+        return self._score(chain.head)
+
+    def _score(self, bid: BlockId) -> float:
+        cum = self.tree.cumulative_difficulty(bid)
+        anchor = self._index[bid][0]
         if anchor is None:
             return cum
         anchor_cum, value = self._resets[anchor]
@@ -432,13 +442,13 @@ class NodeView:
         """Head with maximal (possibly re-based) cumulative difficulty among
         chains carrying no active penalty."""
         if self._best is None:
-            scored = [(self.adjusted_score(ChainRef(h)), h)
-                      for h in self.tree.heads
-                      if not self._chain_has_active_penalty(h)]
+            scored = [(self._score(h), h) for h in self.tree.heads
+                      if not self._active[h]]
             if not scored:
                 raise RuntimeError("no penalty-free chain: invariant violated")
-            self._best = self._pick(scored)
-        return ChainRef(self._best[1])
+            score, head = self._pick(scored)
+            self._best = (score, ChainRef(head))
+        return self._best[1]
 
     # -- diagnostics -------------------------------------------------------
 

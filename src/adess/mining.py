@@ -71,20 +71,6 @@ class DifficultyRule:
         return cls("epoch", epoch_length=length, target_block_time=target_block_time)
 
 
-@dataclass(frozen=True)
-class MinerAgent:
-    """A mining participant: honest miners target the canonical chain, the
-    attacker its own secret chain (resolved by the scenario runner)."""
-
-    tag: str
-    hashrate: float
-    targets_canonical: bool = True
-
-    def __post_init__(self):
-        if self.hashrate < 0:
-            raise ValueError("hashrate must be >= 0")
-
-
 def next_block_time(difficulty: float, hashrate: float, mode: MiningMode,
                     rng: Optional[random.Random] = None) -> float:
     """Waiting time for the next block, or NEVER_FOUND at zero hashrate."""

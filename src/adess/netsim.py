@@ -2,14 +2,16 @@
 
 The event loop is strictly sequential: events are processed in (time,
 sequence-number) order, so identical configurations (including the seed)
-replay bit-identically.  Honest hashrate is grouped by the canonical head
-each mining node currently follows; a group mines jointly and regroups
-whenever any miner's canonical head changes.  The attacker mines a secret
-chain and broadcasts it according to its strategy.
+replay bit-identically; a block reaching several nodes at one instant is one
+arrive event.  Honest hashrate is grouped by the canonical head each mining
+node currently follows; a group mines jointly.  A miner's head change
+regroups only its old and new heads, a group that mined only itself.  The
+attacker mines a secret chain and broadcasts it according to its strategy.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import io
 import math
@@ -83,6 +85,12 @@ class ScenarioConfig:
             raise ConfigError("fixed_growth requires a growth rate")
         if self.growth is not None and not math.isfinite(self.growth):
             raise ConfigError("growth must be finite")
+        numbers = [self.horizon, self.delay, self.growth, self.seed,
+                   self.n_honest_nodes, self.attack_start_height,
+                   *(self.honest_hashrates or {}).values(),
+                   *(self.delays or {}).values()]
+        if any(isinstance(x, bool) for x in numbers):  # bool is an int
+            raise ConfigError("a boolean is not a number or an integer")
         if not 0 < self.horizon < math.inf:
             raise ConfigError("horizon must be finite and > 0")
         if self.n_honest_nodes < 1:
@@ -185,6 +193,14 @@ class _Simulation:
             for name in cfg.node_names()}
         # passive observer tracking the honest chain on behalf of the attacker
         self.att_obs = NodeView(cfg.adess, name="att_obs")
+        # sender -> (delay, receiver) links in push order, see _fan_out
+        nodes = sorted(self.nodes)
+        self._links = {m: [(0.0, "att_obs")] + [
+            (cfg.link_delay(m, n), n) for n in nodes
+            if n not in cfg.eclipse_from_honest] for m in self._miners}
+        self._links[ATTACKER] = [(cfg.link_delay(ATTACKER, n), n)
+                                 for n in nodes if n not in cfg.eclipse_set]
+        self._links[ATTACKER].append((0.0, "att_obs"))
 
         self._nextdiff: Dict[BlockId, float] = {self.tree.genesis_id: 1.0}
         self._epoch_hist: Dict[BlockId, Tuple[float, ...]] = {
@@ -192,6 +208,9 @@ class _Simulation:
 
         self._canonical: Dict[str, BlockId] = {
             name: self.tree.genesis_id for name in self.nodes}
+        # head -> the miners following it, in name order
+        self._members: Dict[BlockId, List[str]] = {
+            self.tree.genesis_id: list(self._miners)}
         self._group_gen: Dict[BlockId, int] = {}
         self._active_groups: Dict[BlockId, float] = {}
         self.series: List[Tuple[float, str, BlockId, int]] = []
@@ -213,8 +232,20 @@ class _Simulation:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
 
+    def _fan_out(self, links: List[Tuple[float, str]], blocks):
+        """Send `blocks` over `links`: one arrive event per arrival instant
+        (unequal delays can share one) of (receiver, block) pairs in push
+        order, with consecutive seqs, so as if each pair had its own event."""
+        batches: Dict[float, List[Tuple[str, Block]]] = {}
+        for delay, node in links:
+            batch = batches.setdefault(self.time + delay, [])
+            for block in blocks:
+                batch.append((node, block))
+        for time, batch in batches.items():
+            self._push(time, "arrive", batch)
+
     def run(self) -> RunReport:
-        self._regroup()
+        self._regroup(list(self._members))
         self._maybe_start_attack()
         while self._heap:
             time, _, kind, payload = heapq.heappop(self._heap)
@@ -226,7 +257,8 @@ class _Simulation:
             elif kind == "amine":
                 self._on_attacker_mine(*payload)
             elif kind == "arrive":
-                self._on_arrive(*payload)
+                for node, block in payload:
+                    self._on_arrive(node, block)
         return self._report()
 
     # -- difficulty tracking -----------------------------------------------
@@ -251,27 +283,23 @@ class _Simulation:
 
     # -- honest mining -----------------------------------------------------
 
-    def _regroup(self):
-        """Regroup honest hashrate by canonical head and (re)schedule one
-        block-found event per group.  Groups whose head and hashrate are
-        unchanged keep their pending event so rescheduling never resets a
-        slow group's progress.  Groups depend only on miners' heads and equal
-        `_active_groups` after each call, so a non-miner's head change skips
-        it.  Superseded draws are kept: the seeded RNG stream that fixes every
-        run's output includes them, so dropping them would change outputs."""
-        groups: Dict[BlockId, float] = {}
-        for name, rate in self._miners.items():
-            head = self._canonical[name]
-            groups[head] = groups.get(head, 0.0) + rate
-        for head, rate in list(self._active_groups.items()):
-            if groups.get(head) != rate:
-                self._group_gen[head] = self._group_gen.get(head, 0) + 1
-                del self._active_groups[head]
-        for head in sorted(groups):
-            hashrate = groups[head]
+    def _regroup(self, dirty):
+        """(Re)schedule one block-found event per group among the `dirty`
+        heads (a miner left or joined, or the group mined), summing member
+        rates in name order and drawing in head order as a full regroup
+        would.  A group whose hashrate is unchanged keeps its pending event,
+        so a slow group's progress is never reset.  Superseded draws stay:
+        the seeded RNG stream that fixes every run's output includes them."""
+        for head in sorted(dirty):
+            hashrate = None
+            for name in self._members.get(head, ()):
+                hashrate = (hashrate or 0.0) + self._miners[name]
             if self._active_groups.get(head) == hashrate:
-                continue  # pending event still valid
+                continue  # pending event still valid, or still no group
             self._group_gen[head] = self._group_gen.get(head, 0) + 1
+            if hashrate is None:
+                del self._active_groups[head]
+                continue
             self._active_groups[head] = hashrate
             difficulty = self._nextdiff[head]
             dur = next_block_time(difficulty, hashrate, self.cfg.mining,
@@ -287,27 +315,15 @@ class _Simulation:
             return  # stale schedule, superseded by a regroup
         self._group_gen[head] = generation + 1
         self._active_groups.pop(head, None)
-        miner = self._leader_for(head)
+        miner = self._members[head][0]  # the group's leader
         bid = self.tree.append_block(head, difficulty, miner=miner,
                                      time=self.time)
         self._register_block(bid, head, difficulty, hashrate, duration)
-        block = self.tree.block(bid)
-        self._push(self.time, "arrive", ("att_obs", block))
-        for node in sorted(self.nodes):
-            if node in self.cfg.eclipse_from_honest:
-                continue
-            delay = self.cfg.link_delay(miner, node)
-            self._push(self.time + delay, "arrive", (node, block))
+        self._fan_out(self._links[miner], (self.tree.block(bid),))
         # the group that mined must be rescheduled even if no head changes
-        self._regroup()
+        self._regroup((head,))
         self._maybe_start_attack()
         self._check_broadcast_condition()
-
-    def _leader_for(self, head: BlockId) -> str:
-        for name in self._miners:
-            if self._canonical[name] == head:
-                return name
-        return next(iter(self._miners))
 
     # -- observation -------------------------------------------------------
 
@@ -324,12 +340,15 @@ class _Simulation:
             self._check_broadcast_condition()
             return
         head = self._node_canonical(view).head
-        if head != self._canonical[node]:
+        old = self._canonical[node]
+        if head != old:
             self._canonical[node] = head
             self.series.append(
                 (self.time, node, head, self.tree.block(head).height))
             if node in self._miners:
-                self._regroup()
+                self._members[old].remove(node)
+                bisect.insort(self._members.setdefault(head, []), node)
+                self._regroup((old, head))
         self._check_conveyance(node, block)
         self._check_broadcast_condition()
 
@@ -442,16 +461,8 @@ class _Simulation:
             return
         self.phase = "done"
         self.broadcast_time = self.time
-        for node in sorted(self.nodes):
-            if node in self.cfg.eclipse_set:
-                continue
-            delay = self.cfg.link_delay(ATTACKER, node)
-            for bid in self.attacker_chain:
-                self._push(self.time + delay, "arrive",
-                           (node, self.attacker_blocks[bid]))
-        for bid in self.attacker_chain:
-            self._push(self.time, "arrive",
-                       ("att_obs", self.attacker_blocks[bid]))
+        self._fan_out(self._links[ATTACKER], [
+            self.attacker_blocks[bid] for bid in self.attacker_chain])
 
     # -- reporting ---------------------------------------------------------
 

@@ -52,11 +52,17 @@ def test_non_finite_difficulty_is_rejected():
             BlockTree(genesis_difficulty=d)
         with pytest.raises(InvalidDifficulty):
             BlockTree().insert(Block(1, 0, 1, d, "", 0.0))
-    with pytest.raises(InvalidDifficulty):
-        BlockTree.from_snapshot("block 0 parent=- h=0 d=nan t=0 miner=g\n")
-    with pytest.raises(InvalidDifficulty):
-        BlockTree.from_snapshot("block 0 parent=- h=0 d=1.0 t=0 miner=g\n"
-                                "block 1 parent=0 h=1 d=nan t=0 miner=a\n")
+
+
+def test_snapshot_block_errors_are_value_errors_naming_the_line():
+    genesis = "block 0 parent=- h=0 d=1.0 t=0 miner=g\n"
+    for text, line in (
+            ("block 0 parent=- h=0 d=nan t=0 miner=g\n", "d=nan"),
+            (genesis + "block 1 parent=0 h=1 d=nan t=0 miner=a\n", "d=nan"),
+            (genesis + "block 1 parent=0 h=1 d=-1.0 t=0 miner=a\n", "d=-1.0"),
+            (genesis + "block 2 parent=7 h=1 d=1 t=0 miner=a\n", "parent=7")):
+        with pytest.raises(ValueError, match=f"bad snapshot line .*{line}"):
+            BlockTree.from_snapshot(text)
 
 
 def test_fork_block_common_ancestor():

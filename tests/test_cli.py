@@ -237,6 +237,26 @@ def test_malformed_config_shape_exits_one(capsys, tmp_path, command, cfg):
     assert code == 1 and "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cfg", [
+    {"horizon": True},
+    {"seed": True},
+    {"delay": False},
+    {"n_honest_nodes": True},
+    {"attack_start_height": True},
+    {"attacker_strategy": "fixed_growth", "growth": True},
+    {"n_honest_nodes": 2, "honest_hashrates": {"n0": 1.0, "n1": True}},
+    {"n_honest_nodes": 2, "delays": [["n0", "n1", True]]},
+])
+def test_boolean_for_a_number_exits_one(capsys, tmp_path, cfg):
+    # bool is an int in Python, so JSON true once passed as 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "simulate", "--config", str(path),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1 and "error:" in err and "Traceback" not in err
+    assert "boolean" in err
+
+
 def test_bad_log_level_exits_one(capsys, monkeypatch):
     monkeypatch.setenv("ADESS_LOG", "chatty")
     code, _, err = run(capsys, "safe-v", "--xi", "1")

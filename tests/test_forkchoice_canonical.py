@@ -113,7 +113,8 @@ def test_active_groups_follow_miner_heads_after_every_arrival():
 
     def always(node, block):
         on_arrive_always(node, block)
-        sim._regroup()
+        sim._regroup({sim._canonical[m] for m in sim._miners}
+                     | set(sim._active_groups))
 
     sim._on_arrive = always
     regrouping = sim.run()

@@ -27,7 +27,8 @@ BOUNDARY_EPS = 1e-9
 
 class NaiveReplay:
     def __init__(self, params, genesis):
-        self.alpha, self.xi, self.epsilon = params.alpha, params.xi, params.epsilon
+        self.alpha, self.xi = params.alpha, params.xi
+        self.epsilon = params.epsilon
         g = genesis.id
         self.parent = {g: None}
         self.paths = {g: ()}          # block -> itself and its ancestors
@@ -73,7 +74,7 @@ class NaiveReplay:
         return top - self.height[f], pick
 
     def alpha_block(self, f, c):
-        """First-seen block at post-fork depth alpha on the branch through c."""
+        """First-seen block at post-fork depth alpha on the branch via c."""
         at = self.on_branch(c, self.height[f] + self.alpha)
         return min(at, key=self.seen.__getitem__) if at else None
 
@@ -212,11 +213,18 @@ def replay_against_oracle(source: NodeView, n_synced: int = 0) -> NaiveReplay:
     view = NodeView(source.params, name=source.name)
     genesis = source.tree.block(source.tree.genesis_id)
     oracle = NaiveReplay(source.params, genesis)
+    records = None
     for i, (bid, arrival) in enumerate(source.log.entries[1:]):
         block = source.tree.block(bid)
         view.observe(block, arrival, synced=i < n_synced)
         oracle.step(block, arrival, i < n_synced)
         check_step(view, oracle, bid)
+        # a block's active-penalty count changes when it arrives, and for
+        # every block when a record is assigned or deactivated
+        before, records = records, repr(oracle.records)
+        for b in oracle.seen if records != before else (bid,):
+            assert (view._active[b] > 0) == bool(
+                view.active_penalties(ChainRef(b)))
     for f in oracle.forks():
         check_fork(view, oracle, f)
     return oracle
