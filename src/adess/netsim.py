@@ -17,7 +17,7 @@ import io
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .chain import Block, BlockId, BlockTree, ChainRef
 from .economics import AttackParams, boundary_blocks
@@ -232,7 +232,8 @@ class _Simulation:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
 
-    def _fan_out(self, links: List[Tuple[float, str]], blocks):
+    def _fan_out(self, links: List[Tuple[float, str]],
+                 blocks: Sequence[Block]):
         """Send `blocks` over `links`: one arrive event per arrival instant
         (unequal delays can share one) of (receiver, block) pairs in push
         order, with consecutive seqs, so as if each pair had its own event."""
@@ -283,7 +284,7 @@ class _Simulation:
 
     # -- honest mining -----------------------------------------------------
 
-    def _regroup(self, dirty):
+    def _regroup(self, dirty: Iterable[BlockId]):
         """(Re)schedule one block-found event per group among the `dirty`
         heads (a miner left or joined, or the group mined), summing member
         rates in name order and drawing in head order as a full regroup
@@ -291,7 +292,7 @@ class _Simulation:
         so a slow group's progress is never reset.  Superseded draws stay:
         the seeded RNG stream that fixes every run's output includes them."""
         for head in sorted(dirty):
-            hashrate = None
+            hashrate = None  # no member, no group
             for name in self._members.get(head, ()):
                 hashrate = (hashrate or 0.0) + self._miners[name]
             if self._active_groups.get(head) == hashrate:
