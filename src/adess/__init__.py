@@ -17,7 +17,7 @@ from .economics import (AttackParams, ProfitBreakdown, adess_attack_cost,
                         penalty_margin, proposition1_check,
                         safe_value_interval)
 from .errors import (AdessError, ConfigError, DomainError, InvalidDifficulty,
-                     NotAnAncestor, NotPenalized, SolverFailure, UnknownBlock)
+                     NotPenalized, SolverFailure, UnknownBlock)
 from .forkchoice import AdessParams, NodeView, ObservationLog, PenaltyRecord
 from .mining import (CertaintyEquivalent, DifficultyRule, Stochastic,
                      adjust_difficulty, next_block_time,
@@ -30,12 +30,11 @@ __all__ = [
     "AdessError", "AdessParams", "AttackParams", "Block", "BlockId",
     "BlockTree", "CertaintyEquivalent", "ChainRef", "ConfigError",
     "DifficultyRule", "DomainError", "InvalidDifficulty", "NodeView",
-    "NotAnAncestor", "NotPenalized", "ObservationLog",
-    "PenaltyRecord", "ProbeReport", "ProfitBreakdown", "RunReport",
-    "ScenarioConfig", "SolverFailure", "Stochastic", "UnknownBlock",
-    "accelerated_rate", "adess_attack_cost", "adess_attack_profit",
-    "adjust_difficulty", "attack_plan_profit", "boundary_blocks",
-    "broadcast_margin", "brute_force_optimal_plan",
+    "NotPenalized", "ObservationLog", "PenaltyRecord", "ProbeReport",
+    "ProfitBreakdown", "RunReport", "ScenarioConfig", "SolverFailure",
+    "Stochastic", "UnknownBlock", "accelerated_rate", "adess_attack_cost",
+    "adess_attack_profit", "adjust_difficulty", "attack_plan_profit",
+    "boundary_blocks", "broadcast_margin", "brute_force_optimal_plan",
     "disconnected_node_probe", "guo_ren_bound", "latency_split_check",
     "malicious_cost_series", "min_deterring_xi", "moroz_round_payoff",
     "nakamoto_attack_profit", "nakamoto_min_profitable_v",

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
-from .errors import InvalidDifficulty, NotAnAncestor, UnknownBlock
+from .errors import InvalidDifficulty, UnknownBlock
 
 BlockId = int
 
@@ -103,13 +103,6 @@ class BlockTree:
             raise UnknownBlock(f"unknown block {bid}")
         return self._cumdiff[bid]
 
-    def ancestors(self, bid: BlockId) -> Iterator[BlockId]:
-        """Yield bid, then each ancestor up to and including genesis."""
-        cur: Optional[BlockId] = bid
-        while cur is not None:
-            yield cur
-            cur = self.blocks[cur].parent
-
     def ancestor_at_height(self, bid: BlockId, height: int) -> Optional[BlockId]:
         b = self.block(bid)
         if height > b.height or height < 0:
@@ -122,27 +115,6 @@ class BlockTree:
     def is_ancestor(self, anc: BlockId, desc: BlockId) -> bool:
         """True iff `anc` lies on the genesis path of `desc` (inclusive)."""
         return self.ancestor_at_height(desc, self.block(anc).height) == anc
-
-    def fork_block(self, a: ChainRef, b: ChainRef) -> BlockId:
-        """Deepest common ancestor of the two head paths."""
-        x, y = a.head, b.head
-        bx, by = self.block(x), self.block(y)
-        while bx.height > by.height:
-            x = bx.parent
-            bx = self.blocks[x]
-        while by.height > bx.height:
-            y = by.parent
-            by = self.blocks[y]
-        while x != y:
-            x, y = bx.parent, by.parent
-            bx, by = self.blocks[x], self.blocks[y]
-        return x
-
-    def post_fork_length(self, chain: ChainRef, fork: BlockId) -> int:
-        """Blocks strictly after `fork` up to and including the head."""
-        if not self.is_ancestor(fork, chain.head):
-            raise NotAnAncestor(f"{fork} is not an ancestor of {chain.head}")
-        return self.block(chain.head).height - self.block(fork).height
 
     # -- serialization -----------------------------------------------------
 
@@ -187,7 +159,3 @@ class BlockTree:
             raise ValueError("snapshot contains no genesis block")
         return tree
 
-
-def recompute_cumulative_difficulty(tree: BlockTree, bid: BlockId) -> float:
-    """Path-walk oracle for cumulative difficulty, kept for tests."""
-    return sum(tree.block(b).difficulty for b in tree.ancestors(bid))

@@ -3,8 +3,9 @@
 Subcommands map one-to-one onto the library: `simulate` and `sweep` read a
 JSON config whose keys mirror the ScenarioConfig / AttackParams field names;
 the scalar commands (`min-xi`, `safe-v`, `profit`, ...) take everything as
-flags.  Outputs land in `--out` (default ./out).  Identical flags and seed
-produce byte-identical files.  Exit status: 0 success, 1 domain error,
+flags and print their results.  The commands that write files take `--out`
+(default ./out); only `simulate` and `sweep` take `--seed`.  Identical flags
+and seed produce byte-identical files.  Exit status: 0 success, 1 domain error,
 2 usage error.  Diagnostic verbosity on stderr is controlled by the ADESS_LOG
 environment variable (error, info or debug).
 """
@@ -18,8 +19,9 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
+from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import economics
 from .economics import AttackParams
@@ -80,13 +82,11 @@ def _scenario_kwargs(data: dict) -> dict:
         kwargs["attack"] = _build(AttackParams, data.pop("attack"), "attack")
     if "mining" in data:
         m = dict(data.pop("mining"))
+        modes = {"ce": CertaintyEquivalent, "stochastic": Stochastic}
         mode = m.pop("mode", "ce")
-        if mode == "ce":
-            kwargs["mining"] = CertaintyEquivalent()
-        elif mode == "stochastic":
-            kwargs["mining"] = _build(Stochastic, m, "mining")
-        else:
+        if mode not in modes:
             raise ConfigError(f"unknown mining mode {mode!r}")
+        kwargs["mining"] = _build(modes[mode], m, "mining")
     if "difficulty" in data:
         kwargs["difficulty"] = _build(DifficultyRule, data.pop("difficulty"),
                                       "difficulty")
@@ -122,13 +122,13 @@ def _load_json(path: str) -> dict:
 
 
 def _attack_params(args) -> AttackParams:
-    kwargs = dict(v=args.v, p_B=args.pb, c=args.c, delta=args.delta,
-                  alpha=args.alpha, sigma=args.sigma, B=args.b)
-    if getattr(args, "xi", None) is not None:
-        kwargs["xi"] = args.xi
-    if getattr(args, "eps_extra", None) is not None:
-        kwargs["epsilon_extra"] = args.eps_extra
-    return AttackParams(**kwargs)
+    """AttackParams from the economics flags; a flag the subcommand lacks,
+    or leaves unset, keeps the field's default."""
+    flags = dict(v="v", pb="p_B", c="c", delta="delta", alpha="alpha",
+                 sigma="sigma", b="B", xi="xi", eps_extra="epsilon_extra")
+    return AttackParams(**{field: getattr(args, flag)
+                           for flag, field in flags.items()
+                           if getattr(args, flag, None) is not None})
 
 
 def _out_dir(args) -> Path:
@@ -190,17 +190,21 @@ def cmd_profit(args) -> int:
     return 0
 
 
-def cmd_compare_protocols(args) -> int:
-    params = _attack_params(args)
-    lines = ["t,adess_cost,nakamoto_cost"]
-    a_series, a_pv = economics.malicious_cost_series("adess", params,
-                                                     args.horizon)
+def _malicious_rows(params: AttackParams, horizon: int
+                    ) -> Tuple[List[str], float, float]:
+    """CSV rows of both protocols' split-cost series, and each present value."""
+    a_series, a_pv = economics.malicious_cost_series("adess", params, horizon)
     n_series, n_pv = economics.malicious_cost_series("nakamoto", params,
-                                                     args.horizon)
+                                                     horizon)
+    rows = ["t,adess_cost,nakamoto_cost"]
     for t, (a, n) in enumerate(zip(a_series, n_series), start=1):
-        lines.append(f"{t},{a!r},{n!r}")
-    out = _out_dir(args)
-    _write(out / "malicious_cost.csv", "\n".join(lines) + "\n")
+        rows.append(f"{t},{a!r},{n!r}")
+    return rows, a_pv, n_pv
+
+
+def cmd_compare_protocols(args) -> int:
+    rows, a_pv, n_pv = _malicious_rows(_attack_params(args), args.horizon)
+    _write(_out_dir(args) / "malicious_cost.csv", "\n".join(rows) + "\n")
     print(f"adess_pv = {a_pv!r}")
     print(f"nakamoto_pv = {n_pv!r}")
     return 0
@@ -285,12 +289,7 @@ def _sweep_hashrate(params: AttackParams, grid: dict) -> List[str]:
 
 def _sweep_malicious(params: AttackParams, grid: dict) -> List[str]:
     horizon = int(grid.get("horizon", 4 * params.horizon_blocks))
-    rows = ["t,adess_cost,nakamoto_cost"]
-    a, _ = economics.malicious_cost_series("adess", params, horizon)
-    n, _ = economics.malicious_cost_series("nakamoto", params, horizon)
-    for t, (ac, nc) in enumerate(zip(a, n), start=1):
-        rows.append(f"{t},{ac!r},{nc!r}")
-    return rows
+    return _malicious_rows(params, horizon)[0]
 
 
 def cmd_sweep(args) -> int:
@@ -319,26 +318,27 @@ def cmd_sweep(args) -> int:
 
 
 # -- property suites --------------------------------------------------------
+# Each counts the passing checks of one of the paper's claims; acceptance
+# tests 01-03 run these same suites.
 
 def _suite_proposition1() -> Tuple[int, int]:
-    from fractions import Fraction
-    grid = []
-    for xi10 in range(1, 21, 2):
-        for eps100 in (1, 5):
-            for N in (1, 2, 3, 6, 12):
-                for adj in ("none", "full"):
-                    xi = Fraction(xi10, 10)
-                    eps = Fraction(eps100, 100)
-                    if xi > eps:
-                        grid.append((xi, eps, N, adj))
+    """Proposition 1: the penalty protocol needs weakly more attack hashrate,
+    in exact arithmetic at 500 points with xi above the classic surplus."""
+    grid = [(Fraction(i, 10), eps, N, adj)
+            for i in range(1, 26)
+            for eps in (Fraction(1, 100), Fraction(5, 100))
+            for N in (1, 2, 3, 4, 5)
+            for adj in ("none", "full")]
     results = economics.proposition1_check(grid)
     ok = sum(1 for r in results if r.adess_weakly_greater)
     return ok, len(results)
 
 
 def _suite_theorem1() -> Tuple[int, int]:
+    """Theorem 1: a finite penalty deters every transaction value; the attack
+    is unprofitable at xi* and at 20 larger penalties, for 10 (v, alpha)."""
     ok = total = 0
-    for v in (0.1, 1.0, 10.0, 100.0):
+    for v in (0.1, 1.0, 10.0, 100.0, 1e4):
         for depth in (2, 7):
             total += 1
             params = AttackParams(p_B=1.0, c=1.0, delta=0.999, alpha=depth,
@@ -347,24 +347,28 @@ def _suite_theorem1() -> Tuple[int, int]:
                 xi_star = economics.min_deterring_xi(v, params)
             except SolverFailure:
                 continue
-            profit = economics.adess_attack_profit(
-                replace(params, v=v, xi=xi_star)).profit
-            if profit < 0:
-                ok += 1
+            ok += all(economics.adess_attack_profit(
+                replace(params, v=v, xi=xi_star + 0.25 * k)).profit < 0
+                for k in range(21))
     return ok, total
 
 
+#: Corollary 1's parameter points, one per penalty
+COROLLARY1_PARAMS = tuple(
+    AttackParams(p_B=1.0, c=1.0, delta=1.0, alpha=3, sigma=0, xi=xi)
+    for xi in (0.25, 0.5, 1.0, 2.0))
+
+
 def _suite_corollary1() -> Tuple[int, int]:
+    """Corollary 1: the attack is unprofitable at 100 values spread over
+    [0, v_max) for each point of COROLLARY1_PARAMS."""
     ok = total = 0
-    for xi in (0.25, 0.5, 1.0, 2.0):
-        params = AttackParams(p_B=1.0, c=1.0, delta=1.0, alpha=3, sigma=0,
-                              xi=xi)
-        v_max = economics.safe_value_interval(xi, params)
+    for params in COROLLARY1_PARAMS:
+        v_max = economics.safe_value_interval(params.xi, params)
         for i in range(100):
             total += 1
             v = v_max * i / 100.0
-            if economics.adess_attack_profit(replace(params, v=v)).profit < 0:
-                ok += 1
+            ok += economics.adess_attack_profit(replace(params, v=v)).profit < 0
     return ok, total
 
 
@@ -391,12 +395,18 @@ def cmd_check_props(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_out(p: argparse.ArgumentParser):
     p.add_argument("--out", default="./out", help="output directory")
+
+
+def _add_config(p: argparse.ArgumentParser):
+    """Flags of the commands that run a JSON config."""
+    p.add_argument("--config", required=True)
+    _add_out(p)
     p.add_argument("--seed", type=int, default=None, help="RNG seed override")
 
 
-def _add_econ_flags(p: argparse.ArgumentParser, with_xi=True):
+def _add_econ_flags(p: argparse.ArgumentParser):
     p.add_argument("--pb", type=float, default=1.0, help="block reward")
     p.add_argument("--c", type=float, default=1.0, help="unit hashrate cost")
     p.add_argument("--delta", type=float, default=1.0, help="discount factor")
@@ -406,9 +416,6 @@ def _add_econ_flags(p: argparse.ArgumentParser, with_xi=True):
     p.add_argument("--b", type=int, default=0, help="extra secret blocks")
     p.add_argument("--eps-extra", type=float, default=None,
                    help="classic attacker's surplus hashrate")
-    if with_xi:
-        p.add_argument("--xi", type=float, default=None,
-                       help="penalty parameter")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,21 +426,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a scenario from a JSON config")
-    p.add_argument("--config", required=True)
-    _add_common(p)
+    _add_config(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("min-xi", help="smallest deterring penalty for v")
     p.add_argument("--v", type=float, required=True)
-    _add_econ_flags(p, with_xi=False)
-    _add_common(p)
+    _add_econ_flags(p)
     p.set_defaults(func=cmd_min_xi)
 
     p = sub.add_parser("safe-v", help="largest safe transaction value")
     p.add_argument("--xi", type=float, required=True)
-    p.add_argument("--v", type=float, default=0.0, help=argparse.SUPPRESS)
-    _add_econ_flags(p, with_xi=False)
-    _add_common(p)
+    _add_econ_flags(p)
     p.set_defaults(func=cmd_safe_v)
 
     p = sub.add_parser("profit", help="attack profit breakdown")
@@ -442,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, default=0, help="extra pace blocks")
     p.add_argument("--n", type=int, default=None,
                    help="incumbent blocks at the boundary")
-    _add_econ_flags(p, with_xi=False)
-    _add_common(p)
+    _add_econ_flags(p)
     p.set_defaults(func=cmd_profit)
 
     p = sub.add_parser("compare-protocols",
@@ -451,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--v", type=float, default=0.0)
     p.add_argument("--xi", type=float, default=1.0)
-    _add_econ_flags(p, with_xi=False)
-    _add_common(p)
+    _add_econ_flags(p)
+    _add_out(p)
     p.set_defaults(func=cmd_compare_protocols)
 
     p = sub.add_parser("security-bound",
@@ -462,17 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambda_rate", type=float, required=True)
     p.add_argument("--delta-prop", type=float, required=True)
     p.add_argument("--variant", choices=("literal", "abs"), default="abs")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_security_bound)
 
     p = sub.add_parser("sweep", help="grid sweep from a JSON config")
-    p.add_argument("--config", required=True)
-    _add_common(p)
+    _add_config(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("check-props", help="run a property suite")
     p.add_argument("--suite", default="all")
-    _add_common(p)
     p.set_defaults(func=cmd_check_props)
 
     return parser
@@ -482,8 +482,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         _setup_logging()
         args = build_parser().parse_args(argv)
-        if getattr(args, "n", "absent") is None:
-            args.n = args.alpha + args.sigma
         return args.func(args)
     except (AdessError, ValueError) as e:
         log.error("%s", e)

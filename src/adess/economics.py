@@ -10,9 +10,9 @@ glyph in the source analysis but are unrelated quantities).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, SolverFailure
 
@@ -20,8 +20,18 @@ from .errors import DomainError, SolverFailure
 #: representable exactly (e.g. 2*5) do not round up from float noise.
 _CEIL_EPS = 1e-9
 
+#: penalty step `penalty_margin` takes to see whether the ceiling increments
+_MARGIN_DXI = 1e-6
 
-def boundary_blocks(n_ic: int, xi: float) -> int:
+#: `min_deterring_xi`'s bisection floor, bracket width and step cap, and the
+#: number of larger penalties it probes past its result
+_XI_LO = 1e-3
+_XI_TOL = 1e-6
+_XI_MAX_ITER = 200
+_TAIL_SAMPLES = 20
+
+
+def boundary_blocks(n_ic: float, xi: float) -> int:
     """Number of penalized-chain blocks needed at the canonical boundary:
     ceil(N*(1+xi)) with float-noise protection."""
     return math.ceil(n_ic * (1.0 + xi) - _CEIL_EPS)
@@ -39,7 +49,6 @@ class AttackParams:
     alpha: int = 6            # confirmation depth, >= 1
     sigma: int = 0            # blocks between fork and tx inclusion
     epsilon_extra: float = 0.01  # classic attacker's marginal surplus hashrate
-    N: Optional[int] = None   # post-fork IC blocks at the boundary (default alpha+sigma)
     B: int = 0                # extra secret blocks past the boundary
 
     def __post_init__(self):
@@ -56,7 +65,7 @@ class AttackParams:
     @property
     def horizon_blocks(self) -> int:
         """N: incumbent-chain post-fork blocks at the canonical boundary."""
-        return self.N if self.N is not None else self.alpha + self.sigma
+        return self.alpha + self.sigma
 
 
 @dataclass(frozen=True)
@@ -252,16 +261,16 @@ def cost_term_derivative(n: int, xi: float, delta: float) -> float:
 
 
 def penalty_margin(xi: float, N: int, delta: float, c: float = 1.0,
-                   p_B: float = 1.0, dxi: float = 1e-6) -> float:
+                   p_B: float = 1.0) -> float:
     """Marginal effect of raising the penalty on attacker profit.  The block
     reward and extra-block terms enter only when the increase bumps the
-    boundary block count (the ceiling increments under dxi)."""
+    boundary block count (the ceiling increments under _MARGIN_DXI)."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     if xi <= 0:
         raise ValueError("xi must be > 0")
     K = boundary_blocks(N, xi)
-    jump = boundary_blocks(N, xi + dxi) > K
+    jump = boundary_blocks(N, xi + _MARGIN_DXI) > K
     margin = -c * sum(cost_term_derivative(n, xi, delta) for n in range(K))
     if jump:
         margin += delta ** N * p_B - delta ** N * c
@@ -289,8 +298,9 @@ def affine_cost_term_derivative(n: int, xi: float, delta: float,
 def affine_growth_cost_margin(xi: float, rho_aff: float,
                               f: Callable[[int], float], N: int, delta: float,
                               c: float = 1.0, p_B: float = 1.0) -> float:
-    """Penalty margin under the affine growth schedule; negative whenever
-    p_B <= c, so deterrence survives non-constant growth."""
+    """Penalty margin under the affine growth schedule (the README's marginal
+    analysis); negative whenever p_B <= c, so deterrence survives
+    non-constant growth."""
     if rho_aff <= 0:
         raise ValueError("rho_aff must be > 0")
     if not 0.0 < delta < 1.0:
@@ -305,41 +315,39 @@ def affine_growth_cost_margin(xi: float, rho_aff: float,
 # Deterrence solvers
 # ---------------------------------------------------------------------------
 
-def min_deterring_xi(v: float, params: AttackParams, xi_lo: float = 1e-3,
-                     tol: float = 1e-6, max_iter: int = 200,
-                     tail_samples: int = 20) -> float:
-    """Smallest penalty (on a bisection grid) rendering the attack
-    unprofitable at transaction value v, verified to stay unprofitable at
-    sampled larger penalties."""
+def min_deterring_xi(v: float, params: AttackParams) -> float:
+    """Smallest penalty (on a bisection grid from _XI_LO, to within _XI_TOL)
+    rendering the attack unprofitable at transaction value v, verified to
+    stay unprofitable at _TAIL_SAMPLES larger penalties."""
 
     def profit(xi: float) -> float:
         return adess_attack_profit(replace(params, v=v, xi=xi)).profit
 
-    if profit(xi_lo) < 0:
-        xi_star = xi_lo
+    if profit(_XI_LO) < 0:
+        xi_star = _XI_LO
     else:
-        hi = max(2 * xi_lo, 1.0)
+        hi = max(2 * _XI_LO, 1.0)
         it = 0
         while profit(hi) >= 0:
             hi *= 2.0
             it += 1
             if it > 60:
                 raise SolverFailure("no deterring penalty found",
-                                    bracket=(xi_lo, hi))
-        lo = xi_lo
+                                    bracket=(_XI_LO, hi))
+        lo = _XI_LO
         it = 0
-        while hi - lo > tol:
+        while hi - lo > _XI_TOL:
             mid = 0.5 * (lo + hi)
             if profit(mid) < 0:
                 hi = mid
             else:
                 lo = mid
             it += 1
-            if it > max_iter:
+            if it > _XI_MAX_ITER:
                 raise SolverFailure("bisection did not converge",
                                     bracket=(lo, hi))
         xi_star = hi
-    for i in range(1, tail_samples + 1):
+    for i in range(1, _TAIL_SAMPLES + 1):
         probe = xi_star * (1.0 + 0.5 * i)
         if profit(probe) >= 0:
             raise SolverFailure(

@@ -13,10 +13,6 @@ class InvalidDifficulty(AdessError):
     """Block difficulty must be strictly positive."""
 
 
-class NotAnAncestor(AdessError):
-    """The given fork block is not an ancestor of the chain head."""
-
-
 class NotPenalized(AdessError):
     """Requested a penalized score for a chain with no active penalty."""
 

@@ -147,11 +147,10 @@ class _ForkState:
 class NodeView:
     """Single-threaded subjective state of one observing node."""
 
-    def __init__(self, params: AdessParams, name: str = "node",
-                 genesis_difficulty: float = 1.0):
+    def __init__(self, params: AdessParams, name: str = "node"):
         self.params = params
         self.name = name
-        self.tree = BlockTree(genesis_difficulty=genesis_difficulty)
+        self.tree = BlockTree()
         self.log = ObservationLog()
         self.log.append(self.tree.genesis_id, 0.0)
         self._forks: Dict[BlockId, _ForkState] = {}
@@ -379,13 +378,6 @@ class NodeView:
             best = self._score(fs.baseline_branch)
         return best
 
-    def check_boundary(self, rec: PenaltyRecord,
-                       at_time: Optional[float] = None) -> PenaltyRecord:
-        """Re-evaluate one record against current lengths and return it."""
-        when = at_time if at_time is not None else self.log.entries[-1][1]
-        self._cross_check(rec, when)
-        return rec
-
     # -- scoring -----------------------------------------------------------
 
     def adjusted_score(self, chain: ChainRef) -> float:
@@ -402,12 +394,13 @@ class NodeView:
         return value + (cum - anchor_cum)
 
     def penalized_score(self, chain: ChainRef, fork: BlockId) -> float:
-        """Discounted post-fork length of an actively penalized chain."""
+        """Discounted post-fork length of an actively penalized chain: the
+        README's score of 1/(1+xi) per block past the fork."""
         fs = self._forks.get(fork)
         rec = fs.records.get(self._branch_at(fs, chain.head)) if fs else None
         if rec is None or rec.deactivated_at is not None:
             raise NotPenalized(f"chain {chain.head} not penalized at {fork}")
-        n = self.tree.post_fork_length(chain, fork)
+        n = self.tree.block(chain.head).height - fs.height
         return n / (1.0 + self.params.xi)
 
     def active_penalties(self, chain: ChainRef) -> List[PenaltyRecord]:

@@ -26,9 +26,9 @@ class CertaintyEquivalent:
 
 @dataclass(frozen=True)
 class Stochastic:
-    """Geometric waiting time over ticks of fixed length."""
+    """Geometric waiting time over ticks of fixed length; the RNG that draws
+    it is passed to `next_block_time`."""
 
-    seed: int = 0
     tick: float = 0.01
 
     def __post_init__(self):

@@ -220,7 +220,6 @@ class _Simulation:
         self.fork_block: Optional[BlockId] = None
         self.fork_time: Optional[float] = None
         self.attacker_chain: List[BlockId] = []
-        self.attacker_blocks: Dict[BlockId, Block] = {}
         self.realized_cost = 0.0
         self.conveyed_time: Optional[float] = None
         self.broadcast_time: Optional[float] = None
@@ -377,15 +376,14 @@ class _Simulation:
         self.phase = "mining"
         self.fork_block = head
         self.fork_time = self.time
+        N = self.cfg.attack.horizon_blocks
         if self.cfg.attacker_strategy in ("paper_optimal", "fixed_growth"):
-            self._attacker_target = boundary_blocks(
-                self.cfg.attack.horizon_blocks, self.cfg.attack.xi)
+            self._attacker_target = boundary_blocks(N, self.cfg.attack.xi)
         elif self.cfg.attacker_strategy == "accelerated":
             # enough blocks that even the last node to hear the broadcast
             # still observes the boundary crossed
-            N = self.cfg.attack.horizon_blocks
-            self._attacker_target = math.ceil(
-                (N + self.cfg.delay) * (1.0 + self.cfg.attack.xi) - 1e-9)
+            self._attacker_target = boundary_blocks(N + self.cfg.delay,
+                                                    self.cfg.attack.xi)
         else:  # budish
             self._attacker_target = None
         self._schedule_attacker_block()
@@ -435,7 +433,6 @@ class _Simulation:
                                      time=self.time)
         self._register_block(bid, parent, difficulty, hashrate, duration)
         self.attacker_chain.append(bid)
-        self.attacker_blocks[bid] = self.tree.block(bid)
         start = self.time - duration - self.fork_time
         self.realized_cost += (self.cfg.attack.c * hashrate * duration
                                * self.cfg.attack.delta ** max(start, 0.0))
@@ -463,7 +460,7 @@ class _Simulation:
         self.phase = "done"
         self.broadcast_time = self.time
         self._fan_out(self._links[ATTACKER], [
-            self.attacker_blocks[bid] for bid in self.attacker_chain])
+            self.tree.block(bid) for bid in self.attacker_chain])
 
     # -- reporting ---------------------------------------------------------
 

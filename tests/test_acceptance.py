@@ -1,8 +1,9 @@
 """End-to-end acceptance checks, one test per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
-per criterion.  Each check is self-contained: tolerances and grids are
-stated inline next to the property they guard.
+per criterion.  Each check states its tolerances and grids inline next to
+the property it guards, except 01-03: they run the `adess check-props`
+suites (`adess.cli.SUITES`), so each of those claims has one grid.
 """
 
 from __future__ import annotations
@@ -11,18 +12,18 @@ import math
 import random
 import time
 from dataclasses import replace
-from fractions import Fraction
 
 from adess import economics
+from adess.cli import COROLLARY1_PARAMS, SUITES
 from adess.economics import (AttackParams, adess_attack_cost,
                              adess_attack_profit, affine_cost_term,
                              affine_cost_term_derivative, boundary_blocks,
                              brute_force_optimal_plan, cost_term,
                              cost_term_derivative, guo_ren_bound,
-                             malicious_cost_series, min_deterring_xi,
-                             nakamoto_min_profitable_v, nakamoto_zero_profit_v,
+                             malicious_cost_series, nakamoto_min_profitable_v,
+                             nakamoto_zero_profit_v,
                              partial_adjustment_attack_cost,
-                             proposition1_check, safe_value_interval)
+                             safe_value_interval)
 from adess.errors import DomainError
 from adess.forkchoice import AdessParams
 from adess.mining import (CertaintyEquivalent, DifficultyRule, Stochastic,
@@ -43,47 +44,28 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
 def test_acceptance_01_hashrate_dominance_grid():
     # 500 exact-arithmetic points, penalty above the classic surplus
     start = time.time()
-    grid = [(Fraction(i, 10), eps, N, adj)
-            for i in range(1, 26)
-            for eps in (Fraction(1, 100), Fraction(5, 100))
-            for N in (1, 2, 3, 4, 5)
-            for adj in ("none", "full")][:500]
-    assert len(grid) == 500
-    results = proposition1_check(grid)
-    ok = all(r.adess_weakly_greater for r in results)
+    ok, total = SUITES["proposition1"]()
     elapsed = time.time() - start
     report(1, "penalty protocol needs weakly more attack hashrate",
-           ok and elapsed < 1.0, f"500 points in {elapsed:.2f}s")
+           ok == total == 500 and elapsed < 1.0,
+           f"{total} points in {elapsed:.2f}s")
 
 
 def test_acceptance_02_deterring_penalty_exists():
+    # v up to 1e4 at two depths, each at xi* and 20 larger penalties
     start = time.time()
-    ok = True
-    for v in (0.1, 1.0, 10.0, 100.0, 1e4):
-        for depth in (2, 7):
-            p = AttackParams(p_B=1.0, c=1.0, delta=0.999, alpha=depth,
-                             sigma=0)
-            xi_star = min_deterring_xi(v, p)
-            ok &= adess_attack_profit(
-                replace(p, v=v, xi=xi_star)).profit < 0
-            for k in range(1, 21):
-                probe = xi_star + 0.25 * k
-                ok &= adess_attack_profit(
-                    replace(p, v=v, xi=probe)).profit < 0
+    ok, total = SUITES["theorem1"]()
     elapsed = time.time() - start
     report(2, "a finite penalty deters every transaction value",
-           ok and elapsed < 1.0, f"{elapsed:.2f}s")
+           ok == total == 10 and elapsed < 1.0, f"{elapsed:.2f}s")
 
 
 def test_acceptance_03_safe_value_interval():
-    ok = True
-    for xi in (0.25, 0.5, 1.0, 2.0):
-        p = AttackParams(p_B=1.0, c=1.0, delta=1.0, alpha=3, sigma=0, xi=xi)
-        v_max = safe_value_interval(xi, p)
+    ok, total = SUITES["corollary1"]()
+    ok = ok == total == 400
+    for p in COROLLARY1_PARAMS:
+        v_max = safe_value_interval(p.xi, p)
         assert v_max == -adess_attack_profit(replace(p, v=0.0)).profit
-        for i in range(100):
-            v = v_max * i / 100.0
-            ok &= adess_attack_profit(replace(p, v=v)).profit < 0
         ok &= abs(adess_attack_profit(replace(p, v=v_max)).profit) < 1e-9
     report(3, "profit negative below v_max and zero at v_max", ok)
 

@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+from typing import Iterator, Optional
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adess.chain import (Block, BlockTree, ChainRef,
-                         recompute_cumulative_difficulty)
-from adess.errors import InvalidDifficulty, NotAnAncestor, UnknownBlock
+from adess.chain import Block, BlockTree
+from adess.errors import InvalidDifficulty, UnknownBlock
+
+
+def ancestors(tree: BlockTree, bid: Optional[int]) -> Iterator[int]:
+    """Yield bid, then each ancestor up to and including genesis."""
+    while bid is not None:
+        yield bid
+        bid = tree.block(bid).parent
+
+
+def recompute_cumulative_difficulty(tree: BlockTree, bid: int) -> float:
+    """Path-walk oracle for cumulative difficulty."""
+    return sum(tree.block(b).difficulty for b in ancestors(tree, bid))
 
 
 def chain(tree: BlockTree, parent: int, n: int, difficulty: float = 1.0) -> int:
@@ -65,45 +78,6 @@ def test_snapshot_block_errors_are_value_errors_naming_the_line():
             BlockTree.from_snapshot(text)
 
 
-def test_fork_block_common_ancestor():
-    tree = BlockTree()
-    b98 = chain(tree, tree.genesis_id, 98)
-    a = chain(tree, b98, 5)
-    b = chain(tree, b98, 3)
-    assert tree.fork_block(ChainRef(a), ChainRef(b)) == b98
-    assert tree.block(b98).height == 98
-
-
-def test_fork_block_self():
-    tree = BlockTree()
-    a = chain(tree, tree.genesis_id, 3)
-    assert tree.fork_block(ChainRef(a), ChainRef(a)) == a
-
-
-def test_fork_block_genesis_only():
-    tree = BlockTree()
-    a = chain(tree, tree.genesis_id, 4)
-    b = chain(tree, tree.genesis_id, 2)
-    assert tree.fork_block(ChainRef(a), ChainRef(b)) == tree.genesis_id
-
-
-def test_post_fork_length():
-    tree = BlockTree()
-    fork = chain(tree, tree.genesis_id, 98)
-    head = chain(tree, fork, 5)
-    assert tree.post_fork_length(ChainRef(head), fork) == 5
-    assert tree.post_fork_length(ChainRef(head), head) == 0
-    assert tree.post_fork_length(ChainRef(head), tree.genesis_id) == 103
-
-
-def test_post_fork_length_not_ancestor():
-    tree = BlockTree()
-    a = chain(tree, tree.genesis_id, 2)
-    b = chain(tree, tree.genesis_id, 2)
-    with pytest.raises(NotAnAncestor):
-        tree.post_fork_length(ChainRef(a), b)
-
-
 def test_snapshot_roundtrip():
     tree = BlockTree()
     fork = chain(tree, tree.genesis_id, 3, difficulty=1.5)
@@ -157,14 +131,3 @@ def test_cumdiff_matches_path_walk_oracle(tree_ids):
         assert tree.cumulative_difficulty(bid) == pytest.approx(
             recompute_cumulative_difficulty(tree, bid), rel=1e-12)
 
-
-@given(random_trees(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_fork_block_symmetry_and_length_identity(tree_ids, data):
-    tree, ids = tree_ids
-    a = ChainRef(data.draw(st.sampled_from(ids)))
-    b = ChainRef(data.draw(st.sampled_from(ids)))
-    fork = tree.fork_block(a, b)
-    assert fork == tree.fork_block(b, a)
-    assert (tree.post_fork_length(a, fork) + tree.block(fork).height
-            == tree.block(a.head).height)

@@ -164,6 +164,9 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["safe-v", "--xi", "1", "--out", "x"])  # writes no file
+    assert exc.value.code == 2
 
 
 def test_domain_error_exits_one(capsys):
@@ -199,8 +202,9 @@ def test_overflowing_attack_cost_exits_one(capsys):
 
 
 def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
-    # AttackParams no longer has the inert beta and latency fields
-    for key in ("beta", "latency"):
+    # AttackParams no longer has the inert beta and latency fields, nor the
+    # N no caller set
+    for key in ("beta", "latency", "N"):
         with pytest.raises(ConfigError, match=key):
             scenario_from_dict({"attack": {key: 0.5}})
         cfg = tmp_path / f"{key}.json"
@@ -209,9 +213,13 @@ def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--config", str(cfg),
                            "--out", str(tmp_path / "out"))
         assert code == 1 and "error:" in err and key in err
-    # nor AdessParams the inert latency_bound
-    with pytest.raises(ConfigError, match="latency_bound"):
-        scenario_from_dict({"adess": {"latency_bound": 6.0}})
+    # nor AdessParams the inert latency_bound, nor a mining mode the unread
+    # seed (the scenario's seed draws the blocks)
+    for section, key in (("adess", "latency_bound"), ("mining", "seed")):
+        with pytest.raises(ConfigError, match=key):
+            scenario_from_dict({section: {key: 5}})
+    with pytest.raises(ConfigError, match="seed"):
+        scenario_from_dict({"mining": {"mode": "stochastic", "seed": 5}})
 
 
 @pytest.mark.parametrize("command, cfg", [

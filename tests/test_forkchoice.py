@@ -161,8 +161,6 @@ def test_below_boundary_stays_penalized():
     rec = view.penalty_records()[0]
     assert rec.active and rec.deactivated_at is None
     assert view.adess_canonical() == ChainRef(ic_head)
-    # check_boundary on a still-short branch is a no-op
-    assert view.check_boundary(rec).active
 
 
 def test_crossing_deactivates_and_rebases():
@@ -176,8 +174,6 @@ def test_crossing_deactivates_and_rebases():
         6.0 + 1e-6, abs=1e-12)
     assert view.adess_canonical() == ChainRef(a10.id)
     assert view.nakamoto_canonical() == ChainRef(a10.id)
-    # check_boundary is idempotent after deactivation
-    assert view.check_boundary(rec).deactivated_at == t
 
 
 def test_held_record_reads_current_heads():
