@@ -154,7 +154,7 @@ class NodeView:
         self.log = ObservationLog()
         self.log.append(self.tree.genesis_id, 0.0)
         self._forks: Dict[BlockId, _ForkState] = {}
-        self._pending: Dict[BlockId, List[Tuple[Block, float]]] = {}
+        self._pending: Dict[BlockId, List[Tuple[Block, float, bool]]] = {}
         # reset anchor block -> (cumdiff at anchor, re-based score at anchor)
         self._resets: Dict[BlockId, Tuple[float, float]] = {}
         # block -> (deepest reset anchor on its path or None, fork path of
@@ -168,8 +168,9 @@ class NodeView:
 
     def observe(self, block: Block, arrival: float,
                 synced: bool = False) -> "NodeView":
-        """Record the arrival of `block`; orphans are buffered until their
-        parent is observed (in-order delivery per chain).
+        """Record the arrival of `block`; orphans are buffered, with their
+        own `synced` flag, until their parent is observed (in-order delivery
+        per chain).
 
         `synced` ingests the block without temporal-order information (bulk
         sync for a node that was not connected when it was broadcast).  It
@@ -181,7 +182,8 @@ class NodeView:
         if block.id in self.tree:
             return self
         if block.parent not in self.tree:
-            self._pending.setdefault(block.parent, []).append((block, arrival))
+            self._pending.setdefault(block.parent, []).append(
+                (block, arrival, synced))
             return self
         self._connect(block, arrival, synced)
         return self
@@ -205,9 +207,9 @@ class NodeView:
             elif parent == self._best[1].head:
                 self._best = None
 
-        # flush any orphans waiting on this block
-        for child, child_arrival in self._pending.pop(block.id, []):
-            self._connect(child, max(child_arrival, arrival), synced)
+        # flush any orphans waiting on this block, each with its own flag
+        for child, child_arrival, child_synced in self._pending.pop(bid, []):
+            self._connect(child, max(child_arrival, arrival), child_synced)
 
     # -- fork bookkeeping --------------------------------------------------
 

@@ -323,6 +323,20 @@ def test_sync_observed_fork_is_undecidable():
         == ChainRef(a2.id)
 
 
+def test_buffered_orphans_keep_their_own_synced_flag():
+    # two synced children of b1 wait for b1, which then arrives live: the
+    # fork they open at b1 carries no temporal order
+    s = Script()
+    b1 = s.block(0)
+    c1, c2 = s.block(b1.id), s.block(b1.id)
+    view = NodeView(AdessParams(alpha=1, xi=1.0))
+    view.observe(c1, 1.0, synced=True)
+    view.observe(c2, 1.0, synced=True)
+    view.observe(b1, 2.0)
+    assert view.undecidable_forks == [b1.id]
+    assert view.penalty_records() == []
+
+
 def test_synced_flag_matters_only_where_a_fork_opens():
     s = Script()
     a1 = s.block(0)
