@@ -31,6 +31,16 @@ _XI_MAX_ITER = 200
 _TAIL_SAMPLES = 20
 
 
+def left_sum(terms: Iterable[float]) -> float:
+    """Add `terms` left to right from 0, as `sum()` does on floats up to
+    Python 3.11 (3.12 made it compensated, which can change the last bits),
+    so every version computes the same outputs."""
+    total = 0
+    for term in terms:
+        total += term
+    return total
+
+
 def boundary_blocks(n_ic: float, xi: float) -> int:
     """Number of penalized-chain blocks needed at the canonical boundary:
     ceil(N*(1+xi)) with float-noise protection."""
@@ -91,7 +101,7 @@ def nakamoto_attack_profit(p: AttackParams) -> ProfitBreakdown:
         raise ValueError("N must be >= 1")
     d, c = p.delta, p.c
     revenue = d ** (N - 1) * (p.v + p.p_B * N)
-    cost = c * (sum(d ** (n - 1) for n in range(1, N))
+    cost = c * (left_sum(d ** (n - 1) for n in range(1, N))
                 + (1.0 + p.epsilon_extra) * d ** (N - 1))
     return ProfitBreakdown(revenue, cost, N)
 
@@ -100,7 +110,7 @@ def nakamoto_zero_profit_v(p: AttackParams) -> float:
     """Transaction value at which the classic attack breaks even."""
     N = p.horizon_blocks
     d, c = p.delta, p.c
-    bracket = sum(d ** (n - 1) for n in range(1, N)) \
+    bracket = left_sum(d ** (n - 1) for n in range(1, N)) \
         + (1.0 + p.epsilon_extra) * d ** (N - 1)
     return d ** (-(N - 1)) * c * bracket - p.p_B * N
 
@@ -169,7 +179,7 @@ def fork_depth_growth(N: int, xi: float, tau: int) -> float:
 def _boundary_cost(delta: float, g: float, base: float, K: int) -> float:
     """Sum of delta^(n/g) base^n over the K blocks up to the boundary."""
     try:
-        return sum(delta ** (n / g) * base ** n for n in range(K))
+        return left_sum(delta ** (n / g) * base ** n for n in range(K))
     except OverflowError:
         raise DomainError(f"attack cost overflows: {base!r}^n, n < {K}") from None
 
@@ -197,7 +207,8 @@ def plan_profits(p: AttackParams, tau: int, N: int,
                  b_max: int) -> Iterator[ProfitBreakdown]:
     """Profits of the plans (fork tau blocks back, reach the boundary at
     incumbent block N, then mine B more secret blocks) for B = 0..b_max; the
-    boundary cost is summed once, the B terms left to right as `sum()` does."""
+    boundary cost is summed once, the B terms left to right as `left_sum`
+    does."""
     if N < 1 or tau < 0 or b_max < 0:
         raise ValueError("N >= 1, tau >= 0, B >= 0 required")
     d, c = p.delta, p.c
@@ -271,7 +282,8 @@ def penalty_margin(xi: float, N: int, delta: float, c: float = 1.0,
         raise ValueError("xi must be > 0")
     K = boundary_blocks(N, xi)
     jump = boundary_blocks(N, xi + _MARGIN_DXI) > K
-    margin = -c * sum(cost_term_derivative(n, xi, delta) for n in range(K))
+    margin = -c * left_sum(cost_term_derivative(n, xi, delta)
+                           for n in range(K))
     if jump:
         margin += delta ** N * p_B - delta ** N * c
     return margin
@@ -306,8 +318,9 @@ def affine_growth_cost_margin(xi: float, rho_aff: float,
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     K = boundary_blocks(N, xi)
-    deriv_sum = sum(affine_cost_term_derivative(n, xi, delta, rho_aff, f(n))
-                    for n in range(K))
+    deriv_sum = left_sum(
+        affine_cost_term_derivative(n, xi, delta, rho_aff, f(n))
+        for n in range(K))
     return p_B - c * deriv_sum - c
 
 
@@ -385,7 +398,7 @@ def malicious_cost_series(protocol: str, params: AttackParams,
         series = [c] * horizon
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
-    pv = sum(d ** t * s for t, s in zip(range(1, horizon + 1), series))
+    pv = left_sum(d ** t * s for t, s in zip(range(1, horizon + 1), series))
     return series, pv
 
 

@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
+from .economics import left_sum
+
 #: Sentinel returned when hashrate is zero: the chain is stalled.
 NEVER_FOUND = math.inf
 
@@ -116,7 +118,7 @@ def adjust_difficulty(prev_difficulty: float, implied_hashrate: float,
     history = epoch_history or ()
     if len(history) < rule.epoch_length:
         return prev_difficulty
-    actual = sum(history)
+    actual = left_sum(history)
     target = rule.epoch_length * rule.target_block_time
     return prev_difficulty * (target / actual)
 

@@ -6,8 +6,10 @@ evaluations of the closed forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import replace
 from fractions import Fraction
 
@@ -178,17 +180,21 @@ def test_partial_adjustment_cost_overflow_is_a_domain_error():
 
 # -- plan profits against a per-plan oracle ----------------------------------
 
-def oracle_plan_profit(p: AttackParams, tau: int, N: int, B: int):
-    """Each plan's profit from scratch, as one K-term and one B-term `sum()`.
+def left_fold(terms):
+    """Terms added left to right from 0, as CPython's `sum()` adds floats up
+    to 3.11 (3.12 compensates it)."""
+    return functools.reduce(operator.add, terms, 0)
 
-    `plan_profits` must match it bit for bit.  That holds while `sum()` adds
-    floats left to right from 0, as CPython does up to 3.11."""
+
+def oracle_plan_profit(p: AttackParams, tau: int, N: int, B: int):
+    """Each plan's profit from scratch, as one K-term and one B-term left
+    fold.  `plan_profits` must match it bit for bit on every Python."""
     d, c = p.delta, p.c
     g = 1.0 + fork_depth_growth(N, p.xi, tau)
     K = boundary_blocks(N, p.xi)
     revenue = d ** (N + B - 1) * (p.v + p.p_B * (K + B))
-    cost = c * (sum(d ** (n / g) * g ** n for n in range(K))
-                + sum(d ** (N + b) for b in range(B)))
+    cost = c * (left_fold(d ** (n / g) * g ** n for n in range(K))
+                + left_fold(d ** (N + b) for b in range(B)))
     return revenue, cost, K + B
 
 
