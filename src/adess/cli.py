@@ -318,8 +318,6 @@ def cmd_sweep(args) -> int:
 
 
 # -- property suites --------------------------------------------------------
-# Each counts the passing checks of one of the paper's claims; acceptance
-# tests 01-03 run these same suites.
 
 def _suite_proposition1() -> Tuple[int, int]:
     """Proposition 1: the penalty protocol needs weakly more attack hashrate,
@@ -400,7 +398,6 @@ def _add_out(p: argparse.ArgumentParser):
 
 
 def _add_config(p: argparse.ArgumentParser):
-    """Flags of the commands that run a JSON config."""
     p.add_argument("--config", required=True)
     _add_out(p)
     p.add_argument("--seed", type=int, default=None, help="RNG seed override")

@@ -23,8 +23,7 @@ _CEIL_EPS = 1e-9
 #: penalty step `penalty_margin` takes to see whether the ceiling increments
 _MARGIN_DXI = 1e-6
 
-#: `min_deterring_xi`'s bisection floor, bracket width and step cap, and the
-#: number of larger penalties it probes past its result
+#: `min_deterring_xi`'s bisection floor, width and step cap, and tail probes
 _XI_LO = 1e-3
 _XI_TOL = 1e-6
 _XI_MAX_ITER = 200
@@ -32,9 +31,8 @@ _TAIL_SAMPLES = 20
 
 
 def left_sum(terms: Iterable[float]) -> float:
-    """Add `terms` left to right from 0, as `sum()` does on floats up to
-    Python 3.11 (3.12 made it compensated, which can change the last bits),
-    so every version computes the same outputs."""
+    """Add left to right from 0, as float `sum()` did until Python 3.12 made
+    it compensated, so outputs keep the same bits on every version."""
     total = 0
     for term in terms:
         total += term
@@ -449,7 +447,7 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
     """Exhaustive search over (tau, N, B), in that order, for the most
     profitable plan; the first of equal plans wins.  Each (tau, N) boundary
     cost is summed once for all B, bit-identical to `attack_plan_profit`."""
-    n0 = p.alpha + p.sigma
+    n0 = p.horizon_blocks
     best = best_plan = None
     for tau in range(tau_max + 1):
         for N in range(n0, n0 + n_extra + 1):

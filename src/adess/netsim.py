@@ -359,7 +359,7 @@ class _Simulation:
             return
         if self.fork_block is None or block.miner == ATTACKER:
             return
-        need = self.cfg.attack.alpha + self.cfg.attack.sigma
+        need = self.cfg.attack.horizon_blocks
         fork_h = self.tree.block(self.fork_block).height
         if (block.height - fork_h >= need
                 and self.tree.is_ancestor(self.fork_block, block.id)):
@@ -420,15 +420,14 @@ class _Simulation:
                               self.rng_attacker)
         if dur == NEVER_FOUND:
             return
-        self._push(self.time + dur, "amine", (difficulty, hashrate, dur))
+        self._push(self.time + dur, "amine",
+                   (parent, difficulty, hashrate, dur))
 
-    def _on_attacker_mine(self, difficulty: float, hashrate: float,
-                          duration: float):
+    def _on_attacker_mine(self, parent: BlockId, difficulty: float,
+                          hashrate: float, duration: float):
         if self.phase != "mining":
             return
-        parent = self.attacker_chain[-1] if self.attacker_chain \
-            else self.fork_block
-        assert parent is not None and self.fork_time is not None
+        assert self.fork_time is not None
         bid = self.tree.append_block(parent, difficulty, miner=ATTACKER,
                                      time=self.time)
         self._register_block(bid, parent, difficulty, hashrate, duration)
@@ -554,9 +553,7 @@ def disconnected_node_probe(cfg: ScenarioConfig, join_time: float
         post_join += not synced
     undecidable = bool(late.undecidable_forks)
     inferred = None
-    inference_used = False
     if undecidable:
-        inference_used = True
         # actively-mined chain: the head above the most recently arrived block
         if post_join:
             last = late.log.entries[-1][0]
@@ -573,7 +570,7 @@ def disconnected_node_probe(cfg: ScenarioConfig, join_time: float
         undecidable=undecidable,
         undecidable_forks=late.undecidable_forks,
         inferred_head=inferred,
-        inference_used=inference_used,
+        inference_used=undecidable,
         nakamoto_head=late.nakamoto_canonical().head,
         reference_head=sim._canonical["n0"],
     )
