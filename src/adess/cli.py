@@ -192,7 +192,7 @@ def cmd_profit(args) -> int:
 
 def _malicious_rows(params: AttackParams, horizon: int
                     ) -> Tuple[List[str], float, float]:
-    """CSV rows of both protocols' split-cost series, and each present value."""
+    """Both protocols' split-cost series as CSV rows, and present values."""
     a_series, a_pv = economics.malicious_cost_series("adess", params, horizon)
     n_series, n_pv = economics.malicious_cost_series("nakamoto", params,
                                                      horizon)

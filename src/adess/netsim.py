@@ -54,7 +54,7 @@ class ScenarioConfig:
     attacker_strategy: str = "paper_optimal"
     growth: Optional[float] = None               # for fixed_growth
     eclipse_set: Tuple[str, ...] = ()            # hidden from attacker bcasts
-    eclipse_from_honest: Tuple[str, ...] = ()    # hidden from honest bcasts
+    eclipse_from_honest: Tuple[str, ...] = ()    # hidden from others' bcasts
     attack_start_height: int = 2
     horizon: float = 40.0
     seed: int = 0
@@ -197,7 +197,8 @@ class _Simulation:
         nodes = sorted(self.nodes)
         self._links = {m: [(0.0, "att_obs")] + [
             (cfg.link_delay(m, n), n) for n in nodes
-            if n not in cfg.eclipse_from_honest] for m in self._miners}
+            if n == m or n not in cfg.eclipse_from_honest]
+            for m in self._miners}
         self._links[ATTACKER] = [(cfg.link_delay(ATTACKER, n), n)
                                  for n in nodes if n not in cfg.eclipse_set]
         self._links[ATTACKER].append((0.0, "att_obs"))

@@ -2,8 +2,9 @@
 
 Each constant is the SHA-256 of outputs recorded before NodeView was
 restructured (the three arrival-batching scenarios: before the simulator
-batched arrivals per instant); a refactor that keeps every output must keep
-every digest.
+batched arrivals per instant; the eclipsed-miners one again when a miner
+eclipsed from honest broadcasts began to hear its own blocks); a refactor
+that keeps every output must keep every digest.
 They assume CPython 3.11, like `bench/digests.json` (float sums, `repr`).
 To re-record after a deliberate output change, print `digests()`.
 """
@@ -159,7 +160,7 @@ GOLDEN = {
     "split_accelerated":
         "071fdfed4e77d4f6176a0041ce4a2dc96982ae377b963307b68daf35ab71e696",
     "adess_eclipsed_miners":
-        "5c0b417b8fc2a1df877ae09ba97ce27b3aeee333d48f3c0d733b60f964494948",
+        "7a6a2e3d52b98b00098ce6d0c8e99554e0031ecf72f0b9886cfd4ad57929e3d6",
     "adess_tied_delays":
         "0b783fe106fb52640a2282d7121eeb5128d77b51f9723ab080be3f380d106cd3",
     "nakamoto_delays_miners":

@@ -115,6 +115,17 @@ def test_eclipsed_node_keeps_incumbent_chain():
     assert not (n1_path & attacker_blocks)
 
 
+def test_miner_eclipsed_from_honest_builds_on_its_own_blocks():
+    cfg = adess_cfg(n_honest_nodes=2, honest_hashrates={"n0": 1.0, "n1": 0.5},
+                    eclipse_from_honest=("n1",), horizon=10.0)
+    tree = BlockTree.from_snapshot(run_scenario(cfg).snapshot)
+    own = sorted((b for b in tree.blocks.values() if b.miner == "n1"),
+                 key=lambda b: b.height)
+    # each of n1's blocks extends its previous one, not genesis again
+    assert len(own) > 1
+    assert [b.parent for b in own] == [0] + [b.id for b in own[:-1]]
+
+
 # -- attacker pacing -----------------------------------------------------------
 
 def test_accelerated_rate_examples():
