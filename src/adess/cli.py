@@ -5,9 +5,9 @@ JSON config whose keys mirror the ScenarioConfig / AttackParams field names;
 the scalar commands (`min-xi`, `safe-v`, `profit`, ...) take everything as
 flags and print their results.  The commands that write files take `--out`
 (default ./out); only `simulate` and `sweep` take `--seed`.  Identical flags
-and seed produce byte-identical files.  Exit status: 0 success, 1 domain error,
-2 usage error.  Diagnostic verbosity on stderr is controlled by the ADESS_LOG
-environment variable (error, info or debug).
+and seed produce byte-identical files.  Exit status: 0 success, 1 domain
+error, 2 usage error.  Diagnostic verbosity on stderr is controlled by the
+ADESS_LOG environment variable (error, info or debug).
 """
 
 from __future__ import annotations

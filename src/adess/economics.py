@@ -205,8 +205,7 @@ def plan_profits(p: AttackParams, tau: int, N: int,
                  b_max: int) -> Iterator[ProfitBreakdown]:
     """Profits of the plans (fork tau blocks back, reach the boundary at
     incumbent block N, then mine B more secret blocks) for B = 0..b_max; the
-    boundary cost is summed once, the B terms left to right as `left_sum`
-    does."""
+    boundary cost is summed once, the B terms added left to right."""
     if N < 1 or tau < 0 or b_max < 0:
         raise ValueError("N >= 1, tau >= 0, B >= 0 required")
     d, c = p.delta, p.c
