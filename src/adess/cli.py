@@ -3,11 +3,12 @@
 Subcommands map one-to-one onto the library: `simulate` and `sweep` read a
 JSON config whose keys mirror the ScenarioConfig / AttackParams field names;
 the scalar commands (`min-xi`, `safe-v`, `profit`, ...) take everything as
-flags and print their results.  The commands that write files take `--out`
-(default ./out); only `simulate` and `sweep` take `--seed`.  Identical flags
-and seed produce byte-identical files.  Exit status: 0 success, 1 domain
-error, 2 usage error.  Diagnostic verbosity on stderr is controlled by the
-ADESS_LOG environment variable (error, info or debug).
+flags and print their results; `compare-protocols` takes no payoff flag
+(`--v`, `--pb`, `--b`).  The commands that write files take `--out` (default
+./out); only `simulate` takes `--seed`.  Identical flags and seed produce
+byte-identical files.  Exit status: 0 success, 1 domain error, 2 usage error.
+Diagnostic verbosity on stderr is controlled by the ADESS_LOG environment
+variable (error, info or debug).
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def _attack_params(args) -> AttackParams:
     """AttackParams from the economics flags; a flag the subcommand lacks,
     or leaves unset, keeps the field's default."""
     flags = dict(v="v", pb="p_B", c="c", delta="delta", alpha="alpha",
-                 sigma="sigma", b="B", xi="xi", eps_extra="epsilon_extra")
+                 sigma="sigma", b="B", xi="xi")
     return AttackParams(**{field: getattr(args, flag)
                            for flag, field in flags.items()
                            if getattr(args, flag, None) is not None})
@@ -309,7 +310,6 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     _write(out / "sweep.csv", "\n".join(rows) + "\n")
     meta = {"kind": kind, "grid": grid, "attack": asdict(params),
-            "seed": args.seed if args.seed is not None else 0,
             "rows": len(rows) - 1}
     _write(out / "sweep.meta.json",
            json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -400,19 +400,21 @@ def _add_out(p: argparse.ArgumentParser):
 def _add_config(p: argparse.ArgumentParser):
     p.add_argument("--config", required=True)
     _add_out(p)
-    p.add_argument("--seed", type=int, default=None, help="RNG seed override")
 
 
-def _add_econ_flags(p: argparse.ArgumentParser):
-    p.add_argument("--pb", type=float, default=1.0, help="block reward")
+def _add_cost_flags(p: argparse.ArgumentParser):
     p.add_argument("--c", type=float, default=1.0, help="unit hashrate cost")
     p.add_argument("--delta", type=float, default=1.0, help="discount factor")
     p.add_argument("--alpha", type=int, default=6, help="confirmation depth")
     p.add_argument("--sigma", type=int, default=0,
                    help="blocks between fork and the transaction")
+
+
+def _add_econ_flags(p: argparse.ArgumentParser):
+    """The cost flags and the payoff flags the attack-profit commands read."""
+    p.add_argument("--pb", type=float, default=1.0, help="block reward")
+    _add_cost_flags(p)
     p.add_argument("--b", type=int, default=0, help="extra secret blocks")
-    p.add_argument("--eps-extra", type=float, default=None,
-                   help="classic attacker's surplus hashrate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a scenario from a JSON config")
     _add_config(p)
+    p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("min-xi", help="smallest deterring penalty for v")
@@ -448,9 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-protocols",
                        help="malicious split cost under both protocols")
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--v", type=float, default=0.0)
     p.add_argument("--xi", type=float, default=1.0)
-    _add_econ_flags(p)
+    _add_cost_flags(p)
     _add_out(p)
     p.set_defaults(func=cmd_compare_protocols)
 

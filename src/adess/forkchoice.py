@@ -139,9 +139,8 @@ class _ForkState:
     # branch child -> (max post-fork length, deepest block achieving it)
     branch_len: Dict[BlockId, Tuple[int, BlockId]] = field(default_factory=dict)
     records: Dict[BlockId, PenaltyRecord] = field(default_factory=dict)
-    assigned: bool = False
     undecidable: bool = False
-    baseline_branch: Optional[BlockId] = None
+    baseline_branch: Optional[BlockId] = None  # set once assigned
 
 
 class NodeView:
@@ -250,7 +249,7 @@ class NodeView:
         fs = self._forks.get(fork)
         if fs is None:
             fs = self._forks[fork] = _ForkState(
-                fork, block.height - 1, assigned=synced, undecidable=synced)
+                fork, block.height - 1, undecidable=synced)
             for c in self.tree.children[fork][:-1]:  # all but `block`
                 self._scan_branch(fs, c)
         fs.branch_len[block.id] = (1, block.id)
@@ -301,10 +300,10 @@ class NodeView:
 
     def _fire(self, fs: _ForkState, arrival: float):
         """Penalty assignment at a fork whose first branch just reached alpha."""
-        if fs.assigned or not fs.alpha_reached:
+        if (fs.undecidable or fs.baseline_branch is not None
+                or not fs.alpha_reached):
             return
         baseline = min(fs.alpha_reached, key=fs.alpha_reached.get)
-        fs.assigned = True
         fs.baseline_branch = baseline
         _, alpha_block = fs.alpha_reached[baseline]
         if self._active[alpha_block]:

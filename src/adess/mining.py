@@ -43,12 +43,11 @@ MiningMode = Union[CertaintyEquivalent, Stochastic]
 
 @dataclass(frozen=True)
 class DifficultyRule:
-    """Retargeting regime: full, partial-beta, or per-epoch adjustment."""
+    """Retargeting to unit block time: full, partial-beta or per-epoch."""
 
     mode: str  # "full" | "partial" | "epoch"
     beta: float = 1.0
     epoch_length: int = 1
-    target_block_time: float = 1.0
 
     def __post_init__(self):
         if self.mode not in ("full", "partial", "epoch"):
@@ -57,20 +56,18 @@ class DifficultyRule:
             raise ValueError("beta must be in (0, 1]")
         if self.epoch_length < 1:
             raise ValueError("epoch length must be >= 1")
-        if not 0 < self.target_block_time < math.inf:
-            raise ValueError("target block time must be finite and > 0")
 
     @classmethod
-    def full(cls, target_block_time: float = 1.0) -> "DifficultyRule":
-        return cls("full", target_block_time=target_block_time)
+    def full(cls) -> "DifficultyRule":
+        return cls("full")
 
     @classmethod
-    def partial(cls, beta: float, target_block_time: float = 1.0) -> "DifficultyRule":
-        return cls("partial", beta=beta, target_block_time=target_block_time)
+    def partial(cls, beta: float) -> "DifficultyRule":
+        return cls("partial", beta=beta)
 
     @classmethod
-    def epoch(cls, length: int, target_block_time: float = 1.0) -> "DifficultyRule":
-        return cls("epoch", epoch_length=length, target_block_time=target_block_time)
+    def epoch(cls, length: int) -> "DifficultyRule":
+        return cls("epoch", epoch_length=length)
 
 
 def next_block_time(difficulty: float, hashrate: float, mode: MiningMode,
@@ -110,7 +107,7 @@ def adjust_difficulty(prev_difficulty: float, implied_hashrate: float,
     if prev_difficulty <= 0 or implied_hashrate <= 0:
         raise ValueError("inputs must be > 0")
     if rule.mode == "full":
-        return implied_hashrate * rule.target_block_time
+        return implied_hashrate
     if rule.mode == "partial":
         growth = implied_hashrate / prev_difficulty - 1.0
         return prev_difficulty * (1.0 + rule.beta * growth)
@@ -118,9 +115,7 @@ def adjust_difficulty(prev_difficulty: float, implied_hashrate: float,
     history = epoch_history or ()
     if len(history) < rule.epoch_length:
         return prev_difficulty
-    actual = left_sum(history)
-    target = rule.epoch_length * rule.target_block_time
-    return prev_difficulty * (target / actual)
+    return prev_difficulty * (rule.epoch_length / left_sum(history))
 
 
 def required_hashrate_series(growth: float, n_blocks: int,

@@ -83,8 +83,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown strategy {self.attacker_strategy!r}")
         if self.attacker_strategy == "fixed_growth" and self.growth is None:
             raise ConfigError("fixed_growth requires a growth rate")
-        if self.growth is not None and not math.isfinite(self.growth):
-            raise ConfigError("growth must be finite")
+        if self.growth is not None and not -1 <= self.growth < math.inf:
+            raise ConfigError("growth must be finite and >= -1")
         numbers = [self.horizon, self.delay, self.growth, self.seed,
                    self.n_honest_nodes, self.attack_start_height,
                    *(self.honest_hashrates or {}).values(),
@@ -117,6 +117,31 @@ class ScenarioConfig:
         if self.protocol == "adess" and self.adess.xi != self.attack.xi:
             raise ConfigError(
                 "protocol and attack penalty parameters xi must agree")
+        try:  # the attacker's last difficulty, per unit at the fork
+            rate, target = self.attacker_plan()
+            peak = rate ** target if target is not None else 0.0
+        except OverflowError:
+            peak = math.inf
+        if not peak < math.inf:
+            raise ConfigError("the attacker's difficulty overflows a float "
+                              "before its chain reaches its block target")
+
+    def attacker_plan(self) -> Tuple[Optional[float], Optional[int]]:
+        """(rate, target): the attacker's hashrate per unit of difficulty, so
+        its hashrate grows by `rate` per block, until its chain holds `target`
+        blocks.  budish has neither: it mines at unit hashrate, plus
+        epsilon_extra from its N-th block, until it outweighs the incumbent."""
+        xi, N = self.attack.xi, self.attack.horizon_blocks
+        if self.attacker_strategy == "paper_optimal":
+            return 1.0 + xi, boundary_blocks(N, xi)
+        if self.attacker_strategy == "fixed_growth":
+            return 1.0 + self.growth, boundary_blocks(N, xi)
+        if self.attacker_strategy == "accelerated":
+            # enough blocks that even the last node to hear the broadcast
+            # still observes the boundary crossed
+            return (accelerated_rate(xi, N, self.delay),
+                    boundary_blocks(N + self.delay, xi))
+        return None, None
 
 
 @dataclass
@@ -216,15 +241,15 @@ class _Simulation:
         self._active_groups: Dict[BlockId, float] = {}
         self.series: List[Tuple[float, str, BlockId, int]] = []
 
-        # attacker state
-        self.phase = "waiting"
+        # attacker state: waiting while fork_block is None, done once
+        # broadcast_time is set
+        self._rate, self._target = cfg.attacker_plan()
         self.fork_block: Optional[BlockId] = None
         self.fork_time: Optional[float] = None
         self.attacker_chain: List[BlockId] = []
         self.realized_cost = 0.0
         self.conveyed_time: Optional[float] = None
         self.broadcast_time: Optional[float] = None
-        self._attacker_target: Optional[int] = None
 
     # -- event plumbing ----------------------------------------------------
 
@@ -369,54 +394,29 @@ class _Simulation:
     # -- attacker ----------------------------------------------------------
 
     def _maybe_start_attack(self):
-        if self.phase != "waiting":
+        if self.fork_block is not None:
             return
         head = self._honest_tip()
         if self.tree.block(head).height < self.cfg.attack_start_height:
             return
-        self.phase = "mining"
         self.fork_block = head
         self.fork_time = self.time
-        N = self.cfg.attack.horizon_blocks
-        if self.cfg.attacker_strategy in ("paper_optimal", "fixed_growth"):
-            self._attacker_target = boundary_blocks(N, self.cfg.attack.xi)
-        elif self.cfg.attacker_strategy == "accelerated":
-            # enough blocks that even the last node to hear the broadcast
-            # still observes the boundary crossed
-            self._attacker_target = boundary_blocks(N + self.cfg.delay,
-                                                    self.cfg.attack.xi)
-        else:  # budish
-            self._attacker_target = None
         self._schedule_attacker_block()
 
     def _honest_tip(self) -> BlockId:
         return self._node_canonical(self.att_obs).head
 
-    def _attacker_growth(self) -> float:
-        xi = self.cfg.attack.xi
-        if self.cfg.attacker_strategy == "paper_optimal":
-            return 1.0 + xi
-        if self.cfg.attacker_strategy == "fixed_growth":
-            assert self.cfg.growth is not None
-            return 1.0 + self.cfg.growth
-        if self.cfg.attacker_strategy == "accelerated":
-            return accelerated_rate(xi, self.cfg.attack.horizon_blocks,
-                                    self.cfg.delay)
-        raise AssertionError
-
     def _schedule_attacker_block(self):
-        if self.phase != "mining":
-            return
         parent = self.attacker_chain[-1] if self.attacker_chain \
             else self.fork_block
         assert parent is not None
         difficulty = self._nextdiff[parent]
-        if self.cfg.attacker_strategy == "budish":
+        if self._rate is None:  # budish
             N = self.cfg.attack.horizon_blocks
             surplus = len(self.attacker_chain) >= N - 1
             hashrate = 1.0 + (self.cfg.attack.epsilon_extra if surplus else 0.0)
         else:
-            hashrate = difficulty * self._attacker_growth()
+            hashrate = difficulty * self._rate
         dur = next_block_time(difficulty, hashrate, self.cfg.mining,
                               self.rng_attacker)
         if dur == NEVER_FOUND:
@@ -426,7 +426,7 @@ class _Simulation:
 
     def _on_attacker_mine(self, parent: BlockId, difficulty: float,
                           hashrate: float, duration: float):
-        if self.phase != "mining":
+        if self.broadcast_time is not None:
             return
         assert self.fork_time is not None
         bid = self.tree.append_block(parent, difficulty, miner=ATTACKER,
@@ -436,28 +436,25 @@ class _Simulation:
         start = self.time - duration - self.fork_time
         self.realized_cost += (self.cfg.attack.c * hashrate * duration
                                * self.cfg.attack.delta ** max(start, 0.0))
-        target = self._attacker_target
-        if target is None or len(self.attacker_chain) < target:
+        if self._target is None or len(self.attacker_chain) < self._target:
             self._schedule_attacker_block()
         self._check_broadcast_condition()
 
     def _broadcast_ready(self) -> bool:
-        if self.phase != "mining" or self.conveyed_time is None:
+        if self.broadcast_time is not None or self.conveyed_time is None:
             return False
         n_a = len(self.attacker_chain)
         if n_a == 0:
             return False
-        if self.cfg.attacker_strategy == "budish":
+        if self._target is None:  # budish
             a_cum = self.tree.cumulative_difficulty(self.attacker_chain[-1])
             ic_cum = self.tree.cumulative_difficulty(self._honest_tip())
             return a_cum > ic_cum
-        assert self._attacker_target is not None
-        return n_a >= self._attacker_target
+        return n_a >= self._target
 
     def _check_broadcast_condition(self):
         if not self._broadcast_ready():
             return
-        self.phase = "done"
         self.broadcast_time = self.time
         self._fan_out(self._links[ATTACKER], [
             self.tree.block(bid) for bid in self.attacker_chain])

@@ -30,7 +30,8 @@ from adess.mining import (CertaintyEquivalent, DifficultyRule, Stochastic,
                           next_block_time, sustained_growth_cost)
 from adess.netsim import ScenarioConfig, latency_split_check, run_scenario
 
-from test_forkchoice_fuzz import build_random_view, check_invariants
+from fuzz_trees import build_random_view
+from test_forkchoice_fuzz import check_invariants
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):

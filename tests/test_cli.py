@@ -164,9 +164,16 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["safe-v", "--xi", "1", "--out", "x"])  # writes no file
-    assert exc.value.code == 2
+    # flags that no code read: a file-less command's --out, the classic
+    # surplus on the economics commands, compare-protocols' payoff and the
+    # sweep's seed (no sweep kind draws a random number)
+    for argv in (["safe-v", "--xi", "1", "--out", "x"],
+                 ["min-xi", "--v", "1", "--eps-extra", "0.5"],
+                 ["compare-protocols", "--horizon", "5", "--v", "5"],
+                 ["sweep", "--config", "x.json", "--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_domain_error_exits_one(capsys):
@@ -220,6 +227,10 @@ def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
             scenario_from_dict({section: {key: 5}})
     with pytest.raises(ConfigError, match="seed"):
         scenario_from_dict({"mining": {"mode": "stochastic", "seed": 5}})
+    # nor a difficulty rule a target block time: every rule retargets to 1
+    with pytest.raises(ConfigError, match="target_block_time"):
+        scenario_from_dict({"difficulty": {"mode": "full",
+                                           "target_block_time": 2.0}})
 
 
 @pytest.mark.parametrize("command, cfg", [

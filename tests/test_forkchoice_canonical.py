@@ -13,7 +13,7 @@ from adess.forkchoice import AdessParams, NodeView
 from adess.mining import Stochastic
 from adess.netsim import ScenarioConfig, _Simulation
 
-from test_forkchoice_fuzz import build_random_view
+from fuzz_trees import build_random_view
 
 
 def rescored_head(view: NodeView) -> int:

@@ -10,35 +10,7 @@ from hypothesis import strategies as st
 from adess.chain import Block, ChainRef
 from adess.forkchoice import AdessParams, NodeView
 
-
-def build_random_view(rng: random.Random) -> NodeView:
-    """Feed a random tree (<= 200 blocks, <= 6 extra forks) in arrival order."""
-    alpha = rng.randint(1, 4)
-    xi = rng.choice([0.25, 0.5, 1.0, 2.0])
-    view = NodeView(AdessParams(alpha=alpha, xi=xi))
-    n = rng.randint(1, 200)
-    forks_left = 6
-    ids = [0]
-    height = {0: 0}
-    t = 1.0
-    next_id = 1
-    tips = [0]
-    for _ in range(n):
-        if forks_left > 0 and rng.random() < 0.15:
-            parent = rng.choice(ids)
-            forks_left -= 1
-        else:
-            parent = rng.choice(tips)
-        bid = next_id
-        next_id += 1
-        height[bid] = height[parent] + 1
-        view.observe(Block(bid, parent, height[bid], 1.0, "", 0.0), t)
-        t += 1.0
-        ids.append(bid)
-        if parent in tips:
-            tips.remove(parent)
-        tips.append(bid)
-    return view
+from fuzz_trees import build_random_view
 
 
 def check_invariants(view: NodeView, deactivated_before=None):

@@ -12,7 +12,7 @@ from adess.forkchoice import AdessParams, NodeView
 from adess.mining import Stochastic
 from adess.netsim import ScenarioConfig, _Simulation
 
-from test_forkchoice_fuzz import build_random_view
+from fuzz_trees import build_random_view
 
 
 def walk_branch(view: NodeView, fork: int, bid: int):

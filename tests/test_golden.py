@@ -5,17 +5,23 @@ restructured (the three arrival-batching scenarios: before the simulator
 batched arrivals per instant; the eclipsed-miners one again when a miner
 eclipsed from honest broadcasts began to hear its own blocks); a refactor
 that keeps every output must keep every digest.
-They assume CPython 3.11, like `bench/digests.json` (float sums, `repr`).
-To re-record after a deliberate output change, print `digests()`.
+Every float sum that feeds an output is a left fold, so they hold on each
+CPython from 3.10, like `bench/digests.json`.  The module needs only the
+stdlib: `python tests/test_golden.py` checks every digest without pytest,
+printing one line each and exiting 0 or 1.  To re-record after a deliberate
+output change, print `digests()`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
-import pytest
+if __name__ == "__main__":  # run as a script, from a source checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from adess.chain import BlockTree
 from adess.economics import AttackParams
@@ -24,7 +30,7 @@ from adess.mining import DifficultyRule, Stochastic
 from adess.netsim import (ScenarioConfig, disconnected_node_probe,
                           latency_split_check, run_scenario)
 
-from test_forkchoice_fuzz import build_random_view
+from fuzz_trees import build_random_view
 
 
 def _sha(text: str) -> str:
@@ -172,7 +178,11 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def pytest_generate_tests(metafunc):
+    if "name" in metafunc.fixturenames:  # test_scenario_digest
+        metafunc.parametrize("name", sorted(SCENARIOS))
+
+
 def test_scenario_digest(name):
     assert scenario_digest(name) == GOLDEN[name]
 
@@ -194,3 +204,16 @@ def test_probe_digest():
 
 def test_views_digest():
     assert views_digest() == GOLDEN["views"]
+
+
+def main() -> int:
+    failed = 0
+    for name, got in digests().items():
+        ok = got == GOLDEN[name]
+        failed += not ok
+        print(f"{name}: {'ok' if ok else 'MISMATCH ' + got}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -89,8 +89,6 @@ def test_non_finite_mining_params_rejected():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             Stochastic(tick=bad)
-        with pytest.raises(ValueError):
-            DifficultyRule.full(target_block_time=bad)
 
 
 def test_hashrate_series_full():

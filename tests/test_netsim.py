@@ -242,6 +242,14 @@ def test_config_rejects_non_finite_values_before_any_event():
         dict(honest_hashrates={"n0": inf}),  # run_scenario hangs on it
         dict(honest_hashrates={"n0": nan}),
         dict(attacker_strategy="fixed_growth", growth=nan),
+        # attack plans that cannot run: a negative hashrate, and a difficulty
+        # that overflows before the block target (the last also overflows
+        # the target itself)
+        dict(attacker_strategy="fixed_growth", growth=-2.0),
+        dict(attacker_strategy="fixed_growth", growth=1e300),
+        dict(adess=AdessParams(alpha=2, xi=1e300),
+             attack=AttackParams(alpha=2, xi=1e300, v=11.0)),
+        dict(attacker_strategy="accelerated", delay=1e308),
     ]
     for kw in bad:
         with pytest.raises(ConfigError):

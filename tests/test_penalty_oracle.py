@@ -20,7 +20,7 @@ from adess.forkchoice import NodeView
 from adess.netsim import _Simulation
 
 from test_forkchoice_canonical import forky_config
-from test_forkchoice_fuzz import build_random_view
+from fuzz_trees import build_random_view
 
 BOUNDARY_EPS = 1e-9
 
