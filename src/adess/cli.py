@@ -26,12 +26,11 @@ from typing import List, Optional, Tuple
 
 from . import economics
 from .economics import AttackParams
-from .errors import AdessError, ConfigError, DomainError, SolverFailure
+from .errors import AdessError, ConfigError, SolverFailure
 from .forkchoice import AdessParams
 from .mining import (CertaintyEquivalent, DifficultyRule, Stochastic,
                      required_hashrate_series)
-from .netsim import (ScenarioConfig, disconnected_node_probe,
-                     latency_split_check, run_scenario)
+from .netsim import ScenarioConfig, run_scenario
 
 log = logging.getLogger("adess")
 
@@ -183,8 +182,7 @@ def cmd_safe_v(args) -> int:
 
 def cmd_profit(args) -> int:
     params = _attack_params(args)
-    br = economics.attack_plan_profit(params, tau=args.tau,
-                                      N=args.n, B=args.b)
+    br = economics.attack_plan_profit(params, tau=args.tau, N=args.n)
     print(f"revenue = {br.discounted_revenue!r}")
     print(f"cost = {br.discounted_cost!r}")
     print(f"profit = {br.profit!r}")
@@ -403,18 +401,18 @@ def _add_config(p: argparse.ArgumentParser):
 
 
 def _add_cost_flags(p: argparse.ArgumentParser):
-    p.add_argument("--c", type=float, default=1.0, help="unit hashrate cost")
-    p.add_argument("--delta", type=float, default=1.0, help="discount factor")
-    p.add_argument("--alpha", type=int, default=6, help="confirmation depth")
-    p.add_argument("--sigma", type=int, default=0,
+    p.add_argument("--c", type=float, help="unit hashrate cost")
+    p.add_argument("--delta", type=float, help="discount factor")
+    p.add_argument("--alpha", type=int, help="confirmation depth")
+    p.add_argument("--sigma", type=int,
                    help="blocks between fork and the transaction")
 
 
 def _add_econ_flags(p: argparse.ArgumentParser):
     """The cost flags and the payoff flags the attack-profit commands read."""
-    p.add_argument("--pb", type=float, default=1.0, help="block reward")
+    p.add_argument("--pb", type=float, help="block reward")
     _add_cost_flags(p)
-    p.add_argument("--b", type=int, default=0, help="extra secret blocks")
+    p.add_argument("--b", type=int, help="extra secret blocks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-protocols",
                        help="malicious split cost under both protocols")
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--xi", type=float, default=1.0)
+    p.add_argument("--xi", type=float)
     _add_cost_flags(p)
     _add_out(p)
     p.set_defaults(func=cmd_compare_protocols)

@@ -15,6 +15,8 @@ Penalty state is kept per (fork-block, branch) pair, where a branch is
 identified by the fork-block child it passes through.  Every head descending
 through a penalized branch is penalized; the first branch observed to reach
 the confirmation depth is the baseline and is never penalized at that fork.
+The fork is decided the moment that happens, in `_advance`, or as it opens if
+its earlier branch is already that deep (always so at alpha 1).
 Records exist only at resolved forks: a decidable fork whose baseline chain
 was penalty-free when it reached the depth.  A record reads its chains live
 from the fork's branch lengths, and is active until `deactivated_at` is set.
@@ -133,9 +135,6 @@ class PenaltyRecord:
 class _ForkState:
     fork: BlockId
     height: int  # of the fork block
-    # branch child -> (observation index, achieving block) of the alpha-th
-    # post-fork block on that branch
-    alpha_reached: Dict[BlockId, Tuple[int, BlockId]] = field(default_factory=dict)
     # branch child -> (max post-fork length, deepest block achieving it)
     branch_len: Dict[BlockId, Tuple[int, BlockId]] = field(default_factory=dict)
     records: Dict[BlockId, PenaltyRecord] = field(default_factory=dict)
@@ -189,16 +188,16 @@ class NodeView:
 
     def _connect(self, block: Block, arrival: float, synced: bool):
         self.tree.insert(block)
-        idx = self.log.append(block.id, arrival)
+        self.log.append(block.id, arrival)
         bid, parent = block.id, block.parent
         assert parent is not None
         self._active[bid] = self._active[parent]
         if len(self.tree.children[parent]) > 1:
-            self._new_branch(parent, block, idx, arrival, synced)
+            self._new_branch(parent, block, arrival, synced)
         else:
             self._index[bid] = self._index[parent]
 
-        self._advance(block, idx, arrival)
+        self._advance(block, arrival)
         if self._best is not None:
             score = self._score(bid)
             if score > self._best[0] and not self._active[bid]:
@@ -212,12 +211,14 @@ class NodeView:
 
     # -- fork bookkeeping --------------------------------------------------
 
-    def _scan_branch(self, fs: _ForkState, branch: BlockId):
-        """Initialize length and alpha bookkeeping for a pre-existing branch
-        and append (fs, branch) to the fork path of every block on it."""
-        alpha = self.params.alpha
+    def _scan_branch(self, fs: _ForkState, branch: BlockId
+                     ) -> Optional[BlockId]:
+        """Initialize the length of a pre-existing branch, append (fs, branch)
+        to the fork path of every block on it, and return its first-seen
+        block at depth alpha past the fork, or None if it is shorter."""
+        alpha, seen = self.params.alpha, self.log.first_seen
         best_len, best_block = 0, branch
-        alpha_idx: Optional[Tuple[int, BlockId]] = None
+        alpha_block: Optional[BlockId] = None
         entry = (fs, branch)
         # id(old index entry) -> (old, extended); holding `old` keeps its id
         # from being reused while the walk runs
@@ -233,38 +234,36 @@ class NodeView:
             depth = self.tree.block(bid).height - fs.height
             if depth > best_len or (depth == best_len and bid < best_block):
                 best_len, best_block = depth, bid
-            if depth == alpha:
-                cand = (self.log.first_seen[bid], bid)
-                if alpha_idx is None or cand < alpha_idx:
-                    alpha_idx = cand
+            if depth == alpha and (alpha_block is None
+                                   or seen[bid] < seen[alpha_block]):
+                alpha_block = bid
             stack.extend(self.tree.children[bid])
         fs.branch_len[branch] = (best_len, best_block)
-        if alpha_idx is not None:
-            fs.alpha_reached[branch] = alpha_idx
+        return alpha_block
 
-    def _new_branch(self, fork: BlockId, block: Block, idx: int,
-                    arrival: float, synced: bool):
+    def _new_branch(self, fork: BlockId, block: Block, arrival: float,
+                    synced: bool):
         """Add `block` as a branch of `fork`, opening the fork state on its
-        second child; a synced block opens it undecidable."""
+        second child (undecidable if `block` is synced) and deciding it if
+        the earlier branch is already alpha long."""
         fs = self._forks.get(fork)
+        earlier = self.tree.children[fork][0]
+        alpha_block = None
         if fs is None:
             fs = self._forks[fork] = _ForkState(
                 fork, block.height - 1, undecidable=synced)
-            for c in self.tree.children[fork][:-1]:  # all but `block`
-                self._scan_branch(fs, c)
+            alpha_block = self._scan_branch(fs, earlier)
         fs.branch_len[block.id] = (1, block.id)
-        if self.params.alpha == 1:  # _advance sees no growth for this entry
-            fs.alpha_reached[block.id] = (idx, block.id)
         # index it: the parent's anchor, and a sibling's fork path with the
         # entry for this fork swapped
         path = tuple((fs, block.id) if e[0] is fs else e
-                     for e in self._index[self.tree.children[fork][0]][1])
+                     for e in self._index[earlier][1])
         self._index[block.id] = (self._index[fork][0], path)
         if fs.records:
             # late sibling at an already-resolved fork: penalized immediately
             self._cross_check(self._make_record(fs, block.id, arrival), arrival)
-        else:
-            self._fire(fs, arrival)
+        elif alpha_block is not None:
+            self._fire(fs, earlier, alpha_block, arrival)
 
     def _fork_path(self, bid: BlockId) -> tuple:
         entry = self._index.get(bid)
@@ -281,10 +280,10 @@ class NodeView:
 
     # -- penalty assignment ------------------------------------------------
 
-    def _advance(self, block: Block, idx: int, arrival: float):
+    def _advance(self, block: Block, arrival: float):
         """Update per-fork lengths for the new block and, on each branch it
-        lengthens, record an alpha arrival (a branch already alpha long has
-        one), fire assignments and sweep the canonical boundary."""
+        lengthens, decide the fork if the branch first reaches alpha, and
+        sweep the canonical boundary."""
         alpha = self.params.alpha
         for fs, c in self._index[block.id][1]:
             depth = block.height - fs.height
@@ -292,20 +291,18 @@ class NodeView:
                 continue
             fs.branch_len[c] = (depth, block.id)
             if depth == alpha:
-                fs.alpha_reached[c] = (idx, block.id)
-                self._fire(fs, arrival)
+                self._fire(fs, c, block.id, arrival)
             rec = fs.records.get(c)
             if rec is not None and rec.deactivated_at is None:
                 self._cross_check(rec, arrival)
 
-    def _fire(self, fs: _ForkState, arrival: float):
-        """Penalty assignment at a fork whose first branch just reached alpha."""
-        if (fs.undecidable or fs.baseline_branch is not None
-                or not fs.alpha_reached):
+    def _fire(self, fs: _ForkState, baseline: BlockId, alpha_block: BlockId,
+              arrival: float):
+        """Decide a fork: `baseline`, the first branch to reach alpha (at
+        `alpha_block`), is the baseline and every other branch is penalized."""
+        if fs.undecidable or fs.baseline_branch is not None:
             return
-        baseline = min(fs.alpha_reached, key=fs.alpha_reached.get)
         fs.baseline_branch = baseline
-        _, alpha_block = fs.alpha_reached[baseline]
         if self._active[alpha_block]:
             # generalized rule: a first-to-alpha chain that is itself under an
             # active penalty suppresses assignment at this fork entirely
@@ -368,16 +365,10 @@ class NodeView:
             self._index[head_pen] = (head_pen, self._index[head_pen][1])
 
     def _best_baseline_score(self, fs: _ForkState) -> float:
-        assert fs.baseline_branch is not None
-        best = None
-        for h in self.tree.heads:
-            if self._branch_at(fs, h) == fs.baseline_branch:
-                s = self._score(h)
-                if best is None or s > best:
-                    best = s
-        if best is None:  # baseline branch has no head only if it IS a head
-            best = self._score(fs.baseline_branch)
-        return best
+        """Best score among the heads of the fork's baseline branch; it has
+        one, as every branch ends in a leaf whose fork path carries it."""
+        return max(self._score(h) for h in self.tree.heads
+                   if self._branch_at(fs, h) == fs.baseline_branch)
 
     # -- scoring -----------------------------------------------------------
 

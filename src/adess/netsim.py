@@ -24,8 +24,7 @@ from .economics import AttackParams, boundary_blocks
 from .errors import ConfigError
 from .forkchoice import AdessParams, NodeView
 from .mining import (CertaintyEquivalent, DifficultyRule, MiningMode,
-                     NEVER_FOUND, Stochastic, adjust_difficulty,
-                     next_block_time)
+                     NEVER_FOUND, adjust_difficulty, next_block_time)
 
 ATTACKER = "attacker"
 
@@ -81,10 +80,11 @@ class ScenarioConfig:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.attacker_strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.attacker_strategy!r}")
-        if self.attacker_strategy == "fixed_growth" and self.growth is None:
-            raise ConfigError("fixed_growth requires a growth rate")
-        if self.growth is not None and not -1 <= self.growth < math.inf:
-            raise ConfigError("growth must be finite and >= -1")
+        if (self.growth is None) == (self.attacker_strategy == "fixed_growth"):
+            raise ConfigError("fixed_growth requires a growth rate, and no "
+                              "other strategy reads one")
+        if self.growth is not None and not -1 < self.growth < math.inf:
+            raise ConfigError("growth must be finite and > -1")
         numbers = [self.horizon, self.delay, self.growth, self.seed,
                    self.n_honest_nodes, self.attack_start_height,
                    *(self.honest_hashrates or {}).values(),
@@ -119,12 +119,13 @@ class ScenarioConfig:
                 "protocol and attack penalty parameters xi must agree")
         try:  # the attacker's last difficulty, per unit at the fork
             rate, target = self.attacker_plan()
-            peak = rate ** target if target is not None else 0.0
+            peak = rate ** target if target is not None else 1.0
         except OverflowError:
             peak = math.inf
-        if not peak < math.inf:
-            raise ConfigError("the attacker's difficulty overflows a float "
-                              "before its chain reaches its block target")
+        if not 0 < peak < math.inf:
+            raise ConfigError("the attacker's difficulty overflows or "
+                              "underflows a float before its chain reaches "
+                              "its block target")
 
     def attacker_plan(self) -> Tuple[Optional[float], Optional[int]]:
         """(rate, target): the attacker's hashrate per unit of difficulty, so
@@ -237,8 +238,10 @@ class _Simulation:
         # head -> the miners following it, in name order
         self._members: Dict[BlockId, List[str]] = {
             self.tree.genesis_id: list(self._miners)}
-        self._group_gen: Dict[BlockId, int] = {}
-        self._active_groups: Dict[BlockId, float] = {}
+        # head -> (hashrate, seq of its pending mine event or None if it
+        # never finds a block) of each group; a mine event whose seq is not
+        # stored here is stale
+        self._groups: Dict[BlockId, Tuple[float, Optional[int]]] = {}
         self.series: List[Tuple[float, str, BlockId, int]] = []
 
         # attacker state: waiting while fork_block is None, done once
@@ -253,9 +256,10 @@ class _Simulation:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, time: float, kind: str, payload: tuple):
+    def _push(self, time: float, kind: str, payload: tuple) -> int:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        return self._seq
 
     def _fan_out(self, links: List[Tuple[float, str]],
                  blocks: Sequence[Block]):
@@ -272,14 +276,13 @@ class _Simulation:
 
     def run(self) -> RunReport:
         self._regroup(list(self._members))
-        self._maybe_start_attack()
         while self._heap:
-            time, _, kind, payload = heapq.heappop(self._heap)
+            time, seq, kind, payload = heapq.heappop(self._heap)
             if time > self.cfg.horizon:
                 break
             self.time = time
             if kind == "mine":
-                self._on_mine(*payload)
+                self._on_mine(seq, *payload)
             elif kind == "amine":
                 self._on_attacker_mine(*payload)
             elif kind == "arrive":
@@ -320,27 +323,23 @@ class _Simulation:
             hashrate = None  # no member, no group
             for name in self._members.get(head, ()):
                 hashrate = (hashrate or 0.0) + self._miners[name]
-            if self._active_groups.get(head) == hashrate:
+            if self._groups.get(head, (None,))[0] == hashrate:
                 continue  # pending event still valid, or still no group
-            self._group_gen[head] = self._group_gen.get(head, 0) + 1
             if hashrate is None:
-                del self._active_groups[head]
+                del self._groups[head]
                 continue
-            self._active_groups[head] = hashrate
             difficulty = self._nextdiff[head]
             dur = next_block_time(difficulty, hashrate, self.cfg.mining,
                                   self.rng_honest)
-            if dur == NEVER_FOUND:
-                continue
-            self._push(self.time + dur, "mine",
-                       (self._group_gen[head], head, hashrate, difficulty, dur))
+            seq = None if dur == NEVER_FOUND else self._push(
+                self.time + dur, "mine", (head, hashrate, difficulty, dur))
+            self._groups[head] = (hashrate, seq)
 
-    def _on_mine(self, generation: int, head: BlockId, hashrate: float,
+    def _on_mine(self, seq: int, head: BlockId, hashrate: float,
                  difficulty: float, duration: float):
-        if generation != self._group_gen.get(head):
+        if self._groups.get(head, (None, None))[1] != seq:
             return  # stale schedule, superseded by a regroup
-        self._group_gen[head] = generation + 1
-        self._active_groups.pop(head, None)
+        del self._groups[head]
         miner = self._members[head][0]  # the group's leader
         bid = self.tree.append_block(head, difficulty, miner=miner,
                                      time=self.time)
@@ -348,8 +347,6 @@ class _Simulation:
         self._fan_out(self._links[miner], (self.tree.block(bid),))
         # the group that mined must be rescheduled even if no head changes
         self._regroup((head,))
-        self._maybe_start_attack()
-        self._check_broadcast_condition()
 
     # -- observation -------------------------------------------------------
 

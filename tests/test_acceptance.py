@@ -212,7 +212,8 @@ def test_acceptance_11_latency_split():
         horizon=30.0)
     plain = latency_split_check(ScenarioConfig(**split))
     fast = latency_split_check(
-        ScenarioConfig(**{**split, "attacker_strategy": "accelerated"}))
+        ScenarioConfig(**{**split, "attacker_strategy": "accelerated",
+                          "growth": None}))
     nolag = latency_split_check(ScenarioConfig(**{**split, "delay": 0.0}))
     ok = (plain.split_persists and not fast.split_persists
           and not nolag.split_persists)

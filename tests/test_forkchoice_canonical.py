@@ -100,7 +100,7 @@ def test_active_groups_follow_miner_heads_after_every_arrival():
         nonlocal arrivals
         on_arrive(node, block)
         arrivals += 1
-        assert sim._active_groups == miner_groups(sim)
+        assert {h: g[0] for h, g in sim._groups.items()} == miner_groups(sim)
 
     sim._on_arrive = checked
     skipping = sim.run()
@@ -114,7 +114,7 @@ def test_active_groups_follow_miner_heads_after_every_arrival():
     def always(node, block):
         on_arrive_always(node, block)
         sim._regroup({sim._canonical[m] for m in sim._miners}
-                     | set(sim._active_groups))
+                     | set(sim._groups))
 
     sim._on_arrive = always
     regrouping = sim.run()

@@ -96,7 +96,7 @@ SCENARIOS = {
         BASE, protocol="nakamoto", seed=12, **FOUR_MINERS)),
     "split_fixed_growth": lambda: latency_split_check(SPLIT),
     "split_accelerated": lambda: latency_split_check(
-        replace(SPLIT, attacker_strategy="accelerated")),
+        replace(SPLIT, attacker_strategy="accelerated", growth=None)),
     "adess_eclipsed_miners": lambda: run_scenario(ECLIPSED),
     "adess_tied_delays": lambda: run_scenario(TIED_DELAYS),
     "nakamoto_delays_miners": lambda: run_scenario(NAKAMOTO_DELAYS),

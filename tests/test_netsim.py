@@ -175,7 +175,8 @@ def test_latency_split_persists():
 
 
 def test_latency_split_heals_with_accelerated_pacing():
-    rep = latency_split_check(split_cfg(attacker_strategy="accelerated"))
+    rep = latency_split_check(split_cfg(attacker_strategy="accelerated",
+                                        growth=None))
     assert not rep.split_persists
 
 
@@ -214,6 +215,7 @@ def test_config_errors():
         dict(protocol="pow"),
         dict(attacker_strategy="nope"),
         dict(attacker_strategy="fixed_growth"),  # growth missing
+        dict(growth=7.5),  # growth under a strategy that ignores it
         dict(horizon=0.0),
         dict(n_honest_nodes=0),
         dict(honest_hashrates={"n0": -1.0}),
@@ -242,14 +244,17 @@ def test_config_rejects_non_finite_values_before_any_event():
         dict(honest_hashrates={"n0": inf}),  # run_scenario hangs on it
         dict(honest_hashrates={"n0": nan}),
         dict(attacker_strategy="fixed_growth", growth=nan),
-        # attack plans that cannot run: a negative hashrate, and a difficulty
-        # that overflows before the block target (the last also overflows
-        # the target itself)
+        # attack plans that cannot run: a negative hashrate, a difficulty
+        # that overflows before the block target (the accelerated one also
+        # overflows the target itself), and one that underflows to zero
         dict(attacker_strategy="fixed_growth", growth=-2.0),
         dict(attacker_strategy="fixed_growth", growth=1e300),
         dict(adess=AdessParams(alpha=2, xi=1e300),
              attack=AttackParams(alpha=2, xi=1e300, v=11.0)),
         dict(attacker_strategy="accelerated", delay=1e308),
+        dict(attacker_strategy="fixed_growth", growth=-0.5,
+             adess=AdessParams(alpha=6, xi=200.0),
+             attack=AttackParams(alpha=6, xi=200.0, v=11.0)),
     ]
     for kw in bad:
         with pytest.raises(ConfigError):
