@@ -3,7 +3,8 @@
 Each constant is the SHA-256 of outputs recorded before NodeView was
 restructured (the three arrival-batching scenarios: before the simulator
 batched arrivals per instant; the eclipsed-miners one again when a miner
-eclipsed from honest broadcasts began to hear its own blocks); a refactor
+eclipsed from honest broadcasts began to hear its own blocks; the
+shared-views one before receivers with identical links shared a view); a refactor
 that keeps every output must keep every digest.
 Every float sum that feeds an output is a left fold, so they hold on each
 CPython from 3.10, like `bench/digests.json`.  The module needs only the
@@ -27,7 +28,7 @@ from adess.chain import BlockTree
 from adess.economics import AttackParams
 from adess.forkchoice import AdessParams, NodeView
 from adess.mining import DifficultyRule, Stochastic
-from adess.netsim import (ScenarioConfig, disconnected_node_probe,
+from adess.netsim import (ATTACKER, ScenarioConfig, disconnected_node_probe,
                           latency_split_check, run_scenario)
 
 from fuzz_trees import build_random_view
@@ -74,6 +75,13 @@ NAKAMOTO_DELAYS = replace(
     honest_hashrates={f"n{i}": 0.2 for i in range(5)},
     delays={("n0", "n4"): 0.5, ("n4", "n0"): 0.5, ("attacker", "n0"): 0.4},
     mining=Stochastic(tick=0.01), horizon=40.0)
+# eight nodes, one miner: n1..n4 hear every sender over identical links, n5
+# (a slower link from n0), n6 (a slower attacker link) and n7 (eclipsed from
+# the attacker) each differently; the attack broadcasts and n7 stays split
+SHARED_VIEWS = replace(
+    BASE, seed=26, n_honest_nodes=8, delay=0.3, eclipse_set=("n7",),
+    delays={("n0", "n5"): 0.6, (ATTACKER, "n6"): 0.5},
+    mining=Stochastic(tick=0.01), horizon=40.0)
 
 SCENARIOS = {
     "adess_paper_optimal": lambda: run_scenario(BASE),
@@ -100,6 +108,7 @@ SCENARIOS = {
     "adess_eclipsed_miners": lambda: run_scenario(ECLIPSED),
     "adess_tied_delays": lambda: run_scenario(TIED_DELAYS),
     "nakamoto_delays_miners": lambda: run_scenario(NAKAMOTO_DELAYS),
+    "adess_shared_views": lambda: run_scenario(SHARED_VIEWS),
 }
 
 PROBES = (
@@ -171,6 +180,8 @@ GOLDEN = {
         "0b783fe106fb52640a2282d7121eeb5128d77b51f9723ab080be3f380d106cd3",
     "nakamoto_delays_miners":
         "b0f43fea9f8d6817d7559bec13df1438f80934a98b3bb6d004764e7da9e7e4f6",
+    "adess_shared_views":
+        "ef2761096ec2c31e90033cf9112bfc60d9358e4a171e117d3e2323d6bb70feeb",
     "probe":
         "4aa9ba013ec743379c5cd6cce9696debac83d3f4b47aecb254399ac43fea2d17",
     "views":
