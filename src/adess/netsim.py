@@ -7,6 +7,16 @@ arrive event.  Honest hashrate is grouped by the canonical head each mining
 node currently follows; a group mines jointly.  A miner's head change
 regroups only its old and new heads, a group that mined only itself.  The
 attacker mines a secret chain and broadcasts it according to its strategy.
+
+A view's state is a function of its (time, block) arrival sequence alone.
+Receivers (the nodes and the attacker's observer `att_obs`) that hear every
+sender at equal delays sit in the same arrive events in the same block
+order, so they share one `NodeView` and a memo of the canonical head right
+after each block (see `_on_arrive`).
+
+`validate` bounds the blocks a horizon allows at the unit pace every
+retarget aims for by `_MAX_BLOCKS`; a run that mines faster fails with
+`DomainError` once it passes the bound, so no configuration hangs.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .chain import Block, BlockId, BlockTree, ChainRef
 from .economics import AttackParams, boundary_blocks
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .forkchoice import AdessParams, NodeView
 from .mining import (CertaintyEquivalent, DifficultyRule, MiningMode,
                      NEVER_FOUND, adjust_difficulty, next_block_time)
@@ -29,6 +39,8 @@ from .mining import (CertaintyEquivalent, DifficultyRule, MiningMode,
 ATTACKER = "attacker"
 
 STRATEGIES = ("paper_optimal", "fixed_growth", "accelerated", "budish")
+
+_MAX_BLOCKS = 100_000  # blocks a run may mine, see module doc
 
 
 def accelerated_rate(xi: float, N: int, delay: float) -> float:
@@ -99,6 +111,11 @@ class ScenarioConfig:
         if not (all(0 <= h < math.inf for h in rates.values())
                 and any(rates.values())):
             raise ConfigError("honest hashrates must be finite, >= 0, some > 0")
+        # one block per unit of time per mining node, and one for the attacker
+        miners = sum(1 for h in rates.values() if h > 0)
+        if self.horizon * (miners + 1) > _MAX_BLOCKS:
+            raise ConfigError(f"horizon x (mining nodes + 1) must be at most "
+                              f"{_MAX_BLOCKS} blocks")
         for what in ("honest_hashrates", "eclipse_set", "eclipse_from_honest"):
             unknown = set(getattr(self, what) or ()) - set(self.node_names())
             if unknown:
@@ -214,13 +231,9 @@ class _Simulation:
         self._miners = {name: rate for name, rate
                         in sorted(cfg.hashrates().items()) if rate > 0}
 
-        self.nodes: Dict[str, NodeView] = {
-            name: NodeView(cfg.adess, name=name)
-            for name in cfg.node_names()}
-        # passive observer tracking the honest chain on behalf of the attacker
-        self.att_obs = NodeView(cfg.adess, name="att_obs")
-        # sender -> (delay, receiver) links in push order, see _fan_out
-        nodes = sorted(self.nodes)
+        # sender -> (delay, receiver) links in push order, see _fan_out; the
+        # receiver att_obs tracks the honest chain on behalf of the attacker
+        nodes = sorted(cfg.node_names())
         self._links = {m: [(0.0, "att_obs")] + [
             (cfg.link_delay(m, n), n) for n in nodes
             if n == m or n not in cfg.eclipse_from_honest]
@@ -228,13 +241,28 @@ class _Simulation:
         self._links[ATTACKER] = [(cfg.link_delay(ATTACKER, n), n)
                                  for n in nodes if n not in cfg.eclipse_set]
         self._links[ATTACKER].append((0.0, "att_obs"))
+        # receiver -> (view, {block id: canonical head right after it}),
+        # shared by receivers hearing every sender at equal delays
+        heard: Dict[str, tuple] = {name: () for name in ("att_obs", *nodes)}
+        for sender, links in self._links.items():
+            for delay, name in links:
+                heard[name] += ((sender, delay),)
+        by_links: Dict[tuple, tuple] = {}
+        self._views: Dict[str, Tuple[NodeView, Dict[BlockId, BlockId]]] = {}
+        for name, key in heard.items():
+            if key not in by_links:
+                by_links[key] = (NodeView(cfg.adess, name=name), {})
+            self._views[name] = by_links[key]
+        self.nodes: Dict[str, NodeView] = {
+            name: self._views[name][0] for name in cfg.node_names()}
+        self.att_obs = self._views["att_obs"][0]
 
         self._nextdiff: Dict[BlockId, float] = {self.tree.genesis_id: 1.0}
         self._epoch_hist: Dict[BlockId, Tuple[float, ...]] = {
             self.tree.genesis_id: ()}
 
         self._canonical: Dict[str, BlockId] = {
-            name: self.tree.genesis_id for name in self.nodes}
+            name: self.tree.genesis_id for name in self._views}
         # head -> the miners following it, in name order
         self._members: Dict[BlockId, List[str]] = {
             self.tree.genesis_id: list(self._miners)}
@@ -292,8 +320,14 @@ class _Simulation:
 
     # -- difficulty tracking -----------------------------------------------
 
-    def _register_block(self, bid: BlockId, parent: BlockId, difficulty: float,
-                        hashrate: float, duration: float):
+    def _add_block(self, parent: BlockId, difficulty: float, miner: str,
+                   hashrate: float, duration: float) -> BlockId:
+        """Append a block mined now and register its successor difficulty."""
+        if len(self.tree.blocks) > _MAX_BLOCKS:
+            raise DomainError(f"the run mined more than {_MAX_BLOCKS} blocks "
+                              f"before its horizon")
+        bid = self.tree.append_block(parent, difficulty, miner=miner,
+                                     time=self.time)
         rule = self.cfg.difficulty
         if rule.mode == "epoch":
             hist = self._epoch_hist[parent] + (duration,)
@@ -309,6 +343,7 @@ class _Simulation:
             nd = adjust_difficulty(difficulty, hashrate, rule)
             self._epoch_hist[bid] = ()
         self._nextdiff[bid] = nd
+        return bid
 
     # -- honest mining -----------------------------------------------------
 
@@ -341,9 +376,7 @@ class _Simulation:
             return  # stale schedule, superseded by a regroup
         del self._groups[head]
         miner = self._members[head][0]  # the group's leader
-        bid = self.tree.append_block(head, difficulty, miner=miner,
-                                     time=self.time)
-        self._register_block(bid, head, difficulty, hashrate, duration)
+        bid = self._add_block(head, difficulty, miner, hashrate, duration)
         self._fan_out(self._links[miner], (self.tree.block(bid),))
         # the group that mined must be rescheduled even if no head changes
         self._regroup((head,))
@@ -356,16 +389,23 @@ class _Simulation:
         return view.nakamoto_canonical()
 
     def _on_arrive(self, node: str, block: Block):
-        view = self.att_obs if node == "att_obs" else self.nodes[node]
-        view.observe(block, self.time)
+        """`block` reaches `node`: the one ingestion path of every receiver.
+        The first member of the node's class to receive a block observes it
+        and memoizes the head right after it.  Later members take that head
+        from the memo, since the shared view may be ahead of them, and never
+        observe the block again, which would queue a buffered orphan twice."""
+        view, heads = self._views[node]
+        head = heads.get(block.id)
+        if head is None:
+            view.observe(block, self.time)
+            head = heads[block.id] = self._node_canonical(view).head
+        old = self._canonical[node]
+        self._canonical[node] = head
         if node == "att_obs":
             self._maybe_start_attack()
             self._check_broadcast_condition()
             return
-        head = self._node_canonical(view).head
-        old = self._canonical[node]
         if head != old:
-            self._canonical[node] = head
             self.series.append(
                 (self.time, node, head, self.tree.block(head).height))
             if node in self._miners:
@@ -401,7 +441,8 @@ class _Simulation:
         self._schedule_attacker_block()
 
     def _honest_tip(self) -> BlockId:
-        return self._node_canonical(self.att_obs).head
+        # att_obs's head after its own last arrival, not its shared view's
+        return self._canonical["att_obs"]
 
     def _schedule_attacker_block(self):
         parent = self.attacker_chain[-1] if self.attacker_chain \
@@ -426,9 +467,7 @@ class _Simulation:
         if self.broadcast_time is not None:
             return
         assert self.fork_time is not None
-        bid = self.tree.append_block(parent, difficulty, miner=ATTACKER,
-                                     time=self.time)
-        self._register_block(bid, parent, difficulty, hashrate, duration)
+        bid = self._add_block(parent, difficulty, ATTACKER, hashrate, duration)
         self.attacker_chain.append(bid)
         start = self.time - duration - self.fork_time
         self.realized_cost += (self.cfg.attack.c * hashrate * duration

@@ -203,6 +203,15 @@ def test_string_seed_in_config_exits_one(capsys, tmp_path):
     assert code == 1 and "error:" in err and "seed" in err
 
 
+def test_unbounded_horizon_exits_one_before_any_event(capsys, tmp_path):
+    cfg = tmp_path / "long.json"
+    cfg.write_text('{"horizon": 1e9}')
+    code, _, err = run(capsys, "simulate", "--config", str(cfg),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1 and "error:" in err and "horizon" in err
+    assert "Traceback" not in err
+
+
 def test_overflowing_attack_cost_exits_one(capsys):
     code, _, err = run(capsys, "safe-v", "--xi", "5", "--alpha", "2000")
     assert code == 1 and "error:" in err and "overflow" in err

@@ -8,16 +8,19 @@ c * g^(n+1) * (duration 1/g) at difficulty g^n.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from adess import netsim
 from adess.chain import BlockTree
 from adess.economics import AttackParams
-from adess.errors import ConfigError
-from adess.forkchoice import AdessParams
+from adess.errors import ConfigError, DomainError
+from adess.forkchoice import AdessParams, NodeView
 from adess.mining import DifficultyRule, Stochastic
-from adess.netsim import (ATTACKER, ScenarioConfig, accelerated_rate,
-                          disconnected_node_probe, latency_split_check,
-                          run_scenario)
+from adess.netsim import (ATTACKER, ScenarioConfig, _Simulation,
+                          accelerated_rate, disconnected_node_probe,
+                          latency_split_check, run_scenario)
 
 
 def path(tree: BlockTree, bid: int) -> set:
@@ -237,6 +240,7 @@ def test_config_rejects_non_finite_values_before_any_event():
     bad = [
         dict(horizon=inf),
         dict(horizon=nan),  # run_scenario hangs on it
+        dict(horizon=1e9),  # finite, but far more blocks than _MAX_BLOCKS
         dict(delay=nan),
         dict(delay=inf),
         dict(delays={(ATTACKER, "n0"): -1.0}),
@@ -261,6 +265,20 @@ def test_config_rejects_non_finite_values_before_any_event():
             adess_cfg(**kw).validate()
         with pytest.raises(ConfigError):
             run_scenario(adess_cfg(**kw))
+
+
+def test_a_run_mining_faster_than_the_unit_pace_stops_at_the_block_bound(
+        monkeypatch):
+    monkeypatch.setattr(netsim, "_MAX_BLOCKS", 500)
+    # no retarget in the run, so hashrate 50 mines 50 blocks per unit
+    fast = adess_cfg(honest_hashrates={"n0": 50.0},
+                     difficulty=DifficultyRule.epoch(10 ** 6))
+    fast.validate()  # 40 x 2 blocks at the unit pace
+    with pytest.raises(DomainError):
+        run_scenario(fast)
+    with pytest.raises(ConfigError):
+        adess_cfg(horizon=251.0).validate()  # 502 blocks at the unit pace
+    adess_cfg(horizon=250.0).validate()
 
 
 def test_config_rejects_eclipse_sets_naming_unknown_nodes():
@@ -291,3 +309,74 @@ def test_probe_late_join_is_undecidable_but_infers_reference():
     assert probe.undecidable and probe.inference_used
     assert probe.undecidable_forks
     assert probe.inferred_head == probe.reference_head
+
+
+# -- views shared by receivers with identical links ---------------------------
+
+def run_with_private_views(cfg: ScenarioConfig) -> tuple:
+    """Run `cfg` while also feeding each receiver a private view, checking
+    after every arrival that the head the simulator took from the shared
+    view's memo is the private view's; returns (sim, memo hits, orphans)."""
+    sim = _Simulation(cfg)
+    private = {name: NodeView(cfg.adess) for name in sim._views}
+    on_arrive = sim._on_arrive
+    hits = orphans = 0
+
+    def checked(node, block):
+        nonlocal hits, orphans
+        view = private[node]
+        hits += block.id in sim._views[node][1]
+        orphans += block.parent not in view.tree
+        view.observe(block, sim.time)
+        on_arrive(node, block)
+        assert sim._canonical[node] == sim._node_canonical(view).head
+
+    sim._on_arrive = checked
+    sim.run()
+    return sim, hits, orphans
+
+
+def one_miner_cfg(**kw) -> ScenarioConfig:
+    return adess_cfg(n_honest_nodes=8, delay=0.3, mining=Stochastic(tick=0.01),
+                     **kw)
+
+
+def test_shared_views_match_private_views_through_a_broadcast():
+    sim, hits, _ = run_with_private_views(one_miner_cfg(seed=1, horizon=60.0))
+    # n1..n7 share a view, and the attack's blocks reach them in one batch
+    assert sim.broadcast_time is not None and len(sim.attacker_chain) > 1
+    assert sim.nodes["n1"] is sim.nodes["n7"] and hits > 0
+
+
+def test_shared_views_match_private_views_under_eclipses():
+    sim, hits, _ = run_with_private_views(one_miner_cfg(
+        seed=2, horizon=40.0, eclipse_set=("n3",)))
+    assert sim.broadcast_time is not None and hits > 0
+    assert sim.nodes["n3"] is not sim.nodes["n2"]
+    sim, hits, _ = run_with_private_views(adess_cfg(
+        n_honest_nodes=6, delay=0.3, mining=Stochastic(tick=0.01), seed=3,
+        honest_hashrates={"n0": 0.5, "n1": 0.3, "n4": 0.2},
+        eclipse_from_honest=("n4", "n5")))
+    assert hits > 0 and sim.nodes["n5"] is not sim.nodes["n2"]
+
+
+def test_shared_views_match_private_views_with_orphans():
+    # n0's blocks reach n4..n7 late, after n1's children of them
+    slow = {("n0", f"n{i}"): 2.0 for i in range(4, 8)}
+    sim, hits, orphans = run_with_private_views(one_miner_cfg(
+        seed=4, horizon=40.0, honest_hashrates={"n0": 0.5, "n1": 0.5},
+        delays=slow))
+    assert sim.nodes["n2"] is sim.nodes["n3"]
+    assert sim.nodes["n4"] is sim.nodes["n7"] is not sim.nodes["n3"]
+    assert hits > 0 and orphans > 0
+
+
+def test_distinct_views_per_benchmark_shape():
+    def distinct(cfg):
+        return len({id(view) for view, _ in _Simulation(cfg)._views.values()})
+
+    deep = one_miner_cfg(horizon=1000.0)
+    assert distinct(deep) == 3  # att_obs, n0, n1..n7
+    assert distinct(adess_cfg(horizon=100.0)) == 1  # n0 and att_obs
+    assert distinct(replace(deep, horizon=40.0, honest_hashrates={
+        f"n{i}": 0.125 for i in range(8)})) == 9  # each miner hears itself
