@@ -36,6 +36,18 @@ log = logging.getLogger("adess")
 
 SWEEP_HEADER = "param_point, revenue, cost, profit, xi_star, v_max"
 
+#: Most rows (or grid points) one command may write; a larger size fails as a
+#: ConfigError before the first row, so no size hangs or exhausts memory.
+_MAX_ROWS = 100_000
+
+
+def _size(what: str, value) -> int:
+    """`value` as a row count, rejected above _MAX_ROWS."""
+    if not float(value) <= _MAX_ROWS:
+        raise ConfigError(f"{what} must be at most {_MAX_ROWS}, "
+                          f"got {value!r}")
+    return int(value)
+
 
 def _setup_logging():
     level = os.environ.get("ADESS_LOG", "error").strip().lower()
@@ -189,9 +201,10 @@ def cmd_profit(args) -> int:
     return 0
 
 
-def _malicious_rows(params: AttackParams, horizon: int
+def _malicious_rows(params: AttackParams, horizon
                     ) -> Tuple[List[str], float, float]:
     """Both protocols' split-cost series as CSV rows, and present values."""
+    horizon = _size("horizon", horizon)
     a_series, a_pv = economics.malicious_cost_series("adess", params, horizon)
     n_series, n_pv = economics.malicious_cost_series("nakamoto", params,
                                                      horizon)
@@ -217,6 +230,7 @@ def _parse_krange(spec: str) -> List[int]:
         raise ConfigError(f"bad k range {spec!r}, expected LO..HI") from None
     if hi < lo:
         raise ConfigError("empty k range")
+    _size("the k range's length", hi - lo + 1)
     return list(range(lo, hi + 1))
 
 
@@ -246,10 +260,13 @@ def _grid_points(grid: dict) -> List[float]:
             raise ConfigError(f"grid is missing {e}") from None
         if step <= 0:
             raise ConfigError("grid step must be > 0")
+        _size("grid points", (stop - start) / step)
         pts = []
         x = start
         while x <= stop + 1e-12:
             pts.append(round(x, 12))
+            if x + step == x:
+                raise ConfigError(f"grid step {step!r} does not move {x!r}")
             x += step
     if not pts:
         raise ConfigError("empty grid")
@@ -277,7 +294,7 @@ def _sweep_profit(params: AttackParams, grid: dict) -> List[str]:
 
 
 def _sweep_hashrate(params: AttackParams, grid: dict) -> List[str]:
-    n_max = int(grid.get("n_max", 10))
+    n_max = _size("n_max", grid.get("n_max", 10))
     rule = DifficultyRule.full()
     series = required_hashrate_series(params.xi, n_max, rule)
     rows = ["n,hashrate"]
@@ -287,7 +304,7 @@ def _sweep_hashrate(params: AttackParams, grid: dict) -> List[str]:
 
 
 def _sweep_malicious(params: AttackParams, grid: dict) -> List[str]:
-    horizon = int(grid.get("horizon", 4 * params.horizon_blocks))
+    horizon = grid.get("horizon", 4 * params.horizon_blocks)
     return _malicious_rows(params, horizon)[0]
 
 

@@ -389,8 +389,12 @@ def malicious_cost_series(protocol: str, params: AttackParams,
         raise ValueError("horizon must cover the boundary")
     c, d, xi = params.c, params.delta, params.xi
     if protocol == "adess":
-        series = [c * (1.0 + xi) ** t if t <= N else 0.0
-                  for t in range(1, horizon + 1)]
+        try:
+            series = [c * (1.0 + xi) ** t if t <= N else 0.0
+                      for t in range(1, horizon + 1)]
+        except OverflowError:
+            raise DomainError(f"split cost overflows: {1.0 + xi!r}^t, "
+                              f"t <= {N}") from None
     elif protocol == "nakamoto":
         series = [c] * horizon
     else:

@@ -1,10 +1,11 @@
 """Canonical-chain selection: Nakamoto scoring and the penalty protocol.
 
 A NodeView is one network participant's subjective state: an arrival-ordered
-observation log over a private copy of the block tree, plus the penalty
-machinery derived from it.  Penalty assignment is driven purely by the order
-in which this node observed blocks, so two views fed the same blocks in
-different orders may disagree; identical orders agree exactly.
+observation log and the children and heads of the blocks it has seen, over a
+block store that views may share, plus the penalty machinery derived from
+them.  Penalty assignment is driven purely by the order in which this node
+observed blocks, so two views fed the same blocks in different orders may
+disagree; identical orders agree exactly.
 
 Every block enters through `observe`.  A block marked `synced` (bulk sync
 for a node that was offline when it was broadcast) carries no temporal order;
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .chain import Block, BlockId, BlockTree, ChainRef
 from .errors import NotPenalized, UnknownBlock
@@ -142,24 +143,43 @@ class _ForkState:
     baseline_branch: Optional[BlockId] = None  # set once assigned
 
 
-class NodeView:
-    """Single-threaded subjective state of one observing node."""
+class SeenTree:
+    """Children in arrival order and heads of the blocks one view has seen
+    of a shared store, which validated them and holds everything else."""
 
-    def __init__(self, params: AdessParams, name: str = "node"):
+    def __init__(self, store: BlockTree):
+        self.children: Dict[BlockId, List[BlockId]] = {store.genesis_id: []}
+        self.heads: Set[BlockId] = {store.genesis_id}
+
+    def insert(self, block: Block) -> None:
+        self.children[block.id] = []
+        self.children[block.parent].append(block.id)
+        self.heads.discard(block.parent)
+        self.heads.add(block.id)
+
+
+class NodeView:
+    """Single-threaded subjective state of one observing node.  Blocks are
+    read from `store`; `tree` holds the children and heads it has seen: a
+    `SeenTree` over a shared store, or the store it owns if given none."""
+
+    def __init__(self, params: AdessParams, name: str = "node",
+                 store: Optional[BlockTree] = None):
         self.params = params
         self.name = name
-        self.tree = BlockTree()
+        self.store = BlockTree() if store is None else store
+        self.tree = self.store if store is None else SeenTree(store)
         self.log = ObservationLog()
-        self.log.append(self.tree.genesis_id, 0.0)
+        self.log.append(self.store.genesis_id, 0.0)
         self._forks: Dict[BlockId, _ForkState] = {}
         self._pending: Dict[BlockId, List[Tuple[Block, float, bool]]] = {}
         # reset anchor block -> (cumdiff at anchor, re-based score at anchor)
         self._resets: Dict[BlockId, Tuple[float, float]] = {}
         # block -> (deepest reset anchor on its path or None, fork path of
         # (fork state, branch child) pairs); equal entries share one tuple
-        self._index: Dict[BlockId, tuple] = {self.tree.genesis_id: (None, ())}
+        self._index: Dict[BlockId, tuple] = {self.store.genesis_id: (None, ())}
         # block -> number of active penalties on its path; see module doc
-        self._active: Dict[BlockId, int] = {self.tree.genesis_id: 0}
+        self._active: Dict[BlockId, int] = {self.store.genesis_id: 0}
         self._best: Optional[Tuple[float, ChainRef]] = None  # see module doc
 
     # -- observation -------------------------------------------------------
@@ -177,9 +197,9 @@ class NodeView:
         a fork opened live counts toward alpha and the boundary like any
         other; syncing every earlier block before observing any live one,
         as a replay in arrival order does, never mixes the two."""
-        if block.id in self.tree:
+        if block.id in self._index:
             return self
-        if block.parent not in self.tree:
+        if block.parent not in self._index:
             self._pending.setdefault(block.parent, []).append(
                 (block, arrival, synced))
             return self
@@ -231,7 +251,7 @@ class NodeView:
             if hit is None:
                 hit = extended[id(old)] = (old, (old[0], old[1] + (entry,)))
             self._index[bid] = hit[1]
-            depth = self.tree.block(bid).height - fs.height
+            depth = self.store.block(bid).height - fs.height
             if depth > best_len or (depth == best_len and bid < best_block):
                 best_len, best_block = depth, bid
             if depth == alpha and (alpha_block is None
@@ -359,7 +379,7 @@ class NodeView:
         if best is not None:
             assert not self.tree.children[head_pen]  # leaf: see module doc
             self._resets[head_pen] = (
-                self.tree.cumulative_difficulty(head_pen),
+                self.store.cumulative_difficulty(head_pen),
                 best + self.params.epsilon,
             )
             self._index[head_pen] = (head_pen, self._index[head_pen][1])
@@ -378,7 +398,7 @@ class NodeView:
         return self._score(chain.head)
 
     def _score(self, bid: BlockId) -> float:
-        cum = self.tree.cumulative_difficulty(bid)
+        cum = self.store.cumulative_difficulty(bid)
         anchor = self._index[bid][0]
         if anchor is None:
             return cum
@@ -392,7 +412,7 @@ class NodeView:
         rec = fs.records.get(self._branch_at(fs, chain.head)) if fs else None
         if rec is None or rec.deactivated_at is not None:
             raise NotPenalized(f"chain {chain.head} not penalized at {fork}")
-        n = self.tree.block(chain.head).height - fs.height
+        n = self.store.block(chain.head).height - fs.height
         return n / (1.0 + self.params.xi)
 
     def active_penalties(self, chain: ChainRef) -> List[PenaltyRecord]:
@@ -419,7 +439,7 @@ class NodeView:
     def nakamoto_canonical(self) -> ChainRef:
         """Head with maximal raw cumulative difficulty; ties broken by
         earliest first-seen arrival, then lowest id."""
-        scored = [(self.tree.cumulative_difficulty(h), h)
+        scored = [(self.store.cumulative_difficulty(h), h)
                   for h in self.tree.heads]
         return ChainRef(self._pick(scored)[1])
 
@@ -444,7 +464,7 @@ class NodeView:
     def never_penalized_witness(self) -> ChainRef:
         """Constructive path walk from genesis choosing an un-penalized branch
         at every fork; returns a head that never carried a penalty."""
-        cur = self.tree.genesis_id
+        cur = self.store.genesis_id
         while self.tree.children[cur]:
             fs = self._forks.get(cur)
             clean = sorted(c for c in self.tree.children[cur]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 from .economics import left_sum
+from .errors import DomainError
 
 #: Sentinel returned when hashrate is zero: the chain is stalled.
 NEVER_FOUND = math.inf
@@ -127,14 +128,19 @@ def required_hashrate_series(growth: float, n_blocks: int,
     if n_blocks < 1:
         raise ValueError("n_blocks must be >= 1")
     g = 1.0 + growth
-    if rule.mode == "full":
-        return [g ** k for k in range(1, n_blocks + 1)]
-    if rule.mode == "partial":
-        base = 1.0 + rule.beta * growth
-        return [g * base ** (k - 1) for k in range(1, n_blocks + 1)]
-    # epoch: difficulty steps up by the realized growth factor each retarget
-    E = rule.epoch_length
-    return [g ** ((k - 1) // E + 1) for k in range(1, n_blocks + 1)]
+    try:
+        if rule.mode == "full":
+            return [g ** k for k in range(1, n_blocks + 1)]
+        if rule.mode == "partial":
+            base = 1.0 + rule.beta * growth
+            return [g * base ** (k - 1) for k in range(1, n_blocks + 1)]
+        # epoch: difficulty steps up by the realized growth factor each
+        # retarget
+        E = rule.epoch_length
+        return [g ** ((k - 1) // E + 1) for k in range(1, n_blocks + 1)]
+    except OverflowError:
+        raise DomainError(f"the hashrate {g!r}^k overflows a float within "
+                          f"{n_blocks} blocks") from None
 
 
 def sustained_growth_cost(growth: float, n_blocks: int, rule: DifficultyRule,

@@ -11,8 +11,12 @@ attacker mines a secret chain and broadcasts it according to its strategy.
 A view's state is a function of its (time, block) arrival sequence alone.
 Receivers (the nodes and the attacker's observer `att_obs`) that hear every
 sender at equal delays sit in the same arrive events in the same block
-order, so they share one `NodeView` and a memo of the canonical head right
-after each block (see `_on_arrive`).
+order, so they form a class sharing one `NodeView` over the simulator's tree
+and a memo of the canonical head right after each block.  An arrive event
+holds runs of consecutive receivers of one class, each observing a block and
+finding its head once for all members (see `_on_arrive`).  att_obs is fed
+only while its head is read: until the attack starts, and under budish until
+the broadcast.
 
 `validate` bounds the blocks a horizon allows at the unit pace every
 retarget aims for by `_MAX_BLOCKS`; a run that mines faster fails with
@@ -231,35 +235,47 @@ class _Simulation:
         self._miners = {name: rate for name, rate
                         in sorted(cfg.hashrates().items()) if rate > 0}
 
-        # sender -> (delay, receiver) links in push order, see _fan_out; the
-        # receiver att_obs tracks the honest chain on behalf of the attacker
+        # sender -> (delay, receiver) links in push order; the receiver
+        # att_obs tracks the honest chain on behalf of the attacker
         nodes = sorted(cfg.node_names())
-        self._links = {m: [(0.0, "att_obs")] + [
+        links = {m: [(0.0, "att_obs")] + [
             (cfg.link_delay(m, n), n) for n in nodes
             if n == m or n not in cfg.eclipse_from_honest]
             for m in self._miners}
-        self._links[ATTACKER] = [(cfg.link_delay(ATTACKER, n), n)
-                                 for n in nodes if n not in cfg.eclipse_set]
-        self._links[ATTACKER].append((0.0, "att_obs"))
+        links[ATTACKER] = [(cfg.link_delay(ATTACKER, n), n)
+                           for n in nodes if n not in cfg.eclipse_set]
+        links[ATTACKER].append((0.0, "att_obs"))
         # receiver -> (view, {block id: canonical head right after it}),
-        # shared by receivers hearing every sender at equal delays
+        # shared by the class of receivers hearing every sender at equal delays
         heard: Dict[str, tuple] = {name: () for name in ("att_obs", *nodes)}
-        for sender, links in self._links.items():
-            for delay, name in links:
+        for sender, sender_links in links.items():
+            for delay, name in sender_links:
                 heard[name] += ((sender, delay),)
         by_links: Dict[tuple, tuple] = {}
         self._views: Dict[str, Tuple[NodeView, Dict[BlockId, BlockId]]] = {}
         for name, key in heard.items():
             if key not in by_links:
-                by_links[key] = (NodeView(cfg.adess, name=name), {})
+                by_links[key] = (NodeView(cfg.adess, name, self.tree), {})
             self._views[name] = by_links[key]
+        # sender -> (delay, (view, memo, members)) in push order, a run of
+        # consecutive links to one class at one delay; see _fan_out
+        self._runs: Dict[str, List[tuple]] = {}
+        for sender, sender_links in links.items():
+            runs = self._runs[sender] = []
+            for delay, name in sender_links:
+                view, memo = self._views[name]
+                if runs and runs[-1][0] == delay and runs[-1][1][0] is view:
+                    runs[-1][1][2].append(name)
+                else:
+                    runs.append((delay, (view, memo, [name])))
         self.nodes: Dict[str, NodeView] = {
             name: self._views[name][0] for name in cfg.node_names()}
         self.att_obs = self._views["att_obs"][0]
 
         self._nextdiff: Dict[BlockId, float] = {self.tree.genesis_id: 1.0}
-        self._epoch_hist: Dict[BlockId, Tuple[float, ...]] = {
-            self.tree.genesis_id: ()}
+        # block -> (duration, parent's cell, durations since the last
+        # retarget) under the epoch rule; no cell after a retarget
+        self._epoch_hist: Dict[BlockId, tuple] = {}
 
         self._canonical: Dict[str, BlockId] = {
             name: self.tree.genesis_id for name in self._views}
@@ -289,18 +305,16 @@ class _Simulation:
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
         return self._seq
 
-    def _fan_out(self, links: List[Tuple[float, str]],
-                 blocks: Sequence[Block]):
-        """Send `blocks` over `links`: one arrive event per arrival instant
-        (unequal delays can share one) of (receiver, block) pairs in push
-        order, with consecutive seqs, so as if each pair had its own event."""
-        batches: Dict[float, List[Tuple[str, Block]]] = {}
-        for delay, node in links:
-            batch = batches.setdefault(self.time + delay, [])
-            for block in blocks:
-                batch.append((node, block))
-        for time, batch in batches.items():
-            self._push(time, "arrive", batch)
+    def _fan_out(self, sender: str, blocks: Sequence[Block]):
+        """Send `blocks` over the sender's links: one arrive event per
+        arrival instant (unequal delays can share one) of its runs in push
+        order, with consecutive seqs, so as if each (receiver, block) pair
+        had its own event."""
+        batches: Dict[float, List[tuple]] = {}
+        for delay, run in self._runs[sender]:
+            batches.setdefault(self.time + delay, []).append(run)
+        for time, runs in batches.items():
+            self._push(time, "arrive", (runs, blocks))
 
     def run(self) -> RunReport:
         self._regroup(list(self._members))
@@ -314,8 +328,7 @@ class _Simulation:
             elif kind == "amine":
                 self._on_attacker_mine(*payload)
             elif kind == "arrive":
-                for node, block in payload:
-                    self._on_arrive(node, block)
+                self._on_arrive(*payload)
         return self._report()
 
     # -- difficulty tracking -----------------------------------------------
@@ -330,18 +343,22 @@ class _Simulation:
                                      time=self.time)
         rule = self.cfg.difficulty
         if rule.mode == "epoch":
-            hist = self._epoch_hist[parent] + (duration,)
-            if len(hist) >= rule.epoch_length:
-                nd = adjust_difficulty(difficulty, hashrate, rule, hist)
-                hist = ()
+            cell = self._epoch_hist.get(parent)
+            cell = (duration, cell, cell[2] + 1 if cell else 1)
+            if cell[2] >= rule.epoch_length:
+                hist = []  # the closing epoch's durations, newest first
+                while cell is not None:
+                    hist.append(cell[0])
+                    cell = cell[1]
+                nd = adjust_difficulty(difficulty, hashrate, rule,
+                                       hist[::-1])
             else:
                 nd = difficulty
-            self._epoch_hist[bid] = hist
+                self._epoch_hist[bid] = cell
         else:
             # applied hashrate stands in for the implied hashrate so that the
             # deterministic retarget recurrences are reproduced exactly
             nd = adjust_difficulty(difficulty, hashrate, rule)
-            self._epoch_hist[bid] = ()
         self._nextdiff[bid] = nd
         return bid
 
@@ -377,7 +394,7 @@ class _Simulation:
         del self._groups[head]
         miner = self._members[head][0]  # the group's leader
         bid = self._add_block(head, difficulty, miner, hashrate, duration)
-        self._fan_out(self._links[miner], (self.tree.block(bid),))
+        self._fan_out(miner, (self.tree.block(bid),))
         # the group that mined must be rescheduled even if no head changes
         self._regroup((head,))
 
@@ -388,39 +405,56 @@ class _Simulation:
             return view.adess_canonical()
         return view.nakamoto_canonical()
 
-    def _on_arrive(self, node: str, block: Block):
-        """`block` reaches `node`: the one ingestion path of every receiver.
-        The first member of the node's class to receive a block observes it
-        and memoizes the head right after it.  Later members take that head
-        from the memo, since the shared view may be ahead of them, and never
-        observe the block again, which would queue a buffered orphan twice."""
-        view, heads = self._views[node]
-        head = heads.get(block.id)
-        if head is None:
-            view.observe(block, self.time)
-            head = heads[block.id] = self._node_canonical(view).head
-        old = self._canonical[node]
-        self._canonical[node] = head
-        if node == "att_obs":
-            self._maybe_start_attack()
-            self._check_broadcast_condition()
-            return
-        if head != old:
-            self.series.append(
-                (self.time, node, head, self.tree.block(head).height))
-            if node in self._miners:
-                self._members[old].remove(node)
-                bisect.insort(self._members.setdefault(head, []), node)
-                self._regroup((old, head))
-        self._check_conveyance(node, block)
-        self._check_broadcast_condition()
+    def _on_arrive(self, runs: List[tuple], blocks: Sequence[Block]):
+        """`blocks` reach each (view, memo, members) run: the one ingestion
+        path of every receiver.  A block's head comes from the memo, as the
+        view may be ahead and a second observe would queue an orphan twice,
+        or else from observing it.  Members take the heads in push order, as
+        if each (member, block) pair arrived alone; att_obs only if read."""
+        canonical, stored = self._canonical, self.tree.blocks
+        for view, memo, members in runs:
+            if "att_obs" in members and not self._att_obs_read():
+                members = [m for m in members if m != "att_obs"]
+                if not members:
+                    continue
+            heads = []
+            for block in blocks:
+                head = memo.get(block.id)
+                if head is None:
+                    view.observe(block, self.time)
+                    head = memo[block.id] = self._node_canonical(view).head
+                heads.append(head)
+            for node in members:
+                for block, head in zip(blocks, heads):
+                    old = canonical[node]
+                    canonical[node] = head
+                    if node == "att_obs":
+                        self._maybe_start_attack()
+                        self._check_broadcast_condition()
+                        continue
+                    if head != old:
+                        self.series.append(
+                            (self.time, node, head, stored[head].height))
+                        if node in self._miners:
+                            self._members[old].remove(node)
+                            bisect.insort(self._members.setdefault(head, []),
+                                          node)
+                            self._regroup((old, head))
+                    if node == "n0":
+                        self._check_conveyance(block)
+                        self._check_broadcast_condition()
 
-    def _check_conveyance(self, node: str, block: Block):
+    def _att_obs_read(self) -> bool:
+        """Whether anything still reads att_obs's head, the honest tip: the
+        attack start, and budish's broadcast test until the broadcast."""
+        return self.fork_block is None or (
+            self._target is None and self.broadcast_time is None)
+
+    def _check_conveyance(self, block: Block):
         """The victim (n0) conveys the exchange item once it has observed
         alpha confirmation blocks of the transaction on the incumbent chain."""
-        if node != "n0" or self.conveyed_time is not None:
-            return
-        if self.fork_block is None or block.miner == ATTACKER:
+        if (self.conveyed_time is not None or self.fork_block is None
+                or block.miner == ATTACKER):
             return
         need = self.cfg.attack.horizon_blocks
         fork_h = self.tree.block(self.fork_block).height
@@ -433,16 +467,12 @@ class _Simulation:
     def _maybe_start_attack(self):
         if self.fork_block is not None:
             return
-        head = self._honest_tip()
+        head = self._canonical["att_obs"]
         if self.tree.block(head).height < self.cfg.attack_start_height:
             return
         self.fork_block = head
         self.fork_time = self.time
         self._schedule_attacker_block()
-
-    def _honest_tip(self) -> BlockId:
-        # att_obs's head after its own last arrival, not its shared view's
-        return self._canonical["att_obs"]
 
     def _schedule_attacker_block(self):
         parent = self.attacker_chain[-1] if self.attacker_chain \
@@ -476,23 +506,21 @@ class _Simulation:
             self._schedule_attacker_block()
         self._check_broadcast_condition()
 
-    def _broadcast_ready(self) -> bool:
-        if self.broadcast_time is not None or self.conveyed_time is None:
-            return False
-        n_a = len(self.attacker_chain)
-        if n_a == 0:
-            return False
-        if self._target is None:  # budish
-            a_cum = self.tree.cumulative_difficulty(self.attacker_chain[-1])
-            ic_cum = self.tree.cumulative_difficulty(self._honest_tip())
-            return a_cum > ic_cum
-        return n_a >= self._target
-
     def _check_broadcast_condition(self):
-        if not self._broadcast_ready():
+        """Broadcast once the item is conveyed and the secret chain holds its
+        target, or under budish outweighs the honest tip."""
+        chain = self.attacker_chain
+        if self.broadcast_time is not None or self.conveyed_time is None \
+                or not chain:
+            return
+        if self._target is None:
+            cum = self.tree.cumulative_difficulty
+            if cum(chain[-1]) <= cum(self._canonical["att_obs"]):
+                return
+        elif len(chain) < self._target:
             return
         self.broadcast_time = self.time
-        self._fan_out(self._links[ATTACKER], [
+        self._fan_out(ATTACKER, [
             self.tree.block(bid) for bid in self.attacker_chain])
 
     # -- reporting ---------------------------------------------------------
@@ -578,10 +606,8 @@ def disconnected_node_probe(cfg: ScenarioConfig, join_time: float
     reference = sim.nodes["n0"]
     late = NodeView(cfg.adess, name="late")
     post_join = 0
-    for bid, arrival in reference.log.entries:
-        if bid == reference.tree.genesis_id:
-            continue
-        block = reference.tree.block(bid)
+    for bid, arrival in reference.log.entries[1:]:
+        block = sim.tree.block(bid)
         synced = arrival < join_time
         late.observe(block, arrival, synced=synced)
         post_join += not synced

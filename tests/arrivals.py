@@ -1,0 +1,22 @@
+"""Hand a simulation's arrivals to its arrive handler one (member, block)
+pair at a time, so a test can look at the simulator between any two."""
+
+from __future__ import annotations
+
+from functools import partial
+
+
+def per_arrival(sim, step) -> None:
+    """Split every arrive event of `sim` into single-member, single-block
+    runs, in push order, calling `step(node, block, arrive)` for each pair;
+    `arrive()` runs the simulator's own handler on that pair alone."""
+    on_arrive = sim._on_arrive
+
+    def split(runs, blocks):
+        for view, memo, members in runs:
+            for node in members:
+                for block in blocks:
+                    step(node, block,
+                         partial(on_arrive, [(view, memo, [node])], [block]))
+
+    sim._on_arrive = split

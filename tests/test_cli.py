@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +282,52 @@ def test_malformed_config_shape_exits_one(capsys, tmp_path, command, cfg):
     code, _, err = run(capsys, command, "--config", str(path),
                        "--out", str(tmp_path / "out"))
     assert code == 1 and "error:" in err and "Traceback" not in err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: A child's address space cap, as `ulimit -v 800000`: an oversized list
+#: fails with MemoryError instead of filling the machine.
+PROBE_MEMORY = 800_000 * 1024
+
+#: Prints the seconds `main` took, then exits with its code.
+PROBE = ("import sys, time; from adess.cli import main; "
+         "t = time.perf_counter(); code = main(sys.argv[1:]); "
+         "print(time.perf_counter() - t); sys.exit(code)")
+
+
+def _sweep(kind: str, grid: dict) -> list:
+    return ["sweep", {"kind": kind, "grid": grid}]
+
+
+@pytest.mark.parametrize("argv", [
+    _sweep("hashrate", {"n_max": 2000}),  # 2.0 ** 1024 overflows
+    _sweep("hashrate", {"n_max": 1e12}),
+    _sweep("malicious-cost", {"horizon": 1e12}),
+    _sweep("profit", {"param": "v", "start": 1e17, "stop": 2e17, "step": 1}),
+    _sweep("profit", {"param": "v", "start": 0, "stop": 1, "step": 1e-300}),
+    # few points, but 1e17 + 1 == 1e17
+    _sweep("profit", {"param": "v", "start": 1e17,
+                      "stop": 1.0000000000000003e17, "step": 1}),
+    ["security-bound", "--k", "1..1000000000", "--rho", "0.3",
+     "--lambda", "1", "--delta-prop", "0.1"],
+    ["compare-protocols", "--horizon", "1000000000000"],
+    ["compare-protocols", "--horizon", "6000", "--sigma", "5000"],
+])
+def test_oversized_inputs_exit_one_quickly(tmp_path, argv):
+    if argv[0] == "sweep":
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(argv[1]))
+        argv = ["sweep", "--config", str(path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (PROBE_MEMORY, PROBE_MEMORY)))
+    assert proc.returncode == 1, proc.stderr
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert float(proc.stdout) < 1.0
 
 
 def test_bad_log_level_exits_one(capsys, monkeypatch):

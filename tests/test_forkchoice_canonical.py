@@ -13,6 +13,7 @@ from adess.forkchoice import AdessParams, NodeView
 from adess.mining import Stochastic
 from adess.netsim import ScenarioConfig, _Simulation
 
+from arrivals import per_arrival
 from fuzz_trees import build_random_view
 
 
@@ -32,7 +33,7 @@ def replay_checked(source: NodeView) -> int:
     view = NodeView(source.params, name=source.name)
     cached = 0
     for bid, arrival in source.log.entries[1:]:
-        view.observe(source.tree.block(bid), arrival)
+        view.observe(source.store.block(bid), arrival)
         cached += view._best is not None
         assert view.adess_canonical().head == rescored_head(view)
     assert view.adess_canonical() == source.adess_canonical()
@@ -93,30 +94,32 @@ def test_active_groups_follow_miner_heads_after_every_arrival():
     cfg = replace(forky_config(5), horizon=40.0, honest_hashrates={
         f"n{i}": 0.25 * (i < 4) for i in range(8)})
     sim = _Simulation(cfg)
-    on_arrive = sim._on_arrive
     arrivals = 0
 
-    def checked(node, block):
+    def checked(node, block, arrive):
         nonlocal arrivals
-        on_arrive(node, block)
+        arrive()
         arrivals += 1
         assert {h: g[0] for h, g in sim._groups.items()} == miner_groups(sim)
 
-    sim._on_arrive = checked
+    per_arrival(sim, checked)
     skipping = sim.run()
     assert arrivals > 0
     assert any(node not in sim._miners for _, node, _, _ in skipping.series)
 
     # regrouping after every arrival as well draws nothing more
     sim = _Simulation(cfg)
-    on_arrive_always = sim._on_arrive
 
-    def always(node, block):
-        on_arrive_always(node, block)
+    def always(node, block, arrive):
+        arrive()
         sim._regroup({sim._canonical[m] for m in sim._miners}
                      | set(sim._groups))
 
-    sim._on_arrive = always
+    per_arrival(sim, always)
     regrouping = sim.run()
     assert skipping.to_text() == regrouping.to_text()
     assert skipping.series_csv() == regrouping.series_csv()
+    # and the per-class runs take the heads exactly as single arrivals do
+    plain = _Simulation(cfg).run()
+    assert skipping.to_text() == plain.to_text()
+    assert skipping.series_csv() == plain.series_csv()

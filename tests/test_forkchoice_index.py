@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 
 from adess.economics import AttackParams
-from adess.forkchoice import AdessParams, NodeView
+from adess.forkchoice import AdessParams, NodeView, SeenTree
 from adess.mining import Stochastic
 from adess.netsim import ScenarioConfig, _Simulation
 
@@ -57,13 +57,15 @@ def replay_checked(source: NodeView) -> NodeView:
     every head after every observe and of every block at the end."""
     view = NodeView(source.params, name=source.name)
     for bid, arrival in source.log.entries[1:]:
-        view.observe(source.tree.block(bid), arrival)
+        view.observe(source.store.block(bid), arrival)
         for head in view.tree.heads:
             check_entry(view, head)
     for bid in view.tree.blocks:
         check_entry(view, bid)
     assert view.penalty_ledger() == source.penalty_ledger()
     assert view.adess_canonical() == source.adess_canonical()
+    assert view.tree.heads == source.tree.heads
+    assert view.tree.children == source.tree.children
     return view
 
 
@@ -92,3 +94,30 @@ def test_index_matches_walks_in_forky_scenarios():
         for view in list(sim.nodes.values()) + [sim.att_obs]:
             forks += len(replay_checked(view)._forks)
     assert forks > 0
+
+
+def test_store_backed_view_matches_standalone_view():
+    rng = random.Random(4)
+    orphans = 0
+    for _ in range(100):
+        source = build_random_view(random.Random(rng.getrandbits(32)))
+        arrivals = [bid for bid, _ in source.log.entries[1:]]
+        # some blocks arrive late, after their children
+        late = [i + rng.choice((0, 0, 0, 2.5)) for i in range(len(arrivals))]
+        arrivals = [bid for _, bid in sorted(zip(late, arrivals))]
+        shared = NodeView(source.params, store=source.store)
+        alone = NodeView(source.params)
+        for t, bid in enumerate(arrivals, start=1):
+            block = source.store.block(bid)
+            orphans += block.parent not in alone.tree
+            shared.observe(block, float(t))
+            alone.observe(block, float(t))
+            assert shared.adess_canonical() == alone.adess_canonical()
+            assert shared.nakamoto_canonical() == alone.nakamoto_canonical()
+        assert isinstance(shared.tree, SeenTree)
+        assert shared.tree.heads == alone.tree.heads
+        assert shared.tree.children == alone.tree.children
+        assert shared.log.entries == alone.log.entries
+        assert shared.penalty_ledger() == alone.penalty_ledger()
+        assert len(source.store.blocks) == len(alone.store.blocks)
+    assert orphans > 0

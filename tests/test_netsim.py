@@ -8,6 +8,7 @@ c * g^(n+1) * (duration 1/g) at difficulty g^n.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,8 @@ from adess.mining import DifficultyRule, Stochastic
 from adess.netsim import (ATTACKER, ScenarioConfig, _Simulation,
                           accelerated_rate, disconnected_node_probe,
                           latency_split_check, run_scenario)
+
+from arrivals import per_arrival
 
 
 def path(tree: BlockTree, bid: int) -> set:
@@ -296,6 +299,19 @@ def test_epoch_rule_scenario_runs():
     assert rep.attack_succeeded
 
 
+def test_epoch_history_memory_grows_linearly():
+    def peak(horizon: float) -> int:
+        tracemalloc.start()
+        try:
+            run_scenario(adess_cfg(difficulty=DifficultyRule.epoch(10 ** 6),
+                                   horizon=horizon))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000.0) <= 5 * peak(1000.0)
+
+
 # -- late-joining node probe ---------------------------------------------------
 
 def test_probe_connected_from_start_matches_reference():
@@ -314,25 +330,31 @@ def test_probe_late_join_is_undecidable_but_infers_reference():
 # -- views shared by receivers with identical links ---------------------------
 
 def run_with_private_views(cfg: ScenarioConfig) -> tuple:
-    """Run `cfg` while also feeding each receiver a private view, checking
-    after every arrival that the head the simulator took from the shared
-    view's memo is the private view's; returns (sim, memo hits, orphans)."""
+    """Run `cfg` one (member, block) arrival at a time while also feeding
+    each receiver a private view, checking after every arrival that the head
+    the simulator took from the shared view's memo is the private view's
+    (att_obs's only while it is read), and that the run's output is the
+    per-class runs' own; returns (sim, memo hits, orphans)."""
     sim = _Simulation(cfg)
     private = {name: NodeView(cfg.adess) for name in sim._views}
-    on_arrive = sim._on_arrive
     hits = orphans = 0
 
-    def checked(node, block):
+    def checked(node, block, arrive):
         nonlocal hits, orphans
         view = private[node]
         hits += block.id in sim._views[node][1]
         orphans += block.parent not in view.tree
         view.observe(block, sim.time)
-        on_arrive(node, block)
-        assert sim._canonical[node] == sim._node_canonical(view).head
+        read = node != "att_obs" or sim._att_obs_read()
+        arrive()
+        if read:
+            assert sim._canonical[node] == sim._node_canonical(view).head
 
-    sim._on_arrive = checked
-    sim.run()
+    per_arrival(sim, checked)
+    report = sim.run()
+    plain = run_scenario(cfg)
+    assert report.to_text() == plain.to_text()
+    assert report.series_csv() == plain.series_csv()
     return sim, hits, orphans
 
 
@@ -369,6 +391,28 @@ def test_shared_views_match_private_views_with_orphans():
     assert sim.nodes["n2"] is sim.nodes["n3"]
     assert sim.nodes["n4"] is sim.nodes["n7"] is not sim.nodes["n3"]
     assert hits > 0 and orphans > 0
+
+
+@pytest.mark.parametrize("strategy", ["paper_optimal", "accelerated",
+                                      "budish"])
+@pytest.mark.parametrize("nodes", [8, 1])  # att_obs alone, or with n0
+def test_feeding_att_obs_throughout_changes_no_output(monkeypatch, strategy,
+                                                      nodes):
+    cfg = replace(one_miner_cfg(seed=2, horizon=60.0,
+                                attacker_strategy=strategy),
+                  n_honest_nodes=nodes, delay=0.3 * (nodes > 1))
+    skipping = _Simulation(cfg)
+    skipped = skipping.run()
+    monkeypatch.setattr(_Simulation, "_att_obs_read", lambda self: True)
+    feeding = _Simulation(cfg)
+    fed = feeding.run()
+    assert skipped.attack_succeeded and skipped.broadcast_time is not None
+    assert skipped.to_text() == fed.to_text()
+    assert skipped.series_csv() == fed.series_csv()
+    # att_obs alone stops observing once it is no longer read; sharing n0's
+    # view, it loses nothing
+    fed_more = len(feeding.att_obs.log) > len(skipping.att_obs.log)
+    assert fed_more == (nodes > 1)
 
 
 def test_distinct_views_per_benchmark_shape():

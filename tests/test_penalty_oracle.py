@@ -212,11 +212,11 @@ def replay_against_oracle(source: NodeView, n_synced: int = 0) -> NaiveReplay:
     """Replay `source`'s log into a fresh view and the oracle, the first
     `n_synced` blocks synced, comparing both after every observe."""
     view = NodeView(source.params, name=source.name)
-    genesis = source.tree.block(source.tree.genesis_id)
+    genesis = source.store.block(source.store.genesis_id)
     oracle = NaiveReplay(source.params, genesis)
     records = None
     for i, (bid, arrival) in enumerate(source.log.entries[1:]):
-        block = source.tree.block(bid)
+        block = source.store.block(bid)
         view.observe(block, arrival, synced=i < n_synced)
         oracle.step(block, arrival, i < n_synced)
         check_step(view, oracle, bid)
