@@ -42,9 +42,9 @@ _MAX_ROWS = 100_000
 
 
 def _size(what: str, value) -> int:
-    """`value` as a row count, rejected above _MAX_ROWS."""
-    if not float(value) <= _MAX_ROWS:
-        raise ConfigError(f"{what} must be at most {_MAX_ROWS}, "
+    """`value` as a row count, rejected outside [0, _MAX_ROWS]."""
+    if not 0 <= value <= _MAX_ROWS:
+        raise ConfigError(f"{what} must be in [0, {_MAX_ROWS}], "
                           f"got {value!r}")
     return int(value)
 
@@ -260,7 +260,8 @@ def _grid_points(grid: dict) -> List[float]:
             raise ConfigError(f"grid is missing {e}") from None
         if step <= 0:
             raise ConfigError("grid step must be > 0")
-        _size("grid points", (stop - start) / step)
+        # a negative count is an empty grid, reported below
+        _size("grid points", max((stop - start) / step, 0.0))
         pts = []
         x = start
         while x <= stop + 1e-12:

@@ -303,6 +303,8 @@ def _sweep(kind: str, grid: dict) -> list:
 @pytest.mark.parametrize("argv", [
     _sweep("hashrate", {"n_max": 2000}),  # 2.0 ** 1024 overflows
     _sweep("hashrate", {"n_max": 1e12}),
+    _sweep("hashrate", {"n_max": 10 ** 400}),  # no float holds it
+    _sweep("hashrate", {"n_max": float("-inf")}),
     _sweep("malicious-cost", {"horizon": 1e12}),
     _sweep("profit", {"param": "v", "start": 1e17, "stop": 2e17, "step": 1}),
     _sweep("profit", {"param": "v", "start": 0, "stop": 1, "step": 1e-300}),
