@@ -33,11 +33,7 @@ from adess.economics import (AttackParams, adess_attack_cost,
                              safe_value_interval)
 from adess.errors import DomainError, SolverFailure
 
-
-def params(**kw) -> AttackParams:
-    base = dict(v=0.0, p_B=1.0, c=1.0, delta=1.0, xi=1.0, alpha=2, sigma=0)
-    base.update(kw)
-    return AttackParams(**base)
+from econ_grids import ORACLE_GRID, SOLVER_FAILURES, params
 
 
 # -- classic (pre-penalty) attacker -----------------------------------------
@@ -204,14 +200,6 @@ def assert_bit_identical(br, want):
     assert got == want and repr(got) == repr(want)
 
 
-ORACLE_GRID = [
-    params(alpha=alpha, sigma=sigma, xi=xi, delta=delta, v=v, c=c, p_B=p_B)
-    for alpha, sigma in ((1, 0), (3, 2))
-    for xi in (0.0, 0.4, 1.0, 2.5)
-    for delta in (0.9, 0.99, 1.0, 1)
-    for v, c, p_B in ((0.0, 1.0, 1.0), (7.5, 1.3, 1.0), (3.0, 0.6, 2.0))]
-
-
 def test_plan_profits_bit_identical_to_oracle():
     b_max = 6
     for p in ORACLE_GRID:
@@ -340,6 +328,76 @@ def test_min_deterring_xi_monotone_tail():
     profits = [adess_attack_profit(replace(p, v=25.0, xi=xi_star + k * 0.1)).profit
                for k in range(1, 21)]
     assert all(pr < 0 for pr in profits)
+
+
+def naive_min_deterring_xi(v: float, p: AttackParams) -> float:
+    """`min_deterring_xi` as first written: every probe builds its own
+    AttackParams and evaluates the default plan through
+    `attack_plan_profit`."""
+
+    def profit(xi):
+        return attack_plan_profit(replace(p, v=v, xi=xi)).profit
+
+    lo, hi = 1e-3, 1.0
+    if profit(lo) < 0:
+        xi_star = lo
+    else:
+        it = 0
+        while profit(hi) >= 0:
+            hi *= 2.0
+            it += 1
+            if it > 60:
+                raise SolverFailure("no deterring penalty found",
+                                    bracket=(lo, hi))
+        it = 0
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            if profit(mid) < 0:
+                hi = mid
+            else:
+                lo = mid
+            it += 1
+            if it > 200:
+                raise SolverFailure("bisection did not converge",
+                                    bracket=(lo, hi))
+        xi_star = hi
+    for i in range(1, 21):
+        probe = xi_star * (1.0 + 0.5 * i)
+        if profit(probe) >= 0:
+            raise SolverFailure(f"profit non-negative again at xi = {probe}",
+                                bracket=(xi_star, probe))
+    return xi_star
+
+
+def solver_outcome(solver, v, p):
+    """The returned penalty, or the failure's message and bracket."""
+    try:
+        return solver(v, p)
+    except SolverFailure as e:
+        return ("SolverFailure", str(e), e.bracket)
+    except DomainError as e:
+        return ("DomainError", str(e))
+
+
+SOLVER_GRID = [
+    (v, params(alpha=alpha, sigma=sigma, delta=delta, B=B, p_B=p_B, c=c))
+    for v in (0.0, 0.3, 11.0, 1e4)
+    for alpha, sigma in ((1, 0), (3, 1))
+    for delta in (0.5, 0.99, 0.999999, 1.0)
+    for B in (0, 3)
+    for p_B, c in ((1.0, 1.0), (2.5, 0.8))] + SOLVER_FAILURES + [
+    # the doubling search overflows the attack cost before deterring
+    (1e300, params()), (1e308, params(alpha=5, B=2))]
+
+
+def test_min_deterring_xi_matches_naive_solver():
+    failures = 0
+    for v, p in SOLVER_GRID:
+        got = solver_outcome(min_deterring_xi, v, p)
+        want = solver_outcome(naive_min_deterring_xi, v, p)
+        assert got == want and repr(got) == repr(want), (v, p)
+        failures += isinstance(want, tuple)
+    assert failures >= len(SOLVER_FAILURES)
 
 
 def test_safe_value_interval():

@@ -1,11 +1,13 @@
-"""Golden output digests: a byte-level safety net for fork-choice refactors.
+"""Golden output digests: a byte-level safety net for fork-choice and
+economics refactors.
 
 Each constant is the SHA-256 of outputs recorded before NodeView was
 restructured (the three arrival-batching scenarios: before the simulator
 batched arrivals per instant; the eclipsed-miners one again when a miner
 eclipsed from honest broadcasts began to hear its own blocks; the
-shared-views one before receivers with identical links shared a view); a refactor
-that keeps every output must keep every digest.
+shared-views one before receivers with identical links shared a view; the
+economics ones before the plan search and the deterrence solver scanned
+float rows); a refactor that keeps every output must keep every digest.
 Every float sum that feeds an output is a left fold, so they hold on each
 CPython from 3.10, like `bench/digests.json`.  The module needs only the
 stdlib: `python tests/test_golden.py` checks every digest without pytest,
@@ -15,22 +17,28 @@ output change, print `digests()`.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import random
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 if __name__ == "__main__":  # run as a script, from a source checkout
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from adess import cli
 from adess.chain import BlockTree
-from adess.economics import AttackParams
+from adess.economics import AttackParams, brute_force_optimal_plan
 from adess.forkchoice import AdessParams, NodeView
 from adess.mining import DifficultyRule, Stochastic
 from adess.netsim import (ATTACKER, ScenarioConfig, disconnected_node_probe,
                           latency_split_check, run_scenario)
 
+from econ_grids import ACCEPTANCE_04_GRID, ORACLE_GRID
 from fuzz_trees import build_random_view
 
 
@@ -144,10 +152,76 @@ def views_digest() -> str:
     return h.hexdigest()
 
 
+# -- economics: full plan searches, profit sweeps, scalar commands ----------
+
+def _cli(argv) -> tuple:
+    """`adess` exit code and stdout; stderr is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _sweep_csv(config: dict) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.json"
+        path.write_text(json.dumps(config))
+        code, _ = _cli(["sweep", "--config", str(path), "--out", tmp])
+        return f"{code}\n" + (Path(tmp) / "sweep.csv").read_text()
+
+
+def _plans(grid) -> str:
+    """Each point's plan from the default 11 x 11 x 21 search."""
+    return "\n".join(repr(brute_force_optimal_plan(p)) for p in grid)
+
+
+#: min-xi, safe-v and profit runs; the third min-xi raises SolverFailure
+SCALAR_ARGV = (
+    ["min-xi", "--v", "11", "--alpha", "1", "--sigma", "1",
+     "--delta", "0.999999"],
+    ["min-xi", "--v", "25", "--alpha", "3", "--delta", "0.999", "--b", "2"],
+    ["min-xi", "--v", "0.34", "--pb", "28.264", "--c", "0.168",
+     "--delta", "0.1138", "--alpha", "3", "--b", "1"],
+    ["min-xi", "--v", "1e4", "--alpha", "7", "--delta", "1"],
+    ["safe-v", "--xi", "1", "--alpha", "2"],
+    ["safe-v", "--xi", "0.35", "--alpha", "4", "--sigma", "2",
+     "--delta", "0.97", "--b", "3", "--pb", "2"],
+    ["profit", "--v", "7", "--xi", "0.6", "--alpha", "4", "--delta", "0.97"],
+    ["profit", "--v", "3", "--xi", "1.5", "--tau", "4", "--n", "6",
+     "--b", "5", "--pb", "2", "--c", "0.6", "--delta", "0.9"],
+)
+
+ECONOMICS = {
+    "plans_acceptance_04": lambda: _plans(ACCEPTANCE_04_GRID),
+    "plans_oracle_grid": lambda: _plans(ORACLE_GRID),
+    "sweep_profit_v": lambda: _sweep_csv({
+        "kind": "profit", "attack": {"alpha": 2, "sigma": 1, "xi": 0.8,
+                                     "delta": 0.99, "B": 2, "p_B": 1.5},
+        "grid": {"param": "v", "start": 0, "stop": 30, "step": 0.75}}),
+    "sweep_profit_xi": lambda: _sweep_csv({
+        "kind": "profit", "attack": {"alpha": 3, "v": 12.0, "B": 1},
+        "grid": {"param": "xi", "start": 0, "stop": 3, "step": 0.125}}),
+    # rows whose solver fails print xi_star = nan
+    "sweep_profit_solver_failures": lambda: _sweep_csv({
+        "kind": "profit", "attack": {"alpha": 1, "p_B": 1.084, "c": 1.57,
+                                     "delta": 0.0663},
+        "grid": {"param": "v",
+                 "values": [0, 0.01, 0.02, 0.03, 0.05, 0.1, 0.5, 2]}}),
+    "scalar_commands": lambda: "".join(
+        f"{argv}\n{code}\n{out}"
+        for argv in SCALAR_ARGV for code, out in [_cli(argv)]),
+}
+
+
+def econ_digest(name: str) -> str:
+    return _sha(ECONOMICS[name]())
+
+
 def digests() -> dict:
     out = {name: scenario_digest(name) for name in SCENARIOS}
     out["probe"] = probe_digest()
     out["views"] = views_digest()
+    out.update((name, econ_digest(name)) for name in ECONOMICS)
     return out
 
 
@@ -186,12 +260,26 @@ GOLDEN = {
         "4aa9ba013ec743379c5cd6cce9696debac83d3f4b47aecb254399ac43fea2d17",
     "views":
         "b44f752e034ff5a4f368c604f1344c80bf35f606b7acfb6025ca64fcfe5ff5a6",
+    "plans_acceptance_04":
+        "45003b2de9056689c694f6e0c1bb4a6d45435287b6213137234333c78cf4f583",
+    "plans_oracle_grid":
+        "7ecff12359b095da98f81203cbec6e4a698fc4744db57124f992b14c6ce8584e",
+    "sweep_profit_v":
+        "31e5df0a87537f7ddb7ea0927aebb16e832fde20072836460305dd9f133163b6",
+    "sweep_profit_xi":
+        "f12ba63998a31950ac383feeb806661a22b350f334a4cb9f9d4463ded19e421d",
+    "sweep_profit_solver_failures":
+        "82702036e0a323b5db2e080f950ceb9d57f879d9b2c303658f892699dce25e32",
+    "scalar_commands":
+        "6f08a789aa4698c16dbabe9143e94b3298bb75ab8d01360feb51fa924e9de926",
 }
 
 
 def pytest_generate_tests(metafunc):
     if "name" in metafunc.fixturenames:  # test_scenario_digest
         metafunc.parametrize("name", sorted(SCENARIOS))
+    if "econ" in metafunc.fixturenames:  # test_econ_digest
+        metafunc.parametrize("econ", sorted(ECONOMICS))
 
 
 def test_scenario_digest(name):
@@ -215,6 +303,10 @@ def test_probe_digest():
 
 def test_views_digest():
     assert views_digest() == GOLDEN["views"]
+
+
+def test_econ_digest(econ):
+    assert econ_digest(econ) == GOLDEN[econ]
 
 
 def main() -> int:
