@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, SolverFailure
@@ -28,6 +29,9 @@ _XI_LO = 1e-3
 _XI_TOL = 1e-6
 _XI_MAX_ITER = 200
 _TAIL_SAMPLES = 20
+
+#: largest tau, N, B and ceil(N(1+xi)) of an attack plan (else DomainError)
+_MAX_PLAN_BLOCKS = 100_000
 
 
 def left_sum(terms: Iterable[float]) -> float:
@@ -145,21 +149,20 @@ def guo_ren_bound(k: int, rho: float, lambda_rate: float, delta_prop: float,
         raise ValueError("rho must be in (0, 1]")
     if lambda_rate <= 0 or delta_prop < 0:
         raise ValueError("lambda_rate > 0 and delta_prop >= 0 required")
-    p = rho * math.exp(lambda_rate * delta_prop)
-    if variant == "literal":
-        if p <= 1.0:
-            raise DomainError(
-                f"literal variant undefined for p = {p!r} <= 1 "
-                "(square root of a non-positive quantity)")
-        root = math.sqrt(1.0 / (p - 1.0))
-    elif variant == "abs":
-        if not 0.0 < p < 1.0:
-            raise DomainError(
-                f"abs-corrected variant requires p in (0, 1), got p = {p!r}")
-        root = math.sqrt(1.0 / abs(p - 1.0))
-    else:
+    if variant not in ("literal", "abs"):
         raise ValueError(f"unknown variant {variant!r}")
-    return (2.0 + 2.0 * root) * 4.0 * p * (1.0 - p) ** k
+    try:
+        p = rho * math.exp(lambda_rate * delta_prop)
+        if variant == "literal" and p <= 1.0:
+            raise DomainError(f"literal variant undefined for p = {p!r} <= 1 "
+                              "(square root of a non-positive quantity)")
+        if variant == "abs" and not 0.0 < p < 1.0:
+            raise DomainError(f"abs-corrected variant requires p in (0, 1), "
+                              f"got p = {p!r}")
+        root = math.sqrt(1.0 / abs(p - 1.0))  # p - 1 > 0 when literal
+        return (2.0 + 2.0 * root) * 4.0 * p * (1.0 - p) ** k
+    except OverflowError:
+        raise DomainError("the settlement bound overflows a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +204,32 @@ def partial_adjustment_attack_cost(N: int, xi: float, beta: float,
                               boundary_blocks(N, xi))
 
 
+def _plan_rows(p: AttackParams, xi: float, N: int, b_max: int, tau: int = 0
+               ) -> Tuple[int, List[Tuple[float, float]]]:
+    """K = ceil(N(1+xi)) and the (discounted revenue, secret-block cost / c)
+    rows for B = 0..b_max at boundary N; tau is only size-checked here."""
+    if N < 1 or tau < 0 or b_max < 0:
+        raise ValueError("N >= 1, tau >= 0, B >= 0 required")
+    if max(tau, N, b_max) > _MAX_PLAN_BLOCKS \
+            or N * (1.0 + xi) - _CEIL_EPS > _MAX_PLAN_BLOCKS:
+        raise DomainError(f"attack plan too large: tau, N, B and "
+                          f"ceil(N(1+xi)) must be at most {_MAX_PLAN_BLOCKS}")
+    d, K = p.delta, boundary_blocks(N, xi)
+    secrets = accumulate((d ** (N + b) for b in range(b_max)), initial=0)
+    return K, [(d ** (N + B - 1) * (p.v + p.p_B * (K + B)), secret)
+               for B, secret in enumerate(secrets)]
+
+
 def plan_profits(p: AttackParams, tau: int, N: int,
                  b_max: int) -> Iterator[ProfitBreakdown]:
     """Profits of the plans (fork tau blocks back, reach the boundary at
     incumbent block N, then mine B more secret blocks) for B = 0..b_max; the
     boundary cost is summed once, the B terms added left to right."""
-    if N < 1 or tau < 0 or b_max < 0:
-        raise ValueError("N >= 1, tau >= 0, B >= 0 required")
-    d, c = p.delta, p.c
+    K, rows = _plan_rows(p, p.xi, N, b_max, tau)
     g = 1.0 + fork_depth_growth(N, p.xi, tau)
-    K = boundary_blocks(N, p.xi)
-    boundary = _boundary_cost(d, g, g, K)
-    discount, secret = d ** (N - 1), 0
-    for B in range(b_max + 1):
-        yield ProfitBreakdown(discount * (p.v + p.p_B * (K + B)),
-                              c * (boundary + secret), K + B)
-        discount = d ** (N + B)
-        secret += discount
+    boundary = _boundary_cost(p.delta, g, g, K)
+    for B, (revenue, secret) in enumerate(rows):
+        yield ProfitBreakdown(revenue, p.c * (boundary + secret), K + B)
 
 
 def attack_plan_profit(p: AttackParams, tau: int = 0,
@@ -225,10 +237,8 @@ def attack_plan_profit(p: AttackParams, tau: int = 0,
     """Profit of the general plan (fork tau blocks back, reach the boundary
     at incumbent block N, then mine B more secret blocks): the last entry of
     `plan_profits`, bit-identical to summing this plan's costs on their own."""
-    for br in plan_profits(p, tau, p.horizon_blocks if N is None else N,
-                           p.B if B is None else B):
-        pass
-    return br
+    return list(plan_profits(p, tau, p.horizon_blocks if N is None else N,
+                             p.B if B is None else B))[-1]
 
 
 def adess_attack_profit(p: AttackParams) -> ProfitBreakdown:
@@ -329,14 +339,18 @@ def min_deterring_xi(v: float, params: AttackParams) -> float:
     """Smallest penalty (on a bisection grid from _XI_LO, to within _XI_TOL)
     rendering the attack unprofitable at transaction value v, verified to
     stay unprofitable at _TAIL_SAMPLES larger penalties."""
+    params = replace(params, v=v)
+    d, c, N = params.delta, params.c, params.horizon_blocks
 
-    def profit(xi: float) -> float:
-        return adess_attack_profit(replace(params, v=v, xi=xi)).profit
+    def profit(xi: float) -> float:  # adess_attack_profit at (v, xi)
+        K, rows = _plan_rows(params, xi, N, params.B)
+        g = 1.0 + fork_depth_growth(N, xi, 0)
+        return rows[-1][0] - c * (_boundary_cost(d, g, g, K) + rows[-1][1])
 
     if profit(_XI_LO) < 0:
         xi_star = _XI_LO
     else:
-        hi = max(2 * _XI_LO, 1.0)
+        lo, hi = _XI_LO, max(2 * _XI_LO, 1.0)
         it = 0
         while profit(hi) >= 0:
             hi *= 2.0
@@ -344,14 +358,10 @@ def min_deterring_xi(v: float, params: AttackParams) -> float:
             if it > 60:
                 raise SolverFailure("no deterring penalty found",
                                     bracket=(_XI_LO, hi))
-        lo = _XI_LO
         it = 0
         while hi - lo > _XI_TOL:
             mid = 0.5 * (lo + hi)
-            if profit(mid) < 0:
-                hi = mid
-            else:
-                lo = mid
+            lo, hi = (lo, mid) if profit(mid) < 0 else (mid, hi)
             it += 1
             if it > _XI_MAX_ITER:
                 raise SolverFailure("bisection did not converge",
@@ -360,9 +370,8 @@ def min_deterring_xi(v: float, params: AttackParams) -> float:
     for i in range(1, _TAIL_SAMPLES + 1):
         probe = xi_star * (1.0 + 0.5 * i)
         if profit(probe) >= 0:
-            raise SolverFailure(
-                f"profit non-negative again at xi = {probe}",
-                bracket=(xi_star, probe))
+            raise SolverFailure(f"profit non-negative again at xi = {probe}",
+                                bracket=(xi_star, probe))
     return xi_star
 
 
@@ -448,14 +457,19 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
                              n_extra: int = 10, b_max: int = 20
                              ) -> Tuple[int, int, int]:
     """Exhaustive search over (tau, N, B), in that order, for the most
-    profitable plan; the first of equal plans wins.  Each (tau, N) boundary
-    cost is summed once for all B, bit-identical to `attack_plan_profit`."""
-    n0 = p.horizon_blocks
+    profitable plan; the first of equal plans wins.  Rows are built once per
+    N, boundaries once per (tau, N): bit-identical to `attack_plan_profit`."""
+    n0, d, c = p.horizon_blocks, p.delta, p.c
+    rows = [(N,) + _plan_rows(p, p.xi, N, b_max, tau_max)
+            for N in range(n0, n0 + n_extra + 1)]
     best = best_plan = None
     for tau in range(tau_max + 1):
-        for N in range(n0, n0 + n_extra + 1):
-            for B, br in enumerate(plan_profits(p, tau, N, b_max)):
-                if best is None or br.profit > best:
-                    best, best_plan = br.profit, (tau, N, B)
+        for N, K, row in rows:
+            g = 1.0 + fork_depth_growth(N, p.xi, tau)
+            boundary = _boundary_cost(d, g, g, K)
+            for B, (revenue, secret) in enumerate(row):
+                profit = revenue - c * (boundary + secret)
+                if best is None or profit > best:
+                    best, best_plan = profit, (tau, N, B)
     assert best_plan is not None
     return best_plan

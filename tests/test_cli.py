@@ -300,6 +300,9 @@ def _sweep(kind: str, grid: dict) -> list:
     return ["sweep", {"kind": kind, "grid": grid}]
 
 
+HUGE = str(10 ** 400)  # no float holds it
+
+
 @pytest.mark.parametrize("argv", [
     _sweep("hashrate", {"n_max": 2000}),  # 2.0 ** 1024 overflows
     _sweep("hashrate", {"n_max": 1e12}),
@@ -315,14 +318,33 @@ def _sweep(kind: str, grid: dict) -> list:
      "--lambda", "1", "--delta-prop", "0.1"],
     ["compare-protocols", "--horizon", "1000000000000"],
     ["compare-protocols", "--horizon", "6000", "--sigma", "5000"],
+    # attack plans past the plan-size bound, or whose sizes no float holds
+    ["min-xi", "--v", "5", "--b", "1000000"],
+    ["profit", "--v", "1", "--xi", "1", "--b", "100000000"],
+    ["profit", "--v", "1", "--xi", "0.000001", "--alpha", "50000000"],
+    ["profit", "--v", "1", "--xi", "1", "--alpha", HUGE],
+    ["profit", "--v", "1", "--xi", "1", "--n", HUGE],
+    ["profit", "--v", "1", "--xi", "1", "--tau", HUGE],
+    ["safe-v", "--xi", "1", "--sigma", HUGE],
+    ["profit", "--v", "1", "--xi", "1e308"],  # N(1+xi) overflows
+    ["safe-v", "--xi", "1e308"],
+    # the settlement bound overflows: (1 - p)^k, k itself, e^(lambda delta)
+    ["security-bound", "--k", "1..1000", "--rho", "1", "--lambda", "1",
+     "--delta-prop", "2", "--variant", "literal"],
+    ["security-bound", "--k", f"{HUGE}..{HUGE}", "--rho", "0.5",
+     "--lambda", "1", "--delta-prop", "0.1"],
+    ["security-bound", "--k", "1..2", "--rho", "0.5", "--lambda", "1",
+     "--delta-prop", "1e300"],
 ])
 def test_oversized_inputs_exit_one_quickly(tmp_path, argv):
     if argv[0] == "sweep":
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(argv[1]))
         argv = ["sweep", "--config", str(path)]
+    if argv[0] in ("sweep", "security-bound", "compare-protocols"):
+        argv = [*argv, "--out", str(tmp_path / "out")]
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv, "--out", str(tmp_path / "out")],
+        [sys.executable, "-c", PROBE, *argv],
         capture_output=True, text=True, timeout=30,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         preexec_fn=lambda: resource.setrlimit(
