@@ -370,8 +370,9 @@ def min_deterring_xi(v: float, params: AttackParams) -> float:
     for i in range(1, _TAIL_SAMPLES + 1):
         probe = xi_star * (1.0 + 0.5 * i)
         if profit(probe) >= 0:
-            raise SolverFailure(f"profit non-negative again at xi = {probe}",
-                                bracket=(xi_star, probe))
+            raise SolverFailure(
+                f"profit non-negative again at xi = {probe}",
+                bracket=(xi_star, probe))
     return xi_star
 
 
