@@ -3,13 +3,13 @@
 Blocks are identified by assigned integers rather than content hashes; ids
 are only used for lookups and deterministic tie-breaking.  A "chain" is
 always represented by its head block; segments are derived on demand.
+`Block` and `ChainRef` are named tuples: immutable, ordered, cheap to build.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set
 
 from .errors import InvalidDifficulty, UnknownBlock
 
@@ -18,8 +18,7 @@ BlockId = int
 GENESIS_ID: BlockId = 0
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     id: BlockId
     parent: Optional[BlockId]
     height: int
@@ -28,8 +27,7 @@ class Block:
     created_at: float
 
 
-@dataclass(frozen=True, order=True)
-class ChainRef:
+class ChainRef(NamedTuple):
     """A chain is the unique path genesis -> head."""
 
     head: BlockId
@@ -120,13 +118,10 @@ class BlockTree:
 
     def snapshot(self) -> str:
         """Line-oriented dump, one `block ...` line per block, id order."""
-        lines = []
-        for bid in sorted(self.blocks):
-            b = self.blocks[bid]
-            parent = "-" if b.parent is None else str(b.parent)
-            lines.append(
-                f"block {b.id} parent={parent} h={b.height} "
-                f"d={b.difficulty!r} t={b.created_at!r} miner={b.miner}")
+        lines = [f"block {b.id} parent={'-' if b.parent is None else b.parent}"
+                 f" h={b.height} d={b.difficulty!r} t={b.created_at!r}"
+                 f" miner={b.miner}"
+                 for b in map(self.blocks.__getitem__, sorted(self.blocks))]
         return "\n".join(lines) + "\n"
 
     @classmethod

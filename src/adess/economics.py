@@ -204,10 +204,12 @@ def partial_adjustment_attack_cost(N: int, xi: float, beta: float,
                               boundary_blocks(N, xi))
 
 
-def _plan_rows(p: AttackParams, xi: float, N: int, b_max: int, tau: int = 0
+def _plan_rows(p: AttackParams, xi: float, N: int, b_max: int, tau: int = 0,
+               secrets: Optional[Iterable[Tuple[int, float]]] = None
                ) -> Tuple[int, List[Tuple[float, float]]]:
     """K = ceil(N(1+xi)) and the (discounted revenue, secret-block cost / c)
-    rows for B = 0..b_max at boundary N; tau is only size-checked here."""
+    rows at boundary N for `secrets`, the xi-free (B, secret) pairs, by
+    default for B = 0..b_max; tau is only size-checked here."""
     if N < 1 or tau < 0 or b_max < 0:
         raise ValueError("N >= 1, tau >= 0, B >= 0 required")
     if max(tau, N, b_max) > _MAX_PLAN_BLOCKS \
@@ -215,9 +217,10 @@ def _plan_rows(p: AttackParams, xi: float, N: int, b_max: int, tau: int = 0
         raise DomainError(f"attack plan too large: tau, N, B and "
                           f"ceil(N(1+xi)) must be at most {_MAX_PLAN_BLOCKS}")
     d, K = p.delta, boundary_blocks(N, xi)
-    secrets = accumulate((d ** (N + b) for b in range(b_max)), initial=0)
+    secrets = secrets or enumerate(accumulate(
+        (d ** (N + b) for b in range(b_max)), initial=0))
     return K, [(d ** (N + B - 1) * (p.v + p.p_B * (K + B)), secret)
-               for B, secret in enumerate(secrets)]
+               for B, secret in secrets]
 
 
 def plan_profits(p: AttackParams, tau: int, N: int,
@@ -340,10 +343,12 @@ def min_deterring_xi(v: float, params: AttackParams) -> float:
     rendering the attack unprofitable at transaction value v, verified to
     stay unprofitable at _TAIL_SAMPLES larger penalties."""
     params = replace(params, v=v)
-    d, c, N = params.delta, params.c, params.horizon_blocks
+    d, c, N, B = params.delta, params.c, params.horizon_blocks, params.B
+    # the B-th secret cost, summed once (in the first probe's rows)
+    last = [(B, _plan_rows(params, _XI_LO, N, B)[1][-1][1])]
 
     def profit(xi: float) -> float:  # adess_attack_profit at (v, xi)
-        K, rows = _plan_rows(params, xi, N, params.B)
+        K, rows = _plan_rows(params, xi, N, B, secrets=last)
         g = 1.0 + fork_depth_growth(N, xi, 0)
         return rows[-1][0] - c * (_boundary_cost(d, g, g, K) + rows[-1][1])
 

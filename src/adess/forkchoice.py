@@ -217,7 +217,8 @@ class NodeView:
         else:
             self._index[bid] = self._index[parent]
 
-        self._advance(block, arrival)
+        if self._index[bid][1]:  # a block under no fork has none to advance
+            self._advance(block, arrival)
         if self._best is not None:
             score = self._score(bid)
             if score > self._best[0] and not self._active[bid]:
@@ -226,7 +227,7 @@ class NodeView:
                 self._best = None
 
         # flush any orphans waiting on this block, each with its own flag
-        for child, child_arrival, child_synced in self._pending.pop(bid, []):
+        for child, child_arrival, child_synced in self._pending.pop(bid, ()):
             self._connect(child, max(child_arrival, arrival), child_synced)
 
     # -- fork bookkeeping --------------------------------------------------

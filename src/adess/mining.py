@@ -74,25 +74,35 @@ class DifficultyRule:
 def next_block_time(difficulty: float, hashrate: float, mode: MiningMode,
                     rng: Optional[random.Random] = None) -> float:
     """Waiting time for the next block, or NEVER_FOUND at zero hashrate."""
+    return geometric_time(*block_time_draw(difficulty, hashrate, mode, rng))
+
+
+def block_time_draw(difficulty: float, hashrate: float, mode: MiningMode,
+                    rng: Optional[random.Random] = None) -> tuple:
+    """`next_block_time`'s draw, unresolved: (p, u, tick), whose
+    `geometric_time` is at least tick; a known time t is (1.0, 0.0, t)."""
     if difficulty <= 0:
         raise ValueError("difficulty must be > 0")
     if hashrate < 0:
         raise ValueError("hashrate must be >= 0")
     if hashrate == 0:
-        return NEVER_FOUND
+        return 1.0, 0.0, NEVER_FOUND
     if isinstance(mode, CertaintyEquivalent):
-        return difficulty / hashrate
+        return 1.0, 0.0, difficulty / hashrate
     if isinstance(mode, Stochastic):
         if rng is None:
             raise ValueError("stochastic mode needs an RNG")
         p = min(hashrate * mode.tick / difficulty, 1.0)
-        if p >= 1.0:
-            return mode.tick
-        # inverse-CDF draw of the geometric trial count (first success)
-        u = rng.random()
-        ticks = math.ceil(math.log1p(-u) / math.log1p(-p))
-        return max(ticks, 1) * mode.tick
+        return p, rng.random() if p < 1.0 else 0.0, mode.tick
     raise TypeError(f"unknown mining mode {mode!r}")
+
+
+def geometric_time(p: float, u: float, tick: float) -> float:
+    """Inverse-CDF geometric trial count to a success at p, times tick."""
+    if p >= 1.0:
+        return tick
+    ticks = math.ceil(math.log1p(-u) / math.log1p(-p))
+    return max(ticks, 1) * tick
 
 
 def adjust_difficulty(prev_difficulty: float, implied_hashrate: float,

@@ -5,8 +5,10 @@ sequence-number) order, so identical configurations (including the seed)
 replay bit-identically; a block reaching several nodes at one instant is one
 arrive event.  Honest hashrate is grouped by the canonical head each mining
 node currently follows; a group mines jointly.  A miner's head change
-regroups only its old and new heads, a group that mined only itself.  The
-attacker mines a secret chain and broadcasts it according to its strategy.
+regroups only its old and new heads, a group that mined only itself.  A mine
+event waits out its instant unless it may fall due in it, so a regroup then
+(a miner hearing its own block) drops it unresolved.  The attacker mines a
+secret chain and broadcasts it according to its strategy.
 
 A view's state is a function of its (time, block) arrival sequence alone.
 Receivers (the nodes and the attacker's observer `att_obs`) that hear every
@@ -14,9 +16,10 @@ sender at equal delays sit in the same arrive events in the same block
 order, so they form a class sharing one `NodeView` over the simulator's tree
 and a memo of the canonical head right after each block.  An arrive event
 holds runs of consecutive receivers of one class, each observing a block and
-finding its head once for all members (see `_on_arrive`).  att_obs is fed
-only while its head is read: until the attack starts, and under budish until
-the broadcast.
+finding its head once for all members; a run whose members have no role
+(miner, victim n0, att_obs) compares heads once and writes rows node-major.
+att_obs is fed only while its head is read: until the attack starts, and
+under budish until the broadcast.
 
 `validate` bounds the blocks a horizon allows at the unit pace every
 retarget aims for by `_MAX_BLOCKS`; a run that mines faster fails with
@@ -30,21 +33,24 @@ import heapq
 import io
 import math
 import random
+from itertools import groupby
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .chain import Block, BlockId, BlockTree, ChainRef
+from .chain import Block, BlockId, BlockTree
 from .economics import AttackParams, boundary_blocks
 from .errors import ConfigError, DomainError
 from .forkchoice import AdessParams, NodeView
 from .mining import (CertaintyEquivalent, DifficultyRule, MiningMode,
-                     NEVER_FOUND, adjust_difficulty, next_block_time)
+                     NEVER_FOUND, adjust_difficulty, block_time_draw,
+                     geometric_time, next_block_time)
 
 ATTACKER = "attacker"
 
 STRATEGIES = ("paper_optimal", "fixed_growth", "accelerated", "budish")
 
 _MAX_BLOCKS = 100_000  # blocks a run may mine, see module doc
+_MAX_NODES = 1_000  # honest nodes a run may hold
 
 
 def accelerated_rate(xi: float, N: int, delay: float) -> float:
@@ -92,6 +98,9 @@ class ScenarioConfig:
         return self.delay
 
     def validate(self) -> None:
+        nodes = self.n_honest_nodes  # before anything builds a dict of them
+        if type(nodes) is not int or not 1 <= nodes <= _MAX_NODES:
+            raise ConfigError(f"need 1 to {_MAX_NODES} honest nodes: {nodes!r}")
         if self.protocol not in ("adess", "nakamoto"):
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.attacker_strategy not in STRATEGIES:
@@ -102,15 +111,13 @@ class ScenarioConfig:
         if self.growth is not None and not -1 < self.growth < math.inf:
             raise ConfigError("growth must be finite and > -1")
         numbers = [self.horizon, self.delay, self.growth, self.seed,
-                   self.n_honest_nodes, self.attack_start_height,
+                   self.attack_start_height,
                    *(self.honest_hashrates or {}).values(),
                    *(self.delays or {}).values()]
         if any(isinstance(x, bool) for x in numbers):  # bool is an int
             raise ConfigError("a boolean is not a number or an integer")
         if not 0 < self.horizon < math.inf:
             raise ConfigError("horizon must be finite and > 0")
-        if self.n_honest_nodes < 1:
-            raise ConfigError("need at least one honest node")
         rates = self.hashrates()
         if not (all(0 <= h < math.inf for h in rates.values())
                 and any(rates.values())):
@@ -257,20 +264,19 @@ class _Simulation:
             if key not in by_links:
                 by_links[key] = (NodeView(cfg.adess, name, self.tree), {})
             self._views[name] = by_links[key]
-        # sender -> (delay, (view, memo, members)) in push order, a run of
-        # consecutive links to one class at one delay; see _fan_out
-        self._runs: Dict[str, List[tuple]] = {}
-        for sender, sender_links in links.items():
-            runs = self._runs[sender] = []
-            for delay, name in sender_links:
-                view, memo = self._views[name]
-                if runs and runs[-1][0] == delay and runs[-1][1][0] is view:
-                    runs[-1][1][2].append(name)
-                else:
-                    runs.append((delay, (view, memo, [name])))
+        # sender -> (delay, run) in push order, a run of consecutive links
+        # to one class at one delay; see _fan_out and _run
+        self._run_cache: Dict[tuple, tuple] = {}  # names -> run, shared
+        self._runs = {sender: [
+            (delay, self._run(tuple(name for _, name in group)))
+            for (delay, _), group in groupby(
+                sender_links, lambda link: (link[0], self._views[link[1]][0]))]
+            for sender, sender_links in links.items()}
         self.nodes: Dict[str, NodeView] = {
             name: self._views[name][0] for name in cfg.node_names()}
         self.att_obs = self._views["att_obs"][0]
+        self._node_canonical = (NodeView.adess_canonical if cfg.protocol
+                                == "adess" else NodeView.nakamoto_canonical)
 
         self._nextdiff: Dict[BlockId, float] = {self.tree.genesis_id: 1.0}
         # block -> (duration, parent's cell, durations since the last
@@ -282,10 +288,11 @@ class _Simulation:
         # head -> the miners following it, in name order
         self._members: Dict[BlockId, List[str]] = {
             self.tree.genesis_id: list(self._miners)}
-        # head -> (hashrate, seq of its pending mine event or None if it
-        # never finds a block) of each group; a mine event whose seq is not
-        # stored here is stale
-        self._groups: Dict[BlockId, Tuple[float, Optional[int]]] = {}
+        # head -> (hashrate, seq of its last draw) of each group; a mine
+        # event whose seq is not stored here is stale
+        self._groups: Dict[BlockId, Tuple[float, int]] = {}
+        # seq -> (head, hashrate, difficulty, p, u, tick) drawn this instant
+        self._instant: Dict[int, tuple] = {}
         self.series: List[Tuple[float, str, BlockId, int]] = []
 
         # attacker state: waiting while fork_block is None, done once
@@ -300,10 +307,31 @@ class _Simulation:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, time: float, kind: str, payload: tuple) -> int:
+    def _push(self, time: float, kind: str, payload: tuple):
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
-        return self._seq
+
+    def _flush(self):  # push the mine events drawn at this instant
+        for seq, (head, hashrate, difficulty, p, u, tick) \
+                in self._instant.items():
+            dur = geometric_time(p, u, tick)
+            heapq.heappush(self._heap, (self.time + dur, seq, "mine",
+                                        (head, hashrate, difficulty, dur)))
+        self._instant.clear()
+
+    def _run(self, names: Tuple[str, ...]) -> tuple:
+        """(view, memo, members, unread, plain): a member is (name, miner,
+        victim, observer), unread drops att_obs, and plain holds the names
+        if no member has a role."""
+        if names not in self._run_cache:
+            members = tuple((n, n in self._miners, n == "n0", n == "att_obs")
+                            for n in names)
+            unread = tuple(m for m in members if not m[3])
+            self._run_cache[names] = (
+                *self._views[names[0]], members,
+                unread if unread != members else members,
+                () if any(any(m[1:]) for m in members) else names)
+        return self._run_cache[names]
 
     def _fan_out(self, sender: str, blocks: Sequence[Block]):
         """Send `blocks` over the sender's links: one arrive event per
@@ -318,17 +346,20 @@ class _Simulation:
 
     def run(self) -> RunReport:
         self._regroup(list(self._members))
-        while self._heap:
-            time, seq, kind, payload = heapq.heappop(self._heap)
-            if time > self.cfg.horizon:
+        heap, instant, horizon = self._heap, self._instant, self.cfg.horizon
+        while heap or instant:
+            if instant and (not heap or heap[0][0] > self.time):
+                self._flush()  # the instant is over
+            time, seq, kind, payload = heapq.heappop(heap)
+            if time > horizon:
                 break
             self.time = time
-            if kind == "mine":
+            if kind == "arrive":
+                self._on_arrive(*payload)
+            elif kind == "mine":
                 self._on_mine(seq, *payload)
             elif kind == "amine":
                 self._on_attacker_mine(*payload)
-            elif kind == "arrive":
-                self._on_arrive(*payload)
         return self._report()
 
     # -- difficulty tracking -----------------------------------------------
@@ -375,17 +406,23 @@ class _Simulation:
             hashrate = None  # no member, no group
             for name in self._members.get(head, ()):
                 hashrate = (hashrate or 0.0) + self._miners[name]
-            if self._groups.get(head, (None,))[0] == hashrate:
+            group = self._groups.get(head, (None, None))
+            if group[0] == hashrate:
                 continue  # pending event still valid, or still no group
+            self._instant.pop(group[1], None)
             if hashrate is None:
                 del self._groups[head]
                 continue
             difficulty = self._nextdiff[head]
-            dur = next_block_time(difficulty, hashrate, self.cfg.mining,
-                                  self.rng_honest)
-            seq = None if dur == NEVER_FOUND else self._push(
-                self.time + dur, "mine", (head, hashrate, difficulty, dur))
-            self._groups[head] = (hashrate, seq)
+            p, u, tick = block_time_draw(difficulty, hashrate,
+                                         self.cfg.mining, self.rng_honest)
+            self._seq += 1
+            self._groups[head] = (hashrate, self._seq)
+            if tick != NEVER_FOUND:  # else the group never finds a block
+                self._instant[self._seq] = (head, hashrate, difficulty,
+                                            p, u, tick)
+                if self.time + tick == self.time:
+                    self._flush()  # it may fall due at this instant
 
     def _on_mine(self, seq: int, head: BlockId, hashrate: float,
                  difficulty: float, duration: float):
@@ -394,53 +431,59 @@ class _Simulation:
         del self._groups[head]
         miner = self._members[head][0]  # the group's leader
         bid = self._add_block(head, difficulty, miner, hashrate, duration)
-        self._fan_out(miner, (self.tree.block(bid),))
+        self._fan_out(miner, (self.tree.blocks[bid],))
         # the group that mined must be rescheduled even if no head changes
         self._regroup((head,))
 
     # -- observation -------------------------------------------------------
 
-    def _node_canonical(self, view: NodeView) -> ChainRef:
-        if self.cfg.protocol == "adess":
-            return view.adess_canonical()
-        return view.nakamoto_canonical()
-
     def _on_arrive(self, runs: List[tuple], blocks: Sequence[Block]):
-        """`blocks` reach each (view, memo, members) run: the one ingestion
-        path of every receiver.  A block's head comes from the memo, as the
-        view may be ahead and a second observe would queue an orphan twice,
-        or else from observing it.  Members take the heads in push order, as
-        if each (member, block) pair arrived alone; att_obs only if read."""
-        canonical, stored = self._canonical, self.tree.blocks
-        for view, memo, members in runs:
-            if "att_obs" in members and not self._att_obs_read():
-                members = [m for m in members if m != "att_obs"]
+        """`blocks` reach each run (see `_run`): the one ingestion path of
+        every receiver.  A block's head comes from the memo, as the view may
+        be ahead and a second observe would queue an orphan twice, or else
+        from observing it.  Members take the heads in push order, as if each
+        (member, block) pair arrived alone; att_obs only if read."""
+        canonical, stored, time = self._canonical, self.tree.blocks, self.time
+        series = self.series
+        for view, memo, members, unread, plain in runs:
+            if members is not unread and not self._att_obs_read():
+                members = unread
                 if not members:
                     continue
             heads = []
             for block in blocks:
                 head = memo.get(block.id)
                 if head is None:
-                    view.observe(block, self.time)
+                    view.observe(block, time)
                     head = memo[block.id] = self._node_canonical(view).head
                 heads.append(head)
-            for node in members:
+            if plain:  # the members share one head: compare it once
+                moves, old = [], canonical[plain[0]]
+                for head in heads:
+                    if head != old:
+                        moves.append((head, stored[head].height))
+                        old = head
+                for node in plain if moves else ():
+                    for head, height in moves:
+                        series.append((time, node, head, height))
+                    canonical[node] = old
+                continue
+            for node, miner, victim, observer in members:
                 for block, head in zip(blocks, heads):
                     old = canonical[node]
                     canonical[node] = head
-                    if node == "att_obs":
+                    if observer:
                         self._maybe_start_attack()
                         self._check_broadcast_condition()
                         continue
                     if head != old:
-                        self.series.append(
-                            (self.time, node, head, stored[head].height))
-                        if node in self._miners:
+                        series.append((time, node, head, stored[head].height))
+                        if miner:
                             self._members[old].remove(node)
                             bisect.insort(self._members.setdefault(head, []),
                                           node)
                             self._regroup((old, head))
-                    if node == "n0":
+                    if victim:
                         self._check_conveyance(block)
                         self._check_broadcast_condition()
 
@@ -529,20 +572,13 @@ class _Simulation:
         cfg = self.cfg
         heads = {n: self._canonical[n] for n in self.nodes}
         heights = {n: self.tree.block(h).height for n, h in heads.items()}
-        on_attack = {
-            n: bool(self.attacker_chain)
-            and self.tree.is_ancestor(self.attacker_chain[0], heads[n])
-            for n in heads}
+        tips, chain = set(heads.values()), self.attacker_chain
         succeeded = (self.broadcast_time is not None
-                     and self.conveyed_time is not None
-                     and any(on_attack.values()))
-        split = len(set(heads.values())) > 1
-        crossing = None
-        victim = self.nodes["n0"]
-        for rec in victim.penalty_records():
-            if rec.deactivated_at is not None and (
-                    crossing is None or rec.deactivated_at < crossing):
-                crossing = rec.deactivated_at
+                     and self.conveyed_time is not None and bool(chain)
+                     and any(self.tree.is_ancestor(chain[0], h) for h in tips))
+        crossing = min((rec.deactivated_at
+                        for rec in self.nodes["n0"].penalty_records()
+                        if rec.deactivated_at is not None), default=None)
         revenue = 0.0
         if succeeded and self.broadcast_time is not None:
             assert self.fork_time is not None
@@ -555,7 +591,7 @@ class _Simulation:
             seed=cfg.seed,
             horizon=cfg.horizon,
             attack_succeeded=succeeded,
-            split_persists=split,
+            split_persists=len(tips) > 1,
             fork_block=self.fork_block,
             conveyed_time=self.conveyed_time,
             broadcast_time=self.broadcast_time,

@@ -13,10 +13,10 @@ def per_arrival(sim, step) -> None:
     on_arrive = sim._on_arrive
 
     def split(runs, blocks):
-        for view, memo, members in runs:
-            for node in members:
+        for _, _, members, _, _ in runs:
+            for node, *_ in members:
+                run = sim._run((node,))
                 for block in blocks:
-                    step(node, block,
-                         partial(on_arrive, [(view, memo, [node])], [block]))
+                    step(node, block, partial(on_arrive, [run], [block]))
 
     sim._on_arrive = split

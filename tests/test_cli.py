@@ -335,13 +335,16 @@ HUGE = str(10 ** 400)  # no float holds it
      "--lambda", "1", "--delta-prop", "0.1"],
     ["security-bound", "--k", "1..2", "--rho", "0.5", "--lambda", "1",
      "--delta-prop", "1e300"],
+    # rejected before a dict of every node is built
+    ["simulate", {"n_honest_nodes": 100_000_000}],
 ])
 def test_oversized_inputs_exit_one_quickly(tmp_path, argv):
-    if argv[0] == "sweep":
-        path = tmp_path / "sweep.json"
+    if argv[0] in ("sweep", "simulate"):
+        path = tmp_path / "config.json"
         path.write_text(json.dumps(argv[1]))
-        argv = ["sweep", "--config", str(path)]
-    if argv[0] in ("sweep", "security-bound", "compare-protocols"):
+        argv = [argv[0], "--config", str(path)]
+    if argv[0] in ("sweep", "simulate", "security-bound",
+                   "compare-protocols"):
         argv = [*argv, "--out", str(tmp_path / "out")]
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv],

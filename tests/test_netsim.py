@@ -8,12 +8,15 @@ c * g^(n+1) * (duration 1/g) at difficulty g^n.
 
 from __future__ import annotations
 
+import heapq
+import random
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from adess import netsim
+from adess import mining, netsim
 from adess.chain import BlockTree
 from adess.economics import AttackParams
 from adess.errors import ConfigError, DomainError
@@ -24,6 +27,7 @@ from adess.netsim import (ATTACKER, ScenarioConfig, _Simulation,
                           latency_split_check, run_scenario)
 
 from arrivals import per_arrival
+from test_forkchoice_canonical import forky_config
 
 
 def path(tree: BlockTree, bid: int) -> set:
@@ -224,6 +228,9 @@ def test_config_errors():
         dict(growth=7.5),  # growth under a strategy that ignores it
         dict(horizon=0.0),
         dict(n_honest_nodes=0),
+        dict(n_honest_nodes=netsim._MAX_NODES + 1),
+        dict(n_honest_nodes=2.0),
+        dict(n_honest_nodes="2"),
         dict(honest_hashrates={"n0": -1.0}),
         dict(honest_hashrates={"n0": 0.0}),
         dict(n_honest_nodes=1, honest_hashrates={"n9": 1.0}),
@@ -424,3 +431,102 @@ def test_distinct_views_per_benchmark_shape():
     assert distinct(adess_cfg(horizon=100.0)) == 1  # n0 and att_obs
     assert distinct(replace(deep, horizon=40.0, honest_hashrates={
         f"n{i}": 0.125 for i in range(8)})) == 9  # each miner hears itself
+
+
+# -- the same-instant draw buffer and per-class rows ---------------------------
+
+def test_no_mine_event_superseded_in_its_instant_reaches_the_heap(
+        monkeypatch):
+    sim = _Simulation(replace(forky_config(5), horizon=40.0))
+    drawn, superseded, pushed = {}, {}, []  # mine seq -> instant
+    regroup = sim._regroup
+
+    def tracked(dirty):
+        before = {h: g[1] for h, g in sim._groups.items()}
+        regroup(dirty)
+        after = {h: g[1] for h, g in sim._groups.items()}
+        for head, seq in before.items():
+            if after.get(head) != seq:
+                superseded[seq] = sim.time
+        for head, seq in after.items():
+            if before.get(head) != seq:
+                drawn[seq] = sim.time
+
+    def push(heap, item):
+        if item[2] == "mine":
+            pushed.append(item[1])
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(netsim, "heapq", SimpleNamespace(
+        heappush=push, heappop=heapq.heappop))
+    sim._regroup = tracked
+    report = sim.run()
+    same_instant = {seq for seq, t in superseded.items() if t == drawn[seq]}
+    assert same_instant and len(same_instant) < len(drawn)
+    assert not same_instant & set(pushed)
+    assert set(pushed) == set(drawn) - same_instant  # the rest all do
+    monkeypatch.undo()
+    assert report.to_text() == run_scenario(sim.cfg).to_text()
+
+
+def test_honest_uniforms_match_stochastic_regroup_draws(monkeypatch):
+    class Counting(random.Random):
+        calls = 0
+
+        def random(self):
+            self.calls += 1
+            return super().random()
+
+    draws = 0
+
+    def counted(*args):
+        nonlocal draws
+        p, u, tick = mining.block_time_draw(*args)
+        draws += p < 1.0
+        return p, u, tick
+
+    cfg = replace(forky_config(5), horizon=40.0)
+    sim = _Simulation(cfg)
+    sim.rng_honest = Counting(cfg.seed)
+    monkeypatch.setattr(netsim, "block_time_draw", counted)
+    report = sim.run()
+    assert draws > 0 and sim.rng_honest.calls == draws
+    monkeypatch.undo()
+    assert report.to_text() == run_scenario(cfg).to_text()
+
+
+def test_plain_class_rows_are_node_major_as_single_arrivals():
+    # n4..n7 mine nothing and hear everyone at 0.3: one plain class; under
+    # nakamoto each block of the broadcast moves its head
+    cfg = replace(forky_config(5), protocol="nakamoto", horizon=40.0,
+                  honest_hashrates={f"n{i}": 0.25 * (i < 4) for i in range(8)})
+    sim = _Simulation(cfg)
+    batched = []  # rows that one arrive event gave a multi-block plain run
+    on_arrive = sim._on_arrive
+
+    def watched(runs, blocks):
+        start = len(sim.series)
+        on_arrive(runs, blocks)
+        if len(blocks) > 1 and any(plain and len(members) > 1
+                                   for _, _, members, _, plain in runs):
+            batched.append(sim.series[start:])
+
+    sim._on_arrive = watched
+    report = sim.run()
+    assert len(batched) == 1
+    plain = [node for _, node, _, _ in batched[0] if node >= "n4"]
+    assert plain == [f"n{i}" for i in range(4, 8) for _ in range(3)]
+    single = _Simulation(cfg)
+    per_arrival(single, lambda node, block, arrive: arrive())
+    replayed = single.run()
+    assert single.series == sim.series
+    assert replayed.to_text() == report.to_text()
+
+
+def test_a_draw_that_may_fall_due_at_its_instant_is_pushed_at_once():
+    for time, pushed in ((0.0, False), (1e17, True)):  # 1e17 + 1.0 == 1e17
+        sim = _Simulation(adess_cfg())  # one unit-rate miner: unit blocks
+        sim.time = time
+        sim._regroup(list(sim._members))
+        assert [e[2] for e in sim._heap] == ["mine"] * pushed
+        assert len(sim._instant) == 1 - pushed
