@@ -179,8 +179,11 @@ def fork_depth_growth(N: int, xi: float, tau: int) -> float:
 
 def _boundary_cost(delta: float, g: float, base: float, K: int) -> float:
     """Sum of delta^(n/g) base^n over the K blocks up to the boundary."""
-    try:
-        return left_sum(delta ** (n / g) * base ** n for n in range(K))
+    try:  # left_sum's fold, inlined: this is the plan search's inner loop
+        total = 0
+        for n in range(K):
+            total += delta ** (n / g) * base ** n
+        return total
     except OverflowError:
         raise DomainError(f"attack cost overflows: {base!r}^n, n < {K}") from None
 
@@ -462,20 +465,25 @@ def proposition1_check(grid: Iterable[Tuple[Fraction, Fraction, int, str]]
 def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
                              n_extra: int = 10, b_max: int = 20
                              ) -> Tuple[int, int, int]:
-    """Exhaustive search over (tau, N, B), in that order, for the most
-    profitable plan; the first of equal plans wins.  Rows are built once per
-    N, boundaries once per (tau, N): bit-identical to `attack_plan_profit`."""
+    """First most profitable plan over (tau, N, B), in that order, by
+    exhaustive search, bit-identical to `attack_plan_profit`.  Rows are built
+    once per N, boundaries summed in full once per (tau, N).  A tau >= 1 whose
+    boundary costs at least N's tau-0 one skips its B scan: rows are tau-free,
+    c > 0 and each float step is monotone, so it cannot beat its tau-0 twin."""
+    if n_extra < 0:
+        raise ValueError("n_extra >= 0 required")
     n0, d, c = p.horizon_blocks, p.delta, p.c
     rows = [(N,) + _plan_rows(p, p.xi, N, b_max, tau_max)
             for N in range(n0, n0 + n_extra + 1)]
-    best = best_plan = None
+    best, best_plan, floor = None, None, {}  # floor: N -> tau-0 boundary
     for tau in range(tau_max + 1):
         for N, K, row in rows:
             g = 1.0 + fork_depth_growth(N, p.xi, tau)
             boundary = _boundary_cost(d, g, g, K)
+            if floor.setdefault(N, boundary) <= boundary and tau:
+                continue  # dominated by its tau-0 twin
             for B, (revenue, secret) in enumerate(row):
                 profit = revenue - c * (boundary + secret)
                 if best is None or profit > best:
                     best, best_plan = profit, (tau, N, B)
-    assert best_plan is not None
     return best_plan

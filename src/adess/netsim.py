@@ -480,6 +480,8 @@ class _Simulation:
                         series.append((time, node, head, stored[head].height))
                         if miner:
                             self._members[old].remove(node)
+                            if not self._members[old]:
+                                del self._members[old]
                             bisect.insort(self._members.setdefault(head, []),
                                           node)
                             self._regroup((old, head))

@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,14 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adess.economics import (AttackParams, adess_attack_cost,
+from adess.economics import (AttackParams, _boundary_cost, adess_attack_cost,
                              adess_attack_profit, affine_cost_term,
                              affine_cost_term_derivative,
                              affine_growth_cost_margin, attack_plan_profit,
                              boundary_blocks, broadcast_margin,
                              brute_force_optimal_plan, cost_term,
                              cost_term_derivative, expected_attack_hashrate,
-                             fork_depth_growth, guo_ren_bound,
+                             fork_depth_growth, guo_ren_bound, left_sum,
                              malicious_cost_series, min_deterring_xi,
                              moroz_round_payoff, nakamoto_attack_profit,
                              nakamoto_min_profitable_v, nakamoto_zero_profit_v,
@@ -246,6 +247,48 @@ def test_brute_force_is_first_argmax_of_oracle_on_full_search_grid():
               params(alpha=1, xi=0.0, delta=1.0, v=1.0),
               params(alpha=2, xi=0.5, delta=0.99, p_B=1.5, v=3.0)):
         assert brute_force_optimal_plan(p) == oracle_best_plan(p)
+
+
+def random_plan_params(rng: random.Random) -> AttackParams:
+    """A seeded point biased to the corners: c near 0 or large, delta = 1,
+    xi = 0, and p_B > c (later N and B win)."""
+    c = rng.choice((rng.uniform(1e-9, 1e-3), rng.uniform(0.2, 5.0),
+                    rng.uniform(50.0, 1e6)))
+    return params(alpha=rng.randint(1, 6), sigma=rng.randint(0, 3),
+                  xi=rng.choice((0.0, 0.0, rng.uniform(0.0, 3.0))),
+                  delta=rng.choice((1.0, 1.0, rng.uniform(0.5, 1.0))),
+                  v=rng.choice((0.0, rng.uniform(0.0, 50.0))), c=c,
+                  p_B=rng.choice((c * rng.uniform(1.0, 3.0),
+                                  rng.uniform(0.1, 5.0))))
+
+
+def test_brute_force_is_first_argmax_of_oracle_on_random_params():
+    # the skipped fork depths must never hide a new first maximum
+    rng = random.Random(20261018)
+    grid = dict(tau_max=4, n_extra=4, b_max=6)
+    for _ in range(150):
+        p = random_plan_params(rng)
+        assert brute_force_optimal_plan(p, **grid) == oracle_best_plan(p, **grid)
+    for _ in range(8):
+        p = random_plan_params(rng)
+        assert brute_force_optimal_plan(p) == oracle_best_plan(p)
+
+
+def test_boundary_cost_is_left_sum_bit_for_bit():
+    rng = random.Random(7)
+    cases = [(1.0, 1.0, 1.0, 0), (0.9, 2.0, 2.0, 0)] + [
+        (rng.uniform(0.01, 1.0), g, rng.choice((g, rng.uniform(1.0, g))),
+         rng.randint(0, 60))
+        for g in (rng.uniform(1.0, 4.0) for _ in range(200))]
+    for delta, g, base, K in cases:
+        want = left_sum(delta ** (n / g) * base ** n for n in range(K))
+        assert repr(_boundary_cost(delta, g, base, K)) == repr(want)
+
+
+def test_brute_force_rejects_negative_grid_sizes():
+    for grid in (dict(n_extra=-1), dict(tau_max=-1), dict(b_max=-1)):
+        with pytest.raises(ValueError):
+            brute_force_optimal_plan(params(), **grid)
 
 
 def test_plan_profits_rejects_negative_b_max():

@@ -433,6 +433,14 @@ def test_distinct_views_per_benchmark_shape():
         f"n{i}": 0.125 for i in range(8)})) == 9  # each miner hears itself
 
 
+def test_a_head_left_by_its_last_miner_keeps_no_member_entry():
+    # every head n0 mined on and moved off would keep an empty list
+    sim = _Simulation(one_miner_cfg(seed=7, horizon=200.0))
+    sim.run()
+    assert len(sim.tree.blocks) > 100 and sim._members
+    assert all(sim._members.values())
+
+
 # -- the same-instant draw buffer and per-class rows ---------------------------
 
 def test_no_mine_event_superseded_in_its_instant_reaches_the_heap(
