@@ -251,6 +251,7 @@ def cmd_security_bound(args) -> int:
 
 def _grid_points(grid: dict) -> List[float]:
     if "values" in grid:
+        _size("grid points", len(grid["values"]))
         pts = [float(x) for x in grid["values"]]
     else:
         try:

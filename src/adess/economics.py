@@ -177,9 +177,15 @@ def fork_depth_growth(N: int, xi: float, tau: int) -> float:
     return xi + tau / N
 
 
-def _boundary_cost(delta: float, g: float, base: float, K: int) -> float:
-    """Sum of delta^(n/g) base^n over the K blocks up to the boundary."""
+def _boundary_cost(delta: float, g: float, base: float, K: int,
+                   floor: Optional[float] = None) -> float:
+    """Sum of delta^(n/g) base^n over the K blocks up to the boundary, or
+    only its last term when that term alone reaches `floor`."""
     try:  # left_sum's fold, inlined: this is the plan search's inner loop
+        if floor is not None and K:
+            last = delta ** ((K - 1) / g) * base ** (K - 1)
+            if last >= floor:
+                return last
         total = 0
         for n in range(K):
             total += delta ** (n / g) * base ** n
@@ -467,9 +473,12 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
                              ) -> Tuple[int, int, int]:
     """First most profitable plan over (tau, N, B), in that order, by
     exhaustive search, bit-identical to `attack_plan_profit`.  Rows are built
-    once per N, boundaries summed in full once per (tau, N).  A tau >= 1 whose
-    boundary costs at least N's tau-0 one skips its B scan: rows are tau-free,
-    c > 0 and each float step is monotone, so it cannot beat its tau-0 twin."""
+    once per N.  A tau >= 1 whose boundary costs at least N's tau-0 one skips
+    its B scan: rows are tau-free, c > 0 and each float step is monotone, so
+    it cannot beat its tau-0 twin.  Its boundary's last term alone decides
+    most skips, exactly: a left fold from 0 of terms >= 0 is at least each
+    term, and as g >= 1 an overflowing g^n shows in g^(K-1) first, so the
+    same DomainError is raised.  Only the other boundaries are summed."""
     if n_extra < 0:
         raise ValueError("n_extra >= 0 required")
     n0, d, c = p.horizon_blocks, p.delta, p.c
@@ -479,7 +488,7 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
     for tau in range(tau_max + 1):
         for N, K, row in rows:
             g = 1.0 + fork_depth_growth(N, p.xi, tau)
-            boundary = _boundary_cost(d, g, g, K)
+            boundary = _boundary_cost(d, g, g, K, floor.get(N))
             if floor.setdefault(N, boundary) <= boundary and tau:
                 continue  # dominated by its tau-0 twin
             for B, (revenue, secret) in enumerate(row):

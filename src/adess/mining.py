@@ -101,7 +101,10 @@ def geometric_time(p: float, u: float, tick: float) -> float:
     """Inverse-CDF geometric trial count to a success at p, times tick."""
     if p >= 1.0:
         return tick
-    ticks = math.ceil(math.log1p(-u) / math.log1p(-p))
+    try:
+        ticks = math.ceil(math.log1p(-u) / math.log1p(-p))
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"block-time draw underflows at p = {p!r}") from None
     return max(ticks, 1) * tick
 
 

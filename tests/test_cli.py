@@ -337,6 +337,15 @@ HUGE = str(10 ** 400)  # no float holds it
      "--delta-prop", "1e300"],
     # rejected before a dict of every node is built
     ["simulate", {"n_honest_nodes": 100_000_000}],
+    # a values grid is bounded before any value is read
+    _sweep("profit", {"param": "v", "values": [1.0] * 200_000}),
+    # block-time draws whose success chance p is subnormal or 0.0
+    ["simulate", {"honest_hashrates": {"n0": 1e-307}, "seed": 2, "horizon": 5,
+                  "mining": {"mode": "stochastic", "tick": 0.01}}],
+    ["simulate", {"mining": {"mode": "stochastic", "tick": 1e-320},
+                  "horizon": 5}],
+    ["simulate", {"honest_hashrates": {"n0": 0.1}, "horizon": 5,
+                  "mining": {"mode": "stochastic", "tick": 5e-324}}],
 ])
 def test_oversized_inputs_exit_one_quickly(tmp_path, argv):
     if argv[0] in ("sweep", "simulate"):

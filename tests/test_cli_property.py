@@ -31,8 +31,8 @@ DEADLINE = 2.0
 #: sizes and depths: small ones, and ones past the bounds or past a float
 HUGE_INTS = [100_001, 10 ** 6, 10 ** 8, 2 ** 63, 10 ** 400, -10 ** 400]
 INTS = st.one_of(st.integers(-2, 12), st.sampled_from(HUGE_INTS))
-ODD_FLOATS = [0.0, 1e-300, 1e300, 1e308, 1e400, math.inf, -math.inf,
-              math.nan]
+ODD_FLOATS = [0.0, 5e-324, 1e-320, 1e-300, 1e300, 1e308, 1e400, math.inf,
+              -math.inf, math.nan]
 FLOATS = st.one_of(st.floats(-0.5, 2.0), st.floats(-1.0, 30.0),
                    st.sampled_from(ODD_FLOATS))
 #: flag text: the numbers above, now and then text the flag's type rejects

@@ -6,6 +6,7 @@ evaluations of the closed forms.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adess.economics import (AttackParams, _boundary_cost, adess_attack_cost,
+from adess.economics import (AttackParams, _boundary_cost, _plan_rows,
+                             adess_attack_cost,
                              adess_attack_profit, affine_cost_term,
                              affine_cost_term_derivative,
                              affine_growth_cost_margin, attack_plan_profit,
@@ -276,13 +278,83 @@ def test_brute_force_is_first_argmax_of_oracle_on_random_params():
 
 def test_boundary_cost_is_left_sum_bit_for_bit():
     rng = random.Random(7)
-    cases = [(1.0, 1.0, 1.0, 0), (0.9, 2.0, 2.0, 0)] + [
+    cases = [(1.0, 1.0, 1.0, 0), (0.9, 2.0, 2.0, 0), (1.0, 1.0, 1.0, 1),
+             (0.9, 2.0, 1.5, 1)] + [
         (rng.uniform(0.01, 1.0), g, rng.choice((g, rng.uniform(1.0, g))),
          rng.randint(0, 60))
         for g in (rng.uniform(1.0, 4.0) for _ in range(200))]
     for delta, g, base, K in cases:
         want = left_sum(delta ** (n / g) * base ** n for n in range(K))
         assert repr(_boundary_cost(delta, g, base, K)) == repr(want)
+        # given a floor, the last term stops the sum once it reaches it
+        last = delta ** ((K - 1) / g) * base ** (K - 1) if K else 0
+        for floor in (0.0, last, math.nextafter(last, math.inf),
+                      0.5 * (last + want), want, math.inf):
+            got = _boundary_cost(delta, g, base, K, floor)
+            if K and last >= floor:
+                assert repr(got) == repr(last) and floor <= got <= want
+            else:
+                assert repr(got) == repr(want)
+
+
+def summing_search(p: AttackParams, tau_max: int, n_extra: int, b_max: int):
+    """`brute_force_optimal_plan` without its skip: every (tau, N) boundary
+    summed in full and every B scanned, keeping the first strict maximum."""
+    n0, d, c = p.horizon_blocks, p.delta, p.c
+    rows = [(N,) + _plan_rows(p, p.xi, N, b_max, tau_max)
+            for N in range(n0, n0 + n_extra + 1)]
+    best, best_plan = None, None
+    for tau in range(tau_max + 1):
+        for N, K, row in rows:
+            g = 1.0 + fork_depth_growth(N, p.xi, tau)
+            boundary = _boundary_cost(d, g, g, K)
+            for B, (revenue, secret) in enumerate(row):
+                profit = revenue - c * (boundary + secret)
+                if best is None or profit > best:
+                    best, best_plan = profit, (tau, N, B)
+    return best_plan
+
+
+def edge_xi(N: int, target: float) -> float:
+    """xi in [2, 12] at which (N(1+xi) - 1) ln(1+xi) is `target`: the log of
+    the last power in N's tau-0 boundary.  A target near 709.78, the log of
+    the largest float, puts the search's first overflow at some tau >= 1."""
+    lo, hi = 2.0, 12.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = (N * (1.0 + mid) - 1.0) * math.log1p(mid) < target
+        lo, hi = (mid, hi) if below else (lo, mid)
+    return lo
+
+
+def test_skipping_search_matches_summing_search_near_overflow():
+    # the skip must keep every plan and raise each overflow at the same
+    # (tau, N): the DomainError's repr names that boundary's base and K
+    rng = random.Random(15)
+    points = [params(alpha=rng.randint(20, 120), xi=rng.uniform(2.0, 12.0),
+                     delta=rng.uniform(0.5, 1.0), v=rng.uniform(0.0, 50.0))
+              for _ in range(150)]
+    for _ in range(50):
+        alpha = rng.randint(20, 120)
+        points.append(params(alpha=alpha,
+                             xi=edge_xi(alpha + 3, rng.uniform(695.0, 715.0)),
+                             delta=rng.uniform(0.5, 1.0),
+                             v=rng.uniform(0.0, 50.0)))
+
+    def outcome(search, p):
+        try:
+            return search(p, tau_max=10, n_extra=3, b_max=3)
+        except DomainError as e:
+            return repr(e)
+
+    seen = collections.Counter()
+    for p in points:
+        want = outcome(summing_search, p)
+        assert outcome(brute_force_optimal_plan, p) == want
+        seen["plan" if isinstance(want, tuple) else
+             "tau 0" if f"{1.0 + p.xi!r}^n" in want else "tau >= 1"] += 1
+    # every outcome is exercised
+    assert all(seen[k] >= 10 for k in ("plan", "tau 0", "tau >= 1")), seen
 
 
 def test_brute_force_rejects_negative_grid_sizes():

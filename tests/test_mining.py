@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adess.errors import DomainError
 from adess.mining import (CertaintyEquivalent, DifficultyRule, NEVER_FOUND,
-                          Stochastic, adjust_difficulty, next_block_time,
-                          required_hashrate_series, sustained_growth_cost)
+                          Stochastic, adjust_difficulty, geometric_time,
+                          next_block_time, required_hashrate_series,
+                          sustained_growth_cost)
 
 CE = CertaintyEquivalent()
 
@@ -52,6 +54,17 @@ def test_stochastic_seeded_replay_is_bit_exact():
     c = [next_block_time(2.0, 1.5, mode, rng1) for _ in range(50)]
     d = [next_block_time(2.0, 1.5, mode, rng2) for _ in range(50)]
     assert a == b and c == d
+
+
+def test_geometric_time_counts_ticks_and_rejects_underflowed_p():
+    assert geometric_time(1.0, 0.0, 0.25) == 0.25  # a known time
+    assert geometric_time(0.5, 0.7, 0.1) == 0.2  # ln 0.3 / ln 0.5 = 1.74
+    assert geometric_time(0.5, 0.0, 0.1) == 0.1  # at least one tick
+    assert geometric_time(1e-320, 0.0, 0.1) == 0.1
+    # p subnormal: the trial count is inf; p == 0.0: ln(1 - p) is 0
+    for p in (1e-309, 1e-320, 5e-324, 0.0):
+        with pytest.raises(DomainError, match=f"p = {p!r}"):
+            geometric_time(p, 0.5, 0.01)
 
 
 def test_full_adjustment():
