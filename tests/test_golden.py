@@ -11,8 +11,10 @@ float rows); a refactor that keeps every output must keep every digest.
 Every float sum that feeds an output is a left fold, so they hold on each
 CPython from 3.10, like `bench/digests.json`.  The module needs only the
 stdlib: `python tests/test_golden.py` checks every digest without pytest,
-printing one line each and exiting 0 or 1.  To re-record after a deliberate
-output change, print `digests()`.
+printing one line each, then replays `NAIVE_SEEDS` configurations through
+the simulator and its naive twin (`naive_sim`) and prints one line for
+them, exiting 0 or 1.  To re-record after a deliberate output change, print
+`digests()`.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from adess.netsim import (ATTACKER, ScenarioConfig, disconnected_node_probe,
 
 from econ_grids import ACCEPTANCE_04_GRID, ORACLE_GRID
 from fuzz_trees import build_random_view
+from naive_sim import mismatches
 
 
 def _sha(text: str) -> str:
@@ -125,6 +128,7 @@ PROBES = (
     (replace(BASE, seed=11, **FOUR_MINERS), (0.0, 3.0, 10.0, 20.0, 35.0)),
 )
 VIEW_SEEDS = range(200)
+NAIVE_SEEDS = range(300, 330)  # test_naive_sim compares 0..299
 
 
 def scenario_digest(name: str) -> str:
@@ -315,6 +319,10 @@ def main() -> int:
         ok = got == GOLDEN[name]
         failed += not ok
         print(f"{name}: {'ok' if ok else 'MISMATCH ' + got}")
+    bad = mismatches(NAIVE_SEEDS)
+    failed += bool(bad)
+    print(f"naive_sim, {len(NAIVE_SEEDS)} configs: "
+          f"{'ok' if not bad else f'MISMATCH at seeds {bad}'}")
     return 1 if failed else 0
 
 
