@@ -4,6 +4,9 @@ Blocks are identified by assigned integers rather than content hashes; ids
 are only used for lookups and deterministic tie-breaking.  A "chain" is
 always represented by its head block; segments are derived on demand.
 `Block` and `ChainRef` are named tuples: immutable, ordered, cheap to build.
+A `BlockTree` validates each block once, as it is written, and keeps a
+`SeenTree` of children and heads unless it is `bare`, as a store shared by
+views is: each view keeps its own.
 """
 
 from __future__ import annotations
@@ -33,57 +36,73 @@ class ChainRef(NamedTuple):
     head: BlockId
 
 
-class BlockTree:
-    """Append-only block tree with cached cumulative difficulty.
+class SeenTree:
+    """Children in arrival order and heads of the blocks a reader has seen."""
 
-    Single writer per tree; all read operations are pure.
-    """
+    def __init__(self, genesis_id: BlockId = GENESIS_ID):
+        self.children: Dict[BlockId, List[BlockId]] = {genesis_id: []}
+        self.heads: Set[BlockId] = {genesis_id}
+
+    def insert(self, block: Block) -> None:
+        self.children[block.id] = []
+        self.children[block.parent].append(block.id)
+        self.heads.discard(block.parent)
+        self.heads.add(block.id)
+
+
+class BlockTree:
+    """Append-only block tree with cached cumulative difficulty (and with
+    `children` and `heads` unless `bare`); one writer, pure reads."""
 
     def __init__(self, genesis_difficulty: float = 1.0, miner: str = "genesis",
-                 time: float = 0.0, genesis_id: BlockId = GENESIS_ID):
+                 time: float = 0.0, genesis_id: BlockId = GENESIS_ID,
+                 bare: bool = False):
         if not 0 < genesis_difficulty < math.inf:
             raise InvalidDifficulty("genesis difficulty must be finite and > 0")
         genesis = Block(genesis_id, None, 0, genesis_difficulty, miner, time)
         self.blocks: Dict[BlockId, Block] = {genesis_id: genesis}
-        self.children: Dict[BlockId, List[BlockId]] = {genesis_id: []}
-        self.heads: Set[BlockId] = {genesis_id}
         self._cumdiff: Dict[BlockId, float] = {genesis_id: genesis_difficulty}
         self._next_id: BlockId = genesis_id + 1
         self.genesis_id = genesis_id
+        self._seen = None if bare else SeenTree(genesis_id)
+        if self._seen is not None:
+            self.children, self.heads = self._seen.children, self._seen.heads
 
     # -- writes ------------------------------------------------------------
 
     def append_block(self, parent: BlockId, difficulty: float, miner: str = "",
                      time: float = 0.0) -> BlockId:
         """Create a fresh block under `parent` and return its id."""
-        if parent not in self.blocks:
-            raise UnknownBlock(f"unknown parent {parent}")
         bid = self._next_id
-        block = Block(bid, parent, self.blocks[parent].height + 1,
-                      difficulty, miner, time)
-        self.insert(block)
+        block = self.blocks[bid] = Block(
+            bid, parent, self._parent(parent, difficulty).height + 1,
+            difficulty, miner, time)
+        self._cumdiff[bid] = self._cumdiff[parent] + difficulty
+        self._next_id = bid + 1
+        if self._seen is not None:
+            self._seen.insert(block)
         return bid
 
     def insert(self, block: Block) -> None:
         """Insert a fully formed block (used when replaying observed blocks)."""
         if block.id in self.blocks:
             return
-        if block.parent is None or block.parent not in self.blocks:
-            raise UnknownBlock(f"unknown parent {block.parent}")
-        if not 0 < block.difficulty < math.inf:
-            raise InvalidDifficulty(
-                f"difficulty {block.difficulty} is not finite and > 0")
-        parent = self.blocks[block.parent]
+        parent = self._parent(block.parent, block.difficulty)
         if block.height != parent.height + 1:
             raise ValueError(
                 f"height {block.height} != parent height {parent.height} + 1")
         self.blocks[block.id] = block
-        self.children[block.id] = []
-        self.children[block.parent].append(block.id)
-        self.heads.discard(block.parent)
-        self.heads.add(block.id)
         self._cumdiff[block.id] = self._cumdiff[block.parent] + block.difficulty
         self._next_id = max(self._next_id, block.id + 1)
+        if self._seen is not None:
+            self._seen.insert(block)
+
+    def _parent(self, parent: Optional[BlockId], difficulty: float) -> Block:
+        if parent not in self.blocks:
+            raise UnknownBlock(f"unknown parent {parent}")
+        if not 0 < difficulty < math.inf:
+            raise InvalidDifficulty(f"difficulty {difficulty} must be finite, > 0")
+        return self.blocks[parent]
 
     # -- reads -------------------------------------------------------------
 

@@ -250,13 +250,17 @@ def cmd_security_bound(args) -> int:
 # -- sweeps -----------------------------------------------------------------
 
 def _grid_points(grid: dict) -> List[float]:
+    def number(x) -> float:  # a JSON boolean or string is not a number
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ConfigError(f"grid values must be numbers, got {x!r}")
+        return float(x)
     if "values" in grid:
         _size("grid points", len(grid["values"]))
-        pts = [float(x) for x in grid["values"]]
+        pts = [number(x) for x in grid["values"]]
     else:
         try:
-            start, stop, step = (float(grid["start"]), float(grid["stop"]),
-                                 float(grid["step"]))
+            start, stop, step = map(number, (grid["start"], grid["stop"],
+                                             grid["step"]))
         except KeyError as e:
             raise ConfigError(f"grid is missing {e}") from None
         if step <= 0:

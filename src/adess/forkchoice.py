@@ -1,11 +1,11 @@
 """Canonical-chain selection: Nakamoto scoring and the penalty protocol.
 
 A NodeView is one network participant's subjective state: an arrival-ordered
-observation log and the children and heads of the blocks it has seen, over a
-block store that views may share, plus the penalty machinery derived from
-them.  Penalty assignment is driven purely by the order in which this node
-observed blocks, so two views fed the same blocks in different orders may
-disagree; identical orders agree exactly.
+observation log and a `SeenTree` of the blocks it has seen, over a bare block
+store that views may share, plus the penalty machinery derived from them.
+Penalty assignment is driven purely by the order in which this node observed
+blocks, so two views fed the same blocks in different orders may disagree;
+identical orders agree exactly.
 
 Every block enters through `observe`.  A block marked `synced` (bulk sync
 for a node that was offline when it was broadcast) carries no temporal order;
@@ -48,9 +48,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .chain import Block, BlockId, BlockTree, ChainRef
+from .chain import Block, BlockId, BlockTree, ChainRef, SeenTree
 from .errors import NotPenalized, UnknownBlock
 
 #: Tolerance used when comparing weighted lengths at the canonical boundary.
@@ -143,21 +143,6 @@ class _ForkState:
     baseline_branch: Optional[BlockId] = None  # set once assigned
 
 
-class SeenTree:
-    """Children in arrival order and heads of the blocks one view has seen
-    of a shared store, which validated them and holds everything else."""
-
-    def __init__(self, store: BlockTree):
-        self.children: Dict[BlockId, List[BlockId]] = {store.genesis_id: []}
-        self.heads: Set[BlockId] = {store.genesis_id}
-
-    def insert(self, block: Block) -> None:
-        self.children[block.id] = []
-        self.children[block.parent].append(block.id)
-        self.heads.discard(block.parent)
-        self.heads.add(block.id)
-
-
 class NodeView:
     """Single-threaded subjective state of one observing node.  Blocks are
     read from `store`; `tree` holds the children and heads it has seen: a
@@ -168,7 +153,7 @@ class NodeView:
         self.params = params
         self.name = name
         self.store = BlockTree() if store is None else store
-        self.tree = self.store if store is None else SeenTree(store)
+        self.tree = self.store if store is None else SeenTree(store.genesis_id)
         self.log = ObservationLog()
         self.log.append(self.store.genesis_id, 0.0)
         self._forks: Dict[BlockId, _ForkState] = {}
@@ -227,7 +212,8 @@ class NodeView:
                 self._best = None
 
         # flush any orphans waiting on this block, each with its own flag
-        for child, child_arrival, child_synced in self._pending.pop(bid, ()):
+        for child, child_arrival, child_synced in (
+                self._pending and self._pending.pop(bid, ())):
             self._connect(child, max(child_arrival, arrival), child_synced)
 
     # -- fork bookkeeping --------------------------------------------------

@@ -35,7 +35,7 @@ import math
 import random
 from itertools import groupby
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain import Block, BlockId, BlockTree
 from .economics import AttackParams, boundary_blocks
@@ -232,7 +232,7 @@ class _Simulation:
     def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
         self.cfg = cfg
-        self.tree = BlockTree(genesis_difficulty=1.0)
+        self.tree = BlockTree(genesis_difficulty=1.0, bare=True)
         self.time = 0.0
         self._seq = 0
         self._heap: List[tuple] = []
@@ -340,12 +340,16 @@ class _Simulation:
         had its own event."""
         batches: Dict[float, List[tuple]] = {}
         for delay, run in self._runs[sender]:
-            batches.setdefault(self.time + delay, []).append(run)
+            time = self.time + delay
+            if time in batches:
+                batches[time].append(run)
+            else:
+                batches[time] = [run]
         for time, runs in batches.items():
             self._push(time, "arrive", (runs, blocks))
 
     def run(self) -> RunReport:
-        self._regroup(list(self._members))
+        self._regroup((self.tree.genesis_id,))
         heap, instant, horizon = self._heap, self._instant, self.cfg.horizon
         while heap or instant:
             if instant and (not heap or heap[0][0] > self.time):
@@ -370,8 +374,7 @@ class _Simulation:
         if len(self.tree.blocks) > _MAX_BLOCKS:
             raise DomainError(f"the run mined more than {_MAX_BLOCKS} blocks "
                               f"before its horizon")
-        bid = self.tree.append_block(parent, difficulty, miner=miner,
-                                     time=self.time)
+        bid = self.tree.append_block(parent, difficulty, miner, self.time)
         rule = self.cfg.difficulty
         if rule.mode == "epoch":
             cell = self._epoch_hist.get(parent)
@@ -395,14 +398,14 @@ class _Simulation:
 
     # -- honest mining -----------------------------------------------------
 
-    def _regroup(self, dirty: Iterable[BlockId]):
+    def _regroup(self, dirty: Sequence[BlockId]):
         """(Re)schedule one block-found event per group among the `dirty`
-        heads (a miner left or joined, or the group mined), summing member
-        rates in name order and drawing in head order as a full regroup
-        would.  A group whose hashrate is unchanged keeps its pending event,
-        so a slow group's progress is never reset.  Superseded draws stay:
-        the seeded RNG stream that fixes every run's output includes them."""
-        for head in sorted(dirty):
+        heads (a miner left or joined, or the group mined), given in head
+        order, summing member rates in name order as a full regroup would.
+        A group whose hashrate is unchanged keeps its pending event, so a
+        slow group's progress is never reset.  Superseded draws stay: the
+        seeded RNG stream that fixes every run's output includes them."""
+        for head in dirty:
             hashrate = None  # no member, no group
             for name in self._members.get(head, ()):
                 hashrate = (hashrate or 0.0) + self._miners[name]
@@ -482,10 +485,13 @@ class _Simulation:
                             self._members[old].remove(node)
                             if not self._members[old]:
                                 del self._members[old]
-                            bisect.insort(self._members.setdefault(head, []),
-                                          node)
-                            self._regroup((old, head))
-                    if victim:
+                            if head in self._members:
+                                bisect.insort(self._members[head], node)
+                            else:
+                                self._members[head] = [node]
+                            self._regroup((old, head) if old < head
+                                          else (head, old))
+                    if victim and self.broadcast_time is None:
                         self._check_conveyance(block)
                         self._check_broadcast_condition()
 

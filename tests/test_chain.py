@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adess.chain import Block, BlockTree
+from adess.chain import Block, BlockTree, SeenTree
 from adess.errors import InvalidDifficulty, UnknownBlock
+from adess.netsim import ScenarioConfig, _Simulation, run_scenario
 
 
 def ancestors(tree: BlockTree, bid: Optional[int]) -> Iterator[int]:
@@ -131,3 +132,72 @@ def test_cumdiff_matches_path_walk_oracle(tree_ids):
         assert tree.cumulative_difficulty(bid) == pytest.approx(
             recompute_cumulative_difficulty(tree, bid), rel=1e-12)
 
+
+
+# -- the bare store and the one children/heads bookkeeping -------------------
+
+BAD_DIFFICULTIES = (0.0, -1.0, float("nan"), float("inf"))
+
+
+@pytest.mark.parametrize("bare", [False, True])
+def test_store_and_tree_reject_the_same_blocks(bare):
+    tree = BlockTree(bare=bare)
+    a = tree.append_block(tree.genesis_id, 1.0)
+    with pytest.raises(UnknownBlock):
+        tree.append_block(99, 1.0)
+    with pytest.raises(UnknownBlock):
+        tree.insert(Block(7, 99, 2, 1.0, "", 0.0))
+    for d in BAD_DIFFICULTIES:
+        with pytest.raises(InvalidDifficulty):
+            tree.append_block(a, d)
+        with pytest.raises(InvalidDifficulty):
+            tree.insert(Block(7, a, 2, d, "", 0.0))
+    for height in (1, 3):
+        with pytest.raises(ValueError, match="parent height 1"):
+            tree.insert(Block(7, a, height, 1.0, "", 0.0))
+    # nothing rejected was written
+    assert sorted(tree.blocks) == sorted(tree._cumdiff) == [0, a]
+    assert tree.append_block(a, 1.0) == 2
+
+
+def test_a_simulation_store_keeps_only_blocks_and_cumulative_difficulty():
+    sim = _Simulation(ScenarioConfig(n_honest_nodes=3, delay=0.3))
+    sim.run()
+    assert len(sim.tree.blocks) == len(sim.tree._cumdiff) > 10
+    assert sim.tree._seen is None
+    assert not hasattr(sim.tree, "children")
+    assert not hasattr(sim.tree, "heads")
+
+
+def seen_of(tree: BlockTree) -> SeenTree:
+    """A SeenTree fed the tree's blocks in insertion order."""
+    seen = SeenTree(tree.genesis_id)
+    for bid in list(tree.blocks)[1:]:
+        seen.insert(tree.block(bid))
+    return seen
+
+
+@given(random_trees())
+@settings(max_examples=60, deadline=None)
+def test_tree_children_and_heads_are_a_seen_tree_of_its_blocks(tree_ids):
+    tree, _ = tree_ids
+    seen = seen_of(tree)
+    assert tree.children == seen.children and tree.heads == seen.heads
+    back = BlockTree.from_snapshot(tree.snapshot())
+    assert back.children == seen.children and back.heads == seen.heads
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=4))
+@settings(max_examples=15, deadline=None)
+def test_a_snapshot_round_trip_of_a_run_rebuilds_children_and_heads(seed,
+                                                                     nodes):
+    rates = {f"n{i}": 1.0 for i in range(nodes)}
+    rep = run_scenario(ScenarioConfig(
+        n_honest_nodes=nodes, honest_hashrates=rates, delay=0.5,
+        horizon=15.0, seed=seed))
+    tree = BlockTree.from_snapshot(rep.snapshot)
+    seen = seen_of(tree)
+    assert tree.children == seen.children and tree.heads == seen.heads
+    assert tree.snapshot() == rep.snapshot
+    assert set(rep.per_node_head.values()) <= tree.heads

@@ -366,6 +366,22 @@ def test_oversized_inputs_exit_one_quickly(tmp_path, argv):
     assert float(proc.stdout) < 1.0
 
 
+@pytest.mark.parametrize("grid", [
+    {"param": "v", "values": [True, "3"]},
+    {"param": "v", "values": [1.0, "3"]},
+    {"param": "v", "start": True, "stop": "2", "step": 1},
+    {"param": "xi", "start": 0, "stop": 2, "step": "1"},
+])
+def test_sweep_grid_booleans_and_strings_are_not_numbers(capsys, tmp_path,
+                                                          grid):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"kind": "profit", "grid": grid}))
+    code, _, err = run(capsys, "sweep", "--config", str(path),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1 and "grid values must be numbers" in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_bad_log_level_exits_one(capsys, monkeypatch):
     monkeypatch.setenv("ADESS_LOG", "chatty")
     code, _, err = run(capsys, "safe-v", "--xi", "1")

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import random
 
+from adess.chain import SeenTree
 from adess.economics import AttackParams
-from adess.forkchoice import AdessParams, NodeView, SeenTree
+from adess.forkchoice import AdessParams, NodeView
 from adess.mining import Stochastic
 from adess.netsim import ScenarioConfig, _Simulation
 
