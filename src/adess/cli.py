@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -49,6 +49,14 @@ def _size(what: str, value) -> int:
     return int(value)
 
 
+def _number(what: str, x, integer: bool = False):
+    """`x` if JSON gave a number, or an integer if `integer`: not a bool."""
+    types, kind = (int, "integers") if integer else ((int, float), "numbers")
+    if isinstance(x, bool) or not isinstance(x, types):
+        raise ConfigError(f"{what} must be {kind}, got {x!r}")
+    return x
+
+
 def _setup_logging():
     level = os.environ.get("ADESS_LOG", "error").strip().lower()
     levels = {"error": logging.ERROR, "info": logging.INFO,
@@ -74,6 +82,10 @@ def _config_shape(what: str):
 
 def _build(cls, data: dict, what: str):
     with _config_shape(what):
+        for f in fields(cls):  # as annotated: an int field takes no float
+            if f.type in ("int", "float") and f.name in data:
+                _number(f"{what}.{f.name} values", data[f.name],
+                        f.type == "int")
         return cls(**data)
 
 
@@ -81,7 +93,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from parsed JSON; keys mirror
     field names."""
     with _config_shape("scenario"):
-        cfg = ScenarioConfig(**_scenario_kwargs(dict(data)))
+        cfg = _build(ScenarioConfig, _scenario_kwargs(dict(data)), "scenario")
         cfg.validate()
     return cfg
 
@@ -204,7 +216,7 @@ def cmd_profit(args) -> int:
 def _malicious_rows(params: AttackParams, horizon
                     ) -> Tuple[List[str], float, float]:
     """Both protocols' split-cost series as CSV rows, and present values."""
-    horizon = _size("horizon", horizon)
+    horizon = _size("horizon", _number("sweep sizes", horizon, True))
     a_series, a_pv = economics.malicious_cost_series("adess", params, horizon)
     n_series, n_pv = economics.malicious_cost_series("nakamoto", params,
                                                      horizon)
@@ -250,17 +262,13 @@ def cmd_security_bound(args) -> int:
 # -- sweeps -----------------------------------------------------------------
 
 def _grid_points(grid: dict) -> List[float]:
-    def number(x) -> float:  # a JSON boolean or string is not a number
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"grid values must be numbers, got {x!r}")
-        return float(x)
     if "values" in grid:
         _size("grid points", len(grid["values"]))
-        pts = [number(x) for x in grid["values"]]
+        pts = [float(_number("grid values", x)) for x in grid["values"]]
     else:
         try:
-            start, stop, step = map(number, (grid["start"], grid["stop"],
-                                             grid["step"]))
+            start, stop, step = (float(_number("grid values", grid[k]))
+                                 for k in ("start", "stop", "step"))
         except KeyError as e:
             raise ConfigError(f"grid is missing {e}") from None
         if step <= 0:
@@ -300,7 +308,7 @@ def _sweep_profit(params: AttackParams, grid: dict) -> List[str]:
 
 
 def _sweep_hashrate(params: AttackParams, grid: dict) -> List[str]:
-    n_max = _size("n_max", grid.get("n_max", 10))
+    n_max = _size("n_max", _number("sweep sizes", grid.get("n_max", 10), True))
     rule = DifficultyRule.full()
     series = required_hashrate_series(params.xi, n_max, rule)
     rows = ["n,hashrate"]

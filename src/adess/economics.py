@@ -147,8 +147,8 @@ def guo_ren_bound(k: int, rho: float, lambda_rate: float, delta_prop: float,
         raise ValueError("k must be >= 1")
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must be in (0, 1]")
-    if lambda_rate <= 0 or delta_prop < 0:
-        raise ValueError("lambda_rate > 0 and delta_prop >= 0 required")
+    if not (0 < lambda_rate < math.inf and 0 <= delta_prop < math.inf):
+        raise ValueError("need finite lambda_rate > 0 and delta_prop >= 0")
     if variant not in ("literal", "abs"):
         raise ValueError(f"unknown variant {variant!r}")
     try:

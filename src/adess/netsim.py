@@ -16,8 +16,8 @@ sender at equal delays sit in the same arrive events in the same block
 order, so they form a class sharing one `NodeView` over the simulator's tree
 and a memo of the canonical head right after each block.  An arrive event
 holds runs of consecutive receivers of one class, each observing a block and
-finding its head once for all members; a run whose members have no role
-(miner, victim n0, att_obs) compares heads once and writes rows node-major.
+finding its head changes once for all members; the members take them in one
+loop, node-major: a series row each and, for a miner, a regroup each.
 att_obs is fed only while its head is read: until the attack starts, and
 under budish until the broadcast.
 
@@ -127,8 +127,13 @@ class ScenarioConfig:
         if self.horizon * (miners + 1) > _MAX_BLOCKS:
             raise ConfigError(f"horizon x (mining nodes + 1) must be at most "
                               f"{_MAX_BLOCKS} blocks")
-        for what in ("honest_hashrates", "eclipse_set", "eclipse_from_honest"):
-            unknown = set(getattr(self, what) or ()) - set(self.node_names())
+        for what in ("honest_hashrates", "eclipse_set", "eclipse_from_honest",
+                     "delays"):
+            named = set(getattr(self, what) or ())
+            if what == "delays":  # (sender, receiver), the attacker sends too
+                named = {n for _, n in named} | {s for s, _ in named
+                                                 if s != ATTACKER}
+            unknown = named - set(self.node_names())
             if unknown:
                 raise ConfigError(f"{what} name unknown nodes: {sorted(unknown)}")
         if not 0 <= self.delay < math.inf:
@@ -266,7 +271,6 @@ class _Simulation:
             self._views[name] = by_links[key]
         # sender -> (delay, run) in push order, a run of consecutive links
         # to one class at one delay; see _fan_out and _run
-        self._run_cache: Dict[tuple, tuple] = {}  # names -> run, shared
         self._runs = {sender: [
             (delay, self._run(tuple(name for _, name in group)))
             for (delay, _), group in groupby(
@@ -320,18 +324,14 @@ class _Simulation:
         self._instant.clear()
 
     def _run(self, names: Tuple[str, ...]) -> tuple:
-        """(view, memo, members, unread, plain): a member is (name, miner,
-        victim, observer), unread drops att_obs, and plain holds the names
-        if no member has a role."""
-        if names not in self._run_cache:
-            members = tuple((n, n in self._miners, n == "n0", n == "att_obs")
-                            for n in names)
-            unread = tuple(m for m in members if not m[3])
-            self._run_cache[names] = (
-                *self._views[names[0]], members,
-                unread if unread != members else members,
-                () if any(any(m[1:]) for m in members) else names)
-        return self._run_cache[names]
+        """(view, memo, members, unread): a member is (name, miner, victim,
+        observer), and unread drops att_obs.  Every member of a run holds one
+        head, so `_on_arrive` finds the run's head changes once for all."""
+        members = tuple((n, n in self._miners, n == "n0", n == "att_obs")
+                        for n in names)
+        unread = tuple(m for m in members if not m[3])
+        return (*self._views[names[0]], members,
+                unread if unread != members else members)
 
     def _fan_out(self, sender: str, blocks: Sequence[Block]):
         """Send `blocks` over the sender's links: one arrive event per
@@ -444,56 +444,47 @@ class _Simulation:
         """`blocks` reach each run (see `_run`): the one ingestion path of
         every receiver.  A block's head comes from the memo, as the view may
         be ahead and a second observe would queue an orphan twice, or else
-        from observing it.  Members take the heads in push order, as if each
-        (member, block) pair arrived alone; att_obs only if read."""
+        from observing it.  The run's head moves (old, new, height) are found
+        once; each member, att_obs only if read, takes them in push order as
+        single arrivals would: a row each, and for a miner a regroup each."""
         canonical, stored, time = self._canonical, self.tree.blocks, self.time
         series = self.series
-        for view, memo, members, unread, plain in runs:
+        for view, memo, members, unread in runs:
             if members is not unread and not self._att_obs_read():
                 members = unread
                 if not members:
                     continue
-            heads = []
+            moves, old = [], canonical[members[0][0]]
             for block in blocks:
                 head = memo.get(block.id)
                 if head is None:
                     view.observe(block, time)
                     head = memo[block.id] = self._node_canonical(view).head
-                heads.append(head)
-            if plain:  # the members share one head: compare it once
-                moves, old = [], canonical[plain[0]]
-                for head in heads:
-                    if head != old:
-                        moves.append((head, stored[head].height))
-                        old = head
-                for node in plain if moves else ():
-                    for head, height in moves:
-                        series.append((time, node, head, height))
-                    canonical[node] = old
-                continue
+                if head != old:
+                    moves.append((old, head, stored[head].height))
+                    old = head
             for node, miner, victim, observer in members:
-                for block, head in zip(blocks, heads):
-                    old = canonical[node]
-                    canonical[node] = head
-                    if observer:
-                        self._maybe_start_attack()
-                        self._check_broadcast_condition()
-                        continue
-                    if head != old:
-                        series.append((time, node, head, stored[head].height))
-                        if miner:
-                            self._members[old].remove(node)
-                            if not self._members[old]:
-                                del self._members[old]
-                            if head in self._members:
-                                bisect.insort(self._members[head], node)
-                            else:
-                                self._members[head] = [node]
-                            self._regroup((old, head) if old < head
-                                          else (head, old))
-                    if victim and self.broadcast_time is None:
-                        self._check_conveyance(block)
-                        self._check_broadcast_condition()
+                canonical[node] = old
+                if observer:  # final head: the broadcast, the one event of
+                    # several blocks, comes after att_obs's last read
+                    self._maybe_start_attack()
+                    self._check_broadcast_condition()
+                    continue
+                for prev, head, height in moves:
+                    series.append((time, node, head, height))
+                    if miner:
+                        self._members[prev].remove(node)
+                        if not self._members[prev]:
+                            del self._members[prev]
+                        if head in self._members:
+                            bisect.insort(self._members[head], node)
+                        else:
+                            self._members[head] = [node]
+                        self._regroup((prev, head) if prev < head
+                                      else (head, prev))
+                if victim and self.broadcast_time is None:  # one block
+                    self._check_conveyance(blocks[0])
+                    self._check_broadcast_condition()
 
     def _att_obs_read(self) -> bool:
         """Whether anything still reads att_obs's head, the honest tip: the

@@ -13,7 +13,7 @@ def per_arrival(sim, step) -> None:
     on_arrive = sim._on_arrive
 
     def split(runs, blocks):
-        for _, _, members, _, _ in runs:
+        for _, _, members, _ in runs:
             for node, *_ in members:
                 run = sim._run((node,))
                 for block in blocks:

@@ -275,6 +275,23 @@ def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
     ("simulate", {"n_honest_nodes": 2,
                   "honest_hashrates": {"n0": 1.0, "n1": "0.5"}}),
     ("simulate", {"n_honest_nodes": 2, "delays": [["n0", "n1", "0.3"]]}),
+    # an int field given a fraction or a boolean, or a float field given a
+    # boolean: alpha 2.5 decided no fork, and true ran as 1
+    ("simulate", {"adess": {"alpha": 2.5}, "attack": {"alpha": 2.5}}),
+    ("simulate", {"adess": {"alpha": True}, "attack": {"alpha": True}}),
+    ("simulate", {"attack": {"sigma": 0.5}}),
+    ("simulate", {"difficulty": {"mode": "epoch", "epoch_length": 2.5}}),
+    ("simulate", {"mining": {"mode": "stochastic", "tick": True}}),
+    ("simulate", {"attack": {"v": True}}),
+    ("simulate", {"attack_start_height": 2.5}),
+    # sweep sizes: 2.5 wrote 2 rows, true 1, and 7.9 wrote 7
+    ("sweep", {"kind": "hashrate", "grid": {"n_max": 2.5}}),
+    ("sweep", {"kind": "hashrate", "grid": {"n_max": True}}),
+    ("sweep", {"kind": "malicious-cost", "grid": {"horizon": 7.9}}),
+    # a delay on a link that does not exist was ignored
+    ("simulate", {"n_honest_nodes": 2, "delays": [["n0", "n9", 0.5]]}),
+    ("simulate", {"n_honest_nodes": 2, "delays": [["attackr", "n1", 0.5]]}),
+    ("simulate", {"n_honest_nodes": 2, "delays": [["n1", "att_obs", 5.0]]}),
 ])
 def test_malformed_config_shape_exits_one(capsys, tmp_path, command, cfg):
     path = tmp_path / "cfg.json"
@@ -380,6 +397,17 @@ def test_sweep_grid_booleans_and_strings_are_not_numbers(capsys, tmp_path,
                        "--out", str(tmp_path / "out"))
     assert code == 1 and "grid values must be numbers" in err
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--lambda", "--delta-prop"])
+def test_security_bound_rejects_nan_rates(capsys, tmp_path, flag):
+    argv = {"--k": "1..3", "--rho": "1", "--lambda": "1",
+            "--delta-prop": "0.5", "--variant": "literal",
+            "--out": str(tmp_path / "out"), flag: "nan"}
+    code, out, err = run(capsys, "security-bound",
+                         *(x for pair in argv.items() for x in pair))
+    assert code == 1 and "error:" in err and "nan" not in out
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_log_level_exits_one(capsys, monkeypatch):

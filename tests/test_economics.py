@@ -98,6 +98,14 @@ def test_guo_ren_literal_domain_error():
         guo_ren_bound(3, 1.0, 0.1, 0.0, variant="literal")
 
 
+def test_guo_ren_rejects_non_finite_rates():
+    nan, inf = float("nan"), float("inf")
+    for lam, d in ((nan, 0.5), (1.0, nan), (inf, 0.5), (1.0, inf)):
+        for variant in ("literal", "abs"):
+            with pytest.raises(ValueError, match="finite"):
+                guo_ren_bound(2, 0.5, lam, d, variant=variant)
+
+
 def test_guo_ren_literal_defined_above_one():
     assert guo_ren_bound(2, 1.0, 1.0, 0.5, variant="literal") != 0.0
 

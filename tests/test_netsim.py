@@ -300,6 +300,16 @@ def test_config_rejects_eclipse_sets_naming_unknown_nodes():
               eclipse_from_honest=("n0",)).validate()
 
 
+def test_config_rejects_delays_on_unknown_links():
+    # a sender is a node or the attacker, a receiver a node
+    for link in (("n0", "n9"), ("attackr", "n1"), ("n1", "att_obs"),
+                 ("n1", ATTACKER), ("att_obs", "n0")):
+        with pytest.raises(ConfigError, match="delays"):
+            adess_cfg(n_honest_nodes=2, delays={link: 0.5}).validate()
+    adess_cfg(n_honest_nodes=2, delays={(ATTACKER, "n1"): 0.5,
+                                        ("n1", "n1"): 0.0}).validate()
+
+
 def test_epoch_rule_scenario_runs():
     cfg = adess_cfg(difficulty=DifficultyRule.epoch(10 ** 6))
     rep = run_scenario(cfg)
@@ -515,8 +525,9 @@ def test_plain_class_rows_are_node_major_as_single_arrivals():
     def watched(runs, blocks):
         start = len(sim.series)
         on_arrive(runs, blocks)
-        if len(blocks) > 1 and any(plain and len(members) > 1
-                                   for _, _, members, _, plain in runs):
+        if len(blocks) > 1 and any(
+                len(members) > 1 and not any(any(m[1:]) for m in members)
+                for _, _, members, _ in runs):
             batched.append(sim.series[start:])
 
     sim._on_arrive = watched
