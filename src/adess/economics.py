@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, SolverFailure
@@ -37,10 +39,7 @@ _MAX_PLAN_BLOCKS = 100_000
 def left_sum(terms: Iterable[float]) -> float:
     """Add left to right from 0, as float `sum()` did until Python 3.12 made
     it compensated, so outputs keep the same bits on every version."""
-    total = 0
-    for term in terms:
-        total += term
-    return total
+    return reduce(add, terms, 0)
 
 
 def boundary_blocks(n_ic: float, xi: float) -> int:
@@ -71,6 +70,8 @@ class AttackParams:
             raise ValueError("v >= 0 and p_B, c > 0 required")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
+        if not all(type(n) is int for n in (self.alpha, self.sigma, self.B)):
+            raise ValueError("alpha, sigma and B must be ints")
         if self.xi < 0 or self.alpha < 1 or self.sigma < 0 or self.B < 0:
             raise ValueError("xi >= 0, alpha >= 1, sigma >= 0, B >= 0 required")
 
@@ -98,10 +99,9 @@ class ProfitBreakdown:
 def nakamoto_attack_profit(p: AttackParams) -> ProfitBreakdown:
     """Ex-ante expected profit of the classic double-spend strategy: match the
     incumbent pace for N-1 blocks, then add surplus hashrate at block N."""
-    N = p.horizon_blocks
+    N, d, c = p.horizon_blocks, p.delta, p.c
     if N < 1:
         raise ValueError("N must be >= 1")
-    d, c = p.delta, p.c
     revenue = d ** (N - 1) * (p.v + p.p_B * N)
     cost = c * (left_sum(d ** (n - 1) for n in range(1, N))
                 + (1.0 + p.epsilon_extra) * d ** (N - 1))
@@ -110,8 +110,7 @@ def nakamoto_attack_profit(p: AttackParams) -> ProfitBreakdown:
 
 def nakamoto_zero_profit_v(p: AttackParams) -> float:
     """Transaction value at which the classic attack breaks even."""
-    N = p.horizon_blocks
-    d, c = p.delta, p.c
+    N, d, c = p.horizon_blocks, p.delta, p.c
     bracket = left_sum(d ** (n - 1) for n in range(1, N)) \
         + (1.0 + p.epsilon_extra) * d ** (N - 1)
     return d ** (-(N - 1)) * c * bracket - p.p_B * N
@@ -213,23 +212,24 @@ def partial_adjustment_attack_cost(N: int, xi: float, beta: float,
                               boundary_blocks(N, xi))
 
 
-def _plan_rows(p: AttackParams, xi: float, N: int, b_max: int, tau: int = 0,
-               secrets: Optional[Iterable[Tuple[int, float]]] = None
-               ) -> Tuple[int, List[Tuple[float, float]]]:
-    """K = ceil(N(1+xi)) and the (discounted revenue, secret-block cost / c)
-    rows at boundary N for `secrets`, the xi-free (B, secret) pairs, by
-    default for B = 0..b_max; tau is only size-checked here."""
+def _plan_blocks(xi: float, N: int, tau: int, b_max: int) -> int:
+    """K = ceil(N(1+xi)) once the plan's sizes pass their checks."""
     if N < 1 or tau < 0 or b_max < 0:
         raise ValueError("N >= 1, tau >= 0, B >= 0 required")
     if max(tau, N, b_max) > _MAX_PLAN_BLOCKS \
             or N * (1.0 + xi) - _CEIL_EPS > _MAX_PLAN_BLOCKS:
         raise DomainError(f"attack plan too large: tau, N, B and "
                           f"ceil(N(1+xi)) must be at most {_MAX_PLAN_BLOCKS}")
-    d, K = p.delta, boundary_blocks(N, xi)
-    secrets = secrets or enumerate(accumulate(
-        (d ** (N + b) for b in range(b_max)), initial=0))
-    return K, [(d ** (N + B - 1) * (p.v + p.p_B * (K + B)), secret)
-               for B, secret in secrets]
+    return boundary_blocks(N, xi)
+
+
+def _plan_rows(p: AttackParams, K: int, powers: List[float],
+               secrets: Optional[Iterable] = None) -> list:
+    """(Discounted revenue, secret cost / c) at boundary K for each (B, secret)
+    pair, by default B < len(powers); powers[i] = delta ** (N - 1 + i)."""
+    secrets = secrets or enumerate(accumulate(powers[1:], initial=0))
+    return [(powers[B] * (p.v + p.p_B * (K + B)), secret)
+            for B, secret in secrets]
 
 
 def plan_profits(p: AttackParams, tau: int, N: int,
@@ -237,10 +237,11 @@ def plan_profits(p: AttackParams, tau: int, N: int,
     """Profits of the plans (fork tau blocks back, reach the boundary at
     incumbent block N, then mine B more secret blocks) for B = 0..b_max; the
     boundary cost is summed once, the B terms added left to right."""
-    K, rows = _plan_rows(p, p.xi, N, b_max, tau)
+    K = _plan_blocks(p.xi, N, tau, b_max)
     g = 1.0 + fork_depth_growth(N, p.xi, tau)
     boundary = _boundary_cost(p.delta, g, g, K)
-    for B, (revenue, secret) in enumerate(rows):
+    powers = [p.delta ** e for e in range(N - 1, N + b_max)]
+    for B, (revenue, secret) in enumerate(_plan_rows(p, K, powers)):
         yield ProfitBreakdown(revenue, p.c * (boundary + secret), K + B)
 
 
@@ -262,8 +263,7 @@ def adess_attack_profit(p: AttackParams) -> ProfitBreakdown:
 def broadcast_margin(p: AttackParams) -> float:
     """Marginal profit from secretly mining one block past the boundary;
     non-positive whenever p_B <= c."""
-    N = p.horizon_blocks
-    d = p.delta
+    N, d = p.horizon_blocks, p.delta
     K = boundary_blocks(N, p.xi)
     return ((d ** N - d ** (N - 1)) * (p.v + p.p_B * (K + 1))
             + d ** N * (p.p_B - p.c))
@@ -300,10 +300,9 @@ def penalty_margin(xi: float, N: int, delta: float, c: float = 1.0,
     if xi <= 0:
         raise ValueError("xi must be > 0")
     K = boundary_blocks(N, xi)
-    jump = boundary_blocks(N, xi + _MARGIN_DXI) > K
     margin = -c * left_sum(cost_term_derivative(n, xi, delta)
                            for n in range(K))
-    if jump:
+    if boundary_blocks(N, xi + _MARGIN_DXI) > K:
         margin += delta ** N * p_B - delta ** N * c
     return margin
 
@@ -353,13 +352,15 @@ def min_deterring_xi(v: float, params: AttackParams) -> float:
     stay unprofitable at _TAIL_SAMPLES larger penalties."""
     params = replace(params, v=v)
     d, c, N, B = params.delta, params.c, params.horizon_blocks, params.B
-    # the B-th secret cost, summed once (in the first probe's rows)
-    last = [(B, _plan_rows(params, _XI_LO, N, B)[1][-1][1])]
+    _plan_blocks(_XI_LO, N, 0, B)  # sizes checked before the powers
+    powers = [d ** e for e in range(N - 1, N + B)]
+    last = [(B, _plan_rows(params, 0, powers)[-1][1])]  # xi-free, summed once
 
     def profit(xi: float) -> float:  # adess_attack_profit at (v, xi)
-        K, rows = _plan_rows(params, xi, N, B, secrets=last)
+        K = _plan_blocks(xi, N, 0, B)
+        (revenue, secret), = _plan_rows(params, K, powers, last)
         g = 1.0 + fork_depth_growth(N, xi, 0)
-        return rows[-1][0] - c * (_boundary_cost(d, g, g, K) + rows[-1][1])
+        return revenue - c * (_boundary_cost(d, g, g, K) + secret)
 
     if profit(_XI_LO) < 0:
         xi_star = _XI_LO
@@ -472,24 +473,31 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
                              n_extra: int = 10, b_max: int = 20
                              ) -> Tuple[int, int, int]:
     """First most profitable plan over (tau, N, B), in that order, by
-    exhaustive search, bit-identical to `attack_plan_profit`.  Rows are built
-    once per N.  A tau >= 1 whose boundary costs at least N's tau-0 one skips
-    its B scan: rows are tau-free, c > 0 and each float step is monotone, so
-    it cannot beat its tau-0 twin.  Its boundary's last term alone decides
-    most skips, exactly: a left fold from 0 of terms >= 0 is at least each
-    term, and as g >= 1 an overflowing g^n shows in g^(K-1) first, so the
-    same DomainError is raised.  Only the other boundaries are summed."""
+    exhaustive search, bit-identical to `attack_plan_profit`: the rows read
+    one table of `delta ** e`, and each N's tau-0 boundary is the prefix at
+    its K of one left fold of the tau-0 terms.  A tau >= 1 costing at least
+    its tau-0 twin skips its B scan, most often on its last term alone;
+    both tests are exact (the README gives the proofs)."""
     if n_extra < 0:
         raise ValueError("n_extra >= 0 required")
-    n0, d, c = p.horizon_blocks, p.delta, p.c
-    rows = [(N,) + _plan_rows(p, p.xi, N, b_max, tau_max)
-            for N in range(n0, n0 + n_extra + 1)]
-    best, best_plan, floor = None, None, {}  # floor: N -> tau-0 boundary
+    n0, d, c, xi = p.horizon_blocks, p.delta, p.c, p.xi
+    _plan_blocks(xi, n0 + n_extra, tau_max, b_max)  # monotone in N
+    powers = [d ** e for e in range(n0 - 1, n0 + n_extra + b_max)]
+    Ks = [boundary_blocks(N, xi) for N in range(n0, n0 + n_extra + 1)]
+    try:  # tau0[K]: the tau-0 boundary cost of K blocks (g = 1 + xi)
+        tau0 = list(accumulate((cost_term(n, xi, d) for n in range(Ks[-1])),
+                               initial=0))
+    except OverflowError:  # the first N whose own sum overflows raises
+        for N in range(n0, n0 + n_extra + 1):
+            adess_attack_cost(N, xi, d)
+    rows = [(n0 + i, K, tau0[K], _plan_rows(p, K, powers[i:i + b_max + 1]))
+            for i, K in enumerate(Ks)]
+    best, best_plan = None, None
     for tau in range(tau_max + 1):
-        for N, K, row in rows:
-            g = 1.0 + fork_depth_growth(N, p.xi, tau)
-            boundary = _boundary_cost(d, g, g, K, floor.get(N))
-            if floor.setdefault(N, boundary) <= boundary and tau:
+        for N, K, floor, row in rows:
+            g = 1.0 + fork_depth_growth(N, xi, tau)
+            boundary = _boundary_cost(d, g, g, K, floor) if tau else floor
+            if tau and floor <= boundary:
                 continue  # dominated by its tau-0 twin
             for B, (revenue, secret) in enumerate(row):
                 profit = revenue - c * (boundary + secret)

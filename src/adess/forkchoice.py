@@ -71,6 +71,8 @@ class AdessParams:
     epsilon: float = 1e-6
 
     def __post_init__(self):
+        if type(self.alpha) is not int:
+            raise ValueError("alpha must be an int")
         if self.alpha < 1:
             raise ValueError("alpha must be >= 1")
         if not 0 < self.xi < math.inf:

@@ -55,6 +55,8 @@ class DifficultyRule:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must be in (0, 1]")
+        if type(self.epoch_length) is not int:
+            raise ValueError("epoch length must be an int")
         if self.epoch_length < 1:
             raise ValueError("epoch length must be >= 1")
 

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adess.economics import (AttackParams, _boundary_cost, _plan_rows,
-                             adess_attack_cost,
+from adess.economics import (AttackParams, _boundary_cost, _plan_blocks,
+                             _plan_rows, adess_attack_cost,
                              adess_attack_profit, affine_cost_term,
                              affine_cost_term_derivative,
                              affine_growth_cost_margin, attack_plan_profit,
@@ -169,6 +169,17 @@ def test_attack_params_reject_non_finite_values():
             params(**kw)
 
 
+def test_attack_params_reject_non_int_sizes():
+    # a fractional alpha would otherwise reach the plan search's range()
+    # and fail there as a raw TypeError
+    for field in ("alpha", "sigma", "B"):
+        for bad in (2.5, 1.0, True, False, "2", None):
+            with pytest.raises(ValueError, match="must be ints"):
+                params(**{field: bad})
+    with pytest.raises(ValueError):
+        brute_force_optimal_plan(AttackParams(alpha=2.5))
+
+
 def test_attack_cost_overflow_is_a_domain_error():
     # (1+xi)^n overflows a float well before the 12,000th boundary block
     with pytest.raises(DomainError):
@@ -306,11 +317,16 @@ def test_boundary_cost_is_left_sum_bit_for_bit():
 
 
 def summing_search(p: AttackParams, tau_max: int, n_extra: int, b_max: int):
-    """`brute_force_optimal_plan` without its skip: every (tau, N) boundary
-    summed in full and every B scanned, keeping the first strict maximum."""
+    """`brute_force_optimal_plan` without its skip, power table or shared
+    tau-0 prefix: each N's powers taken on their own, every (tau, N)
+    boundary summed in full and every B scanned, keeping the first strict
+    maximum."""
     n0, d, c = p.horizon_blocks, p.delta, p.c
-    rows = [(N,) + _plan_rows(p, p.xi, N, b_max, tau_max)
-            for N in range(n0, n0 + n_extra + 1)]
+    rows = []
+    for N in range(n0, n0 + n_extra + 1):
+        K = _plan_blocks(p.xi, N, tau_max, b_max)
+        powers = [d ** e for e in range(N - 1, N + b_max)]
+        rows.append((N, K, _plan_rows(p, K, powers)))
     best, best_plan = None, None
     for tau in range(tau_max + 1):
         for N, K, row in rows:
@@ -363,6 +379,29 @@ def test_skipping_search_matches_summing_search_near_overflow():
              "tau 0" if f"{1.0 + p.xi!r}^n" in want else "tau >= 1"] += 1
     # every outcome is exercised
     assert all(seen[k] >= 10 for k in ("plan", "tau 0", "tau >= 1")), seen
+
+
+def test_shared_tau0_prefix_names_the_first_overflowing_boundary():
+    # the search sums the tau-0 terms once, up to the largest K; an overflow
+    # that first shows at some N > n0 must still name that N's K, as
+    # summing each N's boundary on its own does, and not the largest K
+    rng = random.Random(18)
+    grid = dict(tau_max=2, n_extra=6, b_max=2)
+    later = 0
+    for _ in range(40):
+        alpha, j = rng.randint(20, 120), rng.randint(1, 5)
+        p = params(alpha=alpha, delta=rng.uniform(0.5, 1.0),
+                   xi=edge_xi(alpha + j, rng.uniform(710.0, 712.0)),
+                   v=rng.uniform(0.0, 50.0))
+        with pytest.raises(DomainError) as want:
+            summing_search(p, **grid)
+        with pytest.raises(DomainError) as got:
+            brute_force_optimal_plan(p, **grid)
+        assert repr(got.value) == repr(want.value)
+        K = int(str(want.value).rsplit("n < ", 1)[1])
+        Ks = [boundary_blocks(N, p.xi) for N in range(alpha, alpha + 7)]
+        later += Ks[0] < K < Ks[-1]
+    assert later >= 10, later
 
 
 def test_brute_force_rejects_negative_grid_sizes():

@@ -51,6 +51,13 @@ def test_params_validation():
     assert AdessParams().alpha == 6
 
 
+def test_params_reject_a_non_int_alpha():
+    # a bool is an int to Python, but not a confirmation depth
+    for bad in (2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="alpha must be an int"):
+            AdessParams(alpha=bad)
+
+
 def test_params_reject_non_finite():
     nan, inf = float("nan"), float("inf")
     for bad in (dict(xi=nan), dict(xi=inf), dict(epsilon=nan),

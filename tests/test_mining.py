@@ -98,6 +98,13 @@ def test_rule_validation():
         DifficultyRule.epoch(0)
 
 
+def test_epoch_length_must_be_an_int():
+    for bad in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="epoch length must be an int"):
+            DifficultyRule.epoch(bad)
+    assert DifficultyRule.epoch(3).epoch_length == 3
+
+
 def test_non_finite_mining_params_rejected():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
