@@ -114,9 +114,11 @@ def _scenario_kwargs(data: dict) -> dict:
     if "difficulty" in data:
         kwargs["difficulty"] = _build(DifficultyRule, data.pop("difficulty"),
                                       "difficulty")
-    if "delays" in data:
-        raw = data.pop("delays")
-        kwargs["delays"] = {(s, n): d for s, n, d in raw}
+    if "delays" in data:  # [sender, receiver, delay] triples
+        try:
+            kwargs["delays"] = {(s, n): d for s, n, d in data.pop("delays")}
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad delays config: {e}") from None
     if "honest_hashrates" in data:
         kwargs["honest_hashrates"] = dict(data.pop("honest_hashrates").items())
     if "eclipse_set" in data:

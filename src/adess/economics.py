@@ -495,7 +495,8 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
     best, best_plan = None, None
     for tau in range(tau_max + 1):
         for N, K, floor, row in rows:
-            g = 1.0 + fork_depth_growth(N, xi, tau)
+            if tau:  # 1 + fork_depth_growth(N, xi, tau), read only here
+                g = 1.0 + (xi + tau / N)
             boundary = _boundary_cost(d, g, g, K, floor) if tau else floor
             if tau and floor <= boundary:
                 continue  # dominated by its tau-0 twin

@@ -206,10 +206,11 @@ class NodeView:
 
         if self._index[bid][1]:  # a block under no fork has none to advance
             self._advance(block, arrival)
-        if self._best is not None:
-            score = self._score(bid)
+        if self._best is not None:  # _score, its common case inlined
+            score = (self.store._cumdiff[bid] if self._index[bid][0] is None
+                     else self._score(bid))
             if score > self._best[0] and not self._active[bid]:
-                self._best = (score, ChainRef(bid))
+                self._best = (score, tuple.__new__(ChainRef, (bid,)))
             elif parent == self._best[1].head:
                 self._best = None
 
@@ -441,7 +442,7 @@ class NodeView:
             if not scored:
                 raise RuntimeError("no penalty-free chain: invariant violated")
             score, head = self._pick(scored)
-            self._best = (score, ChainRef(head))
+            self._best = (score, tuple.__new__(ChainRef, (head,)))
         return self._best[1]
 
     # -- diagnostics -------------------------------------------------------

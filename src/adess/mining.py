@@ -26,6 +26,14 @@ NEVER_FOUND = math.inf
 class CertaintyEquivalent:
     """Deterministic block times: exactly D/h."""
 
+    def _drawer(self, rng: Optional[random.Random] = None):
+        """This mode's draw rule at hashrate > 0; see `block_time_draw`."""
+        def draw(difficulty: float, hashrate: float) -> tuple:
+            if difficulty <= 0:
+                raise ValueError("difficulty must be > 0")
+            return 1.0, 0.0, difficulty / hashrate
+        return draw
+
 
 @dataclass(frozen=True)
 class Stochastic:
@@ -37,6 +45,18 @@ class Stochastic:
     def __post_init__(self):
         if not 0 < self.tick < math.inf:
             raise ValueError("tick must be finite and > 0")
+
+    def _drawer(self, rng: Optional[random.Random]):
+        """This mode's draw rule at hashrate > 0, bound to `rng`."""
+        if rng is None:
+            raise ValueError("stochastic mode needs an RNG")
+        tick, uniform = self.tick, rng.random
+        def draw(difficulty: float, hashrate: float) -> tuple:
+            if difficulty <= 0:
+                raise ValueError("difficulty must be > 0")
+            p = min(hashrate * tick / difficulty, 1.0)
+            return p, uniform() if p < 1.0 else 0.0, tick
+        return draw
 
 
 MiningMode = Union[CertaintyEquivalent, Stochastic]
@@ -60,6 +80,17 @@ class DifficultyRule:
         if self.epoch_length < 1:
             raise ValueError("epoch length must be >= 1")
 
+    def _retarget(self):
+        """`adjust_difficulty`'s formula under this rule, for inputs > 0:
+        (prev difficulty, implied hashrate, epoch history) -> next."""
+        beta, E = self.beta, self.epoch_length
+        return {"full": lambda prev, implied, history=(): implied,
+                "partial": lambda prev, implied, history=(): prev * (
+                    1.0 + beta * (implied / prev - 1.0)),
+                "epoch": lambda prev, implied, history=(): prev if len(
+                    history) < E else prev * (E / left_sum(history)),
+                }[self.mode]
+
     @classmethod
     def full(cls) -> "DifficultyRule":
         return cls("full")
@@ -82,21 +113,17 @@ def next_block_time(difficulty: float, hashrate: float, mode: MiningMode,
 def block_time_draw(difficulty: float, hashrate: float, mode: MiningMode,
                     rng: Optional[random.Random] = None) -> tuple:
     """`next_block_time`'s draw, unresolved: (p, u, tick), whose
-    `geometric_time` is at least tick; a known time t is (1.0, 0.0, t)."""
+    `geometric_time` is at least tick; a known time t is (1.0, 0.0, t).
+    Each mode's `_drawer(rng)` holds its rule; a simulation binds it once."""
     if difficulty <= 0:
         raise ValueError("difficulty must be > 0")
     if hashrate < 0:
         raise ValueError("hashrate must be >= 0")
     if hashrate == 0:
         return 1.0, 0.0, NEVER_FOUND
-    if isinstance(mode, CertaintyEquivalent):
-        return 1.0, 0.0, difficulty / hashrate
-    if isinstance(mode, Stochastic):
-        if rng is None:
-            raise ValueError("stochastic mode needs an RNG")
-        p = min(hashrate * mode.tick / difficulty, 1.0)
-        return p, rng.random() if p < 1.0 else 0.0, mode.tick
-    raise TypeError(f"unknown mining mode {mode!r}")
+    if not isinstance(mode, (CertaintyEquivalent, Stochastic)):
+        raise TypeError(f"unknown mining mode {mode!r}")
+    return mode._drawer(rng)(difficulty, hashrate)
 
 
 def geometric_time(p: float, u: float, tick: float) -> float:
@@ -122,16 +149,8 @@ def adjust_difficulty(prev_difficulty: float, implied_hashrate: float,
     """
     if prev_difficulty <= 0 or implied_hashrate <= 0:
         raise ValueError("inputs must be > 0")
-    if rule.mode == "full":
-        return implied_hashrate
-    if rule.mode == "partial":
-        growth = implied_hashrate / prev_difficulty - 1.0
-        return prev_difficulty * (1.0 + rule.beta * growth)
-    # epoch
-    history = epoch_history or ()
-    if len(history) < rule.epoch_length:
-        return prev_difficulty
-    return prev_difficulty * (rule.epoch_length / left_sum(history))
+    return rule._retarget()(prev_difficulty, implied_hashrate,
+                            epoch_history or ())
 
 
 def required_hashrate_series(growth: float, n_blocks: int,

@@ -42,8 +42,7 @@ from .economics import AttackParams, boundary_blocks
 from .errors import ConfigError, DomainError
 from .forkchoice import AdessParams, NodeView
 from .mining import (CertaintyEquivalent, DifficultyRule, MiningMode,
-                     NEVER_FOUND, adjust_difficulty, block_time_draw,
-                     geometric_time, next_block_time)
+                     NEVER_FOUND, geometric_time, next_block_time)
 
 ATTACKER = "attacker"
 
@@ -122,6 +121,9 @@ class ScenarioConfig:
         if not (all(0 <= h < math.inf for h in rates.values())
                 and any(rates.values())):
             raise ConfigError("honest hashrates must be finite, >= 0, some > 0")
+        total = sum(rates.values())  # the scale of honest difficulty
+        if total == math.inf:
+            raise ConfigError("honest hashrates must have a finite sum")
         # one block per unit of time per mining node, and one for the attacker
         miners = sum(1 for h in rates.values() if h > 0)
         if self.horizon * (miners + 1) > _MAX_BLOCKS:
@@ -155,7 +157,7 @@ class ScenarioConfig:
             peak = rate ** target if target is not None else 1.0
         except OverflowError:
             peak = math.inf
-        if not 0 < peak < math.inf:
+        if not 0 < peak < math.inf or max(1.0, total) * peak == math.inf:
             raise ConfigError("the attacker's difficulty overflows or "
                               "underflows a float before its chain reaches "
                               "its block target")
@@ -269,12 +271,13 @@ class _Simulation:
             if key not in by_links:
                 by_links[key] = (NodeView(cfg.adess, name, self.tree), {})
             self._views[name] = by_links[key]
-        # sender -> (delay, run) in push order, a run of consecutive links
-        # to one class at one delay; see _fan_out and _run
+        # sender -> (delay, runs) per stretch of links at one delay, in push
+        # order; a run is consecutive links to one class (see _run)
         self._runs = {sender: [
-            (delay, self._run(tuple(name for _, name in group)))
-            for (delay, _), group in groupby(
-                sender_links, lambda link: (link[0], self._views[link[1]][0]))]
+            (delay, tuple(
+                self._run(tuple(name for _, name in run)) for _, run in
+                groupby(stretch, lambda link: self._views[link[1]][0])))
+            for delay, stretch in groupby(sender_links, lambda link: link[0])]
             for sender, sender_links in links.items()}
         self.nodes: Dict[str, NodeView] = {
             name: self._views[name][0] for name in cfg.node_names()}
@@ -282,6 +285,11 @@ class _Simulation:
         self._node_canonical = (NodeView.adess_canonical if cfg.protocol
                                 == "adess" else NodeView.nakamoto_canonical)
 
+        # the run's fixed rules, bound once: see `_push`
+        rule = cfg.difficulty
+        self._draw = cfg.mining._drawer(self.rng_honest)
+        self._retarget = rule._retarget()
+        self._epoch = rule.epoch_length if rule.mode == "epoch" else 0
         self._nextdiff: Dict[BlockId, float] = {self.tree.genesis_id: 1.0}
         # block -> (duration, parent's cell, durations since the last
         # retarget) under the epoch rule; no cell after a retarget
@@ -308,19 +316,23 @@ class _Simulation:
         self.realized_cost = 0.0
         self.conveyed_time: Optional[float] = None
         self.broadcast_time: Optional[float] = None
+        self._obs_read = True  # whether att_obs is fed: see the module doc
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, time: float, kind: str, payload: tuple):
+    def _push(self, time: float, handler, payload: tuple):
+        """Queue `handler(*payload)`, a method looked up now, so a patched
+        one runs.  With the run's fixed rules (draw, retarget) bound in
+        `__init__`, no event dispatches on a kind or mode."""
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        heapq.heappush(self._heap, (time, self._seq, handler, payload))
 
     def _flush(self):  # push the mine events drawn at this instant
-        for seq, (head, hashrate, difficulty, p, u, tick) \
+        for seq, (head, group, difficulty, p, u, tick) \
                 in self._instant.items():
             dur = geometric_time(p, u, tick)
-            heapq.heappush(self._heap, (self.time + dur, seq, "mine",
-                                        (head, hashrate, difficulty, dur)))
+            heapq.heappush(self._heap, (self.time + dur, seq, self._on_mine,
+                                        (head, group, difficulty, dur)))
         self._instant.clear()
 
     def _run(self, names: Tuple[str, ...]) -> tuple:
@@ -338,15 +350,15 @@ class _Simulation:
         arrival instant (unequal delays can share one) of its runs in push
         order, with consecutive seqs, so as if each (receiver, block) pair
         had its own event."""
-        batches: Dict[float, List[tuple]] = {}
-        for delay, run in self._runs[sender]:
-            time = self.time + delay
-            if time in batches:
-                batches[time].append(run)
-            else:
-                batches[time] = [run]
-        for time, runs in batches.items():
-            self._push(time, "arrive", (runs, blocks))
+        batches = self._runs[sender]
+        if len(batches) == 1:  # one delay: one arrive event, no grouping
+            return self._push(self.time + batches[0][0], self._on_arrive,
+                              (batches[0][1], blocks))
+        arrivals: Dict[float, List[tuple]] = {}
+        for delay, runs in batches:
+            arrivals.setdefault(self.time + delay, []).extend(runs)
+        for time, runs in arrivals.items():
+            self._push(time, self._on_arrive, (runs, blocks))
 
     def run(self) -> RunReport:
         self._regroup((self.tree.genesis_id,))
@@ -354,16 +366,12 @@ class _Simulation:
         while heap or instant:
             if instant and (not heap or heap[0][0] > self.time):
                 self._flush()  # the instant is over
-            time, seq, kind, payload = heapq.heappop(heap)
+            time, _, handler, payload = heapq.heappop(heap)
             if time > horizon:
                 break
             self.time = time
-            if kind == "arrive":
-                self._on_arrive(*payload)
-            elif kind == "mine":
-                self._on_mine(seq, *payload)
-            elif kind == "amine":
-                self._on_attacker_mine(*payload)
+            handler(*payload)
+        heap.clear()  # its bound handlers would keep the run alive in a cycle
         return self._report()
 
     # -- difficulty tracking -----------------------------------------------
@@ -375,24 +383,22 @@ class _Simulation:
             raise DomainError(f"the run mined more than {_MAX_BLOCKS} blocks "
                               f"before its horizon")
         bid = self.tree.append_block(parent, difficulty, miner, self.time)
-        rule = self.cfg.difficulty
-        if rule.mode == "epoch":
+        if self._epoch:
             cell = self._epoch_hist.get(parent)
             cell = (duration, cell, cell[2] + 1 if cell else 1)
-            if cell[2] >= rule.epoch_length:
+            if cell[2] >= self._epoch:
                 hist = []  # the closing epoch's durations, newest first
                 while cell is not None:
                     hist.append(cell[0])
                     cell = cell[1]
-                nd = adjust_difficulty(difficulty, hashrate, rule,
-                                       hist[::-1])
+                nd = self._retarget(difficulty, hashrate, hist[::-1])
             else:
                 nd = difficulty
                 self._epoch_hist[bid] = cell
         else:
             # applied hashrate stands in for the implied hashrate so that the
             # deterministic retarget recurrences are reproduced exactly
-            nd = adjust_difficulty(difficulty, hashrate, rule)
+            nd = self._retarget(difficulty, hashrate)
         self._nextdiff[bid] = nd
         return bid
 
@@ -405,35 +411,34 @@ class _Simulation:
         A group whose hashrate is unchanged keeps its pending event, so a
         slow group's progress is never reset.  Superseded draws stay: the
         seeded RNG stream that fixes every run's output includes them."""
+        groups, instant = self._groups, self._instant
         for head in dirty:
             hashrate = None  # no member, no group
             for name in self._members.get(head, ()):
                 hashrate = (hashrate or 0.0) + self._miners[name]
-            group = self._groups.get(head, (None, None))
+            group = groups.get(head, (None, None))
             if group[0] == hashrate:
                 continue  # pending event still valid, or still no group
-            self._instant.pop(group[1], None)
+            instant.pop(group[1], None)
             if hashrate is None:
-                del self._groups[head]
+                del groups[head]
                 continue
             difficulty = self._nextdiff[head]
-            p, u, tick = block_time_draw(difficulty, hashrate,
-                                         self.cfg.mining, self.rng_honest)
-            self._seq += 1
-            self._groups[head] = (hashrate, self._seq)
+            p, u, tick = self._draw(difficulty, hashrate)
+            seq = self._seq = self._seq + 1
+            group = groups[head] = (hashrate, seq)
             if tick != NEVER_FOUND:  # else the group never finds a block
-                self._instant[self._seq] = (head, hashrate, difficulty,
-                                            p, u, tick)
+                instant[seq] = (head, group, difficulty, p, u, tick)
                 if self.time + tick == self.time:
                     self._flush()  # it may fall due at this instant
 
-    def _on_mine(self, seq: int, head: BlockId, hashrate: float,
-                 difficulty: float, duration: float):
-        if self._groups.get(head, (None, None))[1] != seq:
+    def _on_mine(self, head: BlockId, group: tuple, difficulty: float,
+                 duration: float):
+        if self._groups.get(head) is not group:
             return  # stale schedule, superseded by a regroup
         del self._groups[head]
         miner = self._members[head][0]  # the group's leader
-        bid = self._add_block(head, difficulty, miner, hashrate, duration)
+        bid = self._add_block(head, difficulty, miner, group[0], duration)
         self._fan_out(miner, (self.tree.blocks[bid],))
         # the group that mined must be rescheduled even if no head changes
         self._regroup((head,))
@@ -448,9 +453,9 @@ class _Simulation:
         once; each member, att_obs only if read, takes them in push order as
         single arrivals would: a row each, and for a miner a regroup each."""
         canonical, stored, time = self._canonical, self.tree.blocks, self.time
-        series = self.series
+        series, following = self.series, self._members
         for view, memo, members, unread in runs:
-            if members is not unread and not self._att_obs_read():
+            if members is not unread and not self._obs_read:
                 members = unread
                 if not members:
                     continue
@@ -473,24 +478,18 @@ class _Simulation:
                 for prev, head, height in moves:
                     series.append((time, node, head, height))
                     if miner:
-                        self._members[prev].remove(node)
-                        if not self._members[prev]:
-                            del self._members[prev]
-                        if head in self._members:
-                            bisect.insort(self._members[head], node)
+                        following[prev].remove(node)
+                        if not following[prev]:
+                            del following[prev]
+                        if head in following:
+                            bisect.insort(following[head], node)
                         else:
-                            self._members[head] = [node]
+                            following[head] = [node]
                         self._regroup((prev, head) if prev < head
                                       else (head, prev))
                 if victim and self.broadcast_time is None:  # one block
                     self._check_conveyance(blocks[0])
                     self._check_broadcast_condition()
-
-    def _att_obs_read(self) -> bool:
-        """Whether anything still reads att_obs's head, the honest tip: the
-        attack start, and budish's broadcast test until the broadcast."""
-        return self.fork_block is None or (
-            self._target is None and self.broadcast_time is None)
 
     def _check_conveyance(self, block: Block):
         """The victim (n0) conveys the exchange item once it has observed
@@ -514,6 +513,7 @@ class _Simulation:
             return
         self.fork_block = head
         self.fork_time = self.time
+        self._obs_read = self._target is None  # budish's broadcast test
         self._schedule_attacker_block()
 
     def _schedule_attacker_block(self):
@@ -531,7 +531,7 @@ class _Simulation:
                               self.rng_attacker)
         if dur == NEVER_FOUND:
             return
-        self._push(self.time + dur, "amine",
+        self._push(self.time + dur, self._on_attacker_mine,
                    (parent, difficulty, hashrate, dur))
 
     def _on_attacker_mine(self, parent: BlockId, difficulty: float,
@@ -562,6 +562,7 @@ class _Simulation:
         elif len(chain) < self._target:
             return
         self.broadcast_time = self.time
+        self._obs_read = False
         self._fan_out(ATTACKER, [
             self.tree.block(bid) for bid in self.attacker_chain])
 

@@ -54,22 +54,17 @@ class NaiveSimulation(_Simulation):
     def run(self) -> RunReport:
         self.regroup()
         while self._heap:
-            time, seq, kind, payload = heapq.heappop(self._heap)
+            time, _, handler, payload = heapq.heappop(self._heap)
             if time > self.cfg.horizon:
                 break
             self.time = time
-            if kind == "arrive":
-                self.arrive(*payload)
-            elif kind == "mine":
-                self.mine(seq, *payload)
-            else:
-                self._on_attacker_mine(*payload)
+            handler(*payload)
         return self._report()
 
     def _fan_out(self, sender: str, blocks):
         for delay, name in self.links[sender]:
             for block in blocks:
-                self._push(self.time + delay, "arrive", (name, block))
+                self._push(self.time + delay, self.arrive, (name, block))
 
     def regroup(self):
         """Draw a block time for every head whose members' summed hashrate
@@ -90,9 +85,10 @@ class NaiveSimulation(_Simulation):
                                   self.rng_honest)
             self.groups[head] = (hashrate, None)
             if dur != NEVER_FOUND:
-                self._push(self.time + dur, "mine",
-                           (head, hashrate, difficulty, dur))
-                self.groups[head] = (hashrate, self._seq)
+                seq = self._seq + 1  # the seq _push gives this event
+                self._push(self.time + dur, self.mine,
+                           (seq, head, hashrate, difficulty, dur))
+                self.groups[head] = (hashrate, seq)
 
     def mine(self, seq: int, head: int, hashrate: float, difficulty: float,
              duration: float):

@@ -217,6 +217,40 @@ def test_unbounded_horizon_exits_one_before_any_event(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+#: honest hashrates whose scale a run cannot hold: the draw's
+#: inf * tick / inf was NaN, and the attacker's difficulty overflowed mid-run
+OVERFLOWING_RATES = [
+    ({"horizon": 10, "n_honest_nodes": 2,
+      "honest_hashrates": {"n0": 1e308, "n1": 1e308},
+      "mining": {"mode": "stochastic", "tick": 0.01}}, "hashrates"),
+    ({"horizon": 10, "honest_hashrates": {"n0": 1e308}}, "overflows"),
+]
+
+
+@pytest.mark.parametrize("cfg, named", OVERFLOWING_RATES)
+def test_overflowing_hashrates_exit_one_before_any_event(capsys, tmp_path,
+                                                         cfg, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "simulate", "--config", str(path),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1 and "error:" in err and named in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("delays", [{"n0,n1": 0.5}, [["n0", "n1"]]])
+def test_misshapen_delays_are_config_errors_naming_delays(capsys, tmp_path,
+                                                          delays):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_honest_nodes": 2, "delays": delays}))
+    code, _, err = run(capsys, "simulate", "--config", str(path),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1 and "error:" in err and "delays" in err
+    assert "Traceback" not in err
+    with pytest.raises(ConfigError, match="delays"):
+        scenario_from_dict({"n_honest_nodes": 2, "delays": delays})
+
+
 def test_overflowing_attack_cost_exits_one(capsys):
     code, _, err = run(capsys, "safe-v", "--xi", "5", "--alpha", "2000")
     assert code == 1 and "error:" in err and "overflow" in err

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from adess.errors import DomainError
 from adess.mining import (CertaintyEquivalent, DifficultyRule, NEVER_FOUND,
-                          Stochastic, adjust_difficulty, geometric_time,
-                          next_block_time, required_hashrate_series,
-                          sustained_growth_cost)
+                          Stochastic, adjust_difficulty, block_time_draw,
+                          geometric_time, next_block_time,
+                          required_hashrate_series, sustained_growth_cost)
 
 CE = CertaintyEquivalent()
 
@@ -65,6 +65,55 @@ def test_geometric_time_counts_ticks_and_rejects_underflowed_p():
     for p in (1e-309, 1e-320, 5e-324, 0.0):
         with pytest.raises(DomainError, match=f"p = {p!r}"):
             geometric_time(p, 0.5, 0.01)
+
+
+def _resolved(draw: tuple) -> str:
+    try:
+        return repr(geometric_time(*draw))
+    except (DomainError, ValueError) as e:  # NaN: ValueError from ceil
+        return f"{type(e).__name__}: {e}"
+
+
+def _reference_draw(difficulty, hashrate, mode, rng) -> tuple:
+    """The draw rule as one function per call, checks and all."""
+    if difficulty <= 0:
+        raise ValueError("difficulty must be > 0")
+    if isinstance(mode, CertaintyEquivalent):
+        return 1.0, 0.0, difficulty / hashrate
+    p = min(hashrate * mode.tick / difficulty, 1.0)
+    return p, rng.random() if p < 1.0 else 0.0, mode.tick
+
+
+def test_run_bound_drawer_matches_block_time_draw():
+    """A simulation draws through `mode._drawer(rng)`, bound once per run.
+    At hashrate > 0 it, `block_time_draw` and the reference rule give the
+    same tuple (repr, so NaN compares) and take the same uniforms."""
+    seeded = random.Random(2024)
+    points = [(10 ** seeded.uniform(-3, 3), 10 ** seeded.uniform(-3, 3),
+               10 ** seeded.uniform(-4, 0)) for _ in range(500)]
+    nan, inf = math.nan, math.inf
+    points += [
+        (1.0, 200.0, 0.01), (1.0, 100.0, 0.01),  # p >= 1: no uniform
+        (1e300, 1e-10, 0.01), (1.0, 1e-320, 0.01),  # p underflows
+        (nan, 1.0, 0.01), (1.0, nan, 0.01), (inf, 1.0, 0.01),
+        (1.0, inf, 0.01), (inf, inf, 0.01), (1e-320, 1.0, 0.01),
+    ]
+    underflows = 0
+    for difficulty, hashrate, tick in points:
+        for mode in (Stochastic(tick=tick), CE):
+            rngs = [random.Random(5) for _ in range(3)]
+            draws = [_reference_draw(difficulty, hashrate, mode, rngs[0]),
+                     block_time_draw(difficulty, hashrate, mode, rngs[1]),
+                     mode._drawer(rngs[2])(difficulty, hashrate)]
+            assert len({repr(d) for d in draws}) == 1
+            assert len({repr(r.getstate()) for r in rngs}) == 1
+            assert len({_resolved(d) for d in draws}) == 1
+            underflows += _resolved(draws[0]).startswith("DomainError")
+    assert underflows >= 3
+    for difficulty in (0.0, -1.0):  # the drawer keeps the ValueError
+        for mode in (Stochastic(), CE):
+            with pytest.raises(ValueError, match="difficulty"):
+                mode._drawer(random.Random(5))(difficulty, 1.0)
 
 
 def test_full_adjustment():

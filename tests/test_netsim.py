@@ -11,12 +11,13 @@ from __future__ import annotations
 import heapq
 import random
 import tracemalloc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
-from adess import mining, netsim
+from adess import netsim
 from adess.chain import BlockTree
 from adess.economics import AttackParams
 from adess.errors import ConfigError, DomainError
@@ -277,6 +278,19 @@ def test_config_rejects_non_finite_values_before_any_event():
             run_scenario(adess_cfg(**kw))
 
 
+@pytest.mark.parametrize("kw", [
+    # the draw's inf * tick / inf was NaN: "cannot convert float NaN"
+    dict(n_honest_nodes=2, honest_hashrates={"n0": 1e308, "n1": 1e308},
+         mining=Stochastic(tick=0.01)),
+    # the attacker's difficulty, 2 ** 12 times the fork's, overflowed
+    dict(honest_hashrates={"n0": 1e308}),
+])
+def test_overflowing_hashrates_fail_before_the_first_event(kw):
+    cfg = ScenarioConfig(horizon=10.0, **kw)
+    with pytest.raises(ConfigError):
+        run_scenario(cfg)
+
+
 def test_a_run_mining_faster_than_the_unit_pace_stops_at_the_block_bound(
         monkeypatch):
     monkeypatch.setattr(netsim, "_MAX_BLOCKS", 500)
@@ -362,7 +376,7 @@ def run_with_private_views(cfg: ScenarioConfig) -> tuple:
         hits += block.id in sim._views[node][1]
         orphans += block.parent not in view.tree
         view.observe(block, sim.time)
-        read = node != "att_obs" or sim._att_obs_read()
+        read = node != "att_obs" or sim._obs_read
         arrive()
         if read:
             assert sim._canonical[node] == sim._node_canonical(view).head
@@ -420,7 +434,8 @@ def test_feeding_att_obs_throughout_changes_no_output(monkeypatch, strategy,
                   n_honest_nodes=nodes, delay=0.3 * (nodes > 1))
     skipping = _Simulation(cfg)
     skipped = skipping.run()
-    monkeypatch.setattr(_Simulation, "_att_obs_read", lambda self: True)
+    monkeypatch.setattr(_Simulation, "_obs_read", property(  # always read
+        lambda self: True, lambda self, value: None), raising=False)
     feeding = _Simulation(cfg)
     fed = feeding.run()
     assert skipped.attack_succeeded and skipped.broadcast_time is not None
@@ -471,7 +486,7 @@ def test_no_mine_event_superseded_in_its_instant_reaches_the_heap(
                 drawn[seq] = sim.time
 
     def push(heap, item):
-        if item[2] == "mine":
+        if item[2] == sim._on_mine:
             pushed.append(item[1])
         heapq.heappush(heap, item)
 
@@ -497,20 +512,31 @@ def test_honest_uniforms_match_stochastic_regroup_draws(monkeypatch):
 
     draws = 0
 
-    def counted(*args):
+    def counted(difficulty, hashrate):
         nonlocal draws
-        p, u, tick = mining.block_time_draw(*args)
+        p, u, tick = draw(difficulty, hashrate)
         draws += p < 1.0
         return p, u, tick
 
     cfg = replace(forky_config(5), horizon=40.0)
+    monkeypatch.setattr(random, "Random", Counting)  # bound at set-up
     sim = _Simulation(cfg)
-    sim.rng_honest = Counting(cfg.seed)
-    monkeypatch.setattr(netsim, "block_time_draw", counted)
+    draw, sim._draw = sim._draw, counted
     report = sim.run()
     assert draws > 0 and sim.rng_honest.calls == draws
     monkeypatch.undo()
     assert report.to_text() == run_scenario(cfg).to_text()
+
+
+def test_a_finished_run_is_freed_without_the_cycle_collector():
+    # events carry bound handlers: a heap left holding them (here, stale and
+    # past-horizon mine events) would tie the run to itself, and its tree and
+    # views would wait for a full collection
+    sim = _Simulation(replace(forky_config(5), horizon=40.0))
+    sim.run()
+    ref = weakref.ref(sim)
+    del sim
+    assert ref() is None
 
 
 def test_plain_class_rows_are_node_major_as_single_arrivals():
@@ -547,5 +573,5 @@ def test_a_draw_that_may_fall_due_at_its_instant_is_pushed_at_once():
         sim = _Simulation(adess_cfg())  # one unit-rate miner: unit blocks
         sim.time = time
         sim._regroup(list(sim._members))
-        assert [e[2] for e in sim._heap] == ["mine"] * pushed
+        assert [e[2] for e in sim._heap] == [sim._on_mine] * pushed
         assert len(sim._instant) == 1 - pushed
