@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, NamedTuple, Optional, Set
 
-from .errors import InvalidDifficulty, UnknownBlock
+from .errors import DomainError, InvalidDifficulty, UnknownBlock
 
 BlockId = int
 
@@ -74,10 +74,9 @@ class BlockTree:
                      time: float = 0.0) -> BlockId:
         """Create a fresh block under `parent` and return its id."""
         bid = self._next_id
+        height, self._cumdiff[bid] = self._child(parent, difficulty)
         block = self.blocks[bid] = tuple.__new__(Block, (  # skips a Python call
-            bid, parent, self._parent(parent, difficulty).height + 1,
-            difficulty, miner, time))
-        self._cumdiff[bid] = self._cumdiff[parent] + difficulty
+            bid, parent, height, difficulty, miner, time))
         self._next_id = bid + 1
         if self._seen is not None:
             self._seen.insert(block)
@@ -87,22 +86,26 @@ class BlockTree:
         """Insert a fully formed block (used when replaying observed blocks)."""
         if block.id in self.blocks:
             return
-        parent = self._parent(block.parent, block.difficulty)
-        if block.height != parent.height + 1:
+        height, cum = self._child(block.parent, block.difficulty)
+        if block.height != height:
             raise ValueError(
-                f"height {block.height} != parent height {parent.height} + 1")
+                f"height {block.height} != parent height {height - 1} + 1")
         self.blocks[block.id] = block
-        self._cumdiff[block.id] = self._cumdiff[block.parent] + block.difficulty
+        self._cumdiff[block.id] = cum
         self._next_id = max(self._next_id, block.id + 1)
         if self._seen is not None:
             self._seen.insert(block)
 
-    def _parent(self, parent: Optional[BlockId], difficulty: float) -> Block:
+    def _child(self, parent: Optional[BlockId], difficulty: float) -> tuple:
+        """(height, cumulative difficulty) of a valid child of `parent`."""
         if parent not in self.blocks:
             raise UnknownBlock(f"unknown parent {parent}")
         if not 0 < difficulty < math.inf:
             raise InvalidDifficulty(f"difficulty {difficulty} must be finite, > 0")
-        return self.blocks[parent]
+        cum = self._cumdiff[parent] + difficulty
+        if cum == math.inf:
+            raise DomainError(f"cumulative difficulty overflows past {parent}")
+        return self.blocks[parent].height + 1, cum
 
     # -- reads -------------------------------------------------------------
 
@@ -166,7 +169,7 @@ class BlockTree:
                     tree.insert(Block(bid, parent, int(fields["h"]),
                                       float(fields["d"]), fields["miner"],
                                       float(fields["t"])))
-            except (KeyError, ValueError, InvalidDifficulty,
+            except (KeyError, ValueError, InvalidDifficulty, DomainError,
                     UnknownBlock) as e:
                 raise ValueError(f"bad snapshot line {line!r}: {e!r}") from None
         if tree is None:

@@ -99,39 +99,32 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 
 def _scenario_kwargs(data: dict) -> dict:
-    kwargs = {}
-    if "adess" in data:
-        kwargs["adess"] = _build(AdessParams, data.pop("adess"), "adess")
-    if "attack" in data:
-        kwargs["attack"] = _build(AttackParams, data.pop("attack"), "attack")
-    if "mining" in data:
-        m = dict(data.pop("mining"))
-        modes = {"ce": CertaintyEquivalent, "stochastic": Stochastic}
-        mode = m.pop("mode", "ce")
-        if mode not in modes:
-            raise ConfigError(f"unknown mining mode {mode!r}")
-        kwargs["mining"] = _build(modes[mode], m, "mining")
-    if "difficulty" in data:
-        kwargs["difficulty"] = _build(DifficultyRule, data.pop("difficulty"),
-                                      "difficulty")
-    if "delays" in data:  # [sender, receiver, delay] triples
-        try:
-            kwargs["delays"] = {(s, n): d for s, n, d in data.pop("delays")}
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad delays config: {e}") from None
-    if "honest_hashrates" in data:
-        kwargs["honest_hashrates"] = dict(data.pop("honest_hashrates").items())
-    if "eclipse_set" in data:
-        kwargs["eclipse_set"] = tuple(data.pop("eclipse_set"))
-    if "eclipse_from_honest" in data:
-        kwargs["eclipse_from_honest"] = tuple(data.pop("eclipse_from_honest"))
-    known = {"protocol", "n_honest_nodes", "delay", "attacker_strategy",
-             "growth", "attack_start_height", "horizon", "seed"}
-    for key in list(data):
+    """ScenarioConfig's arguments: each key a field, a section its class."""
+    known = {f.name for f in fields(ScenarioConfig)}
+    sections = {"adess": AdessParams, "attack": AttackParams,
+                "difficulty": DifficultyRule}
+    for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        kwargs[key] = data.pop(key)
-    return kwargs
+        if key in sections:
+            data[key] = _build(sections[key], value, key)
+        elif key == "mining":
+            m = dict(value)
+            modes = {"ce": CertaintyEquivalent, "stochastic": Stochastic}
+            mode = m.pop("mode", "ce")
+            if mode not in modes:
+                raise ConfigError(f"unknown mining mode {mode!r}")
+            data[key] = _build(modes[mode], m, "mining")
+        elif key == "delays":  # [sender, receiver, delay] triples
+            try:
+                data[key] = {(s, n): d for s, n, d in value}
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"bad delays config: {e}") from None
+        elif key == "honest_hashrates":
+            data[key] = dict(value.items())
+        elif key in ("eclipse_set", "eclipse_from_honest"):
+            data[key] = tuple(value)
+    return data
 
 
 def _load_json(path: str) -> dict:
@@ -148,13 +141,11 @@ def _load_json(path: str) -> dict:
 
 
 def _attack_params(args) -> AttackParams:
-    """AttackParams from the economics flags; a flag the subcommand lacks,
-    or leaves unset, keeps the field's default."""
-    flags = dict(v="v", pb="p_B", c="c", delta="delta", alpha="alpha",
-                 sigma="sigma", b="B", xi="xi")
-    return AttackParams(**{field: getattr(args, flag)
-                           for flag, field in flags.items()
-                           if getattr(args, flag, None) is not None})
+    """AttackParams from the economics flags, each stored under its field's
+    name; a flag the subcommand lacks, or leaves unset, keeps the default."""
+    return AttackParams(**{f.name: getattr(args, f.name)
+                           for f in fields(AttackParams)
+                           if getattr(args, f.name, None) is not None})
 
 
 def _out_dir(args) -> Path:
@@ -443,9 +434,10 @@ def _add_cost_flags(p: argparse.ArgumentParser):
 
 def _add_econ_flags(p: argparse.ArgumentParser):
     """The cost flags and the payoff flags the attack-profit commands read."""
-    p.add_argument("--pb", type=float, help="block reward")
+    p.add_argument("--pb", dest="p_B", metavar="PB", type=float,
+                   help="block reward")
     _add_cost_flags(p)
-    p.add_argument("--b", type=int, help="extra secret blocks")
+    p.add_argument("--b", dest="B", type=int, help="extra secret blocks")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -72,8 +72,10 @@ class AttackParams:
             raise ValueError("delta must be in (0, 1]")
         if not all(type(n) is int for n in (self.alpha, self.sigma, self.B)):
             raise ValueError("alpha, sigma and B must be ints")
-        if self.xi < 0 or self.alpha < 1 or self.sigma < 0 or self.B < 0:
-            raise ValueError("xi >= 0, alpha >= 1, sigma >= 0, B >= 0 required")
+        if (self.xi < 0 or self.alpha < 1 or self.sigma < 0 or self.B < 0
+                or self.epsilon_extra < 0):
+            raise ValueError("xi >= 0, alpha >= 1, sigma >= 0, B >= 0 and "
+                             "epsilon_extra >= 0 required")
 
     @property
     def horizon_blocks(self) -> int:

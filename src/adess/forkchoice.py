@@ -343,10 +343,8 @@ class NodeView:
     # -- canonical boundary ------------------------------------------------
 
     def _cross_check(self, rec: PenaltyRecord, arrival: float):
-        """Deactivate `rec` if the penalized branch has reached the canonical
+        """Deactivate the active `rec` if its branch has reached the canonical
         boundary, re-basing the chain's score when its last penalty clears."""
-        if rec.deactivated_at is not None:
-            return
         len_pen, head_pen = rec._branch_len[rec.penalized_branch]
         len_base, _ = rec._branch_len[rec.baseline_branch]
         if len_pen < (1.0 + self.params.xi) * len_base - _BOUNDARY_EPS:

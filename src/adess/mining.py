@@ -27,7 +27,7 @@ class CertaintyEquivalent:
     """Deterministic block times: exactly D/h."""
 
     def _drawer(self, rng: Optional[random.Random] = None):
-        """This mode's draw rule at hashrate > 0; see `block_time_draw`."""
+        """This mode's draw rule at hashrate > 0: see `next_block_time`."""
         def draw(difficulty: float, hashrate: float) -> tuple:
             if difficulty <= 0:
                 raise ValueError("difficulty must be > 0")
@@ -79,6 +79,9 @@ class DifficultyRule:
             raise ValueError("epoch length must be an int")
         if self.epoch_length < 1:
             raise ValueError("epoch length must be >= 1")
+        for name, mode in (("beta", "partial"), ("epoch_length", "epoch")):
+            if getattr(self, name) != 1 and self.mode != mode:
+                raise ValueError(f"{name} is read only by the {mode} mode")
 
     def _retarget(self):
         """`adjust_difficulty`'s formula under this rule, for inputs > 0:
@@ -106,24 +109,18 @@ class DifficultyRule:
 
 def next_block_time(difficulty: float, hashrate: float, mode: MiningMode,
                     rng: Optional[random.Random] = None) -> float:
-    """Waiting time for the next block, or NEVER_FOUND at zero hashrate."""
-    return geometric_time(*block_time_draw(difficulty, hashrate, mode, rng))
-
-
-def block_time_draw(difficulty: float, hashrate: float, mode: MiningMode,
-                    rng: Optional[random.Random] = None) -> tuple:
-    """`next_block_time`'s draw, unresolved: (p, u, tick), whose
-    `geometric_time` is at least tick; a known time t is (1.0, 0.0, t).
-    Each mode's `_drawer(rng)` holds its rule; a simulation binds it once."""
+    """Waiting time for the next block, or NEVER_FOUND at zero hashrate: the
+    `geometric_time` of the draw (p, u, tick) of `mode._drawer(rng)`, a rule
+    that a simulation binds once and whose draw it may drop unresolved."""
     if difficulty <= 0:
         raise ValueError("difficulty must be > 0")
     if hashrate < 0:
         raise ValueError("hashrate must be >= 0")
     if hashrate == 0:
-        return 1.0, 0.0, NEVER_FOUND
+        return NEVER_FOUND
     if not isinstance(mode, (CertaintyEquivalent, Stochastic)):
         raise TypeError(f"unknown mining mode {mode!r}")
-    return mode._drawer(rng)(difficulty, hashrate)
+    return geometric_time(*mode._drawer(rng)(difficulty, hashrate))
 
 
 def geometric_time(p: float, u: float, tick: float) -> float:

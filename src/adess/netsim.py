@@ -42,7 +42,7 @@ from .economics import AttackParams, boundary_blocks
 from .errors import ConfigError, DomainError
 from .forkchoice import AdessParams, NodeView
 from .mining import (CertaintyEquivalent, DifficultyRule, MiningMode,
-                     NEVER_FOUND, geometric_time, next_block_time)
+                     NEVER_FOUND, geometric_time)
 
 ATTACKER = "attacker"
 
@@ -129,13 +129,14 @@ class ScenarioConfig:
         if self.horizon * (miners + 1) > _MAX_BLOCKS:
             raise ConfigError(f"horizon x (mining nodes + 1) must be at most "
                               f"{_MAX_BLOCKS} blocks")
+        names = set(self.node_names())
         for what in ("honest_hashrates", "eclipse_set", "eclipse_from_honest",
                      "delays"):
             named = set(getattr(self, what) or ())
             if what == "delays":  # (sender, receiver), the attacker sends too
                 named = {n for _, n in named} | {s for s, _ in named
                                                  if s != ATTACKER}
-            unknown = named - set(self.node_names())
+            unknown = named - names
             if unknown:
                 raise ConfigError(f"{what} name unknown nodes: {sorted(unknown)}")
         if not 0 <= self.delay < math.inf:
@@ -152,12 +153,13 @@ class ScenarioConfig:
         if self.protocol == "adess" and self.adess.xi != self.attack.xi:
             raise ConfigError(
                 "protocol and attack penalty parameters xi must agree")
-        try:  # the attacker's last difficulty, per unit at the fork
+        try:  # the attacker's last difficulty per unit at the fork (budish:
+            # its hashrate); x _MAX_BLOCKS, it bounds cumulative difficulty
             rate, target = self.attacker_plan()
-            peak = rate ** target if target is not None else 1.0
+            peak = rate ** target if target else 1 + self.attack.epsilon_extra
         except OverflowError:
             peak = math.inf
-        if not 0 < peak < math.inf or max(1.0, total) * peak == math.inf:
+        if not 0 < max(1.0, total) * peak * _MAX_BLOCKS < math.inf:
             raise ConfigError("the attacker's difficulty overflows or "
                               "underflows a float before its chain reaches "
                               "its block target")
@@ -288,6 +290,7 @@ class _Simulation:
         # the run's fixed rules, bound once: see `_push`
         rule = cfg.difficulty
         self._draw = cfg.mining._drawer(self.rng_honest)
+        self._adraw = cfg.mining._drawer(self.rng_attacker)
         self._retarget = rule._retarget()
         self._epoch = rule.epoch_length if rule.mode == "epoch" else 0
         self._nextdiff: Dict[BlockId, float] = {self.tree.genesis_id: 1.0}
@@ -527,10 +530,9 @@ class _Simulation:
             hashrate = 1.0 + (self.cfg.attack.epsilon_extra if surplus else 0.0)
         else:
             hashrate = difficulty * self._rate
-        dur = next_block_time(difficulty, hashrate, self.cfg.mining,
-                              self.rng_attacker)
-        if dur == NEVER_FOUND:
+        if hashrate == 0:  # underflowed under negative growth: it stalls
             return
+        dur = geometric_time(*self._adraw(difficulty, hashrate))
         self._push(self.time + dur, self._on_attacker_mine,
                    (parent, difficulty, hashrate, dur))
 

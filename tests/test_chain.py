@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adess.chain import Block, BlockTree, SeenTree
-from adess.errors import InvalidDifficulty, UnknownBlock
+from adess.errors import DomainError, InvalidDifficulty, UnknownBlock
 from adess.netsim import ScenarioConfig, _Simulation, run_scenario
 
 
@@ -158,6 +158,17 @@ def test_store_and_tree_reject_the_same_blocks(bare):
     # nothing rejected was written
     assert sorted(tree.blocks) == sorted(tree._cumdiff) == [0, a]
     assert tree.append_block(a, 1.0) == 2
+
+
+@pytest.mark.parametrize("bare", [False, True])
+def test_an_infinite_cumulative_difficulty_is_rejected(bare):
+    tree = BlockTree(bare=bare)
+    a = tree.append_block(tree.genesis_id, 1e308)
+    with pytest.raises(DomainError, match="cumulative difficulty"):
+        tree.append_block(a, 1e308)
+    with pytest.raises(DomainError, match="cumulative difficulty"):
+        tree.insert(Block(2, a, 2, 1e308, "", 0.0))
+    assert sorted(tree.blocks) == sorted(tree._cumdiff) == [0, a]
 
 
 def test_a_simulation_store_keeps_only_blocks_and_cumulative_difficulty():

@@ -224,6 +224,10 @@ OVERFLOWING_RATES = [
       "honest_hashrates": {"n0": 1e308, "n1": 1e308},
       "mining": {"mode": "stochastic", "tick": 0.01}}, "hashrates"),
     ({"horizon": 10, "honest_hashrates": {"n0": 1e308}}, "overflows"),
+    # budish's unit-rate chain: every cumulative difficulty from block 3 on
+    # was inf, so fork choice fell back to first-seen order
+    ({"horizon": 10, "honest_hashrates": {"n0": 1e308},
+      "attacker_strategy": "budish"}, "overflows"),
 ]
 
 
@@ -275,10 +279,17 @@ def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
             scenario_from_dict({section: {key: 5}})
     with pytest.raises(ConfigError, match="seed"):
         scenario_from_dict({"mining": {"mode": "stochastic", "seed": 5}})
-    # nor a difficulty rule a target block time: every rule retargets to 1
+    # nor a difficulty rule a target block time: every rule retargets to 1;
+    # nor a beta or an epoch length its mode never reads (each ran, and wrote
+    # the report of the same config without it)
     with pytest.raises(ConfigError, match="target_block_time"):
         scenario_from_dict({"difficulty": {"mode": "full",
                                            "target_block_time": 2.0}})
+    for rule, key in (({"mode": "full", "beta": 0.5}, "beta"),
+                      ({"mode": "partial", "beta": 0.5, "epoch_length": 7},
+                       "epoch_length")):
+        with pytest.raises(ValueError, match=key):
+            scenario_from_dict({"difficulty": rule})
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -326,10 +337,22 @@ def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
     ("simulate", {"n_honest_nodes": 2, "delays": [["n0", "n9", 0.5]]}),
     ("simulate", {"n_honest_nodes": 2, "delays": [["attackr", "n1", 0.5]]}),
     ("simulate", {"n_honest_nodes": 2, "delays": [["n1", "att_obs", 5.0]]}),
+    ("simulate", {"eclipse_from_honest": 5}),
+    ("simulate", {"mining": {"mode": "pow"}}),
+    ("simulate", '{"horizon": 10,'),  # text, written as is: not valid JSON
+    ("sweep", {"grid": {"start": 0, "stop": 1, "step": 0}}),
+    ("sweep", {"grid": {"param": "v", "start": 1e17,
+                        "stop": 1.0000000000000003e17, "step": 1}}),
+    ("sweep", {"grid": {"start": 2, "stop": 1, "step": 1}}),  # empty
+    ("sweep", {"grid": {"param": "alpha", "values": [1.0]}}),
+    # a negative surplus: -5 failed mid-run, -1 stalled the attacker
+    ("simulate", {"attacker_strategy": "budish", "horizon": 30,
+                  "adess": {"alpha": 2},
+                  "attack": {"alpha": 2, "epsilon_extra": -5}}),
 ])
 def test_malformed_config_shape_exits_one(capsys, tmp_path, command, cfg):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     code, _, err = run(capsys, command, "--config", str(path),
                        "--out", str(tmp_path / "out"))
     assert code == 1 and "error:" in err and "Traceback" not in err

@@ -169,6 +169,15 @@ def test_attack_params_reject_non_finite_values():
             params(**kw)
 
 
+def test_attack_params_reject_a_negative_surplus():
+    # budish's surplus hashrate: -5 made the attacker's hashrate negative
+    # mid-run, -1 stalled it, and -0.5 ran a "surplus" that was a deficit
+    for bad in (-5.0, -1.0, -0.5, -1e-300):
+        with pytest.raises(ValueError, match="epsilon_extra >= 0"):
+            AttackParams(epsilon_extra=bad)
+    assert AttackParams(epsilon_extra=0.0).epsilon_extra == 0.0
+
+
 def test_attack_params_reject_non_int_sizes():
     # a fractional alpha would otherwise reach the plan search's range()
     # and fail there as a raw TypeError

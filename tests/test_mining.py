@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from adess.errors import DomainError
 from adess.mining import (CertaintyEquivalent, DifficultyRule, NEVER_FOUND,
-                          Stochastic, adjust_difficulty, block_time_draw,
-                          geometric_time, next_block_time,
-                          required_hashrate_series, sustained_growth_cost)
+                          Stochastic, adjust_difficulty, geometric_time,
+                          next_block_time, required_hashrate_series,
+                          sustained_growth_cost)
 
 CE = CertaintyEquivalent()
 
@@ -84,10 +84,10 @@ def _reference_draw(difficulty, hashrate, mode, rng) -> tuple:
     return p, rng.random() if p < 1.0 else 0.0, mode.tick
 
 
-def test_run_bound_drawer_matches_block_time_draw():
+def test_run_bound_drawer_matches_the_reference_rule():
     """A simulation draws through `mode._drawer(rng)`, bound once per run.
-    At hashrate > 0 it, `block_time_draw` and the reference rule give the
-    same tuple (repr, so NaN compares) and take the same uniforms."""
+    At hashrate > 0 it and the reference rule give the same tuple (repr, so
+    NaN compares) and take the same uniforms."""
     seeded = random.Random(2024)
     points = [(10 ** seeded.uniform(-3, 3), 10 ** seeded.uniform(-3, 3),
                10 ** seeded.uniform(-4, 0)) for _ in range(500)]
@@ -101,10 +101,9 @@ def test_run_bound_drawer_matches_block_time_draw():
     underflows = 0
     for difficulty, hashrate, tick in points:
         for mode in (Stochastic(tick=tick), CE):
-            rngs = [random.Random(5) for _ in range(3)]
+            rngs = [random.Random(5) for _ in range(2)]
             draws = [_reference_draw(difficulty, hashrate, mode, rngs[0]),
-                     block_time_draw(difficulty, hashrate, mode, rngs[1]),
-                     mode._drawer(rngs[2])(difficulty, hashrate)]
+                     mode._drawer(rngs[1])(difficulty, hashrate)]
             assert len({repr(d) for d in draws}) == 1
             assert len({repr(r.getstate()) for r in rngs}) == 1
             assert len({_resolved(d) for d in draws}) == 1

@@ -163,6 +163,18 @@ def test_subthreshold_growth_never_crosses():
     assert not (n0_path & attacker_blocks)
 
 
+def test_an_attacker_hashrate_that_underflows_to_zero_stalls_the_attacker():
+    # growth -0.5 halves the hashrate each block, from the fork's difficulty
+    # 0.001: block 1,065's is 0.0, though the plan's last difficulty per
+    # unit at the fork, 0.5 ** 1,070, is not; the attacker then stops mining
+    cfg = ScenarioConfig(protocol="nakamoto", attacker_strategy="fixed_growth",
+                         attack=AttackParams(alpha=6, xi=177.3), growth=-0.5,
+                         honest_hashrates={"n0": 0.001}, horizon=4000.0)
+    assert cfg.attacker_plan() == (0.5, 1070)
+    rep = run_scenario(cfg)
+    assert rep.attacker_blocks == 1064 and rep.broadcast_time is None
+
+
 # -- latency split -------------------------------------------------------------
 
 def split_cfg(**kw) -> ScenarioConfig:
