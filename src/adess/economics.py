@@ -17,7 +17,7 @@ from itertools import accumulate
 from operator import add
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import DomainError, SolverFailure
+from .errors import DomainError, SolverFailure, check_numbers
 
 #: slack used when taking ceilings of products like N*(1+xi), so that values
 #: representable exactly (e.g. 2*5) do not round up from float noise.
@@ -63,15 +63,11 @@ class AttackParams:
     B: int = 0                # extra secret blocks past the boundary
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.v, self.p_B, self.c, self.xi,
-                                       self.epsilon_extra))):
-            raise ValueError("v, p_B, c, xi and epsilon_extra must be finite")
+        check_numbers(self)
         if self.v < 0 or self.p_B <= 0 or self.c <= 0:
             raise ValueError("v >= 0 and p_B, c > 0 required")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
-        if not all(type(n) is int for n in (self.alpha, self.sigma, self.B)):
-            raise ValueError("alpha, sigma and B must be ints")
         if (self.xi < 0 or self.alpha < 1 or self.sigma < 0 or self.B < 0
                 or self.epsilon_extra < 0):
             raise ValueError("xi >= 0, alpha >= 1, sigma >= 0, B >= 0 and "

@@ -46,12 +46,11 @@ the next query rescores all heads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .chain import Block, BlockId, BlockTree, ChainRef, SeenTree
-from .errors import NotPenalized, UnknownBlock
+from .errors import NotPenalized, UnknownBlock, check_numbers
 
 #: Tolerance used when comparing weighted lengths at the canonical boundary.
 _BOUNDARY_EPS = 1e-9
@@ -71,14 +70,13 @@ class AdessParams:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        if type(self.alpha) is not int:
-            raise ValueError("alpha must be an int")
+        check_numbers(self)
         if self.alpha < 1:
             raise ValueError("alpha must be >= 1")
-        if not 0 < self.xi < math.inf:
-            raise ValueError("xi must be finite and > 0")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and > 0")
+        if self.xi <= 0:
+            raise ValueError("xi must be > 0")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be > 0")
 
 
 class ObservationLog:
@@ -214,10 +212,12 @@ class NodeView:
             elif parent == self._best[1].head:
                 self._best = None
 
-        # flush any orphans waiting on this block, each with its own flag
+        # flush any orphans waiting on this block, each with its own flag; of
+        # a block delivered twice while it waited, the first arrival wins
         for child, child_arrival, child_synced in (
                 self._pending and self._pending.pop(bid, ())):
-            self._connect(child, max(child_arrival, arrival), child_synced)
+            if child.id not in self._index:
+                self._connect(child, max(child_arrival, arrival), child_synced)
 
     # -- fork bookkeeping --------------------------------------------------
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 from .economics import left_sum
-from .errors import DomainError
+from .errors import DomainError, check_numbers
 
 #: Sentinel returned when hashrate is zero: the chain is stalled.
 NEVER_FOUND = math.inf
@@ -43,8 +43,9 @@ class Stochastic:
     tick: float = 0.01
 
     def __post_init__(self):
-        if not 0 < self.tick < math.inf:
-            raise ValueError("tick must be finite and > 0")
+        check_numbers(self)
+        if self.tick <= 0:
+            raise ValueError("tick must be > 0")
 
     def _drawer(self, rng: Optional[random.Random]):
         """This mode's draw rule at hashrate > 0, bound to `rng`."""
@@ -71,12 +72,11 @@ class DifficultyRule:
     epoch_length: int = 1
 
     def __post_init__(self):
+        check_numbers(self)
         if self.mode not in ("full", "partial", "epoch"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must be in (0, 1]")
-        if type(self.epoch_length) is not int:
-            raise ValueError("epoch length must be an int")
         if self.epoch_length < 1:
             raise ValueError("epoch length must be >= 1")
         for name, mode in (("beta", "partial"), ("epoch_length", "epoch")):

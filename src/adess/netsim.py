@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain import Block, BlockId, BlockTree
 from .economics import AttackParams, boundary_blocks
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_numbers, number
 from .forkchoice import AdessParams, NodeView
 from .mining import (CertaintyEquivalent, DifficultyRule, MiningMode,
                      NEVER_FOUND, geometric_time)
@@ -96,10 +96,16 @@ class ScenarioConfig:
             return 0.0
         return self.delay
 
-    def validate(self) -> None:
+    def validate(self) -> Tuple[Dict[str, float], tuple]:
+        """Raise ConfigError unless a run can start; return what the check
+        derived, (`hashrates()`, `attacker_plan()`), for the run to use."""
+        check_numbers(self)
         nodes = self.n_honest_nodes  # before anything builds a dict of them
-        if type(nodes) is not int or not 1 <= nodes <= _MAX_NODES:
+        if not 1 <= nodes <= _MAX_NODES:
             raise ConfigError(f"need 1 to {_MAX_NODES} honest nodes: {nodes!r}")
+        for what in ("honest_hashrates", "delays"):
+            for x in (getattr(self, what) or {}).values():
+                number(f"{what} values", x)
         if self.protocol not in ("adess", "nakamoto"):
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.attacker_strategy not in STRATEGIES:
@@ -107,20 +113,13 @@ class ScenarioConfig:
         if (self.growth is None) == (self.attacker_strategy == "fixed_growth"):
             raise ConfigError("fixed_growth requires a growth rate, and no "
                               "other strategy reads one")
-        if self.growth is not None and not -1 < self.growth < math.inf:
-            raise ConfigError("growth must be finite and > -1")
-        numbers = [self.horizon, self.delay, self.growth, self.seed,
-                   self.attack_start_height,
-                   *(self.honest_hashrates or {}).values(),
-                   *(self.delays or {}).values()]
-        if any(isinstance(x, bool) for x in numbers):  # bool is an int
-            raise ConfigError("a boolean is not a number or an integer")
-        if not 0 < self.horizon < math.inf:
-            raise ConfigError("horizon must be finite and > 0")
+        if self.growth is not None and self.growth <= -1:
+            raise ConfigError("growth must be > -1")
+        if self.horizon <= 0:
+            raise ConfigError("horizon must be > 0")
         rates = self.hashrates()
-        if not (all(0 <= h < math.inf for h in rates.values())
-                and any(rates.values())):
-            raise ConfigError("honest hashrates must be finite, >= 0, some > 0")
+        if not (all(h >= 0 for h in rates.values()) and any(rates.values())):
+            raise ConfigError("honest hashrates must be >= 0, some > 0")
         total = sum(rates.values())  # the scale of honest difficulty
         if total == math.inf:
             raise ConfigError("honest hashrates must have a finite sum")
@@ -139,12 +138,8 @@ class ScenarioConfig:
             unknown = named - names
             if unknown:
                 raise ConfigError(f"{what} name unknown nodes: {sorted(unknown)}")
-        if not 0 <= self.delay < math.inf:
-            raise ConfigError("delay must be finite and >= 0")
-        if not all(0 <= d < math.inf for d in (self.delays or {}).values()):
-            raise ConfigError("delays entries must be finite and >= 0")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if min((self.delay, *(self.delays or {}).values())) < 0:
+            raise ConfigError("delay and delays entries must be >= 0")
         if self.attack_start_height < 1:
             raise ConfigError("attack_start_height must be >= 1")
         if self.protocol == "adess" and self.adess.alpha != self.attack.alpha:
@@ -154,15 +149,17 @@ class ScenarioConfig:
             raise ConfigError(
                 "protocol and attack penalty parameters xi must agree")
         try:  # the attacker's last difficulty per unit at the fork (budish:
-            # its hashrate); x _MAX_BLOCKS, it bounds cumulative difficulty
-            rate, target = self.attacker_plan()
+            # its hashrate); at honest scale, > 0 and x _MAX_BLOCKS finite
+            rate, target = plan = self.attacker_plan()
             peak = rate ** target if target else 1 + self.attack.epsilon_extra
         except OverflowError:
             peak = math.inf
-        if not 0 < max(1.0, total) * peak * _MAX_BLOCKS < math.inf:
+        if not (0 < min(1.0, total) * peak
+                and max(1.0, total) * peak * _MAX_BLOCKS < math.inf):
             raise ConfigError("the attacker's difficulty overflows or "
                               "underflows a float before its chain reaches "
                               "its block target")
+        return rates, plan
 
     def attacker_plan(self) -> Tuple[Optional[float], Optional[int]]:
         """(rate, target): the attacker's hashrate per unit of difficulty, so
@@ -239,7 +236,7 @@ class ProbeReport:
 
 class _Simulation:
     def __init__(self, cfg: ScenarioConfig):
-        cfg.validate()
+        rates, (self._rate, self._target) = cfg.validate()
         self.cfg = cfg
         self.tree = BlockTree(genesis_difficulty=1.0, bare=True)
         self.time = 0.0
@@ -249,7 +246,7 @@ class _Simulation:
         self.rng_attacker = random.Random(cfg.seed ^ 0x5DEECE66D)
         # node -> hashrate of every mining node, in name order
         self._miners = {name: rate for name, rate
-                        in sorted(cfg.hashrates().items()) if rate > 0}
+                        in sorted(rates.items()) if rate > 0}
 
         # sender -> (delay, receiver) links in push order; the receiver
         # att_obs tracks the honest chain on behalf of the attacker
@@ -310,9 +307,8 @@ class _Simulation:
         self._instant: Dict[int, tuple] = {}
         self.series: List[Tuple[float, str, BlockId, int]] = []
 
-        # attacker state: waiting while fork_block is None, done once
-        # broadcast_time is set
-        self._rate, self._target = cfg.attacker_plan()
+        # attacker state, past its plan (`_rate`, `_target`): waiting while
+        # fork_block is None, done once broadcast_time is set
         self.fork_block: Optional[BlockId] = None
         self.fork_time: Optional[float] = None
         self.attacker_chain: List[BlockId] = []

@@ -349,6 +349,15 @@ def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
     ("simulate", {"attacker_strategy": "budish", "horizon": 30,
                   "adess": {"alpha": 2},
                   "attack": {"alpha": 2, "epsilon_extra": -5}}),
+    # an int no float holds, in a float field: each was an OverflowError
+    ("simulate", {"attack": {"v": 10 ** 400}}),
+    ("simulate", {"adess": {"xi": 10 ** 400}, "attack": {"xi": 10 ** 400}}),
+    ("simulate", {"mining": {"mode": "stochastic", "tick": 10 ** 400}}),
+    ("simulate", {"delay": 10 ** 400}),
+    ("simulate", {"n_honest_nodes": 2, "delays": [["n0", "n1", 10 ** 400]]}),
+    ("simulate", {"honest_hashrates": {"n0": 10 ** 400}}),
+    ("sweep", {"attack": {"v": 10 ** 400}, "grid": {"values": [1.0]}}),
+    ("sweep", {"grid": {"param": "v", "values": [10 ** 400]}}),
 ])
 def test_malformed_config_shape_exits_one(capsys, tmp_path, command, cfg):
     path = tmp_path / "cfg.json"
@@ -457,7 +466,7 @@ def test_sweep_grid_booleans_and_strings_are_not_numbers(capsys, tmp_path,
     path.write_text(json.dumps({"kind": "profit", "grid": grid}))
     code, _, err = run(capsys, "sweep", "--config", str(path),
                        "--out", str(tmp_path / "out"))
-    assert code == 1 and "grid values must be numbers" in err
+    assert code == 1 and "grid values must be a finite number" in err
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 

@@ -163,8 +163,10 @@ def test_profit_breakdown_identity():
 
 def test_attack_params_reject_non_finite_values():
     nan, inf = float("nan"), float("inf")
+    # nor a bool, nor an int no float holds
     for kw in (dict(v=nan), dict(c=inf), dict(xi=nan),
-               dict(epsilon_extra=nan), dict(p_B=inf)):
+               dict(epsilon_extra=nan), dict(p_B=inf), dict(v=True),
+               dict(v=10 ** 400)):
         with pytest.raises(ValueError):
             params(**kw)
 
@@ -183,7 +185,7 @@ def test_attack_params_reject_non_int_sizes():
     # and fail there as a raw TypeError
     for field in ("alpha", "sigma", "B"):
         for bad in (2.5, 1.0, True, False, "2", None):
-            with pytest.raises(ValueError, match="must be ints"):
+            with pytest.raises(ValueError, match="must be an int"):
                 params(**{field: bad})
     with pytest.raises(ValueError):
         brute_force_optimal_plan(AttackParams(alpha=2.5))

@@ -61,7 +61,7 @@ def test_params_reject_a_non_int_alpha():
 def test_params_reject_non_finite():
     nan, inf = float("nan"), float("inf")
     for bad in (dict(xi=nan), dict(xi=inf), dict(epsilon=nan),
-                dict(epsilon=inf)):
+                dict(epsilon=inf), dict(xi=True)):
         with pytest.raises(ValueError):
             AdessParams(**bad)
 
@@ -314,6 +314,24 @@ def test_orphans_buffer_until_parent_arrives():
     order = [bid for bid, _ in view.log.entries]
     assert order == [0, a1.id, a2.id, a3.id]
     assert [t for _, t in view.log.entries][1:] == [3.0, 3.0, 3.0]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_an_orphan_delivered_twice_connects_once(shared):
+    # blocks 1, 3, 3, 2: both copies of 3 wait on 2, and the first connects
+    # (the second raised "block 3 already logged")
+    a1, a2, a3 = Script().chain(0, 3)
+    source = NodeView(AdessParams(alpha=2, xi=1.0))
+    feed(source, [a1, a2, a3])
+    view = NodeView(source.params, store=source.store if shared else None)
+    for t, block in enumerate([a1, a3, a3, a2], start=1):
+        assert view.observe(block, float(t)) is view
+    assert view.observe(a3, 5.0) is view  # a connected block is ignored
+    assert view.log.entries == [(0, 0.0), (a1.id, 1.0), (a2.id, 4.0),
+                                (a3.id, 4.0)]
+    assert view.tree.children[a2.id] == [a3.id]
+    assert view.tree.heads == {a3.id}
+    assert view.adess_canonical() == ChainRef(a3.id)
 
 
 def test_sync_observed_fork_is_undecidable():

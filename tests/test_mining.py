@@ -143,18 +143,20 @@ def test_rule_validation():
     with pytest.raises(ValueError):
         DifficultyRule("bogus")
     with pytest.raises(ValueError):
+        DifficultyRule("partial", beta=True)
+    with pytest.raises(ValueError):
         DifficultyRule.epoch(0)
 
 
 def test_epoch_length_must_be_an_int():
     for bad in (2.5, 3.0, True, "3", None):
-        with pytest.raises(ValueError, match="epoch length must be an int"):
+        with pytest.raises(ValueError, match="epoch_length must be an int"):
             DifficultyRule.epoch(bad)
     assert DifficultyRule.epoch(3).epoch_length == 3
 
 
 def test_non_finite_mining_params_rejected():
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, True):
         with pytest.raises(ValueError):
             Stochastic(tick=bad)
 

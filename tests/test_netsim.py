@@ -166,13 +166,24 @@ def test_subthreshold_growth_never_crosses():
 def test_an_attacker_hashrate_that_underflows_to_zero_stalls_the_attacker():
     # growth -0.5 halves the hashrate each block, from the fork's difficulty
     # 0.001: block 1,065's is 0.0, though the plan's last difficulty per
-    # unit at the fork, 0.5 ** 1,070, is not; the attacker then stops mining
+    # unit at the fork, 0.5 ** 1,070, is not; the run, which once stalled
+    # after 1,064 attacker blocks, is refused at that honest scale
     cfg = ScenarioConfig(protocol="nakamoto", attacker_strategy="fixed_growth",
                          attack=AttackParams(alpha=6, xi=177.3), growth=-0.5,
                          honest_hashrates={"n0": 0.001}, horizon=4000.0)
     assert cfg.attacker_plan() == (0.5, 1070)
-    rep = run_scenario(cfg)
-    assert rep.attacker_blocks == 1064 and rep.broadcast_time is None
+    with pytest.raises(ConfigError):
+        cfg.validate()
+    with pytest.raises(ConfigError):
+        run_scenario(cfg)
+    # the backstop: a next hashrate of 0.0 stalls the attacker, queueing
+    # no block and raising nothing
+    sim = _Simulation(replace(cfg, honest_hashrates=None))
+    sim.fork_block = sim.tree.genesis_id
+    sim._nextdiff[sim.fork_block] = 5e-324  # x 0.5 rounds to 0.0
+    queued = list(sim._heap)
+    sim._schedule_attacker_block()
+    assert sim._heap == queued
 
 
 # -- latency split -------------------------------------------------------------
@@ -249,6 +260,7 @@ def test_config_errors():
         dict(n_honest_nodes=1, honest_hashrates={"n9": 1.0}),
         dict(delay=-1.0),
         dict(attack_start_height=0),
+        dict(attack_start_height=2.5),
         dict(attack=AttackParams(alpha=5, xi=1.0)),  # depth mismatch
         dict(attack=AttackParams(alpha=2, xi=2.0)),  # penalty mismatch
     ]
