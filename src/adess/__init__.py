@@ -6,7 +6,7 @@ heaviest-chain rule, plus the attack-economics toolkit and a deterministic
 discrete-event network simulator used to study double-spend deterrence.
 """
 
-from .chain import Block, BlockId, BlockTree, ChainRef
+from .chain import Block, BlockId, BlockTree
 from .economics import (AttackParams, ProfitBreakdown, adess_attack_cost,
                         adess_attack_profit, attack_plan_profit,
                         boundary_blocks, broadcast_margin,
@@ -28,7 +28,7 @@ from .netsim import (ProbeReport, RunReport, ScenarioConfig, accelerated_rate,
 
 __all__ = [
     "AdessError", "AdessParams", "AttackParams", "Block", "BlockId",
-    "BlockTree", "CertaintyEquivalent", "ChainRef", "ConfigError",
+    "BlockTree", "CertaintyEquivalent", "ConfigError",
     "DifficultyRule", "DomainError", "InvalidDifficulty", "NodeView",
     "NotPenalized", "ObservationLog", "PenaltyRecord", "ProbeReport",
     "ProfitBreakdown", "RunReport", "ScenarioConfig", "SolverFailure",

@@ -2,11 +2,11 @@
 
 Blocks are identified by assigned integers rather than content hashes; ids
 are only used for lookups and deterministic tie-breaking.  A "chain" is
-always represented by its head block; segments are derived on demand.
-`Block` and `ChainRef` are named tuples: immutable, ordered, cheap to build.
-A `BlockTree` validates each block once, as it is written, and keeps a
-`SeenTree` of children and heads unless it is `bare`, as a store shared by
-views is: each view keeps its own.
+always its head block's id; segments are derived on demand.  `Block` is a
+named tuple: immutable, ordered, cheap to build.  A `BlockTree` is only a
+store: it validates each block once, as it is written, and keeps blocks and
+cumulative difficulty.  Children and heads live in a `SeenTree`, one per
+reader of the store, fed the blocks that reader has seen.
 """
 
 from __future__ import annotations
@@ -30,12 +30,6 @@ class Block(NamedTuple):
     created_at: float
 
 
-class ChainRef(NamedTuple):
-    """A chain is the unique path genesis -> head."""
-
-    head: BlockId
-
-
 class SeenTree:
     """Children in arrival order and heads of the blocks a reader has seen."""
 
@@ -51,12 +45,11 @@ class SeenTree:
 
 
 class BlockTree:
-    """Append-only block tree with cached cumulative difficulty (and with
-    `children` and `heads` unless `bare`); one writer, pure reads."""
+    """Append-only block store with cached cumulative difficulty; one
+    writer, pure reads."""
 
     def __init__(self, genesis_difficulty: float = 1.0, miner: str = "genesis",
-                 time: float = 0.0, genesis_id: BlockId = GENESIS_ID,
-                 bare: bool = False):
+                 time: float = 0.0, genesis_id: BlockId = GENESIS_ID):
         if not 0 < genesis_difficulty < math.inf:
             raise InvalidDifficulty("genesis difficulty must be finite and > 0")
         genesis = Block(genesis_id, None, 0, genesis_difficulty, miner, time)
@@ -64,9 +57,6 @@ class BlockTree:
         self._cumdiff: Dict[BlockId, float] = {genesis_id: genesis_difficulty}
         self._next_id: BlockId = genesis_id + 1
         self.genesis_id = genesis_id
-        self._seen = None if bare else SeenTree(genesis_id)
-        if self._seen is not None:
-            self.children, self.heads = self._seen.children, self._seen.heads
 
     # -- writes ------------------------------------------------------------
 
@@ -75,15 +65,13 @@ class BlockTree:
         """Create a fresh block under `parent` and return its id."""
         bid = self._next_id
         height, self._cumdiff[bid] = self._child(parent, difficulty)
-        block = self.blocks[bid] = tuple.__new__(Block, (  # skips a Python call
+        self.blocks[bid] = tuple.__new__(Block, (  # skips a Python call
             bid, parent, height, difficulty, miner, time))
         self._next_id = bid + 1
-        if self._seen is not None:
-            self._seen.insert(block)
         return bid
 
     def insert(self, block: Block) -> None:
-        """Insert a fully formed block (used when replaying observed blocks)."""
+        """Insert a fully formed block; one the store holds is ignored."""
         if block.id in self.blocks:
             return
         height, cum = self._child(block.parent, block.difficulty)
@@ -93,8 +81,6 @@ class BlockTree:
         self.blocks[block.id] = block
         self._cumdiff[block.id] = cum
         self._next_id = max(self._next_id, block.id + 1)
-        if self._seen is not None:
-            self._seen.insert(block)
 
     def _child(self, parent: Optional[BlockId], difficulty: float) -> tuple:
         """(height, cumulative difficulty) of a valid child of `parent`."""

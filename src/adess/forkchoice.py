@@ -1,16 +1,18 @@
 """Canonical-chain selection: Nakamoto scoring and the penalty protocol.
 
 A NodeView is one network participant's subjective state: an arrival-ordered
-observation log and a `SeenTree` of the blocks it has seen, over a bare block
+observation log and a `SeenTree` of the blocks it has seen, over a block
 store that views may share, plus the penalty machinery derived from them.
 Penalty assignment is driven purely by the order in which this node observed
 blocks, so two views fed the same blocks in different orders may disagree;
-identical orders agree exactly.
+identical orders agree exactly.  A chain is named by its head block's id.
 
-Every block enters through `observe`.  A block marked `synced` (bulk sync
-for a node that was offline when it was broadcast) carries no temporal order;
-that matters only if it opens a fork, which is then created undecidable and
-never assigns a penalty.
+Every block enters through `observe`, which writes it to the store (a no-op
+for a block the store holds) and logs it before the tree or index change, so
+a refused block or arrival changes no view state.  A block marked `synced`
+(bulk sync for a node that was offline when it was broadcast) carries no
+temporal order; that matters only if it opens a fork, which is then created
+undecidable and never assigns a penalty.
 
 Penalty state is kept per (fork-block, branch) pair, where a branch is
 identified by the fork-block child it passes through.  Every head descending
@@ -34,14 +36,17 @@ its existing subtree in one walk, where blocks that shared an entry share
 the extended one.
 
 Each block also counts the active penalties on its path, inherited from its
-parent, so a penalty test is one lookup.  Its only writers, `_make_record`
-(+1) and the deactivation in `_cross_check` (-1, which may re-base), walk
-the penalized branch's subtree; only they change other heads' eligibility
-or scores.  The ADESS canonical (score, head) is cached, the head as the
-`ChainRef` that `adess_canonical` returns.  A connecting block takes it over
-if penalty-free and strictly heavier (the older head wins a tie), or else
-clears it if it extends the cached head; the two writers clear it too, and
-the next query rescores all heads.
+parent, so a penalty test is one lookup.  The count is at most 1: `_fire`
+suppresses a fork whose baseline is penalized; a branch holding a deeper
+decided fork reached alpha first at the outer fork, so is its baseline; and
+a late sibling is a fresh leaf under a fork unpenalized when it resolved.
+Its only writers, `_make_record` (+1) and the deactivation in `_cross_check`
+(-1, so it clears the chain's last penalty and may re-base), walk the
+penalized branch's subtree; only they change other heads' eligibility or
+scores.  The ADESS canonical (score, head) is cached.  A connecting block
+takes it over if penalty-free and strictly heavier (the older head wins a
+tie), or else clears it if it extends the cached head; the two writers
+clear it too, and the next query rescores all heads.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .chain import Block, BlockId, BlockTree, ChainRef, SeenTree
+from .chain import Block, BlockId, BlockTree, SeenTree
 from .errors import NotPenalized, UnknownBlock, check_numbers
 
 #: Tolerance used when comparing weighted lengths at the canonical boundary.
@@ -122,14 +127,14 @@ class PenaltyRecord:
         return self.deactivated_at is None
 
     @property
-    def penalized(self) -> ChainRef:
+    def penalized(self) -> BlockId:
         """Current deepest head of the penalized branch."""
-        return ChainRef(self._branch_len[self.penalized_branch][1])
+        return self._branch_len[self.penalized_branch][1]
 
     @property
-    def baseline(self) -> ChainRef:
+    def baseline(self) -> BlockId:
         """Current deepest head of the baseline branch."""
-        return ChainRef(self._branch_len[self.baseline_branch][1])
+        return self._branch_len[self.baseline_branch][1]
 
 
 @dataclass
@@ -145,15 +150,13 @@ class _ForkState:
 
 class NodeView:
     """Single-threaded subjective state of one observing node.  Blocks are
-    read from `store`; `tree` holds the children and heads it has seen: a
-    `SeenTree` over a shared store, or the store it owns if given none."""
+    written to and read from `store`, a given one or its own; `tree` holds
+    the children and heads this node has seen."""
 
-    def __init__(self, params: AdessParams, name: str = "node",
-                 store: Optional[BlockTree] = None):
+    def __init__(self, params: AdessParams, store: Optional[BlockTree] = None):
         self.params = params
-        self.name = name
         self.store = BlockTree() if store is None else store
-        self.tree = self.store if store is None else SeenTree(store.genesis_id)
+        self.tree = SeenTree(self.store.genesis_id)
         self.log = ObservationLog()
         self.log.append(self.store.genesis_id, 0.0)
         self._forks: Dict[BlockId, _ForkState] = {}
@@ -165,7 +168,7 @@ class NodeView:
         self._index: Dict[BlockId, tuple] = {self.store.genesis_id: (None, ())}
         # block -> number of active penalties on its path; see module doc
         self._active: Dict[BlockId, int] = {self.store.genesis_id: 0}
-        self._best: Optional[Tuple[float, ChainRef]] = None  # see module doc
+        self._best: Optional[Tuple[float, BlockId]] = None  # see module doc
 
     # -- observation -------------------------------------------------------
 
@@ -192,8 +195,9 @@ class NodeView:
         return self
 
     def _connect(self, block: Block, arrival: float, synced: bool):
+        self.store.insert(block)  # validates first; a stored block returns
+        self.log.append(block.id, arrival)  # may raise; the tree is untouched
         self.tree.insert(block)
-        self.log.append(block.id, arrival)
         bid, parent = block.id, block.parent
         assert parent is not None
         self._active[bid] = self._active[parent]
@@ -204,12 +208,12 @@ class NodeView:
 
         if self._index[bid][1]:  # a block under no fork has none to advance
             self._advance(block, arrival)
-        if self._best is not None:  # _score, its common case inlined
+        if self._best is not None:  # adjusted_score, common case inlined
             score = (self.store._cumdiff[bid] if self._index[bid][0] is None
-                     else self._score(bid))
+                     else self.adjusted_score(bid))
             if score > self._best[0] and not self._active[bid]:
-                self._best = (score, tuple.__new__(ChainRef, (bid,)))
-            elif parent == self._best[1].head:
+                self._best = (score, bid)
+            elif parent == self._best[1]:
                 self._best = None
 
         # flush any orphans waiting on this block, each with its own flag; of
@@ -344,7 +348,7 @@ class NodeView:
 
     def _cross_check(self, rec: PenaltyRecord, arrival: float):
         """Deactivate the active `rec` if its branch has reached the canonical
-        boundary, re-basing the chain's score when its last penalty clears."""
+        boundary, re-basing the chain's score (see module doc)."""
         len_pen, head_pen = rec._branch_len[rec.penalized_branch]
         len_base, _ = rec._branch_len[rec.baseline_branch]
         if len_pen < (1.0 + self.params.xi) * len_base - _BOUNDARY_EPS:
@@ -352,10 +356,7 @@ class NodeView:
         rec.deactivated_at = arrival
         self._count_penalty(rec.penalized_branch, -1)
         self._best = None
-        if self._active[head_pen]:
-            return
-        # last active penalty on this chain: re-base to the highest-scoring
-        # baseline among penalties deactivated at this instant
+        # re-base to the best baseline among penalties deactivated now
         best = None
         for other, c in self._fork_path(head_pen):
             orec = other.records.get(c)
@@ -375,17 +376,14 @@ class NodeView:
     def _best_baseline_score(self, fs: _ForkState) -> float:
         """Best score among the heads of the fork's baseline branch; it has
         one, as every branch ends in a leaf whose fork path carries it."""
-        return max(self._score(h) for h in self.tree.heads
+        return max(self.adjusted_score(h) for h in self.tree.heads
                    if self._branch_at(fs, h) == fs.baseline_branch)
 
     # -- scoring -----------------------------------------------------------
 
-    def adjusted_score(self, chain: ChainRef) -> float:
+    def adjusted_score(self, bid: BlockId) -> float:
         """Cumulative difficulty, re-based past the deepest crossing anchor
         on the chain's path."""
-        return self._score(chain.head)
-
-    def _score(self, bid: BlockId) -> float:
         cum = self.store.cumulative_difficulty(bid)
         anchor = self._index[bid][0]
         if anchor is None:
@@ -393,18 +391,18 @@ class NodeView:
         anchor_cum, value = self._resets[anchor]
         return value + (cum - anchor_cum)
 
-    def penalized_score(self, chain: ChainRef, fork: BlockId) -> float:
+    def penalized_score(self, bid: BlockId, fork: BlockId) -> float:
         """Discounted post-fork length of an actively penalized chain: the
         README's score of 1/(1+xi) per block past the fork."""
         fs = self._forks.get(fork)
-        rec = fs.records.get(self._branch_at(fs, chain.head)) if fs else None
+        rec = fs.records.get(self._branch_at(fs, bid)) if fs else None
         if rec is None or rec.deactivated_at is not None:
-            raise NotPenalized(f"chain {chain.head} not penalized at {fork}")
-        n = self.store.block(chain.head).height - fs.height
+            raise NotPenalized(f"chain {bid} not penalized at {fork}")
+        n = self.store.block(bid).height - fs.height
         return n / (1.0 + self.params.xi)
 
-    def active_penalties(self, chain: ChainRef) -> List[PenaltyRecord]:
-        recs = (fs.records.get(c) for fs, c in self._fork_path(chain.head))
+    def active_penalties(self, bid: BlockId) -> List[PenaltyRecord]:
+        recs = (fs.records.get(c) for fs, c in self._fork_path(bid))
         return [r for r in recs if r is not None and r.deactivated_at is None]
 
     def penalty_records(self) -> List[PenaltyRecord]:
@@ -424,23 +422,22 @@ class NodeView:
             tied.sort(key=lambda h: (self.log.first_seen[h], h))
         return best_score, tied[0]
 
-    def nakamoto_canonical(self) -> ChainRef:
+    def nakamoto_canonical(self) -> BlockId:
         """Head with maximal raw cumulative difficulty; ties broken by
         earliest first-seen arrival, then lowest id."""
         scored = [(self.store.cumulative_difficulty(h), h)
                   for h in self.tree.heads]
-        return ChainRef(self._pick(scored)[1])
+        return self._pick(scored)[1]
 
-    def adess_canonical(self) -> ChainRef:
+    def adess_canonical(self) -> BlockId:
         """Head with maximal (possibly re-based) cumulative difficulty among
         chains carrying no active penalty."""
         if self._best is None:
-            scored = [(self._score(h), h) for h in self.tree.heads
+            scored = [(self.adjusted_score(h), h) for h in self.tree.heads
                       if not self._active[h]]
             if not scored:
                 raise RuntimeError("no penalty-free chain: invariant violated")
-            score, head = self._pick(scored)
-            self._best = (score, tuple.__new__(ChainRef, (head,)))
+            self._best = self._pick(scored)
         return self._best[1]
 
     # -- diagnostics -------------------------------------------------------
@@ -449,7 +446,7 @@ class NodeView:
     def undecidable_forks(self) -> List[BlockId]:
         return sorted(f for f, fs in self._forks.items() if fs.undecidable)
 
-    def never_penalized_witness(self) -> ChainRef:
+    def never_penalized_witness(self) -> BlockId:
         """Constructive path walk from genesis choosing an un-penalized branch
         at every fork; returns a head that never carried a penalty."""
         cur = self.store.genesis_id
@@ -459,7 +456,7 @@ class NodeView:
                            if fs is None or c not in fs.records)
             assert clean, f"every branch penalized at fork {cur}"
             cur = clean[0]
-        return ChainRef(cur)
+        return cur
 
     def penalty_ledger(self) -> str:
         """Dump records as `penalty chain=... fork=... baseline=...` lines."""
@@ -467,7 +464,7 @@ class NodeView:
         for rec in self.penalty_records():
             t_off = "-" if rec.deactivated_at is None else repr(rec.deactivated_at)
             lines.append(
-                f"penalty chain={rec.penalized.head} fork={rec.fork} "
-                f"baseline={rec.baseline.head} active={1 if rec.active else 0} "
+                f"penalty chain={rec.penalized} fork={rec.fork} "
+                f"baseline={rec.baseline} active={1 if rec.active else 0} "
                 f"t_on={rec.assigned_at!r} t_off={t_off}")
         return "\n".join(lines) + ("\n" if lines else "")

@@ -148,6 +148,8 @@ class ScenarioConfig:
         if self.protocol == "adess" and self.adess.xi != self.attack.xi:
             raise ConfigError(
                 "protocol and attack penalty parameters xi must agree")
+        if self.attack.B:  # read by the plan economics, never by a run
+            raise ConfigError("attack.B must be 0: runs mine no extra blocks")
         try:  # the attacker's last difficulty per unit at the fork (budish:
             # its hashrate); at honest scale, > 0 and x _MAX_BLOCKS finite
             rate, target = plan = self.attacker_plan()
@@ -238,7 +240,7 @@ class _Simulation:
     def __init__(self, cfg: ScenarioConfig):
         rates, (self._rate, self._target) = cfg.validate()
         self.cfg = cfg
-        self.tree = BlockTree(genesis_difficulty=1.0, bare=True)
+        self.tree = BlockTree()
         self.time = 0.0
         self._seq = 0
         self._heap: List[tuple] = []
@@ -268,7 +270,7 @@ class _Simulation:
         self._views: Dict[str, Tuple[NodeView, Dict[BlockId, BlockId]]] = {}
         for name, key in heard.items():
             if key not in by_links:
-                by_links[key] = (NodeView(cfg.adess, name, self.tree), {})
+                by_links[key] = (NodeView(cfg.adess, self.tree), {})
             self._views[name] = by_links[key]
         # sender -> (delay, runs) per stretch of links at one delay, in push
         # order; a run is consecutive links to one class (see _run)
@@ -463,7 +465,7 @@ class _Simulation:
                 head = memo.get(block.id)
                 if head is None:
                     view.observe(block, time)
-                    head = memo[block.id] = self._node_canonical(view).head
+                    head = memo[block.id] = self._node_canonical(view)
                 if head != old:
                     moves.append((old, head, stored[head].height))
                     old = head
@@ -638,7 +640,7 @@ def disconnected_node_probe(cfg: ScenarioConfig, join_time: float
     sim = _Simulation(cfg)
     sim.run()
     reference = sim.nodes["n0"]
-    late = NodeView(cfg.adess, name="late")
+    late = NodeView(cfg.adess, sim.tree)
     post_join = 0
     for bid, arrival in reference.log.entries[1:]:
         block = sim.tree.block(bid)
@@ -652,19 +654,19 @@ def disconnected_node_probe(cfg: ScenarioConfig, join_time: float
         if post_join:
             last = late.log.entries[-1][0]
             for head in sorted(late.tree.heads):
-                if late.tree.is_ancestor(last, head):
+                if sim.tree.is_ancestor(last, head):
                     inferred = head
                     break
         if inferred is None:
-            inferred = late.nakamoto_canonical().head
+            inferred = late.nakamoto_canonical()
     else:
-        inferred = late.adess_canonical().head
+        inferred = late.adess_canonical()
     return ProbeReport(
         join_time=join_time,
         undecidable=undecidable,
         undecidable_forks=late.undecidable_forks,
         inferred_head=inferred,
         inference_used=undecidable,
-        nakamoto_head=late.nakamoto_canonical().head,
+        nakamoto_head=late.nakamoto_canonical(),
         reference_head=sim._canonical["n0"],
     )

@@ -37,7 +37,7 @@ class NaiveSimulation(_Simulation):
     def __init__(self, cfg: ScenarioConfig):
         super().__init__(cfg)  # tree, RNGs, difficulty and attacker state
         names = ["att_obs", *cfg.node_names()]
-        self.views = {name: NodeView(cfg.adess, name) for name in names}
+        self.views = {name: NodeView(cfg.adess) for name in names}
         self.nodes = {name: self.views[name] for name in cfg.node_names()}
         self.rates = {n: r for n, r in cfg.hashrates().items() if r > 0}
         nodes = sorted(cfg.node_names())
@@ -104,7 +104,7 @@ class NaiveSimulation(_Simulation):
         view = self.views[name]
         view.observe(block, self.time)
         head = (view.adess_canonical() if self.cfg.protocol == "adess"
-                else view.nakamoto_canonical()).head
+                else view.nakamoto_canonical())
         old, self._canonical[name] = self._canonical[name], head
         if name == "att_obs":
             self._maybe_start_attack()

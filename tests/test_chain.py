@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from adess.chain import Block, BlockTree, SeenTree
 from adess.errors import DomainError, InvalidDifficulty, UnknownBlock
-from adess.netsim import ScenarioConfig, _Simulation, run_scenario
+from adess.netsim import ScenarioConfig, _Simulation
 
 
 def ancestors(tree: BlockTree, bid: Optional[int]) -> Iterator[int]:
@@ -23,6 +23,14 @@ def ancestors(tree: BlockTree, bid: Optional[int]) -> Iterator[int]:
 def recompute_cumulative_difficulty(tree: BlockTree, bid: int) -> float:
     """Path-walk oracle for cumulative difficulty."""
     return sum(tree.block(b).difficulty for b in ancestors(tree, bid))
+
+
+def seen_of(tree: BlockTree) -> SeenTree:
+    """A SeenTree fed the tree's blocks in insertion order."""
+    seen = SeenTree(tree.genesis_id)
+    for bid in list(tree.blocks)[1:]:
+        seen.insert(tree.block(bid))
+    return seen
 
 
 def chain(tree: BlockTree, parent: int, n: int, difficulty: float = 1.0) -> int:
@@ -42,7 +50,7 @@ def test_two_children_are_both_heads():
     tree = BlockTree()
     a = tree.append_block(tree.genesis_id, 1.0)
     b = tree.append_block(tree.genesis_id, 1.0)
-    assert tree.heads == {a, b}
+    assert seen_of(tree).heads == {a, b}
 
 
 def test_chain_of_five_cumdiff():
@@ -87,7 +95,7 @@ def test_snapshot_roundtrip():
     text = tree.snapshot()
     back = BlockTree.from_snapshot(text)
     assert back.snapshot() == text
-    assert back.heads == tree.heads
+    assert seen_of(back).heads == seen_of(tree).heads
 
 
 def test_snapshot_block_before_genesis_is_a_value_error():
@@ -133,15 +141,13 @@ def test_cumdiff_matches_path_walk_oracle(tree_ids):
             recompute_cumulative_difficulty(tree, bid), rel=1e-12)
 
 
-
-# -- the bare store and the one children/heads bookkeeping -------------------
+# -- the store, and children and heads in a SeenTree --------------------------
 
 BAD_DIFFICULTIES = (0.0, -1.0, float("nan"), float("inf"))
 
 
-@pytest.mark.parametrize("bare", [False, True])
-def test_store_and_tree_reject_the_same_blocks(bare):
-    tree = BlockTree(bare=bare)
+def test_the_store_rejects_invalid_blocks_and_writes_nothing():
+    tree = BlockTree()
     a = tree.append_block(tree.genesis_id, 1.0)
     with pytest.raises(UnknownBlock):
         tree.append_block(99, 1.0)
@@ -160,9 +166,8 @@ def test_store_and_tree_reject_the_same_blocks(bare):
     assert tree.append_block(a, 1.0) == 2
 
 
-@pytest.mark.parametrize("bare", [False, True])
-def test_an_infinite_cumulative_difficulty_is_rejected(bare):
-    tree = BlockTree(bare=bare)
+def test_an_infinite_cumulative_difficulty_is_rejected():
+    tree = BlockTree()
     a = tree.append_block(tree.genesis_id, 1e308)
     with pytest.raises(DomainError, match="cumulative difficulty"):
         tree.append_block(a, 1e308)
@@ -175,26 +180,18 @@ def test_a_simulation_store_keeps_only_blocks_and_cumulative_difficulty():
     sim = _Simulation(ScenarioConfig(n_honest_nodes=3, delay=0.3))
     sim.run()
     assert len(sim.tree.blocks) == len(sim.tree._cumdiff) > 10
-    assert sim.tree._seen is None
     assert not hasattr(sim.tree, "children")
     assert not hasattr(sim.tree, "heads")
-
-
-def seen_of(tree: BlockTree) -> SeenTree:
-    """A SeenTree fed the tree's blocks in insertion order."""
-    seen = SeenTree(tree.genesis_id)
-    for bid in list(tree.blocks)[1:]:
-        seen.insert(tree.block(bid))
-    return seen
 
 
 @given(random_trees())
 @settings(max_examples=60, deadline=None)
 def test_tree_children_and_heads_are_a_seen_tree_of_its_blocks(tree_ids):
-    tree, _ = tree_ids
+    tree, ids = tree_ids
     seen = seen_of(tree)
-    assert tree.children == seen.children and tree.heads == seen.heads
-    back = BlockTree.from_snapshot(tree.snapshot())
+    assert set(seen.children) == set(ids)
+    assert seen.heads == {b for b in ids if not seen.children[b]}
+    back = seen_of(BlockTree.from_snapshot(tree.snapshot()))
     assert back.children == seen.children and back.heads == seen.heads
 
 
@@ -204,11 +201,12 @@ def test_tree_children_and_heads_are_a_seen_tree_of_its_blocks(tree_ids):
 def test_a_snapshot_round_trip_of_a_run_rebuilds_children_and_heads(seed,
                                                                      nodes):
     rates = {f"n{i}": 1.0 for i in range(nodes)}
-    rep = run_scenario(ScenarioConfig(
+    sim = _Simulation(ScenarioConfig(
         n_honest_nodes=nodes, honest_hashrates=rates, delay=0.5,
         horizon=15.0, seed=seed))
+    rep = sim.run()
     tree = BlockTree.from_snapshot(rep.snapshot)
-    seen = seen_of(tree)
-    assert tree.children == seen.children and tree.heads == seen.heads
+    seen, ran = seen_of(tree), seen_of(sim.tree)
+    assert seen.children == ran.children and seen.heads == ran.heads
     assert tree.snapshot() == rep.snapshot
-    assert set(rep.per_node_head.values()) <= tree.heads
+    assert set(rep.per_node_head.values()) <= seen.heads

@@ -358,6 +358,9 @@ def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
     ("simulate", {"honest_hashrates": {"n0": 10 ** 400}}),
     ("sweep", {"attack": {"v": 10 ** 400}, "grid": {"values": [1.0]}}),
     ("sweep", {"grid": {"param": "v", "values": [10 ** 400]}}),
+    # no run reads attack.B: 7 wrote the report of a run without it
+    ("simulate", {"adess": {"alpha": 2},
+                  "attack": {"alpha": 2, "xi": 1.0, "v": 11.0, "B": 7}}),
 ])
 def test_malformed_config_shape_exits_one(capsys, tmp_path, command, cfg):
     path = tmp_path / "cfg.json"

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from adess.chain import Block, ChainRef
+from adess.chain import Block
 from adess.errors import NotPenalized
 from adess.forkchoice import (AdessParams, NodeView, ObservationLog,
                                PenaltyRecord)
@@ -101,26 +101,26 @@ def test_alpha_race_assigns_penalty_to_loser():
     assert len(recs) == 1
     rec = recs[0]
     assert rec.fork == 0 and rec.active
-    assert rec.penalized.head == a_head and rec.baseline.head == b_head
+    assert rec.penalized == a_head and rec.baseline == b_head
     assert rec.assigned_at == 3.0  # the moment b2 arrived
 
 
 def test_retroactive_discounted_score():
     view, a_head, _ = race_view()
     # four post-fork blocks at xi = 1: weighted length 4 / (1 + 1)
-    assert view.penalized_score(ChainRef(a_head), 0) == pytest.approx(2.0)
+    assert view.penalized_score(a_head, 0) == pytest.approx(2.0)
 
 
 def test_canonical_diverges_from_nakamoto():
     view, a_head, b_head = race_view()
-    assert view.nakamoto_canonical() == ChainRef(a_head)  # cumdiff 5 vs 4
-    assert view.adess_canonical() == ChainRef(b_head)
+    assert view.nakamoto_canonical() == a_head  # cumdiff 5 vs 4
+    assert view.adess_canonical() == b_head
 
 
 def test_never_penalized_witness_is_baseline_head():
     view, _, b_head = race_view()
     w = view.never_penalized_witness()
-    assert w == ChainRef(b_head)
+    assert w == b_head
     assert view.active_penalties(w) == []
 
 
@@ -139,11 +139,11 @@ def test_penalized_score_longer_chain():
     as_ = s.chain(a1.id, 9)  # A length 10, below the boundary 12
     view = NodeView(AdessParams(alpha=1, xi=1.0))
     feed(view, [b1, a1] + bs + as_)
-    assert view.penalized_score(ChainRef(as_[-1].id), 0) == pytest.approx(5.0)
+    assert view.penalized_score(as_[-1].id, 0) == pytest.approx(5.0)
     with pytest.raises(NotPenalized):
-        view.penalized_score(ChainRef(bs[-1].id), 0)  # baseline never scored
+        view.penalized_score(bs[-1].id, 0)  # baseline never scored
     with pytest.raises(NotPenalized):
-        view.penalized_score(ChainRef(as_[-1].id), b1.id)  # not a fork block
+        view.penalized_score(as_[-1].id, b1.id)  # not a fork block
 
 
 # -- canonical boundary --------------------------------------------------------
@@ -167,7 +167,7 @@ def test_below_boundary_stays_penalized():
     view, _, ic_head, a_rest, _ = boundary_view()
     rec = view.penalty_records()[0]
     assert rec.active and rec.deactivated_at is None
-    assert view.adess_canonical() == ChainRef(ic_head)
+    assert view.adess_canonical() == ic_head
 
 
 def test_crossing_deactivates_and_rebases():
@@ -177,23 +177,23 @@ def test_crossing_deactivates_and_rebases():
     rec = view.penalty_records()[0]
     assert not rec.active and rec.deactivated_at == t
     # re-based score: best baseline score plus epsilon, not raw cumdiff 11
-    assert view.adjusted_score(ChainRef(a10.id)) == pytest.approx(
+    assert view.adjusted_score(a10.id) == pytest.approx(
         6.0 + 1e-6, abs=1e-12)
-    assert view.adess_canonical() == ChainRef(a10.id)
-    assert view.nakamoto_canonical() == ChainRef(a10.id)
+    assert view.adess_canonical() == a10.id
+    assert view.nakamoto_canonical() == a10.id
 
 
 def test_held_record_reads_current_heads():
     view, s, ic_head, a_rest, t = boundary_view()
     rec = view.penalty_records()[0]
-    assert rec.penalized.head == a_rest[-2].id
-    assert rec.baseline.head == ic_head
+    assert rec.penalized == a_rest[-2].id
+    assert rec.baseline == ic_head
     ic6 = s.block(ic_head)
     view.observe(ic6, t)
     view.observe(a_rest[-1], t + 1.0)
     # no second penalty_records() call: the record follows the branches
-    assert rec.baseline.head == ic6.id
-    assert rec.penalized.head == a_rest[-1].id
+    assert rec.baseline == ic6.id
+    assert rec.penalized == a_rest[-1].id
     assert rec.active  # 10 post-fork blocks no longer reach 2 * 6
 
 
@@ -220,8 +220,8 @@ def test_post_crossing_comparison_uses_rebased_score():
     view.observe(ic6, t + 1.0)
     # one honest block outruns the epsilon lead under the penalty rule,
     # while raw heaviest-chain still prefers the long attacker branch
-    assert view.adess_canonical() == ChainRef(ic6.id)
-    assert view.nakamoto_canonical() == ChainRef(a_rest[-1].id)
+    assert view.adess_canonical() == ic6.id
+    assert view.nakamoto_canonical() == a_rest[-1].id
 
 
 # -- multi-branch forks and the generalized rules -----------------------------
@@ -235,10 +235,10 @@ def test_three_branches_share_one_baseline():
     feed(view, [a1, b1, c1])
     recs = view.penalty_records()
     assert len(recs) == 2
-    assert {r.penalized.head for r in recs} == {b1.id, c1.id}
-    assert all(r.baseline.head == a1.id for r in recs)
+    assert {r.penalized for r in recs} == {b1.id, c1.id}
+    assert all(r.baseline == a1.id for r in recs)
     assert all(r.active for r in recs)
-    assert view.adess_canonical() == ChainRef(a1.id)
+    assert view.adess_canonical() == a1.id
 
 
 def test_late_sibling_penalized_immediately():
@@ -250,7 +250,7 @@ def test_late_sibling_penalized_immediately():
     assert len(view.penalty_records()) == 1
     c1 = s.block(0)
     view.observe(c1, t)
-    recs = [r for r in view.penalty_records() if r.penalized.head == c1.id]
+    recs = [r for r in view.penalty_records() if r.penalized == c1.id]
     assert len(recs) == 1 and recs[0].active and recs[0].assigned_at == t
 
 
@@ -267,11 +267,11 @@ def test_penalized_winner_suppresses_inner_fork():
     recs = view.penalty_records()
     assert len(recs) == 1 and recs[0].fork == 0  # nothing at fork x1
     with pytest.raises(NotPenalized):
-        view.penalized_score(ChainRef(y1.id), x1.id)
+        view.penalized_score(y1.id, x1.id)
     # both X heads still carry the single outer penalty
-    assert len(view.active_penalties(ChainRef(x2.id))) == 1
-    assert len(view.active_penalties(ChainRef(y1.id))) == 1
-    assert view.adess_canonical() == ChainRef(b3.id)
+    assert len(view.active_penalties(x2.id)) == 1
+    assert len(view.active_penalties(y1.id)) == 1
+    assert view.adess_canonical() == b3.id
 
 
 # -- tie-breaking and Nakamoto equivalence ------------------------------------
@@ -284,8 +284,8 @@ def test_tie_broken_by_first_seen():
     feed(v1, [a1, b1])
     v2 = NodeView(AdessParams(alpha=6, xi=1.0))
     feed(v2, [b1, a1])
-    assert v1.nakamoto_canonical() == v1.adess_canonical() == ChainRef(a1.id)
-    assert v2.nakamoto_canonical() == v2.adess_canonical() == ChainRef(b1.id)
+    assert v1.nakamoto_canonical() == v1.adess_canonical() == a1.id
+    assert v2.nakamoto_canonical() == v2.adess_canonical() == b1.id
 
 
 def test_equivalent_to_nakamoto_when_no_fork_reaches_alpha():
@@ -296,7 +296,7 @@ def test_equivalent_to_nakamoto_when_no_fork_reaches_alpha():
     feed(view, main[:4] + side + main[4:])
     assert view.penalty_records() == []
     assert view.adess_canonical() == view.nakamoto_canonical() \
-        == ChainRef(main[-1].id)
+        == main[-1].id
 
 
 # -- orphans, sync and subjectivity -------------------------------------------
@@ -307,7 +307,7 @@ def test_orphans_buffer_until_parent_arrives():
     view = NodeView(AdessParams(alpha=2, xi=1.0))
     view.observe(a2, 1.0)
     view.observe(a3, 2.0)
-    assert a2.id not in view.tree and a3.id not in view.tree
+    assert not {a2.id, a3.id} & view.tree.children.keys()
     view.observe(a1, 3.0)
     assert view.tree.heads == {a3.id}
     # buffered blocks are logged after the parent, at the flush time
@@ -331,7 +331,31 @@ def test_an_orphan_delivered_twice_connects_once(shared):
                                 (a3.id, 4.0)]
     assert view.tree.children[a2.id] == [a3.id]
     assert view.tree.heads == {a3.id}
-    assert view.adess_canonical() == ChainRef(a3.id)
+    assert view.adess_canonical() == a3.id
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_a_rejected_block_leaves_the_view_unchanged(shared):
+    # the store refuses a block of the wrong height, and the log an arrival
+    # out of order, before the view's tree or index change; a valid block
+    # the store lacks is written to it and connected
+    a1, a2 = Script().chain(0, 2)
+    source = NodeView(AdessParams(alpha=2, xi=1.0))
+    feed(source, [a1])
+    view = NodeView(source.params, store=source.store if shared else None)
+    view.observe(a1, 1.0)
+    with pytest.raises(ValueError, match="height 5"):
+        view.observe(Block(99, a1.id, 5, 1.0, "", 0.0), 2.0)
+    assert 99 not in view.store and 99 not in view._index
+    with pytest.raises(ValueError, match="non-decreasing"):
+        view.observe(a2, 0.5)  # an arrival before the last one logged
+    assert a2.id not in view._index
+    assert view.tree.children == {0: [a1.id], a1.id: []}
+    assert view.tree.heads == {a1.id}
+    assert view.log.entries == [(0, 0.0), (a1.id, 1.0)]
+    view.observe(a2, 3.0)
+    assert a2.id in view.store and (a2.id in source.store) == shared
+    assert view.tree.heads == {a2.id} and view.adess_canonical() == a2.id
 
 
 def test_sync_observed_fork_is_undecidable():
@@ -345,7 +369,7 @@ def test_sync_observed_fork_is_undecidable():
     assert view.undecidable_forks == [0]
     assert view.penalty_records() == []
     assert view.adess_canonical() == view.nakamoto_canonical() \
-        == ChainRef(a2.id)
+        == a2.id
 
 
 def test_buffered_orphans_keep_their_own_synced_flag():
@@ -374,7 +398,7 @@ def test_synced_flag_matters_only_where_a_fork_opens():
     # a synced block on a live fork counts toward alpha: b reaches it first
     view.observe(b2, 3.0, synced=True)
     (rec,) = view.penalty_records()
-    assert (rec.penalized.head, rec.baseline.head) == (a1.id, b2.id)
+    assert (rec.penalized, rec.baseline) == (a1.id, b2.id)
     # and a synced late sibling at the resolved fork is penalized at once
     view.observe(c1, 4.0, synced=True)
     assert [r.penalized_branch for r in view.penalty_records()] \
@@ -396,14 +420,14 @@ def test_subjective_views_may_disagree():
     s = Script()
     a1, a2 = s.chain(0, 2)
     b1, b2 = s.chain(0, 2)
-    v1 = NodeView(AdessParams(alpha=2, xi=1.0), name="v1")
+    v1 = NodeView(AdessParams(alpha=2, xi=1.0))
     feed(v1, [a1, a2, b1, b2])
-    v2 = NodeView(AdessParams(alpha=2, xi=1.0), name="v2")
+    v2 = NodeView(AdessParams(alpha=2, xi=1.0))
     feed(v2, [b1, b2, a1, a2])
-    assert v1.adess_canonical() == ChainRef(a2.id)
-    assert v2.adess_canonical() == ChainRef(b2.id)
+    assert v1.adess_canonical() == a2.id
+    assert v2.adess_canonical() == b2.id
     r1, r2 = v1.penalty_records()[0], v2.penalty_records()[0]
-    assert r1.baseline.head == a2.id and r2.baseline.head == b2.id
+    assert r1.baseline == a2.id and r2.baseline == b2.id
 
 
 def test_identical_order_gives_identical_state():
@@ -417,4 +441,4 @@ def test_identical_order_gives_identical_state():
         feed(v, blocks)
     assert views[0].penalty_ledger() == views[1].penalty_ledger()
     assert views[0].adess_canonical() == views[1].adess_canonical()
-    assert views[0].tree.snapshot() == views[1].tree.snapshot()
+    assert views[0].store.snapshot() == views[1].store.snapshot()

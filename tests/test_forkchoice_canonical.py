@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from adess.chain import Block, ChainRef
+from adess.chain import Block
 from adess.economics import AttackParams
 from adess.forkchoice import AdessParams, NodeView
 from adess.mining import Stochastic
@@ -21,8 +21,8 @@ def rescored_head(view: NodeView) -> int:
     """Heaviest penalty-free head, ties to the earliest seen, then lowest id,
     scored from scratch with no cached state."""
     eligible = [h for h in view.tree.heads
-                if not view.active_penalties(ChainRef(h))]
-    return min(eligible, key=lambda h: (-view.adjusted_score(ChainRef(h)),
+                if not view.active_penalties(h)]
+    return min(eligible, key=lambda h: (-view.adjusted_score(h),
                                         view.log.first_seen[h], h))
 
 
@@ -30,12 +30,12 @@ def replay_checked(source: NodeView) -> int:
     """Feed `source`'s observation log to a fresh view, comparing the cached
     canonical head with a full rescoring after every observe; returns how
     many queries the cache answered without rescoring."""
-    view = NodeView(source.params, name=source.name)
+    view = NodeView(source.params)
     cached = 0
     for bid, arrival in source.log.entries[1:]:
         view.observe(source.store.block(bid), arrival)
         cached += view._best is not None
-        assert view.adess_canonical().head == rescored_head(view)
+        assert view.adess_canonical() == rescored_head(view)
     assert view.adess_canonical() == source.adess_canonical()
     return cached
 
@@ -75,10 +75,10 @@ def test_extending_the_cached_head_moves_it_at_an_equal_score():
     # 1.0 + 1e-20 == 1.0: the child does not outscore the head it extends
     view = NodeView(AdessParams(alpha=2, xi=1.0))
     view.observe(Block(1, 0, 1, 1.0, "", 0.0), 1.0)
-    assert view.adess_canonical().head == 1
+    assert view.adess_canonical() == 1
     view.observe(Block(2, 1, 2, 1e-20, "", 0.0), 2.0)
-    assert view.adjusted_score(ChainRef(2)) == view.adjusted_score(ChainRef(1))
-    assert view.adess_canonical().head == 2 == rescored_head(view)
+    assert view.adjusted_score(2) == view.adjusted_score(1)
+    assert view.adess_canonical() == 2 == rescored_head(view)
 
 
 def miner_groups(sim: _Simulation) -> dict:

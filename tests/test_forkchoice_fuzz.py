@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adess.chain import Block, ChainRef
+from adess.chain import Block
 from adess.forkchoice import AdessParams, NodeView
 
 from fuzz_trees import build_random_view
@@ -16,12 +16,12 @@ from fuzz_trees import build_random_view
 def check_invariants(view: NodeView, deactivated_before=None):
     # exactly one canonical head, and it carries no active penalty
     head = view.adess_canonical()
-    assert head.head in view.tree.heads
+    assert head in view.tree.heads
     assert view.active_penalties(head) == []
     # the constructive witness also carries no penalty record at all
     witness = view.never_penalized_witness()
     recs = view.penalty_records()
-    assert all(not view.tree.is_ancestor(r.penalized_branch, witness.head)
+    assert all(not view.store.is_ancestor(r.penalized_branch, witness)
                for r in recs)
     assert view.active_penalties(witness) == []
     # deactivation is permanent

@@ -18,7 +18,7 @@ from fuzz_trees import build_random_view
 
 def walk_branch(view: NodeView, fork: int, bid: int):
     """Branch child of `fork` that `bid` descends through, by parent walk."""
-    tree = view.tree
+    tree = view.store
     fork_h = tree.block(fork).height
     cur = bid
     while tree.block(cur).height > fork_h + 1:
@@ -32,10 +32,10 @@ def scan_anchor(view: NodeView, bid: int):
     """Deepest reset anchor on the path of `bid`, by a scan of every reset."""
     best = None
     for anchor in view._resets:
-        if view.tree.is_ancestor(anchor, bid) and (
+        if view.store.is_ancestor(anchor, bid) and (
                 best is None
-                or view.tree.block(anchor).height
-                > view.tree.block(best).height):
+                or view.store.block(anchor).height
+                > view.store.block(best).height):
             best = anchor
     return best
 
@@ -56,12 +56,12 @@ def check_entry(view: NodeView, bid: int):
 def replay_checked(source: NodeView) -> NodeView:
     """Feed `source`'s observation log to a fresh view, checking the index of
     every head after every observe and of every block at the end."""
-    view = NodeView(source.params, name=source.name)
+    view = NodeView(source.params)
     for bid, arrival in source.log.entries[1:]:
         view.observe(source.store.block(bid), arrival)
         for head in view.tree.heads:
             check_entry(view, head)
-    for bid in view.tree.blocks:
+    for bid in view.tree.children:
         check_entry(view, bid)
     assert view.penalty_ledger() == source.penalty_ledger()
     assert view.adess_canonical() == source.adess_canonical()
@@ -110,12 +110,12 @@ def test_store_backed_view_matches_standalone_view():
         alone = NodeView(source.params)
         for t, bid in enumerate(arrivals, start=1):
             block = source.store.block(bid)
-            orphans += block.parent not in alone.tree
+            orphans += block.parent not in alone.tree.children
             shared.observe(block, float(t))
             alone.observe(block, float(t))
             assert shared.adess_canonical() == alone.adess_canonical()
             assert shared.nakamoto_canonical() == alone.nakamoto_canonical()
-        assert isinstance(shared.tree, SeenTree)
+        assert all(isinstance(v.tree, SeenTree) for v in (shared, alone))
         assert shared.tree.heads == alone.tree.heads
         assert shared.tree.children == alone.tree.children
         assert shared.log.entries == alone.log.entries

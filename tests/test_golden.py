@@ -149,9 +149,9 @@ def views_digest() -> str:
         source = build_random_view(random.Random(seed))
         view = NodeView(source.params)
         for bid, arrival in source.log.entries[1:]:
-            view.observe(source.tree.block(bid), arrival)
-            h.update(f"{view.adess_canonical().head},"
-                     f"{view.nakamoto_canonical().head};".encode())
+            view.observe(source.store.block(bid), arrival)
+            h.update(f"{view.adess_canonical()},"
+                     f"{view.nakamoto_canonical()};".encode())
         h.update(view.penalty_ledger().encode())
     return h.hexdigest()
 

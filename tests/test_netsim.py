@@ -263,6 +263,7 @@ def test_config_errors():
         dict(attack_start_height=2.5),
         dict(attack=AttackParams(alpha=5, xi=1.0)),  # depth mismatch
         dict(attack=AttackParams(alpha=2, xi=2.0)),  # penalty mismatch
+        dict(attack=AttackParams(alpha=2, xi=1.0, v=11.0, B=7)),  # unread
     ]
     for kw in bad:
         with pytest.raises(ConfigError):
@@ -398,12 +399,12 @@ def run_with_private_views(cfg: ScenarioConfig) -> tuple:
         nonlocal hits, orphans
         view = private[node]
         hits += block.id in sim._views[node][1]
-        orphans += block.parent not in view.tree
+        orphans += block.parent not in view.tree.children
         view.observe(block, sim.time)
         read = node != "att_obs" or sim._obs_read
         arrive()
         if read:
-            assert sim._canonical[node] == sim._node_canonical(view).head
+            assert sim._canonical[node] == sim._node_canonical(view)
 
     per_arrival(sim, checked)
     report = sim.run()

@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from adess.chain import ChainRef
 from adess.forkchoice import NodeView
 from adess.netsim import _Simulation
 
@@ -204,14 +203,14 @@ def check_step(view: NodeView, oracle: NaiveReplay, bid):
     assert view._resets == oracle.resets
     heads = oracle.heads()
     for h in heads:
-        assert view.adjusted_score(ChainRef(h)) == oracle.score(h)
-    assert view.adess_canonical().head == oracle.head(heads)
+        assert view.adjusted_score(h) == oracle.score(h)
+    assert view.adess_canonical() == oracle.head(heads)
 
 
 def replay_against_oracle(source: NodeView, n_synced: int = 0) -> NaiveReplay:
     """Replay `source`'s log into a fresh view and the oracle, the first
     `n_synced` blocks synced, comparing both after every observe."""
-    view = NodeView(source.params, name=source.name)
+    view = NodeView(source.params)
     genesis = source.store.block(source.store.genesis_id)
     oracle = NaiveReplay(source.params, genesis)
     records = None
@@ -220,12 +219,14 @@ def replay_against_oracle(source: NodeView, n_synced: int = 0) -> NaiveReplay:
         view.observe(block, arrival, synced=i < n_synced)
         oracle.step(block, arrival, i < n_synced)
         check_step(view, oracle, bid)
+        # no block lies under two active penalties (forkchoice's module doc)
+        assert max(view._active.values()) <= 1
         # a block's active-penalty count changes when it arrives, and for
         # every block when a record is assigned or deactivated
         before, records = records, repr(oracle.records)
         for b in oracle.seen if records != before else (bid,):
             assert (view._active[b] > 0) == bool(
-                view.active_penalties(ChainRef(b)))
+                view.active_penalties(b))
     for f in oracle.forks():
         check_fork(view, oracle, f)
     return oracle
