@@ -146,9 +146,19 @@ def test_cumdiff_matches_path_walk_oracle(tree_ids):
 BAD_DIFFICULTIES = (0.0, -1.0, float("nan"), float("inf"))
 
 
-def test_the_store_rejects_invalid_blocks_and_writes_nothing():
+def store_with_one_child(difficulty: float, restored: bool):
+    """A store holding genesis and one child; `restored` rebuilds it from its
+    snapshot, so both ways of filling a store face the same checks."""
     tree = BlockTree()
-    a = tree.append_block(tree.genesis_id, 1.0)
+    a = tree.append_block(tree.genesis_id, difficulty)
+    if restored:
+        tree = BlockTree.from_snapshot(tree.snapshot())
+    return tree, a
+
+
+@pytest.mark.parametrize("restored", [False, True])
+def test_store_and_tree_reject_the_same_blocks(restored):
+    tree, a = store_with_one_child(1.0, restored)
     with pytest.raises(UnknownBlock):
         tree.append_block(99, 1.0)
     with pytest.raises(UnknownBlock):
@@ -166,9 +176,9 @@ def test_the_store_rejects_invalid_blocks_and_writes_nothing():
     assert tree.append_block(a, 1.0) == 2
 
 
-def test_an_infinite_cumulative_difficulty_is_rejected():
-    tree = BlockTree()
-    a = tree.append_block(tree.genesis_id, 1e308)
+@pytest.mark.parametrize("restored", [False, True])
+def test_an_infinite_cumulative_difficulty_is_rejected(restored):
+    tree, a = store_with_one_child(1e308, restored)
     with pytest.raises(DomainError, match="cumulative difficulty"):
         tree.append_block(a, 1e308)
     with pytest.raises(DomainError, match="cumulative difficulty"):
