@@ -45,8 +45,10 @@ Its only writers, `_make_record` (+1) and the deactivation in `_cross_check`
 penalized branch's subtree; only they change other heads' eligibility or
 scores.  The ADESS canonical (score, head) is cached.  A connecting block
 takes it over if penalty-free and strictly heavier (the older head wins a
-tie), or else clears it if it extends the cached head; the two writers
-clear it too, and the next query rescores all heads.
+tie), or else clears it if it extends the cached head.  A deactivation
+clears it, and so does a new penalty that covers the cached head; one that
+misses it only removes candidates and moves no score, so the cached head
+stays the best.  The next query after a clear rescores all heads.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ class ObservationLog:
         return bid in self.first_seen
 
 
-@dataclass
+@dataclass(slots=True)
 class PenaltyRecord:
     """A penalty assigned at `fork` to the branch through `penalized_branch`,
     against the baseline branch; active until `deactivated_at` is set."""
@@ -137,7 +139,7 @@ class PenaltyRecord:
         return self._branch_len[self.baseline_branch][1]
 
 
-@dataclass
+@dataclass(slots=True)
 class _ForkState:
     fork: BlockId
     height: int  # of the fork block
@@ -195,7 +197,8 @@ class NodeView:
         return self
 
     def _connect(self, block: Block, arrival: float, synced: bool):
-        self.store.insert(block)  # validates first; a stored block returns
+        if block.id not in self.store.blocks:
+            self.store.insert(block)  # validates before any view state moves
         self.log.append(block.id, arrival)  # may raise; the tree is untouched
         self.tree.insert(block)
         bid, parent = block.id, block.parent
@@ -279,15 +282,15 @@ class NodeView:
         elif alpha_block is not None:
             self._fire(fs, earlier, alpha_block, arrival)
 
-    def _fork_path(self, bid: BlockId) -> tuple:
-        entry = self._index.get(bid)
-        if entry is None:
-            raise UnknownBlock(f"unknown block {bid}")
-        return entry[1]
+    def _entry(self, bid: BlockId) -> tuple:
+        try:
+            return self._index[bid]
+        except KeyError:
+            raise UnknownBlock(f"unknown block {bid}") from None
 
     def _branch_at(self, fs: _ForkState, bid: BlockId) -> Optional[BlockId]:
         """Branch child of fs.fork through which `bid` descends, or None."""
-        for f, c in self._fork_path(bid):
+        for f, c in self._entry(bid)[1]:
             if f is fs:
                 return c
         return None
@@ -333,7 +336,8 @@ class NodeView:
                             fs.branch_len)
         fs.records[branch] = rec
         self._count_penalty(branch, 1)
-        self._best = None
+        if self._best is not None and self._active[self._best[1]]:
+            self._best = None  # else it only lost candidates: still _pick's
         return rec
 
     def _count_penalty(self, branch: BlockId, delta: int):
@@ -358,7 +362,7 @@ class NodeView:
         self._best = None
         # re-base to the best baseline among penalties deactivated now
         best = None
-        for other, c in self._fork_path(head_pen):
+        for other, c in self._index[head_pen][1]:
             orec = other.records.get(c)
             if orec is None or orec.deactivated_at != arrival:
                 continue
@@ -384,8 +388,8 @@ class NodeView:
     def adjusted_score(self, bid: BlockId) -> float:
         """Cumulative difficulty, re-based past the deepest crossing anchor
         on the chain's path."""
-        cum = self.store.cumulative_difficulty(bid)
-        anchor = self._index[bid][0]
+        anchor = self._entry(bid)[0]  # raises UnknownBlock, as the store
+        cum = self.store._cumdiff[bid]  # holds every block the view has seen
         if anchor is None:
             return cum
         anchor_cum, value = self._resets[anchor]
@@ -402,7 +406,7 @@ class NodeView:
         return n / (1.0 + self.params.xi)
 
     def active_penalties(self, bid: BlockId) -> List[PenaltyRecord]:
-        recs = (fs.records.get(c) for fs, c in self._fork_path(bid))
+        recs = (fs.records.get(c) for fs, c in self._entry(bid)[1])
         return [r for r in recs if r is not None and r.deactivated_at is None]
 
     def penalty_records(self) -> List[PenaltyRecord]:

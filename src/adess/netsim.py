@@ -33,7 +33,6 @@ import heapq
 import io
 import math
 import random
-from itertools import groupby
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -272,14 +271,23 @@ class _Simulation:
             if key not in by_links:
                 by_links[key] = (NodeView(cfg.adess, self.tree), {})
             self._views[name] = by_links[key]
-        # sender -> (delay, runs) per stretch of links at one delay, in push
-        # order; a run is consecutive links to one class (see _run)
-        self._runs = {sender: [
-            (delay, tuple(
-                self._run(tuple(name for _, name in run)) for _, run in
-                groupby(stretch, lambda link: self._views[link[1]][0])))
-            for delay, stretch in groupby(sender_links, lambda link: link[0])]
-            for sender, sender_links in links.items()}
+        # sender -> [(delay, runs)] per stretch of links at one delay, in push
+        # order; a run (see _run) is consecutive links to one class, built once
+        built: Dict[Tuple[str, ...], tuple] = {}
+        self._runs: Dict[str, list] = {}
+        for sender, sender_links in links.items():
+            stretches: List[Tuple[float, list]] = []
+            for delay, name in sender_links:
+                if not stretches or stretches[-1][0] != delay:
+                    stretches.append((delay, []))
+                names = stretches[-1][1]
+                if names and self._views[names[-1][0]] is self._views[name]:
+                    names[-1] += (name,)
+                else:
+                    names.append((name,))
+            self._runs[sender] = [(delay, tuple(
+                built[n] if n in built else built.setdefault(n, self._run(n))
+                for n in names)) for delay, names in stretches]
         self.nodes: Dict[str, NodeView] = {
             name: self._views[name][0] for name in cfg.node_names()}
         self.att_obs = self._views["att_obs"][0]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from adess.chain import Block
-from adess.errors import NotPenalized
+from adess.errors import NotPenalized, UnknownBlock
 from adess.forkchoice import (AdessParams, NodeView, ObservationLog,
                                PenaltyRecord)
 
@@ -356,6 +356,22 @@ def test_a_rejected_block_leaves_the_view_unchanged(shared):
     view.observe(a2, 3.0)
     assert a2.id in view.store and (a2.id in source.store) == shared
     assert view.tree.heads == {a2.id} and view.adess_canonical() == a2.id
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_an_unseen_block_has_no_adjusted_score(shared):
+    # a shared store may hold the block the view has not seen; either way
+    # the view knows no score for it
+    a1, = Script().chain(0, 1)
+    source = NodeView(AdessParams(alpha=2, xi=1.0))
+    feed(source, [a1])
+    view = NodeView(source.params, store=source.store if shared else None)
+    assert (a1.id in view.store) == shared
+    for query in (view.adjusted_score, view.active_penalties):
+        with pytest.raises(UnknownBlock, match=f"unknown block {a1.id}"):
+            query(a1.id)
+    view.observe(a1, 1.0)
+    assert view.adjusted_score(a1.id) == source.adjusted_score(a1.id) == 2.0
 
 
 def test_sync_observed_fork_is_undecidable():

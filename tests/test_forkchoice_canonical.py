@@ -81,6 +81,35 @@ def test_extending_the_cached_head_moves_it_at_an_equal_score():
     assert view.adess_canonical() == 2 == rescored_head(view)
 
 
+def test_a_penalty_that_misses_the_cached_head_keeps_it():
+    # the synced block 3 opens an undecidable fork at 0 beside the heavy head
+    # 2; block 6 then decides the fork at 3 against branch 5, away from 2
+    view = NodeView(AdessParams(alpha=2, xi=1.0))
+    view.observe(Block(1, 0, 1, 10.0, "", 0.0), 1.0)
+    view.observe(Block(2, 1, 2, 10.0, "", 0.0), 2.0)
+    view.observe(Block(3, 0, 1, 1.0, "", 0.0), 3.0, synced=True)
+    view.observe(Block(4, 3, 2, 1.0, "", 0.0), 4.0)
+    view.observe(Block(5, 3, 2, 1.0, "", 0.0), 5.0)
+    assert view.adess_canonical() == 2
+    view.observe(Block(6, 4, 3, 1.0, "", 0.0), 6.0)
+    assert [r.penalized_branch for r in view.penalty_records()] == [5]
+    assert view._best == (21.0, 2)  # kept: no rescoring on the next query
+    assert view.adess_canonical() == 2 == rescored_head(view)
+
+
+def test_a_penalty_on_the_cached_heads_branch_clears_it():
+    # block 3 takes branch 2 to depth 2 first, penalizing the heavier head 1;
+    # being lighter, 3 does not take the cache over
+    view = NodeView(AdessParams(alpha=2, xi=1.0))
+    view.observe(Block(1, 0, 1, 10.0, "", 0.0), 1.0)
+    view.observe(Block(2, 0, 1, 1.0, "", 0.0), 2.0)
+    assert view.adess_canonical() == 1
+    view.observe(Block(3, 2, 2, 1.0, "", 0.0), 3.0)
+    assert [r.penalized_branch for r in view.penalty_records()] == [1]
+    assert view._best is None
+    assert view.adess_canonical() == 3 == rescored_head(view)
+
+
 def miner_groups(sim: _Simulation) -> dict:
     groups: dict = {}
     for name, rate in sim._miners.items():

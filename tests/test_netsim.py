@@ -28,6 +28,7 @@ from adess.netsim import (ATTACKER, ScenarioConfig, _Simulation,
                           latency_split_check, run_scenario)
 
 from arrivals import per_arrival
+from naive_sim import run_naive
 from test_forkchoice_canonical import forky_config
 
 
@@ -481,6 +482,37 @@ def test_distinct_views_per_benchmark_shape():
     assert distinct(adess_cfg(horizon=100.0)) == 1  # n0 and att_obs
     assert distinct(replace(deep, horizon=40.0, honest_hashrates={
         f"n{i}": 0.125 for i in range(8)})) == 9  # each miner hears itself
+
+
+def all_runs(sim: _Simulation) -> list:
+    return [run for batches in sim._runs.values() for _, runs in batches
+            for run in runs]
+
+
+def test_each_receiver_run_is_built_once():
+    sim = _Simulation(forky_config(0))
+    built: dict = {}  # receiver names -> ids of the run objects naming them
+    for run in all_runs(sim):
+        built.setdefault(tuple(m[0] for m in run[2]), set()).add(id(run))
+    assert len(built) == 9  # att_obs and n0..n7, each its own class
+    assert all(len(ids) == 1 for ids in built.values())
+    assert len(all_runs(sim)) == 81  # 9 senders, 9 runs each
+
+
+@pytest.mark.parametrize("kw", [
+    dict(seed=2, eclipse_set=("n3",)),
+    dict(seed=4, honest_hashrates={"n0": 0.5, "n1": 0.5},
+         delays={("n0", "n3"): 2.0})])
+def test_a_class_split_into_several_runs_matches_the_naive_twin(kw):
+    # n3 hears a sender unlike n2 and n4, so one class falls into two runs
+    # of that sender's 0.3 stretch, around n3's
+    cfg = one_miner_cfg(horizon=40.0, **kw)
+    sim = _Simulation(cfg)
+    assert any(len({id(r[0]) for r in runs}) < len(runs)
+               for batches in sim._runs.values() for _, runs in batches)
+    report, naive = sim.run(), run_naive(cfg)
+    assert report.to_text() == naive.to_text()
+    assert report.series_csv() == naive.series_csv()
 
 
 def test_a_head_left_by_its_last_miner_keeps_no_member_entry():
