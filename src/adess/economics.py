@@ -221,6 +221,13 @@ def _plan_blocks(xi: float, N: int, tau: int, b_max: int) -> int:
     return boundary_blocks(N, xi)
 
 
+def _finite(x: float, what: str) -> float:
+    """`x`, or DomainError if it overflowed to inf (or nan: inf times 0)."""
+    if not math.isfinite(x):
+        raise DomainError(f"{what} overflows a float: {x!r}")
+    return x
+
+
 def _plan_rows(p: AttackParams, K: int, powers: List[float],
                secrets: Optional[Iterable] = None) -> list:
     """(Discounted revenue, secret cost / c) at boundary K for each (B, secret)
@@ -240,7 +247,8 @@ def plan_profits(p: AttackParams, tau: int, N: int,
     boundary = _boundary_cost(p.delta, g, g, K)
     powers = [p.delta ** e for e in range(N - 1, N + b_max)]
     for B, (revenue, secret) in enumerate(_plan_rows(p, K, powers)):
-        yield ProfitBreakdown(revenue, p.c * (boundary + secret), K + B)
+        yield ProfitBreakdown(_finite(revenue, "attack revenue"), _finite(
+            p.c * (boundary + secret), "attack cost"), K + B)
 
 
 def attack_plan_profit(p: AttackParams, tau: int = 0,
@@ -358,7 +366,8 @@ def min_deterring_xi(v: float, params: AttackParams) -> float:
         K = _plan_blocks(xi, N, 0, B)
         (revenue, secret), = _plan_rows(params, K, powers, last)
         g = 1.0 + fork_depth_growth(N, xi, 0)
-        return revenue - c * (_boundary_cost(d, g, g, K) + secret)
+        return _finite(revenue, "attack revenue") - c * (
+            _boundary_cost(d, g, g, K) + secret)
 
     if profit(_XI_LO) < 0:
         xi_star = _XI_LO
@@ -423,7 +432,7 @@ def malicious_cost_series(protocol: str, params: AttackParams,
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
     pv = left_sum(d ** t * s for t, s in zip(range(1, horizon + 1), series))
-    return series, pv
+    return series, _finite(pv, "split cost")  # inf entries make it inf/nan
 
 
 @dataclass(frozen=True)
@@ -471,35 +480,40 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
                              n_extra: int = 10, b_max: int = 20
                              ) -> Tuple[int, int, int]:
     """First most profitable plan over (tau, N, B), in that order, by
-    exhaustive search, bit-identical to `attack_plan_profit`: the rows read
-    one table of `delta ** e`, and each N's tau-0 boundary is the prefix at
-    its K of one left fold of the tau-0 terms.  A tau >= 1 costing at least
-    its tau-0 twin skips its B scan, most often on its last term alone;
-    both tests are exact (the README gives the proofs)."""
+    exhaustive search, bit-identical to `attack_plan_profit`: each B scan
+    applies `_plan_rows`' expressions in place to one table of `delta ** e`,
+    and each N's tau-0 boundary is the prefix at its K of one left fold of
+    the tau-0 terms.  A tau >= 1 costing at least its tau-0 twin skips its B
+    scan, most often on its last term alone; both tests are exact (the
+    README gives the proofs).  An inf revenue or best profit is an error."""
     if n_extra < 0:
         raise ValueError("n_extra >= 0 required")
-    n0, d, c, xi = p.horizon_blocks, p.delta, p.c, p.xi
+    n0, d, c, xi, v, p_B = p.horizon_blocks, p.delta, p.c, p.xi, p.v, p.p_B
     _plan_blocks(xi, n0 + n_extra, tau_max, b_max)  # monotone in N
     powers = [d ** e for e in range(n0 - 1, n0 + n_extra + b_max)]
     Ks = [boundary_blocks(N, xi) for N in range(n0, n0 + n_extra + 1)]
+    _finite(v + p_B * (Ks[-1] + b_max), "attack revenue")  # w <= 1: bounds all
     try:  # tau0[K]: the tau-0 boundary cost of K blocks (g = 1 + xi)
         tau0 = list(accumulate((cost_term(n, xi, d) for n in range(Ks[-1])),
                                initial=0))
     except OverflowError:  # the first N whose own sum overflows raises
         for N in range(n0, n0 + n_extra + 1):
             adess_attack_cost(N, xi, d)
-    rows = [(n0 + i, K, tau0[K], _plan_rows(p, K, powers[i:i + b_max + 1]))
-            for i, K in enumerate(Ks)]
-    best, best_plan = None, None
+    best, best_plan = -math.inf, None
     for tau in range(tau_max + 1):
-        for N, K, floor, row in rows:
+        for i, K in enumerate(Ks):
+            N, floor = n0 + i, tau0[K]
             if tau:  # 1 + fork_depth_growth(N, xi, tau), read only here
                 g = 1.0 + (xi + tau / N)
             boundary = _boundary_cost(d, g, g, K, floor) if tau else floor
             if tau and floor <= boundary:
                 continue  # dominated by its tau-0 twin
-            for B, (revenue, secret) in enumerate(row):
-                profit = revenue - c * (boundary + secret)
-                if best is None or profit > best:
+            secret = 0  # _plan_rows' row at N, read from the power table
+            for B, w in enumerate(powers[i:i + b_max + 1]):
+                if B:
+                    secret += w
+                profit = w * (v + p_B * (K + B)) - c * (boundary + secret)
+                if profit > best:
                     best, best_plan = profit, (tau, N, B)
+    _finite(best, "best attack profit")  # -inf: every cost overflowed
     return best_plan

@@ -437,6 +437,18 @@ HUGE = str(10 ** 400)  # no float holds it
      "--delta-prop", "0.5", "--variant", "literal"],
     ["security-bound", "--k", "1..3", "--rho", "1", "--lambda", "1",
      "--delta-prop", "nan", "--variant", "literal"],
+    # p_B (K + B) or c overflows a revenue, cost or split cost to inf, or
+    # to nan times a discount that underflowed to 0: each exited 0
+    ["profit", "--v", "1", "--xi", "1", "--pb", "1e308", "--b", "5"],
+    ["profit", "--v", "1", "--xi", "1", "--pb", "1e308", "--b", "5",
+     "--delta", "1e-200"],
+    ["profit", "--v", "1", "--xi", "1", "--c", "1e308"],
+    ["safe-v", "--xi", "1", "--pb", "1e308"],
+    ["safe-v", "--xi", "1", "--pb", "1e308", "--delta", "1e-320"],
+    ["min-xi", "--v", "1", "--c", "1e308"],
+    ["compare-protocols", "--c", "1e308", "--xi", "1", "--horizon", "20"],
+    ["compare-protocols", "--c", "1e308", "--xi", "1", "--horizon", "20",
+     "--delta", "1e-320"],
 ])
 def test_oversized_inputs_exit_one_quickly(tmp_path, argv):
     if argv[0] in ("sweep", "simulate"):

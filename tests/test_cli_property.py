@@ -1,6 +1,8 @@
 """Property test of the CLI's exit contract: over generated argv and JSON
 configs, every run exits 0, 1 or 2, raises no exception past `main` (that
-is, prints no traceback) and ends within DEADLINE seconds.
+is, prints no traceback) and ends within DEADLINE seconds.  A scalar
+economics command that exits 0 prints only finite numbers: an overflow is
+an error, not an `inf` or `nan` result.
 
 The drawn values mix small legal ones with sizes past every bound, numbers
 no float holds, non-finite floats and values of the wrong JSON type.  Legal
@@ -16,12 +18,13 @@ import contextlib
 import io
 import json
 import math
+import re
 import shutil
 import signal
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adess.cli import main
@@ -129,6 +132,10 @@ COMMANDS = st.one_of(
         {"--tau": INT_TEXT, "--n": INT_TEXT, **ECON})),
 )
 WRITES_FILES = ("simulate", "sweep", "security-bound", "compare-protocols")
+#: commands whose printed numbers must be finite (a sweep's nan columns
+#: mark a penalty that does not deter or a safe value left undefined)
+FINITE_OUTPUT = ("profit", "safe-v", "min-xi", "compare-protocols")
+NOT_FINITE = re.compile(r"\b(inf|nan)\b")
 
 
 class Overran(Exception):
@@ -140,12 +147,12 @@ def _overran(signum, frame):
 
 
 def _run(argv) -> tuple:
-    """`main(argv)`'s exit code and stderr, under the deadline."""
-    err = io.StringIO()
+    """`main(argv)`'s exit code, stdout and stderr, under the deadline."""
+    out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _overran)
     signal.setitimer(signal.ITIMER_REAL, DEADLINE)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), \
+        with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
@@ -154,9 +161,17 @@ def _run(argv) -> tuple:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
+# p_B or c near the largest float overflows a revenue, cost or split cost
+@example((["profit"], None, ["--v", "1", "--xi", "1", "--pb", "1e308",
+                             "--b", "5"]))
+@example((["profit"], None, ["--v", "1", "--xi", "1", "--c", "1e308"]))
+@example((["safe-v"], None, ["--xi", "1", "--pb", "1e308"]))
+@example((["min-xi"], None, ["--v", "1", "--c", "1e308"]))
+@example((["compare-protocols"], None, ["--horizon", "20", "--c", "1e308",
+                                        "--xi", "1"]))
 @given(COMMANDS)
 @settings(max_examples=250, deadline=None)
 def test_cli_exits_0_1_or_2_without_traceback_in_time(command):
@@ -168,8 +183,10 @@ def test_cli_exits_0_1_or_2_without_traceback_in_time(command):
         argv = head + [str(path) if tok is CONFIG else tok for tok in tail]
         if head[0] in WRITES_FILES:
             argv += ["--out", str(tmp / "out")]
-        code, err = _run(argv)
+        code, out, err = _run(argv)
     finally:
         shutil.rmtree(tmp)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    if code == 0 and head[0] in FINITE_OUTPUT:
+        assert not NOT_FINITE.search(out), (argv, out)

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adess import economics
 from adess.economics import (AttackParams, _boundary_cost, _plan_blocks,
                              _plan_rows, adess_attack_cost,
                              adess_attack_profit, affine_cost_term,
@@ -350,6 +351,26 @@ def summing_search(p: AttackParams, tau_max: int, n_extra: int, b_max: int):
     return best_plan
 
 
+def test_tau_ge_1_b_scan_matches_summing_search(monkeypatch):
+    # on every real grid a tau >= 1 boundary costs at least its tau-0 twin,
+    # so the search never scans its B; halving each tau >= 1 boundary cost,
+    # in the search and in its summing twin alike, makes it scan them
+    rng = random.Random(24)
+    points = ORACLE_GRID + [random_plan_params(rng) for _ in range(100)]
+    grid = dict(tau_max=3, n_extra=3, b_max=5)
+    real, deep = _boundary_cost, 0
+    for p in points:
+        def halved(delta, g, base, K, floor=None, g0=1.0 + p.xi):
+            total = real(delta, g, base, K)
+            return total if g == g0 else total / 2
+        monkeypatch.setattr(economics, "_boundary_cost", halved)
+        monkeypatch.setitem(globals(), "_boundary_cost", halved)
+        plan = brute_force_optimal_plan(p, **grid)
+        assert plan == summing_search(p, **grid), p
+        deep += plan[0] >= 1
+    assert deep >= 100, deep
+
+
 def edge_xi(N: int, target: float) -> float:
     """xi in [2, 12] at which (N(1+xi) - 1) ln(1+xi) is `target`: the log of
     the last power in N's tau-0 boundary.  A target near 709.78, the log of
@@ -413,6 +434,35 @@ def test_shared_tau0_prefix_names_the_first_overflowing_boundary():
         Ks = [boundary_blocks(N, p.xi) for N in range(alpha, alpha + 7)]
         later += Ks[0] < K < Ks[-1]
     assert later >= 10, later
+
+
+def test_overflowing_plan_revenue_or_cost_is_a_domain_error():
+    # p_B (K + B) past the largest float makes the revenue inf, and times a
+    # discount that underflowed to 0, nan; c near it makes the cost inf
+    for kw in (dict(p_B=1e308, B=5), dict(p_B=1e308, B=5, delta=1e-200),
+               dict(c=1e308)):
+        with pytest.raises(DomainError, match="attack (revenue|cost) over"):
+            attack_plan_profit(params(v=1.0, **kw))
+    for kw in (dict(p_B=1e308), dict(p_B=1e308, delta=1e-320)):
+        with pytest.raises(DomainError, match="attack revenue overflows"):
+            safe_value_interval(1.0, params(**kw))
+        with pytest.raises(DomainError, match="attack revenue overflows"):
+            min_deterring_xi(1.0, params(**kw))
+    with pytest.raises(DomainError, match="attack revenue overflows"):
+        brute_force_optimal_plan(AttackParams(v=1.0, p_B=1e308, delta=1e-200,
+                                              xi=1.0, alpha=3),
+                                 tau_max=2, n_extra=2, b_max=3)
+
+
+def test_plan_search_drops_plans_whose_cost_overflows():
+    # c (N + B) overflows past the first plan, whose profit stays finite;
+    # with no finite plan left, the search fails rather than pick one
+    p = params(alpha=1, xi=0.0, c=1e308, v=1.0)
+    grid = dict(tau_max=2, n_extra=2, b_max=3)
+    assert brute_force_optimal_plan(p, **grid) == oracle_best_plan(p, **grid) \
+        == (0, 1, 0)
+    with pytest.raises(DomainError, match="best attack profit overflows"):
+        brute_force_optimal_plan(replace(p, c=1.7e308, xi=1.0), **grid)
 
 
 def test_brute_force_rejects_negative_grid_sizes():
@@ -628,6 +678,16 @@ def test_malicious_cost_no_apriori_ranking():
     _, pv_a2 = malicious_cost_series("adess", dear_split, horizon=2000)
     _, pv_n2 = malicious_cost_series("nakamoto", dear_split, horizon=2000)
     assert pv_a2 > pv_n2
+
+
+def test_overflowing_split_cost_is_a_domain_error():
+    # c (1 + xi)^t past the largest float is inf, and times a discount
+    # that underflowed to 0, nan; the matcher's present value sums past it
+    for protocol, kw in (("adess", {}), ("adess", dict(delta=1e-320)),
+                         ("nakamoto", {})):
+        p = params(c=1e308, alpha=6, **kw)
+        with pytest.raises(DomainError, match="split cost overflows"):
+            malicious_cost_series(protocol, p, horizon=20)
 
 
 def test_expected_hashrate_examples():
