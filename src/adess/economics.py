@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import add
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import DomainError, SolverFailure, check_numbers
 
@@ -103,7 +103,8 @@ def nakamoto_attack_profit(p: AttackParams) -> ProfitBreakdown:
     revenue = d ** (N - 1) * (p.v + p.p_B * N)
     cost = c * (left_sum(d ** (n - 1) for n in range(1, N))
                 + (1.0 + p.epsilon_extra) * d ** (N - 1))
-    return ProfitBreakdown(revenue, cost, N)
+    return ProfitBreakdown(_finite(revenue, "attack revenue"),
+                           _finite(cost, "attack cost"), N)
 
 
 def nakamoto_zero_profit_v(p: AttackParams) -> float:
@@ -111,7 +112,11 @@ def nakamoto_zero_profit_v(p: AttackParams) -> float:
     N, d, c = p.horizon_blocks, p.delta, p.c
     bracket = left_sum(d ** (n - 1) for n in range(1, N)) \
         + (1.0 + p.epsilon_extra) * d ** (N - 1)
-    return d ** (-(N - 1)) * c * bracket - p.p_B * N
+    try:
+        v = d ** (-(N - 1)) * c * bracket - p.p_B * N
+    except OverflowError:  # 1/delta^(N-1) past the largest float
+        v = math.inf
+    return _finite(v, "break-even value")
 
 
 def nakamoto_min_profitable_v(p: AttackParams) -> float:
@@ -126,7 +131,11 @@ def moroz_round_payoff(v: float, p_B: float, c: float, N: int,
     its opponent exits: v + p_B(N+1) - c(1+gamma)^(N+1)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return v + p_B * (N + 1) - c * (1.0 + gamma) ** (N + 1)
+    try:
+        payoff = v + p_B * (N + 1) - c * (1.0 + gamma) ** (N + 1)
+    except OverflowError:
+        payoff = -math.inf
+    return _finite(payoff, "round payoff")
 
 
 def guo_ren_bound(k: int, rho: float, lambda_rate: float, delta_prop: float,
@@ -191,12 +200,17 @@ def _boundary_cost(delta: float, g: float, base: float, K: int,
         raise DomainError(f"attack cost overflows: {base!r}^n, n < {K}") from None
 
 
+def _check_cost(N: int, xi: float, delta: float, c: float):
+    """The attack cost's domain, as `AttackParams` holds it (nan fails)."""
+    if not (N >= 1 and xi >= 0 and c > 0 and 0.0 < delta <= 1.0):
+        raise ValueError("N >= 1, xi >= 0, c > 0 and delta in (0, 1] required")
+
+
 def adess_attack_cost(N: int, xi: float, delta: float = 1.0,
                       c: float = 1.0) -> float:
     """Discounted cost of growing the attack chain at rate (1+xi) until the
     canonical boundary at incumbent block N."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_cost(N, xi, delta, c)
     g = 1.0 + xi
     return c * _boundary_cost(delta, g, g, boundary_blocks(N, xi))
 
@@ -206,6 +220,9 @@ def partial_adjustment_attack_cost(N: int, xi: float, beta: float,
     """Attack cost when difficulty only partially adjusts: the hashrate base
     softens from (1+xi) to (1+beta*xi) while the block count and pace are
     still set by the penalty xi."""
+    _check_cost(N, xi, delta, c)
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("beta must be in (0, 1]")
     return c * _boundary_cost(delta, 1.0 + xi, 1.0 + beta * xi,
                               boundary_blocks(N, xi))
 
@@ -228,36 +245,21 @@ def _finite(x: float, what: str) -> float:
     return x
 
 
-def _plan_rows(p: AttackParams, K: int, powers: List[float],
-               secrets: Optional[Iterable] = None) -> list:
-    """(Discounted revenue, secret cost / c) at boundary K for each (B, secret)
-    pair, by default B < len(powers); powers[i] = delta ** (N - 1 + i)."""
-    secrets = secrets or enumerate(accumulate(powers[1:], initial=0))
-    return [(powers[B] * (p.v + p.p_B * (K + B)), secret)
-            for B, secret in secrets]
-
-
-def plan_profits(p: AttackParams, tau: int, N: int,
-                 b_max: int) -> Iterator[ProfitBreakdown]:
-    """Profits of the plans (fork tau blocks back, reach the boundary at
-    incumbent block N, then mine B more secret blocks) for B = 0..b_max; the
-    boundary cost is summed once, the B terms added left to right."""
-    K = _plan_blocks(p.xi, N, tau, b_max)
-    g = 1.0 + fork_depth_growth(N, p.xi, tau)
-    boundary = _boundary_cost(p.delta, g, g, K)
-    powers = [p.delta ** e for e in range(N - 1, N + b_max)]
-    for B, (revenue, secret) in enumerate(_plan_rows(p, K, powers)):
-        yield ProfitBreakdown(_finite(revenue, "attack revenue"), _finite(
-            p.c * (boundary + secret), "attack cost"), K + B)
-
-
 def attack_plan_profit(p: AttackParams, tau: int = 0,
                        N: Optional[int] = None, B: Optional[int] = None) -> ProfitBreakdown:
-    """Profit of the general plan (fork tau blocks back, reach the boundary
-    at incumbent block N, then mine B more secret blocks): the last entry of
-    `plan_profits`, bit-identical to summing this plan's costs on their own."""
-    return list(plan_profits(p, tau, p.horizon_blocks if N is None else N,
-                             p.B if B is None else B))[-1]
+    """Profit of the general plan: fork tau blocks back, reach the boundary at
+    incumbent block N (default alpha + sigma), then mine B (default p.B) more
+    secret blocks; the boundary cost and the B terms are each a left fold."""
+    N = p.horizon_blocks if N is None else N
+    B = p.B if B is None else B
+    K = _plan_blocks(p.xi, N, tau, B)
+    d = p.delta
+    g = 1.0 + fork_depth_growth(N, p.xi, tau)
+    revenue = d ** (N + B - 1) * (p.v + p.p_B * (K + B))
+    cost = p.c * (_boundary_cost(d, g, g, K)
+                  + left_sum(d ** (N + b) for b in range(B)))
+    return ProfitBreakdown(_finite(revenue, "attack revenue"),
+                           _finite(cost, "attack cost"), K + B)
 
 
 def adess_attack_profit(p: AttackParams) -> ProfitBreakdown:
@@ -271,8 +273,8 @@ def broadcast_margin(p: AttackParams) -> float:
     non-positive whenever p_B <= c."""
     N, d = p.horizon_blocks, p.delta
     K = boundary_blocks(N, p.xi)
-    return ((d ** N - d ** (N - 1)) * (p.v + p.p_B * (K + 1))
-            + d ** N * (p.p_B - p.c))
+    return _finite((d ** N - d ** (N - 1)) * (p.v + p.p_B * (K + 1))
+                   + d ** N * (p.p_B - p.c), "broadcast margin")
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +305,17 @@ def penalty_margin(xi: float, N: int, delta: float, c: float = 1.0,
     boundary block count (the ceiling increments under _MARGIN_DXI)."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if xi <= 0:
-        raise ValueError("xi must be > 0")
-    K = boundary_blocks(N, xi)
-    margin = -c * left_sum(cost_term_derivative(n, xi, delta)
-                           for n in range(K))
-    if boundary_blocks(N, xi + _MARGIN_DXI) > K:
-        margin += delta ** N * p_B - delta ** N * c
-    return margin
+    if xi <= 0 or N < 1:
+        raise ValueError("xi > 0 and N >= 1 required")
+    try:
+        K = boundary_blocks(N, xi)
+        margin = -c * left_sum(cost_term_derivative(n, xi, delta)
+                               for n in range(K))
+        if boundary_blocks(N, xi + _MARGIN_DXI) > K:
+            margin += delta ** N * p_B - delta ** N * c
+    except OverflowError:  # (1+xi)^n past the largest float
+        margin = -math.inf
+    return _finite(margin, "penalty margin")
 
 
 def affine_cost_term(n: int, xi: float, delta: float, rho_aff: float,
@@ -337,15 +342,17 @@ def affine_growth_cost_margin(xi: float, rho_aff: float,
     """Penalty margin under the affine growth schedule (the README's marginal
     analysis); negative whenever p_B <= c, so deterrence survives
     non-constant growth."""
-    if rho_aff <= 0:
-        raise ValueError("rho_aff must be > 0")
+    if rho_aff <= 0 or N < 1:
+        raise ValueError("rho_aff > 0 and N >= 1 required")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    K = boundary_blocks(N, xi)
-    deriv_sum = left_sum(
-        affine_cost_term_derivative(n, xi, delta, rho_aff, f(n))
-        for n in range(K))
-    return p_B - c * deriv_sum - c
+    try:
+        deriv_sum = left_sum(
+            affine_cost_term_derivative(n, xi, delta, rho_aff, f(n))
+            for n in range(boundary_blocks(N, xi)))
+    except OverflowError:  # g^n past the largest float
+        deriv_sum = math.inf
+    return _finite(p_B - c * deriv_sum - c, "penalty margin")
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +366,12 @@ def min_deterring_xi(v: float, params: AttackParams) -> float:
     params = replace(params, v=v)
     d, c, N, B = params.delta, params.c, params.horizon_blocks, params.B
     _plan_blocks(_XI_LO, N, 0, B)  # sizes checked before the powers
-    powers = [d ** e for e in range(N - 1, N + B)]
-    last = [(B, _plan_rows(params, 0, powers)[-1][1])]  # xi-free, summed once
+    w = d ** (N + B - 1)  # xi-free, taken once
+    secret = left_sum(d ** (N + b) for b in range(B))
 
     def profit(xi: float) -> float:  # adess_attack_profit at (v, xi)
         K = _plan_blocks(xi, N, 0, B)
-        (revenue, secret), = _plan_rows(params, K, powers, last)
+        revenue = w * (v + params.p_B * (K + B))
         g = 1.0 + fork_depth_growth(N, xi, 0)
         return _finite(revenue, "attack revenue") - c * (
             _boundary_cost(d, g, g, K) + secret)
@@ -481,9 +488,9 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
                              ) -> Tuple[int, int, int]:
     """First most profitable plan over (tau, N, B), in that order, by
     exhaustive search, bit-identical to `attack_plan_profit`: each B scan
-    applies `_plan_rows`' expressions in place to one table of `delta ** e`,
-    and each N's tau-0 boundary is the prefix at its K of one left fold of
-    the tau-0 terms.  A tau >= 1 costing at least its tau-0 twin skips its B
+    applies its expressions in place to one table of `delta ** e`, and each
+    N's tau-0 boundary is the prefix at its K of one left fold of the tau-0
+    terms.  A tau >= 1 costing at least its tau-0 twin skips its B
     scan, most often on its last term alone; both tests are exact (the
     README gives the proofs).  An inf revenue or best profit is an error."""
     if n_extra < 0:
@@ -508,7 +515,7 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
             boundary = _boundary_cost(d, g, g, K, floor) if tau else floor
             if tau and floor <= boundary:
                 continue  # dominated by its tau-0 twin
-            secret = 0  # _plan_rows' row at N, read from the power table
+            secret = 0  # the B-term fold at N, read from the power table
             for B, w in enumerate(powers[i:i + b_max + 1]):
                 if B:
                     secret += w

@@ -32,8 +32,7 @@ a leaf of the view's tree at that moment, so setting the anchor on that block
 alone is exact.  Its fork path holds a (fork state, branch child) entry per
 fork it descends through, in fork-creation order: a new branch child swaps
 the entry in a sibling's path, and a new fork, the newest, is appended along
-its existing subtree in one walk, where blocks that shared an entry share
-the extended one.
+its existing subtree in one walk.
 
 Each block also counts the active penalties on its path, inherited from its
 parent, so a penalty test is one lookup.  The count is at most 1: `_fire`
@@ -166,7 +165,7 @@ class NodeView:
         # reset anchor block -> (cumdiff at anchor, re-based score at anchor)
         self._resets: Dict[BlockId, Tuple[float, float]] = {}
         # block -> (deepest reset anchor on its path or None, fork path of
-        # (fork state, branch child) pairs); equal entries share one tuple
+        # (fork state, branch child) pairs)
         self._index: Dict[BlockId, tuple] = {self.store.genesis_id: (None, ())}
         # block -> number of active penalties on its path; see module doc
         self._active: Dict[BlockId, int] = {self.store.genesis_id: 0}
@@ -237,17 +236,11 @@ class NodeView:
         best_len, best_block = 0, branch
         alpha_block: Optional[BlockId] = None
         entry = (fs, branch)
-        # id(old index entry) -> (old, extended); holding `old` keeps its id
-        # from being reused while the walk runs
-        extended: Dict[int, tuple] = {}
         stack = [branch]
         while stack:
             bid = stack.pop()
-            old = self._index[bid]
-            hit = extended.get(id(old))
-            if hit is None:
-                hit = extended[id(old)] = (old, (old[0], old[1] + (entry,)))
-            self._index[bid] = hit[1]
+            anchor, path = self._index[bid]
+            self._index[bid] = (anchor, path + (entry,))
             depth = self.store.block(bid).height - fs.height
             if depth > best_len or (depth == best_len and bid < best_block):
                 best_len, best_block = depth, bid

@@ -179,6 +179,8 @@ def sustained_growth_cost(growth: float, n_blocks: int, rule: DifficultyRule,
     """Discounted dollar cost of sustaining the growth rate: each block costs
     hashrate times its duration 1/(1+growth), discounted from the block's
     start time."""
+    if not (0.0 < delta <= 1.0 and unit_cost > 0):
+        raise ValueError("delta in (0, 1] and unit_cost > 0 required")
     g = 1.0 + growth
     series = required_hashrate_series(growth, n_blocks, rule)
     total = 0.0

@@ -2,13 +2,13 @@
 
 The event loop is strictly sequential: events are processed in (time,
 sequence-number) order, so identical configurations (including the seed)
-replay bit-identically; a block reaching several nodes at one instant is one
-arrive event.  Honest hashrate is grouped by the canonical head each mining
-node currently follows; a group mines jointly.  A miner's head change
-regroups only its old and new heads, a group that mined only itself.  A mine
-event waits out its instant unless it may fall due in it, so a regroup then
-(a miner hearing its own block) drops it unresolved.  The attacker mines a
-secret chain and broadcasts it according to its strategy.
+replay bit-identically; a block sent over a stretch of a sender's links at
+one delay is one arrive event.  Honest hashrate is grouped by the canonical
+head each mining node currently follows; a group mines jointly.  A miner's
+head change regroups only its old and new heads, a group that mined only
+itself.  A mine event waits out its instant unless it may fall due in it, so
+a regroup then (a miner hearing its own block) drops it unresolved.  The
+attacker mines a secret chain and broadcasts it according to its strategy.
 
 A view's state is a function of its (time, block) arrival sequence alone.
 Receivers (the nodes and the attacker's observer `att_obs`) that hear every
@@ -356,18 +356,10 @@ class _Simulation:
 
     def _fan_out(self, sender: str, blocks: Sequence[Block]):
         """Send `blocks` over the sender's links: one arrive event per
-        arrival instant (unequal delays can share one) of its runs in push
-        order, with consecutive seqs, so as if each (receiver, block) pair
-        had its own event."""
-        batches = self._runs[sender]
-        if len(batches) == 1:  # one delay: one arrive event, no grouping
-            return self._push(self.time + batches[0][0], self._on_arrive,
-                              (batches[0][1], blocks))
-        arrivals: Dict[float, List[tuple]] = {}
-        for delay, runs in batches:
-            arrivals.setdefault(self.time + delay, []).extend(runs)
-        for time, runs in arrivals.items():
-            self._push(time, self._on_arrive, (runs, blocks))
+        stretch of links at one delay, pushed in link order with consecutive
+        seqs, so as if each (receiver, block) pair had its own event."""
+        for delay, runs in self._runs[sender]:
+            self._push(self.time + delay, self._on_arrive, (runs, blocks))
 
     def run(self) -> RunReport:
         self._regroup((self.tree.genesis_id,))

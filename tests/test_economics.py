@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from adess import economics
 from adess.economics import (AttackParams, _boundary_cost, _plan_blocks,
-                             _plan_rows, adess_attack_cost,
+                             adess_attack_cost,
                              adess_attack_profit, affine_cost_term,
                              affine_cost_term_derivative,
                              affine_growth_cost_margin, attack_plan_profit,
@@ -33,9 +33,10 @@ from adess.economics import (AttackParams, _boundary_cost, _plan_blocks,
                              moroz_round_payoff, nakamoto_attack_profit,
                              nakamoto_min_profitable_v, nakamoto_zero_profit_v,
                              partial_adjustment_attack_cost, penalty_margin,
-                             plan_profits, proposition1_check,
+                             proposition1_check,
                              safe_value_interval)
 from adess.errors import DomainError, SolverFailure
+from adess.mining import DifficultyRule, sustained_growth_cost
 
 from econ_grids import ORACLE_GRID, SOLVER_FAILURES, params
 
@@ -208,6 +209,45 @@ def test_partial_adjustment_cost_overflow_is_a_domain_error():
         partial_adjustment_attack_cost(2000, 5.0, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    # a negative discount took a fractional power: a complex cost
+    lambda: adess_attack_cost(3, 1.0, delta=-0.5),
+    lambda: adess_attack_cost(3, 1.0, delta=1.5),
+    lambda: adess_attack_cost(3, -0.5),
+    lambda: adess_attack_cost(3, 1.0, c=0.0),
+    lambda: adess_attack_cost(3, 1.0, c=math.nan),
+    lambda: partial_adjustment_attack_cost(3, 1.0, 0.5, delta=-0.5),
+    lambda: partial_adjustment_attack_cost(3, 1.0, 0.5, c=-1.0),
+    lambda: partial_adjustment_attack_cost(3, 1.0, 0.0),
+    lambda: partial_adjustment_attack_cost(3, 1.0, 1.5),
+    lambda: partial_adjustment_attack_cost(0, 1.0, 0.5),
+    lambda: sustained_growth_cost(1.0, 3, DifficultyRule.full(), delta=-0.5),
+    lambda: sustained_growth_cost(1.0, 3, DifficultyRule.full(),
+                                  unit_cost=0.0),
+    # no boundary block: the margins read -0.0 and 0.0
+    lambda: penalty_margin(1.0, 0, 0.5),
+    lambda: affine_growth_cost_margin(1.0, 0.5, lambda n: 1.0, 0, 0.5),
+])
+def test_closed_forms_reject_inputs_outside_their_domain(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: penalty_margin(5.0, 2000, 0.5),
+    lambda: affine_growth_cost_margin(5.0, 0.5, lambda n: 1.0, 2000, 0.5),
+    lambda: moroz_round_payoff(1, 1, 1, 2000, 1),
+    lambda: nakamoto_zero_profit_v(AttackParams(alpha=3, delta=1e-300)),
+    lambda: nakamoto_attack_profit(AttackParams(p_B=1e308, alpha=2)),
+    lambda: nakamoto_attack_profit(AttackParams(c=1e308, alpha=2,
+                                                epsilon_extra=1.0)),
+    lambda: broadcast_margin(AttackParams(alpha=1, p_B=1e308, v=1e308)),
+])
+def test_closed_form_overflow_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="overflows a float"):
+        call()
+
+
 # -- plan profits against a per-plan oracle ----------------------------------
 
 def left_fold(terms):
@@ -218,7 +258,7 @@ def left_fold(terms):
 
 def oracle_plan_profit(p: AttackParams, tau: int, N: int, B: int):
     """Each plan's profit from scratch, as one K-term and one B-term left
-    fold.  `plan_profits` must match it bit for bit on every Python."""
+    fold.  `attack_plan_profit` must match it bit for bit on every Python."""
     d, c = p.delta, p.c
     g = 1.0 + fork_depth_growth(N, p.xi, tau)
     K = boundary_blocks(N, p.xi)
@@ -239,11 +279,8 @@ def test_plan_profits_bit_identical_to_oracle():
     for p in ORACLE_GRID:
         n0 = p.alpha + p.sigma
         for tau, N in itertools.product(range(4), range(n0, n0 + 3)):
-            rows = list(plan_profits(p, tau, N, b_max))
-            assert len(rows) == b_max + 1
             for B in range(b_max + 1):
                 want = oracle_plan_profit(p, tau, N, B)
-                assert_bit_identical(rows[B], want)
                 assert_bit_identical(attack_plan_profit(p, tau, N, B), want)
 
 
@@ -337,8 +374,9 @@ def summing_search(p: AttackParams, tau_max: int, n_extra: int, b_max: int):
     rows = []
     for N in range(n0, n0 + n_extra + 1):
         K = _plan_blocks(p.xi, N, tau_max, b_max)
-        powers = [d ** e for e in range(N - 1, N + b_max)]
-        rows.append((N, K, _plan_rows(p, K, powers)))
+        rows.append((N, K, [(d ** (N + B - 1) * (p.v + p.p_B * (K + B)),
+                             left_fold(d ** (N + b) for b in range(B)))
+                            for B in range(b_max + 1)]))
     best, best_plan = None, None
     for tau in range(tau_max + 1):
         for N, K, row in rows:
@@ -473,7 +511,7 @@ def test_brute_force_rejects_negative_grid_sizes():
 
 def test_plan_profits_rejects_negative_b_max():
     with pytest.raises(ValueError):
-        list(plan_profits(params(), 0, 2, -1))
+        attack_plan_profit(params(), B=-1)
     with pytest.raises(ValueError):
         attack_plan_profit(params(), tau=-1)
 

@@ -1,5 +1,7 @@
 """Every name a module under src/adess imports is used there: read as a name,
-or listed in the module's `__all__` for re-export."""
+or listed in the module's `__all__` for re-export.  Every private name a
+module defines at its top level is read somewhere under src/adess, so no
+helper is left that only tests reach."""
 
 from __future__ import annotations
 
@@ -45,3 +47,41 @@ def test_no_unused_imports_under_src():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def unread_privates(sources: dict) -> list:
+    """(module, name) of each top-level `def _x`, `class _X` or `_X = ...`
+    in `sources` (module -> source) that no module reads as a name or an
+    attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign) else
+                       [])
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(pair for pair in defined if pair[1] not in read)
+
+
+def test_detector_flags_only_unread_private_names():
+    sources = {"a": ("_LIMIT = 3\n_unused: int = 0\n__version__ = '1'\n"
+                     "def _helper(x):\n    return x < _LIMIT\n"
+                     "class _Kind:\n    pass\n"),
+               "b": "import a\n\ndef f(x):\n    return a._helper(x)\n",
+               "c": "from a import _Kind\n"}
+    assert unread_privates(sources) == [("a", "_Kind"), ("a", "_unused")]
+
+
+def test_every_private_name_under_src_is_read_there():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_privates(sources) == []
