@@ -43,9 +43,13 @@ def left_sum(terms: Iterable[float]) -> float:
 
 
 def boundary_blocks(n_ic: float, xi: float) -> int:
-    """Number of penalized-chain blocks needed at the canonical boundary:
-    ceil(N*(1+xi)) with float-noise protection."""
-    return math.ceil(n_ic * (1.0 + xi) - _CEIL_EPS)
+    """Penalized-chain blocks needed at the canonical boundary: ceil(N*(1+xi))
+    less float noise; DomainError above _MAX_PLAN_BLOCKS, at inf or nan."""
+    k = n_ic * (1.0 + xi) - _CEIL_EPS
+    if not k <= _MAX_PLAN_BLOCKS:
+        raise DomainError(f"ceil(N(1+xi)) must be at most {_MAX_PLAN_BLOCKS}"
+                          f" blocks, got N = {n_ic!r}, xi = {xi!r}")
+    return math.ceil(k)
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,6 @@ def nakamoto_attack_profit(p: AttackParams) -> ProfitBreakdown:
     """Ex-ante expected profit of the classic double-spend strategy: match the
     incumbent pace for N-1 blocks, then add surplus hashrate at block N."""
     N, d, c = p.horizon_blocks, p.delta, p.c
-    if N < 1:
-        raise ValueError("N must be >= 1")
     revenue = d ** (N - 1) * (p.v + p.p_B * N)
     cost = c * (left_sum(d ** (n - 1) for n in range(1, N))
                 + (1.0 + p.epsilon_extra) * d ** (N - 1))
@@ -121,8 +123,7 @@ def nakamoto_zero_profit_v(p: AttackParams) -> float:
 
 def nakamoto_min_profitable_v(p: AttackParams) -> float:
     """delta -> 1 limit of the break-even value: (c - p_B)*N + c*eps."""
-    N = p.horizon_blocks
-    return (p.c - p.p_B) * N + p.c * p.epsilon_extra
+    return (p.c - p.p_B) * p.horizon_blocks + p.c * p.epsilon_extra
 
 
 def moroz_round_payoff(v: float, p_B: float, c: float, N: int,
@@ -149,12 +150,10 @@ def guo_ren_bound(k: int, rho: float, lambda_rate: float, delta_prop: float,
     |p - 1| under the square root and restricts p to (0, 1), documented as a
     deviation because the printed formula is unusable on its stated domain.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 < rho <= 1.0:
-        raise ValueError("rho must be in (0, 1]")
-    if not (0 < lambda_rate < math.inf and 0 <= delta_prop < math.inf):
-        raise ValueError("need finite lambda_rate > 0 and delta_prop >= 0")
+    if not (k >= 1 and 0.0 < rho <= 1.0 and 0 < lambda_rate < math.inf
+            and 0 <= delta_prop < math.inf):
+        raise ValueError("k >= 1, rho in (0, 1], finite lambda_rate > 0 and "
+                         "delta_prop >= 0 required")
     if variant not in ("literal", "abs"):
         raise ValueError(f"unknown variant {variant!r}")
     try:
@@ -183,15 +182,9 @@ def fork_depth_growth(N: int, xi: float, tau: int) -> float:
     return xi + tau / N
 
 
-def _boundary_cost(delta: float, g: float, base: float, K: int,
-                   floor: Optional[float] = None) -> float:
-    """Sum of delta^(n/g) base^n over the K blocks up to the boundary, or
-    only its last term when that term alone reaches `floor`."""
+def _boundary_cost(delta: float, g: float, base: float, K: int) -> float:
+    """Sum of delta^(n/g) base^n over the K blocks up to the boundary."""
     try:  # left_sum's fold, inlined: this is the plan search's inner loop
-        if floor is not None and K:
-            last = delta ** ((K - 1) / g) * base ** (K - 1)
-            if last >= floor:
-                return last
         total = 0
         for n in range(K):
             total += delta ** (n / g) * base ** n
@@ -206,13 +199,17 @@ def _check_cost(N: int, xi: float, delta: float, c: float):
         raise ValueError("N >= 1, xi >= 0, c > 0 and delta in (0, 1] required")
 
 
+def _check_margin(N: int, delta: float, name: str, x: float):
+    """A penalty margin's domain: `name` = x > 0 as well (nan fails)."""
+    if not (N >= 1 and x > 0 and 0.0 < delta < 1.0):
+        raise ValueError(f"N >= 1, {name} > 0 and delta in (0, 1) required")
+
+
 def adess_attack_cost(N: int, xi: float, delta: float = 1.0,
                       c: float = 1.0) -> float:
     """Discounted cost of growing the attack chain at rate (1+xi) until the
     canonical boundary at incumbent block N."""
-    _check_cost(N, xi, delta, c)
-    g = 1.0 + xi
-    return c * _boundary_cost(delta, g, g, boundary_blocks(N, xi))
+    return partial_adjustment_attack_cost(N, xi, 1.0, delta, c)
 
 
 def partial_adjustment_attack_cost(N: int, xi: float, beta: float,
@@ -231,10 +228,9 @@ def _plan_blocks(xi: float, N: int, tau: int, b_max: int) -> int:
     """K = ceil(N(1+xi)) once the plan's sizes pass their checks."""
     if N < 1 or tau < 0 or b_max < 0:
         raise ValueError("N >= 1, tau >= 0, B >= 0 required")
-    if max(tau, N, b_max) > _MAX_PLAN_BLOCKS \
-            or N * (1.0 + xi) - _CEIL_EPS > _MAX_PLAN_BLOCKS:
-        raise DomainError(f"attack plan too large: tau, N, B and "
-                          f"ceil(N(1+xi)) must be at most {_MAX_PLAN_BLOCKS}")
+    if max(tau, N, b_max) > _MAX_PLAN_BLOCKS:
+        raise DomainError(f"attack plan too large: tau, N and B must be at "
+                          f"most {_MAX_PLAN_BLOCKS}")
     return boundary_blocks(N, xi)
 
 
@@ -303,10 +299,7 @@ def penalty_margin(xi: float, N: int, delta: float, c: float = 1.0,
     """Marginal effect of raising the penalty on attacker profit.  The block
     reward and extra-block terms enter only when the increase bumps the
     boundary block count (the ceiling increments under _MARGIN_DXI)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    if xi <= 0 or N < 1:
-        raise ValueError("xi > 0 and N >= 1 required")
+    _check_margin(N, delta, "xi", xi)
     try:
         K = boundary_blocks(N, xi)
         margin = -c * left_sum(cost_term_derivative(n, xi, delta)
@@ -342,10 +335,7 @@ def affine_growth_cost_margin(xi: float, rho_aff: float,
     """Penalty margin under the affine growth schedule (the README's marginal
     analysis); negative whenever p_B <= c, so deterrence survives
     non-constant growth."""
-    if rho_aff <= 0 or N < 1:
-        raise ValueError("rho_aff > 0 and N >= 1 required")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
+    _check_margin(N, delta, "rho_aff", rho_aff)
     try:
         deriv_sum = left_sum(
             affine_cost_term_derivative(n, xi, delta, rho_aff, f(n))
@@ -370,9 +360,8 @@ def min_deterring_xi(v: float, params: AttackParams) -> float:
     secret = left_sum(d ** (N + b) for b in range(B))
 
     def profit(xi: float) -> float:  # adess_attack_profit at (v, xi)
-        K = _plan_blocks(xi, N, 0, B)
+        K, g = boundary_blocks(N, xi), 1.0 + xi  # sizes checked above
         revenue = w * (v + params.p_B * (K + B))
-        g = 1.0 + fork_depth_growth(N, xi, 0)
         return _finite(revenue, "attack revenue") - c * (
             _boundary_cost(d, g, g, K) + secret)
 
@@ -380,21 +369,21 @@ def min_deterring_xi(v: float, params: AttackParams) -> float:
         xi_star = _XI_LO
     else:
         lo, hi = _XI_LO, max(2 * _XI_LO, 1.0)
-        it = 0
-        while profit(hi) >= 0:
+        for _ in range(61):
+            if profit(hi) < 0:
+                break
             hi *= 2.0
-            it += 1
-            if it > 60:
-                raise SolverFailure("no deterring penalty found",
-                                    bracket=(_XI_LO, hi))
-        it = 0
-        while hi - lo > _XI_TOL:
+        else:
+            raise SolverFailure("no deterring penalty found",
+                                bracket=(_XI_LO, hi))
+        for _ in range(_XI_MAX_ITER + 1):
+            if hi - lo <= _XI_TOL:
+                break
             mid = 0.5 * (lo + hi)
             lo, hi = (lo, mid) if profit(mid) < 0 else (mid, hi)
-            it += 1
-            if it > _XI_MAX_ITER:
-                raise SolverFailure("bisection did not converge",
-                                    bracket=(lo, hi))
+        else:
+            raise SolverFailure("bisection did not converge",
+                                bracket=(lo, hi))
         xi_star = hi
     for i in range(1, _TAIL_SAMPLES + 1):
         probe = xi_star * (1.0 + 0.5 * i)
@@ -490,9 +479,11 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
     exhaustive search, bit-identical to `attack_plan_profit`: each B scan
     applies its expressions in place to one table of `delta ** e`, and each
     N's tau-0 boundary is the prefix at its K of one left fold of the tau-0
-    terms.  A tau >= 1 costing at least its tau-0 twin skips its B
-    scan, most often on its last term alone; both tests are exact (the
-    README gives the proofs).  An inf revenue or best profit is an error."""
+    terms.  It skips the B scan of a tau >= 1 costing at least its tau-0
+    twin (most often its last term alone shows it) and of an N whose
+    revenue cap less its boundary cost cannot beat the best profit, both
+    exact (the README has the proofs).  An inf revenue or best profit is an
+    error."""
     if n_extra < 0:
         raise ValueError("n_extra >= 0 required")
     n0, d, c, xi, v, p_B = p.horizon_blocks, p.delta, p.c, p.xi, p.v, p.p_B
@@ -506,15 +497,24 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
     except OverflowError:  # the first N whose own sum overflows raises
         for N in range(n0, n0 + n_extra + 1):
             adess_attack_cost(N, xi, d)
+    caps = [max(powers[i:i + b_max + 1]) * (v + p_B * (K + b_max))
+            for i, K in enumerate(Ks)]  # no B at N = n0 + i earns more
     best, best_plan = -math.inf, None
     for tau in range(tau_max + 1):
         for i, K in enumerate(Ks):
-            N, floor = n0 + i, tau0[K]
-            if tau:  # 1 + fork_depth_growth(N, xi, tau), read only here
-                g = 1.0 + (xi + tau / N)
-            boundary = _boundary_cost(d, g, g, K, floor) if tau else floor
-            if tau and floor <= boundary:
-                continue  # dominated by its tau-0 twin
+            N, boundary = n0 + i, tau0[K]
+            if tau:  # skip it if dominated by its tau-0 twin
+                g = 1.0 + (xi + tau / N)  # 1 + fork_depth_growth(N, xi, tau)
+                try:  # its last term alone, then its whole sum
+                    if d ** ((K - 1) / g) * g ** (K - 1) >= boundary:
+                        continue
+                except OverflowError:
+                    pass  # the sum raises its DomainError
+                twin, boundary = boundary, _boundary_cost(d, g, g, K)
+                if twin <= boundary:
+                    continue
+            if caps[i] - c * boundary <= best:
+                continue  # no B can beat the best plan
             secret = 0  # the B-term fold at N, read from the power table
             for B, w in enumerate(powers[i:i + b_max + 1]):
                 if B:

@@ -155,6 +155,8 @@ class ScenarioConfig:
             peak = rate ** target if target else 1 + self.attack.epsilon_extra
         except OverflowError:
             peak = math.inf
+        except DomainError as e:  # a block target past the plan bound
+            raise ConfigError(f"attack: {e}") from None
         if not (0 < min(1.0, total) * peak
                 and max(1.0, total) * peak * _MAX_BLOCKS < math.inf):
             raise ConfigError("the attacker's difficulty overflows or "

@@ -248,6 +248,26 @@ def test_closed_form_overflow_is_a_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: boundary_blocks(100_001, 0.0),
+    lambda: boundary_blocks(2, math.nan),
+    # N(1+xi) overflowed: ceil raised a bare OverflowError
+    lambda: adess_attack_cost(2, 1e308),
+    lambda: partial_adjustment_attack_cost(2, 1e308, 0.5),
+    lambda: broadcast_margin(AttackParams(xi=1e308, alpha=2)),
+    # K past the bound: the sums ran for seconds (N = 10**6) to minutes
+    lambda: penalty_margin(1e-6, 10 ** 5, 0.5),
+    lambda: adess_attack_cost(10 ** 6, 1e-6, 0.5),
+    lambda: penalty_margin(1e-6, 10 ** 9, 0.5),
+    lambda: affine_growth_cost_margin(1e-6, 0.5, lambda n: 1.0, 10 ** 9, 0.5),
+])
+def test_block_counts_past_the_plan_bound_are_a_domain_error(call):
+    with pytest.raises(DomainError, match="at most 100000"):
+        call()
+    assert boundary_blocks(100_000, 0.0) == boundary_blocks(99_999, 1e-6) \
+        == 100_000
+
+
 # -- plan profits against a per-plan oracle ----------------------------------
 
 def left_fold(terms):
@@ -354,15 +374,6 @@ def test_boundary_cost_is_left_sum_bit_for_bit():
     for delta, g, base, K in cases:
         want = left_sum(delta ** (n / g) * base ** n for n in range(K))
         assert repr(_boundary_cost(delta, g, base, K)) == repr(want)
-        # given a floor, the last term stops the sum once it reaches it
-        last = delta ** ((K - 1) / g) * base ** (K - 1) if K else 0
-        for floor in (0.0, last, math.nextafter(last, math.inf),
-                      0.5 * (last + want), want, math.inf):
-            got = _boundary_cost(delta, g, base, K, floor)
-            if K and last >= floor:
-                assert repr(got) == repr(last) and floor <= got <= want
-            else:
-                assert repr(got) == repr(want)
 
 
 def summing_search(p: AttackParams, tau_max: int, n_extra: int, b_max: int):
@@ -391,22 +402,31 @@ def summing_search(p: AttackParams, tau_max: int, n_extra: int, b_max: int):
 
 def test_tau_ge_1_b_scan_matches_summing_search(monkeypatch):
     # on every real grid a tau >= 1 boundary costs at least its tau-0 twin,
-    # so the search never scans its B; halving each tau >= 1 boundary cost,
-    # in the search and in its summing twin alike, makes it scan them
+    # so the search never scans its B; scaling each tau-0 term up, in the
+    # search (its tau-0 fold adds `cost_term`s) and in its summing twin
+    # alike, makes it scan them.  Doubling is exact, so the twin doubles
+    # its sum; at scale 1.1, where many tau >= 1 boundaries fall just below
+    # their twin and an inexact skip would show, it sums the scaled terms.
     rng = random.Random(24)
     points = ORACLE_GRID + [random_plan_params(rng) for _ in range(100)]
     grid = dict(tau_max=3, n_extra=3, b_max=5)
-    real, deep = _boundary_cost, 0
-    for p in points:
-        def halved(delta, g, base, K, floor=None, g0=1.0 + p.xi):
-            total = real(delta, g, base, K)
-            return total if g == g0 else total / 2
-        monkeypatch.setattr(economics, "_boundary_cost", halved)
-        monkeypatch.setitem(globals(), "_boundary_cost", halved)
-        plan = brute_force_optimal_plan(p, **grid)
-        assert plan == summing_search(p, **grid), p
-        deep += plan[0] >= 1
-    assert deep >= 100, deep
+    real, deep = _boundary_cost, collections.Counter()
+    for scale in (2, 1.1):
+        monkeypatch.setattr(economics, "cost_term", lambda n, xi, delta:
+                            scale * cost_term(n, xi, delta))
+        for p in points:
+            def scaled(delta, g, base, K, g0=1.0 + p.xi):
+                if g != g0:
+                    return real(delta, g, base, K)
+                if scale == 2:
+                    return 2 * real(delta, g, base, K)
+                return left_fold(economics.cost_term(n, p.xi, delta)
+                                 for n in range(K))
+            monkeypatch.setitem(globals(), "_boundary_cost", scaled)
+            plan = brute_force_optimal_plan(p, **grid)
+            assert plan == summing_search(p, **grid), (scale, p)
+            deep[scale] += plan[0] >= 1
+    assert deep[2] >= 100 and deep[1.1] >= 10, deep
 
 
 def edge_xi(N: int, target: float) -> float:

@@ -317,6 +317,22 @@ def test_overflowing_hashrates_fail_before_the_first_event(kw):
         run_scenario(cfg)
 
 
+def test_an_attack_block_target_past_the_plan_bound_fails_before_any_event():
+    # ceil(N(1+xi)) above 100,000 is more blocks than a run may mine; with
+    # xi = 0 the attacker's difficulty stays 1, so only the bound refuses it
+    for strategy in ("paper_optimal", "fixed_growth", "accelerated"):
+        cfg = ScenarioConfig(protocol="nakamoto", attacker_strategy=strategy,
+                             attack=AttackParams(alpha=100_001, xi=0.0),
+                             growth=0.0 if strategy == "fixed_growth" else
+                             None, delay=0.5, horizon=10.0)
+        with pytest.raises(ConfigError, match="at most 100000"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="at most 100000"):
+            run_scenario(cfg)
+    ScenarioConfig(protocol="nakamoto", horizon=10.0,
+                   attack=AttackParams(alpha=100_000, xi=0.0)).validate()
+
+
 def test_a_run_mining_faster_than_the_unit_pace_stops_at_the_block_bound(
         monkeypatch):
     monkeypatch.setattr(netsim, "_MAX_BLOCKS", 500)
