@@ -45,7 +45,10 @@ def left_sum(terms: Iterable[float]) -> float:
 def boundary_blocks(n_ic: float, xi: float) -> int:
     """Penalized-chain blocks needed at the canonical boundary: ceil(N*(1+xi))
     less float noise; DomainError above _MAX_PLAN_BLOCKS, at inf or nan."""
-    k = n_ic * (1.0 + xi) - _CEIL_EPS
+    try:
+        k = n_ic * (1.0 + xi) - _CEIL_EPS
+    except OverflowError:  # an int N past the float range
+        k = math.inf
     if not k <= _MAX_PLAN_BLOCKS:
         raise DomainError(f"ceil(N(1+xi)) must be at most {_MAX_PLAN_BLOCKS}"
                           f" blocks, got N = {n_ic!r}, xi = {xi!r}")

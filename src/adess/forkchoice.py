@@ -105,9 +105,6 @@ class ObservationLog:
     def __len__(self):
         return len(self.entries)
 
-    def __contains__(self, bid: BlockId) -> bool:
-        return bid in self.first_seen
-
 
 @dataclass(slots=True)
 class PenaltyRecord:

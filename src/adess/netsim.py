@@ -23,7 +23,8 @@ under budish until the broadcast.
 
 `validate` bounds the blocks a horizon allows at the unit pace every
 retarget aims for by `_MAX_BLOCKS`; a run that mines faster fails with
-`DomainError` once it passes the bound, so no configuration hangs.
+`DomainError` once it passes the bound, or once blocks x nodes, which bounds
+the series rows, passes `_MAX_SERIES_ROWS`; so no configuration hangs.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ import io
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain import Block, BlockId, BlockTree
@@ -48,6 +51,7 @@ ATTACKER = "attacker"
 STRATEGIES = ("paper_optimal", "fixed_growth", "accelerated", "budish")
 
 _MAX_BLOCKS = 100_000  # blocks a run may mine, see module doc
+_MAX_SERIES_ROWS = 1_000_000  # blocks x honest nodes (series rows) per run
 _MAX_NODES = 1_000  # honest nodes a run may hold
 
 
@@ -254,42 +258,36 @@ class _Simulation:
         # sender -> (delay, receiver) links in push order; the receiver
         # att_obs tracks the honest chain on behalf of the attacker
         nodes = sorted(cfg.node_names())
+        hidden, eclipsed = set(cfg.eclipse_from_honest), set(cfg.eclipse_set)
         links = {m: [(0.0, "att_obs")] + [
             (cfg.link_delay(m, n), n) for n in nodes
-            if n == m or n not in cfg.eclipse_from_honest]
-            for m in self._miners}
-        links[ATTACKER] = [(cfg.link_delay(ATTACKER, n), n)
-                           for n in nodes if n not in cfg.eclipse_set]
-        links[ATTACKER].append((0.0, "att_obs"))
+            if n == m or n not in hidden] for m in self._miners}
+        links[ATTACKER] = [(cfg.link_delay(ATTACKER, n), n) for n in nodes
+                           if n not in eclipsed] + [(0.0, "att_obs")]
         # receiver -> (view, {block id: canonical head right after it}),
         # shared by the class of receivers hearing every sender at equal delays
-        heard: Dict[str, tuple] = {name: () for name in ("att_obs", *nodes)}
+        heard: Dict[str, list] = {name: [] for name in ("att_obs", *nodes)}
         for sender, sender_links in links.items():
             for delay, name in sender_links:
-                heard[name] += ((sender, delay),)
+                heard[name].append((sender, delay))
         by_links: Dict[tuple, tuple] = {}
         self._views: Dict[str, Tuple[NodeView, Dict[BlockId, BlockId]]] = {}
         for name, key in heard.items():
+            key = tuple(key)
             if key not in by_links:
                 by_links[key] = (NodeView(cfg.adess, self.tree), {})
             self._views[name] = by_links[key]
         # sender -> [(delay, runs)] per stretch of links at one delay, in push
-        # order; a run (see _run) is consecutive links to one class, built once
+        # order; a run (see _run) is consecutive links to one class (one view
+        # tuple, so compared by identity), built once
         built: Dict[Tuple[str, ...], tuple] = {}
         self._runs: Dict[str, list] = {}
         for sender, sender_links in links.items():
-            stretches: List[Tuple[float, list]] = []
-            for delay, name in sender_links:
-                if not stretches or stretches[-1][0] != delay:
-                    stretches.append((delay, []))
-                names = stretches[-1][1]
-                if names and self._views[names[-1][0]] is self._views[name]:
-                    names[-1] += (name,)
-                else:
-                    names.append((name,))
             self._runs[sender] = [(delay, tuple(
                 built[n] if n in built else built.setdefault(n, self._run(n))
-                for n in names)) for delay, names in stretches]
+                for n in [tuple(names) for _, names in groupby(
+                    [name for _, name in stretch], self._views.__getitem__)]))
+                for delay, stretch in groupby(sender_links, itemgetter(0))]
         self.nodes: Dict[str, NodeView] = {
             name: self._views[name][0] for name in cfg.node_names()}
         self.att_obs = self._views["att_obs"][0]
@@ -298,6 +296,7 @@ class _Simulation:
 
         # the run's fixed rules, bound once: see `_push`
         rule = cfg.difficulty
+        self._max_blocks = min(_MAX_BLOCKS, _MAX_SERIES_ROWS // len(nodes))
         self._draw = cfg.mining._drawer(self.rng_honest)
         self._adraw = cfg.mining._drawer(self.rng_attacker)
         self._retarget = rule._retarget()
@@ -382,9 +381,10 @@ class _Simulation:
     def _add_block(self, parent: BlockId, difficulty: float, miner: str,
                    hashrate: float, duration: float) -> BlockId:
         """Append a block mined now and register its successor difficulty."""
-        if len(self.tree.blocks) > _MAX_BLOCKS:
-            raise DomainError(f"the run mined more than {_MAX_BLOCKS} blocks "
-                              f"before its horizon")
+        if len(self.tree.blocks) > self._max_blocks:
+            raise DomainError(f"the run mined more than {self._max_blocks} "
+                              f"blocks before its horizon: at most "
+                              f"{_MAX_BLOCKS}, and {_MAX_SERIES_ROWS} / nodes")
         bid = self.tree.append_block(parent, difficulty, miner, self.time)
         if self._epoch:
             cell = self._epoch_hist.get(parent)

@@ -260,6 +260,11 @@ def test_closed_form_overflow_is_a_domain_error(call):
     lambda: adess_attack_cost(10 ** 6, 1e-6, 0.5),
     lambda: penalty_margin(1e-6, 10 ** 9, 0.5),
     lambda: affine_growth_cost_margin(1e-6, 0.5, lambda n: 1.0, 10 ** 9, 0.5),
+    # an int N past the float range: N(1+xi) raised a bare OverflowError
+    lambda: boundary_blocks(10 ** 400, 1.0),
+    lambda: adess_attack_cost(10 ** 400, 1.0),
+    lambda: partial_adjustment_attack_cost(10 ** 400, 1.0, 0.5),
+    lambda: broadcast_margin(AttackParams(alpha=10 ** 400)),
 ])
 def test_block_counts_past_the_plan_bound_are_a_domain_error(call):
     with pytest.raises(DomainError, match="at most 100000"):

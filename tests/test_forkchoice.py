@@ -74,7 +74,7 @@ def test_observation_log_rules():
     with pytest.raises(ValueError):
         log.append(2, 0.5)  # time went backwards
     log.append(2, 1.0)
-    assert len(log) == 3 - 1 and 1 in log and 9 not in log
+    assert len(log) == 3 - 1 and list(log.first_seen) == [1, 2]
 
 
 # -- assignment and retroactive scoring ---------------------------------------

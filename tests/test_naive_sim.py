@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
-from adess.netsim import ATTACKER, STRATEGIES, run_scenario
+from adess.netsim import ATTACKER, STRATEGIES, _Simulation, run_scenario
 
 from naive_sim import DELAYS, random_config, run_naive
 
@@ -46,3 +47,38 @@ def test_random_configs_cover_the_matrix():
             delays = {c.link_delay(sender, n) for n in c.node_names()}
             tied += {DELAYS[3], DELAYS[4]} <= delays
     assert tied > 10
+
+
+def wide_config(seed: int):
+    """`random_config` widened to 40 nodes, about 30% mining, with 15 link
+    overrides and random eclipses: classes interleave in link order, and
+    long runs of one class form between them."""
+    rng = random.Random(seed)
+    names = [f"n{i}" for i in range(40)]
+    rates = {m: rng.choice((0.2, 0.5, 1.0)) if rng.random() < 0.3 else 0.0
+             for m in names}
+    rates[rng.choice(names)] = 1.0
+    return replace(
+        random_config(rng), n_honest_nodes=40, honest_hashrates=rates,
+        delays={(rng.choice(names + [ATTACKER]), rng.choice(names)):
+                rng.choice(DELAYS) for _ in range(15)},
+        eclipse_set=tuple(m for m in names if rng.random() < 0.15),
+        eclipse_from_honest=tuple(m for m in names if rng.random() < 0.15),
+        horizon=10.0)
+
+
+def test_simulator_matches_its_naive_twin_on_wide_configs():
+    for seed in range(6):
+        cfg = wide_config(seed)
+        sim = _Simulation(cfg)
+        stretches = [runs for batches in sim._runs.values()
+                     for _, runs in batches]
+        # some run holds 3 or more receivers, and classes interleave: some
+        # stretch holds more runs than classes
+        assert max(len(run[2]) for runs in stretches for run in runs) >= 3
+        assert any(len({id(run[0]) for run in runs}) < len(runs)
+                   for runs in stretches)
+        fast, naive = sim.run(), run_naive(cfg)
+        assert naive.to_text() == fast.to_text(), seed
+        assert naive.series_csv() == fast.series_csv(), seed
+        assert len(fast.series) > 100, seed
