@@ -13,15 +13,18 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from operator import add
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from .errors import DomainError, SolverFailure, check_numbers
+from .errors import DomainError, SolverFailure, brief, check_numbers
 
 #: slack used when taking ceilings of products like N*(1+xi), so that values
 #: representable exactly (e.g. 2*5) do not round up from float noise.
 _CEIL_EPS = 1e-9
+
+#: relative margin past its tau-0 twin that retires an N (float error < 1e-13)
+_RETIRE_EPS = 1e-9
 
 #: penalty step `penalty_margin` takes to see whether the ceiling increments
 _MARGIN_DXI = 1e-6
@@ -51,7 +54,7 @@ def boundary_blocks(n_ic: float, xi: float) -> int:
         k = math.inf
     if not k <= _MAX_PLAN_BLOCKS:
         raise DomainError(f"ceil(N(1+xi)) must be at most {_MAX_PLAN_BLOCKS}"
-                          f" blocks, got N = {n_ic!r}, xi = {xi!r}")
+                          f" blocks, got N = {brief(n_ic)}, xi = {brief(xi)}")
     return math.ceil(k)
 
 
@@ -479,14 +482,12 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
                              n_extra: int = 10, b_max: int = 20
                              ) -> Tuple[int, int, int]:
     """First most profitable plan over (tau, N, B), in that order, by
-    exhaustive search, bit-identical to `attack_plan_profit`: each B scan
-    applies its expressions in place to one table of `delta ** e`, and each
-    N's tau-0 boundary is the prefix at its K of one left fold of the tau-0
-    terms.  It skips the B scan of a tau >= 1 costing at least its tau-0
-    twin (most often its last term alone shows it) and of an N whose
-    revenue cap less its boundary cost cannot beat the best profit, both
-    exact (the README has the proofs).  An inf revenue or best profit is an
-    error."""
+    exhaustive search, bit-identical to `attack_plan_profit`.  It skips the
+    B scan of a tau >= 1 costing at least its tau-0 twin, or of an N whose
+    revenue cap less its boundary cost cannot beat the best; an N whose last
+    term passes its twin by _RETIRE_EPS (its last power finite at tau_max)
+    retires from deeper taus.  All exact (README).  An inf revenue or best
+    is an error."""
     if n_extra < 0:
         raise ValueError("n_extra >= 0 required")
     n0, d, c, xi, v, p_B = p.horizon_blocks, p.delta, p.c, p.xi, p.v, p.p_B
@@ -500,16 +501,25 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
     except OverflowError:  # the first N whose own sum overflows raises
         for N in range(n0, n0 + n_extra + 1):
             adess_attack_cost(N, xi, d)
-    caps = [max(powers[i:i + b_max + 1]) * (v + p_B * (K + b_max))
-            for i, K in enumerate(Ks)]  # no B at N = n0 + i earns more
-    best, best_plan = -math.inf, None
-    for tau in range(tau_max + 1):
-        for i, K in enumerate(Ks):
+    tops = list(accumulate(reversed(powers), max))[::-1]  # max(powers[i:])
+    caps = [tops[i] * (v + p_B * (K + b_max)) for i, K in enumerate(Ks)]
+    bars = []  # last term / tau-0 twin at which N retires (inf: never)
+    for N, K in zip(range(n0, n0 + n_extra + 1), Ks):
+        try:  # only if N's last power stays finite up to tau_max
+            (1.0 + (xi + tau_max / N)) ** (K - 1)
+            bars.append(1.0 + _RETIRE_EPS if K > 1 else 1.0)  # K 1: term 1.0
+        except OverflowError:
+            bars.append(math.inf)
+    best, best_plan, live = -math.inf, None, dict(enumerate(Ks))
+    for tau in takewhile(lambda _: live, range(tau_max + 1)):
+        for i, K in list(live.items()):  # each N not yet retired
             N, boundary = n0 + i, tau0[K]
             if tau:  # skip it if dominated by its tau-0 twin
                 g = 1.0 + (xi + tau / N)  # 1 + fork_depth_growth(N, xi, tau)
                 try:  # its last term alone, then its whole sum
-                    if d ** ((K - 1) / g) * g ** (K - 1) >= boundary:
+                    if (last := d ** ((K - 1) / g) * g ** (K - 1)) >= boundary:
+                        if last >= boundary * bars[i]:
+                            del live[i]  # every deeper fork of N skips too
                         continue
                 except OverflowError:
                     pass  # the sum raises its DomainError

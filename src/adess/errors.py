@@ -36,6 +36,14 @@ class ConfigError(AdessError, ValueError):
     """A configuration failed validation before any event ran."""
 
 
+def brief(x) -> str:
+    """`repr(x)`, bounded: an int past 64 bits is named by its bit length
+    (Python will not print one of more than 4,300 digits at all)."""
+    if isinstance(x, int) and x.bit_length() > 64:
+        return f"an int of {x.bit_length()} bits"
+    return repr(x)
+
+
 def number(what: str, x, integer: bool = False):
     """`x` if an int field got an int, or a float field a float or int in
     the finite float range; never a bool, which Python counts as an int."""
@@ -43,7 +51,7 @@ def number(what: str, x, integer: bool = False):
             x, bool) and (integer or -float_info.max <= x <= float_info.max):
         return x
     kind = "an int" if integer else "a finite number"
-    raise ConfigError(f"{what} must be {kind}, got {x!r}")
+    raise ConfigError(f"{what} must be {kind}, got {brief(x)}")
 
 
 _FIELDS: dict = {}  # dataclass -> (name, integer, optional) per number field

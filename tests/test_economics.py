@@ -12,6 +12,7 @@ import itertools
 import math
 import operator
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -35,10 +36,11 @@ from adess.economics import (AttackParams, _boundary_cost, _plan_blocks,
                              partial_adjustment_attack_cost, penalty_margin,
                              proposition1_check,
                              safe_value_interval)
-from adess.errors import DomainError, SolverFailure
+from adess.errors import ConfigError, DomainError, SolverFailure
 from adess.mining import DifficultyRule, sustained_growth_cost
 
-from econ_grids import ORACLE_GRID, SOLVER_FAILURES, params
+from econ_grids import (ACCEPTANCE_04_GRID, ORACLE_GRID, SOLVER_FAILURES,
+                        params)
 
 
 # -- classic (pre-penalty) attacker -----------------------------------------
@@ -497,6 +499,108 @@ def test_shared_tau0_prefix_names_the_first_overflowing_boundary():
         Ks = [boundary_blocks(N, p.xi) for N in range(alpha, alpha + 7)]
         later += Ks[0] < K < Ks[-1]
     assert later >= 10, later
+
+
+def search_outcome(search, p: AttackParams, grid: dict):
+    """The plan `search` returns on `grid`, or the repr of its DomainError."""
+    try:
+        return search(p, **grid)
+    except DomainError as e:
+        return repr(e)
+
+
+def retire_and_overflow_taus(p: AttackParams, tau_max: int, n_extra: int):
+    """Per N of the search, the first tau >= 1 whose boundary's last term
+    passes its tau-0 twin by the retirement margin, and the first whose
+    last power overflows; None where no tau up to tau_max does."""
+    out = []
+    for N in range(p.horizon_blocks, p.horizon_blocks + n_extra + 1):
+        K, d = boundary_blocks(N, p.xi), p.delta
+        twin = _boundary_cost(d, 1.0 + p.xi, 1.0 + p.xi, K)
+        retire = overflow = None
+        for tau in range(1, tau_max + 1):
+            g = 1.0 + fork_depth_growth(N, p.xi, tau)
+            try:
+                last = d ** ((K - 1) / g) * g ** (K - 1)
+            except OverflowError:
+                overflow = tau
+                break
+            margin = twin * (1.0 + economics._RETIRE_EPS)
+            if retire is None and last >= margin:
+                retire = tau
+        out.append((retire, overflow))
+    return out
+
+
+def test_retiring_search_matches_summing_search_at_deep_forks():
+    # once an N's last term passes its tau-0 twin by the margin, the search
+    # tests no deeper fork of it; near overflow it must still raise the
+    # DomainError a deeper fork's boundary raises, so an N whose last power
+    # overflows by tau_max never retires
+    rng = random.Random(28)
+    wide = dict(tau_max=24, n_extra=3, b_max=5)
+    points = [(p, wide) for p in ORACLE_GRID]
+    points += [(random_plan_params(rng), wide) for _ in range(100)]
+    for _ in range(40):
+        alpha, j = rng.randint(20, 120), rng.randint(0, 3)
+        points.append((params(alpha=alpha, delta=rng.uniform(0.5, 1.0),
+                              xi=edge_xi(alpha + j, rng.uniform(688.0, 712.0)),
+                              v=rng.uniform(0.0, 50.0)),
+                       dict(tau_max=rng.randint(20, 30), n_extra=3, b_max=3)))
+    seen = collections.Counter()
+    for p, grid in points:
+        want = search_outcome(summing_search, p, grid)
+        assert search_outcome(brute_force_optimal_plan, p, grid) == want, p
+        seen["plan" if isinstance(want, tuple) else "error"] += 1
+        try:
+            taus = retire_and_overflow_taus(p, grid["tau_max"], grid["n_extra"])
+        except DomainError:  # a tau-0 boundary overflows
+            continue
+        seen["retired"] += all(r is not None for r, _ in taus)
+        # an N that would retire at tau r, were its power at r' > r not inf
+        seen["late overflow"] += any(r is not None and o is not None
+                                     and r < o for r, o in taus)
+    assert seen["late overflow"] >= 10 and seen["retired"] >= 100, seen
+    assert seen["plan"] >= 100 and seen["error"] >= 10, seen
+
+
+def test_acceptance_04_plans_do_not_depend_on_the_fork_depth_bound():
+    # on this grid every N retires by tau 2, so the search's cost stops
+    # growing with tau_max: testing every fork depth up to 100,000 took
+    # about 48 s for the 100 searches
+    start = time.perf_counter()
+    deep = [brute_force_optimal_plan(p, tau_max=100_000)
+            for p in ACCEPTANCE_04_GRID]
+    elapsed = time.perf_counter() - start
+    assert deep == [brute_force_optimal_plan(p, tau_max=10)
+                    for p in ACCEPTANCE_04_GRID]
+    assert len(deep) == 100 and elapsed < 5.0, elapsed
+
+
+def test_a_one_block_boundary_retires_without_a_margin():
+    # at N = 1 and xi = 0 the boundary is one block: its last term is 1.0
+    # at every tau and never passes its twin, 1.0, by a margin; testing it
+    # at every fork depth took 0.04 to 0.06 s per search
+    points = [p for p in ORACLE_GRID if p.horizon_blocks == 1 and p.xi == 0]
+    start = time.perf_counter()
+    deep = [brute_force_optimal_plan(p, tau_max=100_000, n_extra=0)
+            for p in points]
+    elapsed = time.perf_counter() - start
+    assert deep == [brute_force_optimal_plan(p, tau_max=10, n_extra=0)
+                    for p in points]
+    assert len(deep) == 12 and elapsed < 0.1, elapsed
+
+
+def test_an_int_too_long_to_print_is_described_by_its_bits():
+    # the repr of an int past 4,300 digits raises ValueError, which escaped
+    # in place of the DomainError (and of AttackParams's ConfigError)
+    for call in (lambda: boundary_blocks(10 ** 5000, 1.0),
+                 lambda: boundary_blocks(1, 10 ** 5000),
+                 lambda: adess_attack_cost(10 ** 5000, 1.0)):
+        with pytest.raises(DomainError, match="an int of 16610 bits"):
+            call()
+    with pytest.raises(ConfigError, match="got an int of 16610 bits"):
+        AttackParams(xi=10 ** 5000)
 
 
 def test_overflowing_plan_revenue_or_cost_is_a_domain_error():
