@@ -3,9 +3,12 @@ suppression, tie-breaking and subjective disagreement."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from adess.chain import Block
+from adess.economics import boundary_blocks
 from adess.errors import NotPenalized, UnknownBlock
 from adess.forkchoice import (AdessParams, NodeView, ObservationLog,
                                PenaltyRecord)
@@ -222,6 +225,27 @@ def test_post_crossing_comparison_uses_rebased_score():
     # while raw heaviest-chain still prefers the long attacker branch
     assert view.adess_canonical() == ic6.id
     assert view.nakamoto_canonical() == a_rest[-1].id
+
+
+@pytest.mark.parametrize("xi", [0.5, 1.0, 1.5, 1 / 3, 2 / 3, 5 / 3, 1.2,
+                                0.5 + 1e-8] + [
+    random.Random(seed).uniform(0.01, 2.0) for seed in range(5)])
+def test_a_record_deactivates_at_the_attackers_boundary_block_count(xi):
+    # the view's boundary test and the attacker's K agree to the block,
+    # whether N(1+xi) is exact (4 x 2.5), a float step past an integer
+    # (9 x (1 + 5/3)) or 2e-8 past one (2 x (1.5 + 1e-8))
+    for len_base in range(1, 41):
+        s = Script()
+        view = NodeView(AdessParams(alpha=1, xi=xi))
+        t = feed(view, s.chain(0, len_base))  # the baseline branch
+        K, parent = boundary_blocks(len_base, xi), 0
+        for n in range(1, K + 1):  # a late sibling, one block at a time
+            block = s.block(parent)
+            view.observe(block, t + n)
+            parent = block.id
+            rec, = view.penalty_records()
+            assert rec.active == (n < K), (len_base, n, K)
+        assert rec.deactivated_at == t + K
 
 
 # -- multi-branch forks and the generalized rules -----------------------------

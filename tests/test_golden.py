@@ -6,7 +6,8 @@ restructured (the three arrival-batching scenarios: before the simulator
 batched arrivals per instant; the eclipsed-miners one again when a miner
 eclipsed from honest broadcasts began to hear its own blocks; the
 shared-views one before receivers with identical links shared a view; the
-economics ones before the plan search and the deterrence solver scanned
+two epoch-retarget ones before the epoch rule's step kept the epoch so far;
+the economics ones before the plan search and the deterrence solver scanned
 float rows); a refactor that keeps every output must keep every digest.
 Every float sum that feeds an output is a left fold, so they hold on each
 CPython from 3.10, like `bench/digests.json`.  The module needs only the
@@ -109,6 +110,11 @@ SCENARIOS = {
         BASE, protocol="nakamoto", mining=Stochastic(tick=0.01), seed=3)),
     "adess_epoch": lambda: run_scenario(replace(
         BASE, difficulty=DifficultyRule.epoch(10 ** 6))),
+    # every third block on a chain closes an epoch: runs that retarget
+    "adess_epoch_retarget": lambda: run_scenario(replace(
+        BASE, difficulty=DifficultyRule.epoch(3))),
+    "adess_epoch_four_miners": lambda: run_scenario(replace(
+        BASE, seed=13, difficulty=DifficultyRule.epoch(3), **FOUR_MINERS)),
     "adess_four_miners": lambda: run_scenario(replace(
         BASE, seed=11, **FOUR_MINERS)),
     "nakamoto_four_miners": lambda: run_scenario(replace(
@@ -244,6 +250,10 @@ GOLDEN = {
         "73898646402afa95ac9fbcb0ae8bd3b5794a24d4149696d1110c20a3bc5b25c9",
     "adess_epoch":
         "2381ee1c2ebc01c3c771ec8ddb7c64e2d8de42578e3dfe34c911f8a3b155869d",
+    "adess_epoch_retarget":
+        "86931a887cc71ae857697ef67e786fe9f02af6a39174a56dc83791fe737e59f2",
+    "adess_epoch_four_miners":
+        "c0c23d613d0d32df43b6be98177c50ff272dbb6b694c05f6f4883602a4d57290",
     "adess_four_miners":
         "50a466939b50087f86e5c820cf421feabb29eba8310cf48b3619769be1457f62",
     "nakamoto_four_miners":

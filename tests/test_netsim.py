@@ -23,7 +23,7 @@ from adess.chain import BlockTree
 from adess.economics import AttackParams
 from adess.errors import ConfigError, DomainError
 from adess.forkchoice import AdessParams, NodeView
-from adess.mining import DifficultyRule, Stochastic
+from adess.mining import DifficultyRule, Stochastic, adjust_difficulty
 from adess.netsim import (ATTACKER, ScenarioConfig, _Simulation,
                           accelerated_rate, disconnected_node_probe,
                           latency_split_check, run_scenario)
@@ -383,6 +383,50 @@ def test_epoch_rule_scenario_runs():
     cfg = adess_cfg(difficulty=DifficultyRule.epoch(10 ** 6))
     rep = run_scenario(cfg)
     assert rep.attack_succeeded
+
+
+@pytest.mark.parametrize("kw", [
+    dict(difficulty=DifficultyRule.epoch(3)),
+    dict(difficulty=DifficultyRule.epoch(1), attacker_strategy="fixed_growth",
+         growth=0.5),
+    dict(difficulty=DifficultyRule.epoch(3), n_honest_nodes=4, delay=0.3,
+         honest_hashrates={"n0": 0.4, "n1": 0.3, "n2": 0.2, "n3": 0.1},
+         mining=Stochastic(tick=0.01), horizon=60.0, seed=13),
+    dict(difficulty=DifficultyRule.epoch(5), n_honest_nodes=3, delay=0.5,
+         honest_hashrates={"n0": 0.5, "n1": 0.3, "n2": 0.2},
+         mining=Stochastic(tick=0.01), attacker_strategy="accelerated"),
+    dict(difficulty=DifficultyRule.partial(0.5), mining=Stochastic(),
+         seed=5),
+])
+def test_each_block_retargets_from_its_parents_epoch(monkeypatch, kw):
+    # every block's difficulty is adjust_difficulty of its parent's
+    # difficulty and hashrate and of the durations on that chain since its
+    # last retarget, mid-epoch and at each epoch's close
+    cfg = adess_cfg(**kw)
+    mined = {}  # block -> (parent, difficulty, hashrate, duration)
+    add = _Simulation._add_block
+
+    def recording(self, parent, difficulty, miner, hashrate, duration):
+        bid = add(self, parent, difficulty, miner, hashrate, duration)
+        mined[bid] = (parent, difficulty, hashrate, duration)
+        return bid
+
+    monkeypatch.setattr(_Simulation, "_add_block", recording)
+    run_scenario(cfg)
+    rule, E = cfg.difficulty, cfg.difficulty.epoch_length
+    since = {0: []}  # block -> durations on its chain since the last retarget
+    retargets = 0
+    for bid, (parent, difficulty, _, duration) in mined.items():
+        if parent == 0:
+            assert difficulty == 1.0
+        else:
+            _, prev, hashrate, _ = mined[parent]
+            assert difficulty == adjust_difficulty(prev, hashrate, rule,
+                                                   since[parent]), bid
+            retargets += difficulty != prev
+        closed = len(since[parent]) >= E  # the parent retargeted
+        since[bid] = ([] if closed else since[parent]) + [duration]
+    assert retargets >= 3
 
 
 def test_epoch_history_memory_grows_linearly():
