@@ -18,10 +18,7 @@ from operator import add
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import DomainError, SolverFailure, brief, check_numbers
-
-#: slack used when taking ceilings of products like N*(1+xi), so that values
-#: representable exactly (e.g. 2*5) do not round up from float noise.
-_CEIL_EPS = 1e-9
+from .forkchoice import _BOUNDARY_EPS
 
 #: relative margin past its tau-0 twin that retires an N (float error < 1e-13)
 _RETIRE_EPS = 1e-9
@@ -46,10 +43,10 @@ def left_sum(terms: Iterable[float]) -> float:
 
 
 def boundary_blocks(n_ic: float, xi: float) -> int:
-    """Penalized-chain blocks needed at the canonical boundary: ceil(N*(1+xi))
-    less float noise; DomainError above _MAX_PLAN_BLOCKS, at inf or nan."""
+    """ceil(N*(1+xi) - _BOUNDARY_EPS): the penalized-chain blocks a view needs
+    at the canonical boundary; DomainError above _MAX_PLAN_BLOCKS, inf, nan."""
     try:
-        k = n_ic * (1.0 + xi) - _CEIL_EPS
+        k = n_ic * (1.0 + xi) - _BOUNDARY_EPS
     except OverflowError:  # an int N past the float range
         k = math.inf
     if not k <= _MAX_PLAN_BLOCKS:
@@ -188,11 +185,12 @@ def fork_depth_growth(N: int, xi: float, tau: int) -> float:
     return xi + tau / N
 
 
-def _boundary_cost(delta: float, g: float, base: float, K: int) -> float:
-    """Sum of delta^(n/g) base^n over the K blocks up to the boundary."""
+def _boundary_cost(delta: float, g: float, base: float, K: int, n: int = 0,
+                   total: float = 0) -> float:
+    """Sum of delta^(n/g) base^n over the K blocks up to the boundary, a left
+    fold from int 0, or continued from `total`, its value at n blocks."""
     try:  # left_sum's fold, inlined: this is the plan search's inner loop
-        total = 0
-        for n in range(K):
+        for n in range(n, K):
             total += delta ** (n / g) * base ** n
         return total
     except OverflowError:
@@ -495,12 +493,10 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
     powers = [d ** e for e in range(n0 - 1, n0 + n_extra + b_max)]
     Ks = [boundary_blocks(N, xi) for N in range(n0, n0 + n_extra + 1)]
     _finite(v + p_B * (Ks[-1] + b_max), "attack revenue")  # w <= 1: bounds all
-    try:  # tau0[K]: the tau-0 boundary cost of K blocks (g = 1 + xi)
-        tau0 = list(accumulate((cost_term(n, xi, d) for n in range(Ks[-1])),
-                               initial=0))
-    except OverflowError:  # the first N whose own sum overflows raises
-        for N in range(n0, n0 + n_extra + 1):
-            adess_attack_cost(N, xi, d)
+    tau0, total, g0 = [], 0, 1.0 + xi  # each N's tau-0 boundary cost: one
+    for n, K in zip([0, *Ks], Ks):  # left fold from int 0 read at each K, so
+        # the first N whose own sum overflows raises
+        tau0.append(total := _boundary_cost(d, g0, g0, K, n, total))
     tops = list(accumulate(reversed(powers), max))[::-1]  # max(powers[i:])
     caps = [tops[i] * (v + p_B * (K + b_max)) for i, K in enumerate(Ks)]
     bars = []  # last term / tau-0 twin at which N retires (inf: never)
@@ -513,7 +509,7 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
     best, best_plan, live = -math.inf, None, dict(enumerate(Ks))
     for tau in takewhile(lambda _: live, range(tau_max + 1)):
         for i, K in list(live.items()):  # each N not yet retired
-            N, boundary = n0 + i, tau0[K]
+            N, boundary = n0 + i, tau0[i]
             if tau:  # skip it if dominated by its tau-0 twin
                 g = 1.0 + (xi + tau / N)  # 1 + fork_depth_growth(N, xi, tau)
                 try:  # its last term alone, then its whole sum

@@ -58,7 +58,8 @@ from typing import Dict, List, Optional, Tuple
 from .chain import Block, BlockId, BlockTree, SeenTree
 from .errors import NotPenalized, UnknownBlock, check_numbers
 
-#: Tolerance used when comparing weighted lengths at the canonical boundary.
+#: Slack when comparing weighted lengths at the canonical boundary, so exact
+#: products like 2*5 hold; `economics.boundary_blocks` takes its K with it.
 _BOUNDARY_EPS = 1e-9
 
 

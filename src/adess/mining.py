@@ -5,7 +5,8 @@ hashrate h the expected waiting time is D/h.  Stochastic mode samples the
 geometric waiting time over discrete ticks; certainty-equivalent mode
 replaces the draw with its expectation.  The RNG is Python's Mersenne
 Twister (`random.Random`), seeded from a 64-bit integer, so identical seeds
-replay bit-exactly on any platform.
+replay bit-exactly on any platform.  A rule's retarget step sees an epoch
+as its block count and left-folded durations, so a run keeps no history.
 """
 
 from __future__ import annotations
@@ -84,14 +85,17 @@ class DifficultyRule:
                 raise ValueError(f"{name} is read only by the {mode} mode")
 
     def _retarget(self):
-        """`adjust_difficulty`'s formula under this rule, for inputs > 0:
-        (prev difficulty, implied hashrate, epoch history) -> next."""
+        """`adjust_difficulty`'s step, for inputs > 0: (prev difficulty,
+        implied hashrate, the epoch so far: its blocks and their durations'
+        left fold from int 0) -> (next difficulty, the epoch so far that the
+        block carries, None once it retargeted), so no history is kept."""
         beta, E = self.beta, self.epoch_length
-        return {"full": lambda prev, implied, history=(): implied,
-                "partial": lambda prev, implied, history=(): prev * (
-                    1.0 + beta * (implied / prev - 1.0)),
-                "epoch": lambda prev, implied, history=(): prev if len(
-                    history) < E else prev * (E / left_sum(history)),
+        return {"full": lambda prev, implied, count, total: (implied, None),
+                "partial": lambda prev, implied, count, total: (prev * (
+                    1.0 + beta * (implied / prev - 1.0)), None),
+                "epoch": lambda prev, implied, count, total: (
+                    prev, (count, total)) if count < E else (
+                    prev * (E / total), None),
                 }[self.mode]
 
     @classmethod
@@ -146,8 +150,9 @@ def adjust_difficulty(prev_difficulty: float, implied_hashrate: float,
     """
     if prev_difficulty <= 0 or implied_hashrate <= 0:
         raise ValueError("inputs must be > 0")
+    history = epoch_history or ()
     return rule._retarget()(prev_difficulty, implied_hashrate,
-                            epoch_history or ())
+                            len(history), left_sum(history))[0]
 
 
 def required_hashrate_series(growth: float, n_blocks: int,
@@ -183,7 +188,5 @@ def sustained_growth_cost(growth: float, n_blocks: int, rule: DifficultyRule,
         raise ValueError("delta in (0, 1] and unit_cost > 0 required")
     g = 1.0 + growth
     series = required_hashrate_series(growth, n_blocks, rule)
-    total = 0.0
-    for k, h in enumerate(series):
-        total += unit_cost * (h / g) * delta ** (k / g)
-    return total
+    return left_sum(unit_cost * (h / g) * delta ** (k / g)
+                    for k, h in enumerate(series))

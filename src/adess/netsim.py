@@ -295,16 +295,13 @@ class _Simulation:
                                 == "adess" else NodeView.nakamoto_canonical)
 
         # the run's fixed rules, bound once: see `_push`
-        rule = cfg.difficulty
         self._max_blocks = min(_MAX_BLOCKS, _MAX_SERIES_ROWS // len(nodes))
         self._draw = cfg.mining._drawer(self.rng_honest)
         self._adraw = cfg.mining._drawer(self.rng_attacker)
-        self._retarget = rule._retarget()
-        self._epoch = rule.epoch_length if rule.mode == "epoch" else 0
+        self._retarget = cfg.difficulty._retarget()
         self._nextdiff: Dict[BlockId, float] = {self.tree.genesis_id: 1.0}
-        # block -> (duration, parent's cell, durations since the last
-        # retarget) under the epoch rule; no cell after a retarget
-        self._epoch_hist: Dict[BlockId, tuple] = {}
+        # block -> the epoch so far that the rule's step carries past it
+        self._epoch: Dict[BlockId, tuple] = {}
 
         self._canonical: Dict[str, BlockId] = {
             name: self.tree.genesis_id for name in self._views}
@@ -386,23 +383,13 @@ class _Simulation:
                               f"blocks before its horizon: at most "
                               f"{_MAX_BLOCKS}, and {_MAX_SERIES_ROWS} / nodes")
         bid = self.tree.append_block(parent, difficulty, miner, self.time)
-        if self._epoch:
-            cell = self._epoch_hist.get(parent)
-            cell = (duration, cell, cell[2] + 1 if cell else 1)
-            if cell[2] >= self._epoch:
-                hist = []  # the closing epoch's durations, newest first
-                while cell is not None:
-                    hist.append(cell[0])
-                    cell = cell[1]
-                nd = self._retarget(difficulty, hashrate, hist[::-1])
-            else:
-                nd = difficulty
-                self._epoch_hist[bid] = cell
-        else:
-            # applied hashrate stands in for the implied hashrate so that the
-            # deterministic retarget recurrences are reproduced exactly
-            nd = self._retarget(difficulty, hashrate)
-        self._nextdiff[bid] = nd
+        # applied hashrate stands in for the implied hashrate so that the
+        # deterministic retarget recurrences are reproduced exactly
+        count, total = self._epoch.get(parent, (0, 0))
+        self._nextdiff[bid], epoch = self._retarget(
+            difficulty, hashrate, count + 1, total + duration)
+        if epoch is not None:
+            self._epoch[bid] = epoch
         return bid
 
     # -- honest mining -----------------------------------------------------

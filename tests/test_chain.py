@@ -63,6 +63,10 @@ def test_append_errors():
     tree = BlockTree()
     with pytest.raises(UnknownBlock):
         tree.append_block(999, 1.0)
+    with pytest.raises(UnknownBlock, match="unknown block 99"):
+        tree.block(99)
+    with pytest.raises(UnknownBlock, match="unknown block 99"):
+        tree.cumulative_difficulty(99)
     with pytest.raises(InvalidDifficulty):
         tree.insert(Block(5, tree.genesis_id, 1, -1.0, "", 0.0))
 
@@ -103,6 +107,8 @@ def test_snapshot_block_before_genesis_is_a_value_error():
         "block 0 parent=- h=0 d=1.0 t=0.0 miner=g\n"
     with pytest.raises(ValueError, match="block 1 parent=0"):
         BlockTree.from_snapshot(text)
+    with pytest.raises(ValueError, match="no genesis block"):
+        BlockTree.from_snapshot("")
 
 
 def test_snapshot_missing_field_is_a_value_error():

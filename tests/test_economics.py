@@ -229,6 +229,11 @@ def test_partial_adjustment_cost_overflow_is_a_domain_error():
     # no boundary block: the margins read -0.0 and 0.0
     lambda: penalty_margin(1.0, 0, 0.5),
     lambda: affine_growth_cost_margin(1.0, 0.5, lambda n: 1.0, 0, 0.5),
+    lambda: moroz_round_payoff(1, 1, 1, -1, 0.1),
+    lambda: guo_ren_bound(3, 0.5, 1.0, 0.1, variant="x"),
+    lambda: fork_depth_growth(0, 1.0, 0),
+    lambda: malicious_cost_series("x", AttackParams(), 10),
+    lambda: expected_attack_hashrate(1, 3, "x"),
 ])
 def test_closed_forms_reject_inputs_outside_their_domain(call):
     with pytest.raises(ValueError):
@@ -244,6 +249,7 @@ def test_closed_forms_reject_inputs_outside_their_domain(call):
     lambda: nakamoto_attack_profit(AttackParams(c=1e308, alpha=2,
                                                 epsilon_extra=1.0)),
     lambda: broadcast_margin(AttackParams(alpha=1, p_B=1e308, v=1e308)),
+    lambda: guo_ren_bound(3, 0.5, 1e3, 1.0),  # exp(lambda delay)
 ])
 def test_closed_form_overflow_is_a_domain_error(call):
     with pytest.raises(DomainError, match="overflows a float"):
@@ -410,25 +416,23 @@ def summing_search(p: AttackParams, tau_max: int, n_extra: int, b_max: int):
 def test_tau_ge_1_b_scan_matches_summing_search(monkeypatch):
     # on every real grid a tau >= 1 boundary costs at least its tau-0 twin,
     # so the search never scans its B; scaling each tau-0 term up, in the
-    # search (its tau-0 fold adds `cost_term`s) and in its summing twin
-    # alike, makes it scan them.  Doubling is exact, so the twin doubles
-    # its sum; at scale 1.1, where many tau >= 1 boundaries fall just below
-    # their twin and an inexact skip would show, it sums the scaled terms.
+    # search (its tau-0 fold is `_boundary_cost`'s, continued from K to K)
+    # and in its summing twin alike, makes it scan them.  At scale 1.1 many
+    # tau >= 1 boundaries fall just below their twin, where an inexact skip
+    # would show.
     rng = random.Random(24)
     points = ORACLE_GRID + [random_plan_params(rng) for _ in range(100)]
     grid = dict(tau_max=3, n_extra=3, b_max=5)
     real, deep = _boundary_cost, collections.Counter()
     for scale in (2, 1.1):
-        monkeypatch.setattr(economics, "cost_term", lambda n, xi, delta:
-                            scale * cost_term(n, xi, delta))
         for p in points:
-            def scaled(delta, g, base, K, g0=1.0 + p.xi):
+            def scaled(delta, g, base, K, n=0, total=0, g0=1.0 + p.xi):
                 if g != g0:
-                    return real(delta, g, base, K)
-                if scale == 2:
-                    return 2 * real(delta, g, base, K)
-                return left_fold(economics.cost_term(n, p.xi, delta)
-                                 for n in range(K))
+                    return real(delta, g, base, K, n, total)
+                for n in range(n, K):
+                    total += scale * (delta ** (n / g) * base ** n)
+                return total
+            monkeypatch.setattr(economics, "_boundary_cost", scaled)
             monkeypatch.setitem(globals(), "_boundary_cost", scaled)
             plan = brute_force_optimal_plan(p, **grid)
             assert plan == summing_search(p, **grid), (scale, p)
@@ -855,6 +859,9 @@ def test_overflowing_split_cost_is_a_domain_error():
         p = params(c=1e308, alpha=6, **kw)
         with pytest.raises(DomainError, match="split cost overflows"):
             malicious_cost_series(protocol, p, horizon=20)
+    # (1 + xi)^t itself past the largest float: the power raised
+    with pytest.raises(DomainError, match=r"split cost overflows: 1001\.0\^t"):
+        malicious_cost_series("adess", AttackParams(xi=1e3, alpha=200), 300)
 
 
 def test_expected_hashrate_examples():

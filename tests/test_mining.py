@@ -35,6 +35,18 @@ def test_bad_inputs():
         next_block_time(1.0, -1.0, CE)
     with pytest.raises(ValueError):
         next_block_time(1.0, 1.0, Stochastic())  # no RNG supplied
+    with pytest.raises(TypeError, match="unknown mining mode"):
+        next_block_time(1.0, 1.0, object())
+    with pytest.raises(ValueError, match="tick must be > 0"):
+        Stochastic(tick=0.0)
+    with pytest.raises(ValueError, match="inputs must be > 0"):
+        adjust_difficulty(0.0, 1.0, DifficultyRule.full())
+    with pytest.raises(ValueError, match="growth must be > -1"):
+        required_hashrate_series(-1.0, 3, DifficultyRule.full())
+    with pytest.raises(ValueError, match="n_blocks must be >= 1"):
+        required_hashrate_series(1.0, 0, DifficultyRule.full())
+    with pytest.raises(DomainError, match="overflows a float within 1000"):
+        required_hashrate_series(1e3, 1000, DifficultyRule.full())
 
 
 def test_stochastic_mean_within_two_percent():
