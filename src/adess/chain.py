@@ -95,9 +95,6 @@ class BlockTree:
 
     # -- reads -------------------------------------------------------------
 
-    def __contains__(self, bid: BlockId) -> bool:
-        return bid in self.blocks
-
     def block(self, bid: BlockId) -> Block:
         try:
             return self.blocks[bid]

@@ -282,9 +282,9 @@ def broadcast_margin(p: AttackParams) -> float:
 # ---------------------------------------------------------------------------
 
 def cost_term(n: int, xi: float, delta: float) -> float:
-    """n-th term of the discounted attack cost: delta^(n/(1+xi)) (1+xi)^n."""
-    g = 1.0 + xi
-    return delta ** (n / g) * g ** n
+    """n-th term of the discounted attack cost: delta^(n/(1+xi)) (1+xi)^n,
+    the affine term at rho 0 and f(n) 1."""
+    return affine_cost_term(n, xi, delta, 0.0, 1.0)
 
 
 def cost_term_derivative(n: int, xi: float, delta: float) -> float:

@@ -4,10 +4,10 @@ The event loop is strictly sequential: events are processed in (time,
 sequence-number) order, so identical configurations (including the seed)
 replay bit-identically; a block sent over a stretch of a sender's links at
 one delay is one arrive event.  Honest hashrate is grouped by the canonical
-head each mining node currently follows; a group mines jointly.  A miner's
-head change regroups only its old and new heads, a group that mined only
-itself.  A mine event waits out its instant unless it may fall due in it, so
-a regroup then (a miner hearing its own block) drops it unresolved.  The
+head each mining node follows; a group mines jointly.  A miner's head change
+regroups only its old and new heads; the group that mined redraws at its own
+rate.  A mine event waits out its instant unless it may fall due in it, so a
+regroup then (a miner hearing its own block) drops it unresolved.  The
 attacker mines a secret chain and broadcasts it according to its strategy.
 
 A view's state is a function of its (time, block) arrival sequence alone.
@@ -394,44 +394,46 @@ class _Simulation:
 
     # -- honest mining -----------------------------------------------------
 
+    def _schedule(self, head: BlockId, hashrate: float):
+        """The one draw step: the group at `head` draws its next event."""
+        difficulty = self._nextdiff[head]
+        p, u, tick = self._draw(difficulty, hashrate)
+        seq = self._seq = self._seq + 1
+        group = self._groups[head] = (hashrate, seq)
+        if tick != NEVER_FOUND:  # else the group never finds a block
+            self._instant[seq] = (head, group, difficulty, p, u, tick)
+            if self.time + tick == self.time:
+                self._flush()  # it may fall due at this instant
+
     def _regroup(self, dirty: Sequence[BlockId]):
-        """(Re)schedule one block-found event per group among the `dirty`
-        heads (a miner left or joined, or the group mined), given in head
-        order, summing member rates in name order as a full regroup would.
-        A group whose hashrate is unchanged keeps its pending event, so a
-        slow group's progress is never reset.  Superseded draws stay: the
-        seeded RNG stream that fixes every run's output includes them."""
+        """Reschedule the groups at the `dirty` heads (a miner left or joined)
+        in head order, folding member rates in name order.  A group whose
+        hashrate is unchanged keeps its pending event, so a slow group's
+        progress is never reset; superseded draws stay in the RNG stream."""
         groups, instant = self._groups, self._instant
         for head in dirty:
-            hashrate = None  # no member, no group
+            hashrate = 0.0  # every rate is > 0, so 0.0 means no members
             for name in self._members.get(head, ()):
-                hashrate = (hashrate or 0.0) + self._miners[name]
-            group = groups.get(head, (None, None))
-            if group[0] == hashrate:
-                continue  # pending event still valid, or still no group
-            instant.pop(group[1], None)
-            if hashrate is None:
-                del groups[head]
-                continue
-            difficulty = self._nextdiff[head]
-            p, u, tick = self._draw(difficulty, hashrate)
-            seq = self._seq = self._seq + 1
-            group = groups[head] = (hashrate, seq)
-            if tick != NEVER_FOUND:  # else the group never finds a block
-                instant[seq] = (head, group, difficulty, p, u, tick)
-                if self.time + tick == self.time:
-                    self._flush()  # it may fall due at this instant
+                hashrate += self._miners[name]
+            group = groups.get(head)
+            if group is not None:
+                if group[0] == hashrate:
+                    continue  # pending event still valid
+                instant.pop(group[1], None)
+                if not hashrate:
+                    del groups[head]
+            if hashrate:
+                self._schedule(head, hashrate)
 
     def _on_mine(self, head: BlockId, group: tuple, difficulty: float,
                  duration: float):
         if self._groups.get(head) is not group:
             return  # stale schedule, superseded by a regroup
-        del self._groups[head]
         miner = self._members[head][0]  # the group's leader
         bid = self._add_block(head, difficulty, miner, group[0], duration)
         self._fan_out(miner, (self.tree.blocks[bid],))
-        # the group that mined must be rescheduled even if no head changes
-        self._regroup((head,))
+        # every membership change regroups, so the rate is still their sum
+        self._schedule(head, group[0])
 
     # -- observation -------------------------------------------------------
 

@@ -370,7 +370,7 @@ def test_a_rejected_block_leaves_the_view_unchanged(shared):
     view.observe(a1, 1.0)
     with pytest.raises(ValueError, match="height 5"):
         view.observe(Block(99, a1.id, 5, 1.0, "", 0.0), 2.0)
-    assert 99 not in view.store and 99 not in view._index
+    assert 99 not in view.store.blocks and 99 not in view._index
     with pytest.raises(ValueError, match="non-decreasing"):
         view.observe(a2, 0.5)  # an arrival before the last one logged
     assert a2.id not in view._index
@@ -378,7 +378,8 @@ def test_a_rejected_block_leaves_the_view_unchanged(shared):
     assert view.tree.heads == {a1.id}
     assert view.log.entries == [(0, 0.0), (a1.id, 1.0)]
     view.observe(a2, 3.0)
-    assert a2.id in view.store and (a2.id in source.store) == shared
+    assert a2.id in view.store.blocks
+    assert (a2.id in source.store.blocks) == shared
     assert view.tree.heads == {a2.id} and view.adess_canonical() == a2.id
 
 
@@ -390,7 +391,7 @@ def test_an_unseen_block_has_no_adjusted_score(shared):
     source = NodeView(AdessParams(alpha=2, xi=1.0))
     feed(source, [a1])
     view = NodeView(source.params, store=source.store if shared else None)
-    assert (a1.id in view.store) == shared
+    assert (a1.id in view.store.blocks) == shared
     for query in (view.adjusted_score, view.active_penalties):
         with pytest.raises(UnknownBlock, match=f"unknown block {a1.id}"):
             query(a1.id)

@@ -123,7 +123,7 @@ def test_active_groups_follow_miner_heads_after_every_arrival():
     cfg = replace(forky_config(5), horizon=40.0, honest_hashrates={
         f"n{i}": 0.25 * (i < 4) for i in range(8)})
     sim = _Simulation(cfg)
-    arrivals = 0
+    arrivals = mines = 0
 
     def checked(node, block, arrive):
         nonlocal arrivals
@@ -131,9 +131,23 @@ def test_active_groups_follow_miner_heads_after_every_arrival():
         arrivals += 1
         assert {h: g[0] for h, g in sim._groups.items()} == miner_groups(sim)
 
+    # and after every block a group mines, since it redraws at its old rate;
+    # `_flush` looks the handler up as it pushes, so this one runs
+    on_mine = sim._on_mine
+
+    def mined(head, group, difficulty, duration):
+        nonlocal mines
+        live = sim._groups.get(head) is group
+        on_mine(head, group, difficulty, duration)
+        mines += live
+        if live:
+            assert ({h: g[0] for h, g in sim._groups.items()}
+                    == miner_groups(sim))
+
     per_arrival(sim, checked)
+    sim._on_mine = mined
     skipping = sim.run()
-    assert arrivals > 0
+    assert arrivals > 0 and mines > 0
     assert any(node not in sim._miners for _, node, _, _ in skipping.series)
 
     # regrouping after every arrival as well draws nothing more

@@ -622,18 +622,18 @@ def test_no_mine_event_superseded_in_its_instant_reaches_the_heap(
         monkeypatch):
     sim = _Simulation(replace(forky_config(5), horizon=40.0))
     drawn, superseded, pushed = {}, {}, []  # mine seq -> instant
-    regroup = sim._regroup
+    schedule, regroup = sim._schedule, sim._regroup
 
-    def tracked(dirty):
+    def drawing(head, hashrate):  # the one draw step
+        schedule(head, hashrate)
+        drawn[sim._groups[head][1]] = sim.time
+
+    def tracked(dirty):  # a regroup supersedes what it redraws or drops
         before = {h: g[1] for h, g in sim._groups.items()}
         regroup(dirty)
-        after = {h: g[1] for h, g in sim._groups.items()}
         for head, seq in before.items():
-            if after.get(head) != seq:
+            if sim._groups.get(head, (None, None))[1] != seq:
                 superseded[seq] = sim.time
-        for head, seq in after.items():
-            if before.get(head) != seq:
-                drawn[seq] = sim.time
 
     def push(heap, item):
         if item[2] == sim._on_mine:
@@ -642,7 +642,7 @@ def test_no_mine_event_superseded_in_its_instant_reaches_the_heap(
 
     monkeypatch.setattr(netsim, "heapq", SimpleNamespace(
         heappush=push, heappop=heapq.heappop))
-    sim._regroup = tracked
+    sim._schedule, sim._regroup = drawing, tracked
     report = sim.run()
     same_instant = {seq for seq, t in superseded.items() if t == drawn[seq]}
     assert same_instant and len(same_instant) < len(drawn)
