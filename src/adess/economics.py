@@ -10,18 +10,16 @@ glyph in the source analysis but are unrelated quantities).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, takewhile
+from itertools import accumulate
 from operator import add
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import DomainError, SolverFailure, brief, check_numbers
 from .forkchoice import _BOUNDARY_EPS
-
-#: relative margin past its tau-0 twin that retires an N (float error < 1e-13)
-_RETIRE_EPS = 1e-9
 
 #: penalty step `penalty_margin` takes to see whether the ceiling increments
 _MARGIN_DXI = 1e-6
@@ -247,9 +245,9 @@ def _finite(x: float, what: str) -> float:
 
 def attack_plan_profit(p: AttackParams, tau: int = 0,
                        N: Optional[int] = None, B: Optional[int] = None) -> ProfitBreakdown:
-    """Profit of the general plan: fork tau blocks back, reach the boundary at
-    incumbent block N (default alpha + sigma), then mine B (default p.B) more
-    secret blocks; the boundary cost and the B terms are each a left fold."""
+    """Profit of the plan that forks tau blocks back, reaches the boundary at
+    incumbent block N (default alpha + sigma), then mines B (default p.B)
+    more secret blocks, each cost a left fold; at most tau 0's (README)."""
     N = p.horizon_blocks if N is None else N
     B = p.B if B is None else B
     K = _plan_blocks(p.xi, N, tau, B)
@@ -480,56 +478,49 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
                              n_extra: int = 10, b_max: int = 20
                              ) -> Tuple[int, int, int]:
     """First most profitable plan over (tau, N, B), in that order, by
-    exhaustive search, bit-identical to `attack_plan_profit`.  It skips the
-    B scan of a tau >= 1 costing at least its tau-0 twin, or of an N whose
-    revenue cap less its boundary cost cannot beat the best; an N whose last
-    term passes its twin by _RETIRE_EPS (its last power finite at tau_max)
-    retires from deeper taus.  All exact (README).  An inf revenue or best
-    is an error."""
+    exhaustive search, bit-identical to `attack_plan_profit`.  It scans only
+    head forks: each tau >= 1 boundary costs at least its tau-0 twin, so no
+    deeper plan is a new strict maximum (README).  It skips the B scan of an
+    N whose revenue cap less its boundary cost cannot beat the best, and
+    raises the DomainError of the first (tau, N) whose last power overflows,
+    as summing every boundary would.  An inf revenue or best is an error."""
     if n_extra < 0:
         raise ValueError("n_extra >= 0 required")
     n0, d, c, xi, v, p_B = p.horizon_blocks, p.delta, p.c, p.xi, p.v, p.p_B
     _plan_blocks(xi, n0 + n_extra, tau_max, b_max)  # monotone in N
     powers = [d ** e for e in range(n0 - 1, n0 + n_extra + b_max)]
-    Ks = [boundary_blocks(N, xi) for N in range(n0, n0 + n_extra + 1)]
+    Ns = range(n0, n0 + n_extra + 1)
+    Ks = [boundary_blocks(N, xi) for N in Ns]
     _finite(v + p_B * (Ks[-1] + b_max), "attack revenue")  # w <= 1: bounds all
     tau0, total, g0 = [], 0, 1.0 + xi  # each N's tau-0 boundary cost: one
     for n, K in zip([0, *Ks], Ks):  # left fold from int 0 read at each K, so
         # the first N whose own sum overflows raises
         tau0.append(total := _boundary_cost(d, g0, g0, K, n, total))
+
+    def overflow(tau: int):  # (g, K) of the first N whose g^(K-1) overflows
+        for N, K in zip(Ns, Ks):
+            g = 1.0 + (xi + tau / N)  # 1 + fork_depth_growth(N, xi, tau)
+            try:
+                g ** (K - 1)
+            except OverflowError:
+                return g, K
+        return None
+    taus = range(tau_max + 1)  # as in range, a float tau_max is a TypeError
+    if overflow(tau_max):  # g rises with tau and tau 0's fold ran: bisect
+        tau = bisect_left(taus, True, key=lambda t: bool(overflow(t)))
+        g, K = overflow(tau)
+        _boundary_cost(d, g, g, K)  # raises that (tau, N)'s DomainError
     tops = list(accumulate(reversed(powers), max))[::-1]  # max(powers[i:])
-    caps = [tops[i] * (v + p_B * (K + b_max)) for i, K in enumerate(Ks)]
-    bars = []  # last term / tau-0 twin at which N retires (inf: never)
-    for N, K in zip(range(n0, n0 + n_extra + 1), Ks):
-        try:  # only if N's last power stays finite up to tau_max
-            (1.0 + (xi + tau_max / N)) ** (K - 1)
-            bars.append(1.0 + _RETIRE_EPS if K > 1 else 1.0)  # K 1: term 1.0
-        except OverflowError:
-            bars.append(math.inf)
-    best, best_plan, live = -math.inf, None, dict(enumerate(Ks))
-    for tau in takewhile(lambda _: live, range(tau_max + 1)):
-        for i, K in list(live.items()):  # each N not yet retired
-            N, boundary = n0 + i, tau0[i]
-            if tau:  # skip it if dominated by its tau-0 twin
-                g = 1.0 + (xi + tau / N)  # 1 + fork_depth_growth(N, xi, tau)
-                try:  # its last term alone, then its whole sum
-                    if (last := d ** ((K - 1) / g) * g ** (K - 1)) >= boundary:
-                        if last >= boundary * bars[i]:
-                            del live[i]  # every deeper fork of N skips too
-                        continue
-                except OverflowError:
-                    pass  # the sum raises its DomainError
-                twin, boundary = boundary, _boundary_cost(d, g, g, K)
-                if twin <= boundary:
-                    continue
-            if caps[i] - c * boundary <= best:
-                continue  # no B can beat the best plan
-            secret = 0  # the B-term fold at N, read from the power table
-            for B, w in enumerate(powers[i:i + b_max + 1]):
-                if B:
-                    secret += w
-                profit = w * (v + p_B * (K + B)) - c * (boundary + secret)
-                if profit > best:
-                    best, best_plan = profit, (tau, N, B)
+    best, best_plan = -math.inf, None
+    for i, (N, K, boundary) in enumerate(zip(Ns, Ks, tau0)):
+        if tops[i] * (v + p_B * (K + b_max)) - c * boundary <= best:
+            continue  # the revenue cap: no B can beat the best plan
+        secret = 0  # the B-term fold at N, read from the power table
+        for B, w in enumerate(powers[i:i + b_max + 1]):
+            if B:
+                secret += w
+            profit = w * (v + p_B * (K + B)) - c * (boundary + secret)
+            if profit > best:
+                best, best_plan = profit, (0, N, B)
     _finite(best, "best attack profit")  # -inf: every cost overflowed
     return best_plan

@@ -592,7 +592,7 @@ class _Simulation:
             realized_revenue=revenue,
             per_node_head=heads,
             per_node_height=heights,
-            series=list(self.series),
+            series=self.series,
             snapshot=self.tree.snapshot(),
         )
 

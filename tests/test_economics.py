@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adess import economics
 from adess.economics import (AttackParams, _boundary_cost, _plan_blocks,
                              adess_attack_cost,
                              adess_attack_profit, affine_cost_term,
@@ -413,33 +412,6 @@ def summing_search(p: AttackParams, tau_max: int, n_extra: int, b_max: int):
     return best_plan
 
 
-def test_tau_ge_1_b_scan_matches_summing_search(monkeypatch):
-    # on every real grid a tau >= 1 boundary costs at least its tau-0 twin,
-    # so the search never scans its B; scaling each tau-0 term up, in the
-    # search (its tau-0 fold is `_boundary_cost`'s, continued from K to K)
-    # and in its summing twin alike, makes it scan them.  At scale 1.1 many
-    # tau >= 1 boundaries fall just below their twin, where an inexact skip
-    # would show.
-    rng = random.Random(24)
-    points = ORACLE_GRID + [random_plan_params(rng) for _ in range(100)]
-    grid = dict(tau_max=3, n_extra=3, b_max=5)
-    real, deep = _boundary_cost, collections.Counter()
-    for scale in (2, 1.1):
-        for p in points:
-            def scaled(delta, g, base, K, n=0, total=0, g0=1.0 + p.xi):
-                if g != g0:
-                    return real(delta, g, base, K, n, total)
-                for n in range(n, K):
-                    total += scale * (delta ** (n / g) * base ** n)
-                return total
-            monkeypatch.setattr(economics, "_boundary_cost", scaled)
-            monkeypatch.setitem(globals(), "_boundary_cost", scaled)
-            plan = brute_force_optimal_plan(p, **grid)
-            assert plan == summing_search(p, **grid), (scale, p)
-            deep[scale] += plan[0] >= 1
-    assert deep[2] >= 100 and deep[1.1] >= 10, deep
-
-
 def edge_xi(N: int, target: float) -> float:
     """xi in [2, 12] at which (N(1+xi) - 1) ln(1+xi) is `target`: the log of
     the last power in N's tau-0 boundary.  A target near 709.78, the log of
@@ -450,6 +422,42 @@ def edge_xi(N: int, target: float) -> float:
         below = (N * (1.0 + mid) - 1.0) * math.log1p(mid) < target
         lo, hi = (mid, hi) if below else (lo, mid)
     return lo
+
+
+def test_deeper_fork_boundaries_cost_at_least_their_tau0_twins():
+    # the search scans tau 0 only: at any fork depth tau >= 1 each term of a
+    # boundary, and so its left fold, is at least its tau-0 twin, with no
+    # margin, so no deeper plan can be a new strict maximum.  A term whose
+    # power overflows is skipped: there the search raises the DomainError
+    rng = random.Random(31)
+    points = ORACLE_GRID + ACCEPTANCE_04_GRID + [
+        random_plan_params(rng) for _ in range(100)]
+    for _ in range(40):
+        alpha, j = rng.randint(20, 120), rng.randint(0, 3)
+        points.append(params(alpha=alpha, delta=rng.uniform(0.5, 1.0),
+                             xi=edge_xi(alpha + j, rng.uniform(688.0, 712.0))))
+    start, seen = time.perf_counter(), collections.Counter()
+    for p in points:
+        d, g0 = p.delta, 1.0 + p.xi
+        for N in range(p.horizon_blocks, p.horizon_blocks + 11):
+            K = boundary_blocks(N, p.xi)
+            try:
+                twins = [d ** (n / g0) * g0 ** n for n in range(K)]
+            except OverflowError:  # the tau-0 fold raises first
+                continue
+            for tau in (1, 2, 3, rng.randint(4, 100_000)):
+                g = 1.0 + fork_depth_growth(N, p.xi, tau)
+                try:
+                    terms = [d ** (n / g) * g ** n for n in range(K)]
+                except OverflowError:
+                    seen["overflow"] += 1
+                    continue
+                assert all(t >= t0 for t, t0 in zip(terms, twins)), (p, N, tau)
+                assert _boundary_cost(d, g, g, K) >= left_fold(twins)
+                seen["boundary"] += 1
+    elapsed = time.perf_counter() - start
+    assert seen["boundary"] >= 10_000 and seen["overflow"] >= 100, seen
+    assert elapsed < 2.0, elapsed
 
 
 def test_skipping_search_matches_summing_search_near_overflow():
@@ -513,34 +521,27 @@ def search_outcome(search, p: AttackParams, grid: dict):
         return repr(e)
 
 
-def retire_and_overflow_taus(p: AttackParams, tau_max: int, n_extra: int):
-    """Per N of the search, the first tau >= 1 whose boundary's last term
-    passes its tau-0 twin by the retirement margin, and the first whose
-    last power overflows; None where no tau up to tau_max does."""
+def first_overflow_taus(p: AttackParams, tau_max: int, n_extra: int):
+    """Per N of the search, the first fork depth up to tau_max whose
+    boundary's last power overflows, or None."""
     out = []
     for N in range(p.horizon_blocks, p.horizon_blocks + n_extra + 1):
-        K, d = boundary_blocks(N, p.xi), p.delta
-        twin = _boundary_cost(d, 1.0 + p.xi, 1.0 + p.xi, K)
-        retire = overflow = None
-        for tau in range(1, tau_max + 1):
-            g = 1.0 + fork_depth_growth(N, p.xi, tau)
+        K, first = boundary_blocks(N, p.xi), None
+        for tau in range(tau_max + 1):
             try:
-                last = d ** ((K - 1) / g) * g ** (K - 1)
+                (1.0 + fork_depth_growth(N, p.xi, tau)) ** (K - 1)
             except OverflowError:
-                overflow = tau
+                first = tau
                 break
-            margin = twin * (1.0 + economics._RETIRE_EPS)
-            if retire is None and last >= margin:
-                retire = tau
-        out.append((retire, overflow))
+        out.append(first)
     return out
 
 
 def test_retiring_search_matches_summing_search_at_deep_forks():
-    # once an N's last term passes its tau-0 twin by the margin, the search
-    # tests no deeper fork of it; near overflow it must still raise the
-    # DomainError a deeper fork's boundary raises, so an N whose last power
-    # overflows by tau_max never retires
+    # the search scans tau 0 only, but near overflow it must still raise the
+    # DomainError that summing every boundary, tau-major, raises first: at
+    # some points that is at a tau >= 1, and at some a later N overflows at
+    # a shallower fork than the first N that overflows at all
     rng = random.Random(28)
     wide = dict(tau_max=24, n_extra=3, b_max=5)
     points = [(p, wide) for p in ORACLE_GRID]
@@ -556,22 +557,20 @@ def test_retiring_search_matches_summing_search_at_deep_forks():
         want = search_outcome(summing_search, p, grid)
         assert search_outcome(brute_force_optimal_plan, p, grid) == want, p
         seen["plan" if isinstance(want, tuple) else "error"] += 1
-        try:
-            taus = retire_and_overflow_taus(p, grid["tau_max"], grid["n_extra"])
-        except DomainError:  # a tau-0 boundary overflows
-            continue
-        seen["retired"] += all(r is not None for r, _ in taus)
-        # an N that would retire at tau r, were its power at r' > r not inf
-        seen["late overflow"] += any(r is not None and o is not None
-                                     and r < o for r, o in taus)
-    assert seen["late overflow"] >= 10 and seen["retired"] >= 100, seen
+        taus = first_overflow_taus(p, grid["tau_max"], grid["n_extra"])
+        if any(taus) and 0 not in taus:  # the first overflow is at tau >= 1
+            deep = [t for t in taus if t is not None]
+            seen["deep overflow"] += 1
+            # a later N overflows at a shallower fork than the first N does
+            seen["later N first"] += min(deep) < deep[0]
+    assert seen["deep overflow"] >= 10 and seen["later N first"] >= 5, seen
     assert seen["plan"] >= 100 and seen["error"] >= 10, seen
 
 
 def test_acceptance_04_plans_do_not_depend_on_the_fork_depth_bound():
-    # on this grid every N retires by tau 2, so the search's cost stops
-    # growing with tau_max: testing every fork depth up to 100,000 took
-    # about 48 s for the 100 searches
+    # the search scans tau 0 only and probes each N's last power once, at
+    # tau_max, so its cost does not grow with tau_max: testing every fork
+    # depth up to 100,000 took about 48 s for the 100 searches
     start = time.perf_counter()
     deep = [brute_force_optimal_plan(p, tau_max=100_000)
             for p in ACCEPTANCE_04_GRID]
@@ -582,9 +581,9 @@ def test_acceptance_04_plans_do_not_depend_on_the_fork_depth_bound():
 
 
 def test_a_one_block_boundary_retires_without_a_margin():
-    # at N = 1 and xi = 0 the boundary is one block: its last term is 1.0
-    # at every tau and never passes its twin, 1.0, by a margin; testing it
-    # at every fork depth took 0.04 to 0.06 s per search
+    # at N = 1 and xi = 0 the boundary is one block: its term is 1.0 at
+    # every tau, equal to its tau-0 twin, so no deeper fork can win and none
+    # is tested; testing it at every fork depth took 0.04 to 0.06 s a search
     points = [p for p in ORACLE_GRID if p.horizon_blocks == 1 and p.xi == 0]
     start = time.perf_counter()
     deep = [brute_force_optimal_plan(p, tau_max=100_000, n_extra=0)
@@ -639,6 +638,12 @@ def test_plan_search_drops_plans_whose_cost_overflows():
 def test_brute_force_rejects_negative_grid_sizes():
     for grid in (dict(n_extra=-1), dict(tau_max=-1), dict(b_max=-1)):
         with pytest.raises(ValueError):
+            brute_force_optimal_plan(params(), **grid)
+
+
+def test_brute_force_rejects_non_int_grid_sizes():
+    for grid in (dict(n_extra=1.0), dict(tau_max=10.0), dict(b_max=2.0)):
+        with pytest.raises(TypeError):
             brute_force_optimal_plan(params(), **grid)
 
 
