@@ -18,7 +18,7 @@ from .economics import (AttackParams, ProfitBreakdown, adess_attack_cost,
                         safe_value_interval)
 from .errors import (AdessError, ConfigError, DomainError, InvalidDifficulty,
                      NotPenalized, SolverFailure, UnknownBlock)
-from .forkchoice import AdessParams, NodeView, ObservationLog, PenaltyRecord
+from .forkchoice import AdessParams, NodeView, PenaltyRecord
 from .mining import (CertaintyEquivalent, DifficultyRule, Stochastic,
                      adjust_difficulty, next_block_time,
                      required_hashrate_series, sustained_growth_cost)
@@ -30,9 +30,9 @@ __all__ = [
     "AdessError", "AdessParams", "AttackParams", "Block", "BlockId",
     "BlockTree", "CertaintyEquivalent", "ConfigError",
     "DifficultyRule", "DomainError", "InvalidDifficulty", "NodeView",
-    "NotPenalized", "ObservationLog", "PenaltyRecord", "ProbeReport",
-    "ProfitBreakdown", "RunReport", "ScenarioConfig", "SolverFailure",
-    "Stochastic", "UnknownBlock", "accelerated_rate", "adess_attack_cost",
+    "NotPenalized", "PenaltyRecord", "ProbeReport", "ProfitBreakdown",
+    "RunReport", "ScenarioConfig", "SolverFailure", "Stochastic",
+    "UnknownBlock", "accelerated_rate", "adess_attack_cost",
     "adess_attack_profit", "adjust_difficulty", "attack_plan_profit",
     "boundary_blocks", "broadcast_margin", "brute_force_optimal_plan",
     "disconnected_node_probe", "guo_ren_bound", "latency_split_check",

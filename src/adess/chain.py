@@ -5,14 +5,14 @@ are only used for lookups and deterministic tie-breaking.  A "chain" is
 always its head block's id; segments are derived on demand.  `Block` is a
 named tuple: immutable, ordered, cheap to build.  A `BlockTree` is only a
 store: it validates each block once, as it is written, and keeps blocks and
-cumulative difficulty.  Children and heads live in a `SeenTree`, one per
-reader of the store, fed the blocks that reader has seen.
+cumulative difficulty.  What a reader of the store has seen lives in its own
+`SeenTree`: the arrival log, each block's place in it, children and heads.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import DomainError, InvalidDifficulty, UnknownBlock
 
@@ -31,15 +31,25 @@ class Block(NamedTuple):
 
 
 class SeenTree:
-    """Children in arrival order and heads of the blocks a reader has seen."""
+    """The blocks a reader has seen: `arrivals` logs (id, time) in arrival
+    order from genesis at 0.0, `first_seen` maps an id to its index there,
+    and `children` (in arrival order) and `heads` hold the tree."""
 
     def __init__(self, genesis_id: BlockId = GENESIS_ID):
+        self.arrivals: List[Tuple[BlockId, float]] = [(genesis_id, 0.0)]
+        self.first_seen: Dict[BlockId, int] = {genesis_id: 0}
         self.children: Dict[BlockId, List[BlockId]] = {genesis_id: []}
         self.heads: Set[BlockId] = {genesis_id}
 
-    def insert(self, block: Block) -> None:
+    def insert(self, block: Block, arrival: float) -> None:
+        """Log `block` at `arrival`; NaN or an earlier arrival raises first."""
+        if not arrival >= self.arrivals[-1][1]:
+            raise ValueError(
+                f"arrival {arrival!r} breaks the non-decreasing order")
+        self.children[block.parent].append(block.id)  # parent seen, or raise
         self.children[block.id] = []
-        self.children[block.parent].append(block.id)
+        self.first_seen[block.id] = len(self.arrivals)
+        self.arrivals.append((block.id, arrival))
         self.heads.discard(block.parent)
         self.heads.add(block.id)
 
@@ -71,8 +81,12 @@ class BlockTree:
         return bid
 
     def insert(self, block: Block) -> None:
-        """Insert a fully formed block; one the store holds is ignored."""
-        if block.id in self.blocks:
+        """Insert a fully formed block; one equal to a stored block is
+        ignored, and one whose id the store holds with other fields raises."""
+        held = self.blocks.get(block.id)
+        if held is not None:
+            if held != block:
+                raise ValueError(f"block {block.id} differs from {held}")
             return
         height, cum = self._child(block.parent, block.difficulty)
         if block.height != height:

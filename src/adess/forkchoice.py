@@ -1,18 +1,19 @@
 """Canonical-chain selection: Nakamoto scoring and the penalty protocol.
 
-A NodeView is one network participant's subjective state: an arrival-ordered
-observation log and a `SeenTree` of the blocks it has seen, over a block
-store that views may share, plus the penalty machinery derived from them.
+A NodeView is one network participant's subjective state: a `SeenTree` of
+the blocks it has seen, with their arrival log, over a block store that views
+may share, plus the penalty machinery derived from them.
 Penalty assignment is driven purely by the order in which this node observed
 blocks, so two views fed the same blocks in different orders may disagree;
 identical orders agree exactly.  A chain is named by its head block's id.
 
 Every block enters through `observe`, which writes it to the store (a no-op
-for a block the store holds) and logs it before the tree or index change, so
-a refused block or arrival changes no view state.  A block marked `synced`
-(bulk sync for a node that was offline when it was broadcast) carries no
-temporal order; that matters only if it opens a fork, which is then created
-undecidable and never assigns a penalty.
+for a block the store holds as is; one it holds with other fields is
+refused) and then logs it with `SeenTree.insert`, which checks its arrival
+before it writes; so a refused block or arrival changes no view state.  A
+block marked `synced` (bulk sync for a node that was offline when it was
+broadcast) carries no temporal order; that matters only if it opens a fork,
+which is then created undecidable and never assigns a penalty.
 
 Penalty state is kept per (fork-block, branch) pair, where a branch is
 identified by the fork-block child it passes through.  Every head descending
@@ -86,27 +87,6 @@ class AdessParams:
             raise ValueError("epsilon must be > 0")
 
 
-class ObservationLog:
-    """Arrival-ordered log of observed blocks with a first-seen index."""
-
-    def __init__(self):
-        self.entries: List[Tuple[BlockId, float]] = []
-        self.first_seen: Dict[BlockId, int] = {}
-
-    def append(self, bid: BlockId, arrival: float) -> int:
-        if bid in self.first_seen:
-            raise ValueError(f"block {bid} already logged")
-        if self.entries and arrival < self.entries[-1][1]:
-            raise ValueError("arrival times must be non-decreasing")
-        idx = len(self.entries)
-        self.entries.append((bid, arrival))
-        self.first_seen[bid] = idx
-        return idx
-
-    def __len__(self):
-        return len(self.entries)
-
-
 @dataclass(slots=True)
 class PenaltyRecord:
     """A penalty assigned at `fork` to the branch through `penalized_branch`,
@@ -150,14 +130,12 @@ class _ForkState:
 class NodeView:
     """Single-threaded subjective state of one observing node.  Blocks are
     written to and read from `store`, a given one or its own; `tree` holds
-    the children and heads this node has seen."""
+    the arrivals, children and heads this node has seen."""
 
     def __init__(self, params: AdessParams, store: Optional[BlockTree] = None):
         self.params = params
         self.store = BlockTree() if store is None else store
         self.tree = SeenTree(self.store.genesis_id)
-        self.log = ObservationLog()
-        self.log.append(self.store.genesis_id, 0.0)
         self._forks: Dict[BlockId, _ForkState] = {}
         self._pending: Dict[BlockId, List[Tuple[Block, float, bool]]] = {}
         # reset anchor block -> (cumdiff at anchor, re-based score at anchor)
@@ -194,10 +172,9 @@ class NodeView:
         return self
 
     def _connect(self, block: Block, arrival: float, synced: bool):
-        if block.id not in self.store.blocks:
+        if self.store.blocks.get(block.id) != block:
             self.store.insert(block)  # validates before any view state moves
-        self.log.append(block.id, arrival)  # may raise; the tree is untouched
-        self.tree.insert(block)
+        self.tree.insert(block, arrival)  # checks the arrival before it writes
         bid, parent = block.id, block.parent
         assert parent is not None
         self._active[bid] = self._active[parent]
@@ -230,7 +207,7 @@ class NodeView:
         """Initialize the length of a pre-existing branch, append (fs, branch)
         to the fork path of every block on it, and return its first-seen
         block at depth alpha past the fork, or None if it is shorter."""
-        alpha, seen = self.params.alpha, self.log.first_seen
+        alpha, seen = self.params.alpha, self.tree.first_seen
         best_len, best_block = 0, branch
         alpha_block: Optional[BlockId] = None
         entry = (fs, branch)
@@ -414,7 +391,7 @@ class NodeView:
         best_score = max(s for s, _ in scored)
         tied = [h for s, h in scored if s == best_score]
         if len(tied) > 1:
-            tied.sort(key=lambda h: (self.log.first_seen[h], h))
+            tied.sort(key=lambda h: (self.tree.first_seen[h], h))
         return best_score, tied[0]
 
     def nakamoto_canonical(self) -> BlockId:

@@ -628,12 +628,13 @@ def disconnected_node_probe(cfg: ScenarioConfig, join_time: float
     blocks are bulk-synced without temporal order, later ones observed
     normally.  Penalty assignment at pre-join forks is undecidable; the
     operational fallback adopts the chain being actively mined."""
+    number("join_time", join_time)  # before any event runs
     sim = _Simulation(cfg)
     sim.run()
     reference = sim.nodes["n0"]
     late = NodeView(cfg.adess, sim.tree)
     post_join = 0
-    for bid, arrival in reference.log.entries[1:]:
+    for bid, arrival in reference.tree.arrivals[1:]:
         block = sim.tree.block(bid)
         synced = arrival < join_time
         late.observe(block, arrival, synced=synced)
@@ -643,7 +644,7 @@ def disconnected_node_probe(cfg: ScenarioConfig, join_time: float
     if undecidable:
         # actively-mined chain: the head above the most recently arrived block
         if post_join:
-            last = late.log.entries[-1][0]
+            last = late.tree.arrivals[-1][0]
             for head in sorted(late.tree.heads):
                 if sim.tree.is_ancestor(last, head):
                     inferred = head

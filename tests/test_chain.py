@@ -29,7 +29,7 @@ def seen_of(tree: BlockTree) -> SeenTree:
     """A SeenTree fed the tree's blocks in insertion order."""
     seen = SeenTree(tree.genesis_id)
     for bid in list(tree.blocks)[1:]:
-        seen.insert(tree.block(bid))
+        seen.insert(tree.block(bid), 0.0)
     return seen
 
 
@@ -86,7 +86,9 @@ def test_snapshot_block_errors_are_value_errors_naming_the_line():
             ("block 0 parent=- h=0 d=nan t=0 miner=g\n", "d=nan"),
             (genesis + "block 1 parent=0 h=1 d=nan t=0 miner=a\n", "d=nan"),
             (genesis + "block 1 parent=0 h=1 d=-1.0 t=0 miner=a\n", "d=-1.0"),
-            (genesis + "block 2 parent=7 h=1 d=1 t=0 miner=a\n", "parent=7")):
+            (genesis + "block 2 parent=7 h=1 d=1 t=0 miner=a\n", "parent=7"),
+            # genesis's id again, with other fields
+            (genesis + "block 0 parent=0 h=1 d=1 t=0 miner=a\n", "parent=0")):
         with pytest.raises(ValueError, match=f"bad snapshot line .*{line}"):
             BlockTree.from_snapshot(text)
 
@@ -177,6 +179,12 @@ def test_store_and_tree_reject_the_same_blocks(restored):
     for height in (1, 3):
         with pytest.raises(ValueError, match="parent height 1"):
             tree.insert(Block(7, a, height, 1.0, "", 0.0))
+    held = tree.block(a)
+    tree.insert(held._replace())  # an equal block is ignored
+    for clash in (held._replace(difficulty=2.0), held._replace(miner="x")):
+        with pytest.raises(ValueError, match=f"block {a} differs"):
+            tree.insert(clash)
+    assert tree.block(a) is held
     # nothing rejected was written
     assert sorted(tree.blocks) == sorted(tree._cumdiff) == [0, a]
     assert tree.append_block(a, 1.0) == 2

@@ -10,8 +10,7 @@ import pytest
 from adess.chain import Block
 from adess.economics import boundary_blocks
 from adess.errors import NotPenalized, UnknownBlock
-from adess.forkchoice import (AdessParams, NodeView, ObservationLog,
-                               PenaltyRecord)
+from adess.forkchoice import AdessParams, NodeView, PenaltyRecord
 
 
 class Script:
@@ -70,14 +69,15 @@ def test_params_reject_non_finite():
 
 
 def test_observation_log_rules():
-    log = ObservationLog()
-    log.append(1, 1.0)
-    with pytest.raises(ValueError):
-        log.append(1, 2.0)  # duplicate
-    with pytest.raises(ValueError):
-        log.append(2, 0.5)  # time went backwards
-    log.append(2, 1.0)
-    assert len(log) == 3 - 1 and list(log.first_seen) == [1, 2]
+    a1, a2 = Script().chain(0, 2)
+    view = NodeView(AdessParams())
+    view.observe(a1, 1.0)
+    view.observe(a1, 2.0)  # a seen block is ignored, not logged again
+    with pytest.raises(ValueError, match="non-decreasing"):
+        view.observe(a2, 0.5)  # time went backwards
+    view.observe(a2, 1.0)
+    assert view.tree.arrivals == [(0, 0.0), (a1.id, 1.0), (a2.id, 1.0)]
+    assert view.tree.first_seen == {0: 0, a1.id: 1, a2.id: 2}
 
 
 # -- assignment and retroactive scoring ---------------------------------------
@@ -335,9 +335,9 @@ def test_orphans_buffer_until_parent_arrives():
     view.observe(a1, 3.0)
     assert view.tree.heads == {a3.id}
     # buffered blocks are logged after the parent, at the flush time
-    order = [bid for bid, _ in view.log.entries]
+    order = [bid for bid, _ in view.tree.arrivals]
     assert order == [0, a1.id, a2.id, a3.id]
-    assert [t for _, t in view.log.entries][1:] == [3.0, 3.0, 3.0]
+    assert [t for _, t in view.tree.arrivals][1:] == [3.0, 3.0, 3.0]
 
 
 @pytest.mark.parametrize("shared", [False, True])
@@ -351,7 +351,7 @@ def test_an_orphan_delivered_twice_connects_once(shared):
     for t, block in enumerate([a1, a3, a3, a2], start=1):
         assert view.observe(block, float(t)) is view
     assert view.observe(a3, 5.0) is view  # a connected block is ignored
-    assert view.log.entries == [(0, 0.0), (a1.id, 1.0), (a2.id, 4.0),
+    assert view.tree.arrivals == [(0, 0.0), (a1.id, 1.0), (a2.id, 4.0),
                                 (a3.id, 4.0)]
     assert view.tree.children[a2.id] == [a3.id]
     assert view.tree.heads == {a3.id}
@@ -360,23 +360,30 @@ def test_an_orphan_delivered_twice_connects_once(shared):
 
 @pytest.mark.parametrize("shared", [False, True])
 def test_a_rejected_block_leaves_the_view_unchanged(shared):
-    # the store refuses a block of the wrong height, and the log an arrival
-    # out of order, before the view's tree or index change; a valid block
-    # the store lacks is written to it and connected
-    a1, a2 = Script().chain(0, 2)
+    # the store refuses a block of the wrong height or one whose id it holds
+    # with other fields, and the tree an arrival out of order or NaN, before
+    # the view's tree or index change; a valid block the store lacks is
+    # written to it and connected
+    s = Script()
+    a1, a2 = s.chain(0, 2)
+    b2 = s.block(a1.id)  # in the store, not yet seen by the view
     source = NodeView(AdessParams(alpha=2, xi=1.0))
     feed(source, [a1])
     view = NodeView(source.params, store=source.store if shared else None)
     view.observe(a1, 1.0)
-    with pytest.raises(ValueError, match="height 5"):
-        view.observe(Block(99, a1.id, 5, 1.0, "", 0.0), 2.0)
-    assert 99 not in view.store.blocks and 99 not in view._index
-    with pytest.raises(ValueError, match="non-decreasing"):
-        view.observe(a2, 0.5)  # an arrival before the last one logged
-    assert a2.id not in view._index
-    assert view.tree.children == {0: [a1.id], a1.id: []}
-    assert view.tree.heads == {a1.id}
-    assert view.log.entries == [(0, 0.0), (a1.id, 1.0)]
+    view.store.insert(b2)
+    for block, arrival, match in (
+            (Block(99, a1.id, 5, 1.0, "", 0.0), 2.0, "height 5"),
+            (b2._replace(parent=0, height=1), 2.0, f"block {b2.id} differs"),
+            (a2, 0.5, "non-decreasing"),  # before the last arrival logged
+            (a2, float("nan"), "non-decreasing")):
+        with pytest.raises(ValueError, match=match):
+            view.observe(block, arrival)
+        assert block.id not in view._index
+        assert view.tree.children == {0: [a1.id], a1.id: []}
+        assert view.tree.heads == {a1.id}
+        assert view.tree.arrivals == [(0, 0.0), (a1.id, 1.0)]
+    assert 99 not in view.store.blocks and view.store.blocks[b2.id] == b2
     view.observe(a2, 3.0)
     assert a2.id in view.store.blocks
     assert (a2.id in source.store.blocks) == shared

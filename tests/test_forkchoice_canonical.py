@@ -23,7 +23,7 @@ def rescored_head(view: NodeView) -> int:
     eligible = [h for h in view.tree.heads
                 if not view.active_penalties(h)]
     return min(eligible, key=lambda h: (-view.adjusted_score(h),
-                                        view.log.first_seen[h], h))
+                                        view.tree.first_seen[h], h))
 
 
 def replay_checked(source: NodeView) -> int:
@@ -32,7 +32,7 @@ def replay_checked(source: NodeView) -> int:
     many queries the cache answered without rescoring."""
     view = NodeView(source.params)
     cached = 0
-    for bid, arrival in source.log.entries[1:]:
+    for bid, arrival in source.tree.arrivals[1:]:
         view.observe(source.store.block(bid), arrival)
         cached += view._best is not None
         assert view.adess_canonical() == rescored_head(view)

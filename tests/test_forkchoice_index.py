@@ -57,7 +57,7 @@ def replay_checked(source: NodeView) -> NodeView:
     """Feed `source`'s observation log to a fresh view, checking the index of
     every head after every observe and of every block at the end."""
     view = NodeView(source.params)
-    for bid, arrival in source.log.entries[1:]:
+    for bid, arrival in source.tree.arrivals[1:]:
         view.observe(source.store.block(bid), arrival)
         for head in view.tree.heads:
             check_entry(view, head)
@@ -102,7 +102,7 @@ def test_store_backed_view_matches_standalone_view():
     orphans = 0
     for _ in range(100):
         source = build_random_view(random.Random(rng.getrandbits(32)))
-        arrivals = [bid for bid, _ in source.log.entries[1:]]
+        arrivals = [bid for bid, _ in source.tree.arrivals[1:]]
         # some blocks arrive late, after their children
         late = [i + rng.choice((0, 0, 0, 2.5)) for i in range(len(arrivals))]
         arrivals = [bid for _, bid in sorted(zip(late, arrivals))]
@@ -118,7 +118,7 @@ def test_store_backed_view_matches_standalone_view():
         assert all(isinstance(v.tree, SeenTree) for v in (shared, alone))
         assert shared.tree.heads == alone.tree.heads
         assert shared.tree.children == alone.tree.children
-        assert shared.log.entries == alone.log.entries
+        assert shared.tree.arrivals == alone.tree.arrivals
         assert shared.penalty_ledger() == alone.penalty_ledger()
         assert len(source.store.blocks) == len(alone.store.blocks)
     assert orphans > 0

@@ -154,7 +154,7 @@ def views_digest() -> str:
     for seed in VIEW_SEEDS:
         source = build_random_view(random.Random(seed))
         view = NodeView(source.params)
-        for bid, arrival in source.log.entries[1:]:
+        for bid, arrival in source.tree.arrivals[1:]:
             view.observe(source.store.block(bid), arrival)
             h.update(f"{view.adess_canonical()},"
                      f"{view.nakamoto_canonical()};".encode())

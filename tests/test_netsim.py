@@ -457,6 +457,18 @@ def test_probe_late_join_is_undecidable_but_infers_reference():
     assert probe.inferred_head == probe.reference_head
 
 
+def test_probe_refuses_a_join_time_that_is_not_a_finite_number(monkeypatch):
+    # a NaN join time read as "nothing synced", and a string raised a raw
+    # TypeError after the whole run; now neither builds the simulation
+    def no_simulation(cfg):
+        raise AssertionError("the simulation was built")
+
+    monkeypatch.setattr(netsim, "_Simulation", no_simulation)
+    for bad in (float("nan"), "10"):
+        with pytest.raises(ConfigError, match="join_time must be a finite"):
+            disconnected_node_probe(adess_cfg(), join_time=bad)
+
+
 # -- views shared by receivers with identical links ---------------------------
 
 def run_with_private_views(cfg: ScenarioConfig) -> tuple:
@@ -542,7 +554,8 @@ def test_feeding_att_obs_throughout_changes_no_output(monkeypatch, strategy,
     assert skipped.series_csv() == fed.series_csv()
     # att_obs alone stops observing once it is no longer read; sharing n0's
     # view, it loses nothing
-    fed_more = len(feeding.att_obs.log) > len(skipping.att_obs.log)
+    fed_more = len(feeding.att_obs.tree.arrivals) > len(
+        skipping.att_obs.tree.arrivals)
     assert fed_more == (nodes > 1)
 
 

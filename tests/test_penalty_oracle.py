@@ -214,7 +214,7 @@ def replay_against_oracle(source: NodeView, n_synced: int = 0) -> NaiveReplay:
     genesis = source.store.block(source.store.genesis_id)
     oracle = NaiveReplay(source.params, genesis)
     records = None
-    for i, (bid, arrival) in enumerate(source.log.entries[1:]):
+    for i, (bid, arrival) in enumerate(source.tree.arrivals[1:]):
         block = source.store.block(bid)
         view.observe(block, arrival, synced=i < n_synced)
         oracle.step(block, arrival, i < n_synced)
@@ -250,7 +250,8 @@ def test_oracle_matches_views_on_fuzz_trees():
     seen: Counter = Counter()
     for i in range(500):
         source = build_random_view(random.Random(rng.getrandbits(32)))
-        n_synced = rng.randint(0, len(source.log) - 1) if i % 3 == 0 else 0
+        n_synced = (rng.randint(0, len(source.tree.arrivals) - 1)
+                    if i % 3 == 0 else 0)
         seen.update(coverage(replay_against_oracle(source, n_synced)))
     assert all(seen[key] for key in COVERED), seen
 
