@@ -42,10 +42,7 @@ class SeenTree:
         self.heads: Set[BlockId] = {genesis_id}
 
     def insert(self, block: Block, arrival: float) -> None:
-        """Log `block` at `arrival`; NaN or an earlier arrival raises first."""
-        if not arrival >= self.arrivals[-1][1]:
-            raise ValueError(
-                f"arrival {arrival!r} breaks the non-decreasing order")
+        """Log `block` at `arrival`; its reader checks the arrival first."""
         self.children[block.parent].append(block.id)  # parent seen, or raise
         self.children[block.id] = []
         self.first_seen[block.id] = len(self.arrivals)

@@ -4,9 +4,10 @@ Subcommands map one-to-one onto the library: `simulate` and `sweep` read a
 JSON config whose keys mirror the ScenarioConfig / AttackParams field names;
 the scalar commands (`min-xi`, `safe-v`, `profit`, ...) take everything as
 flags and print their results; `compare-protocols` takes no payoff flag
-(`--v`, `--pb`, `--b`).  The commands that write files take `--out` (default
-./out); only `simulate` takes `--seed`.  Identical flags and seed produce
-byte-identical files.  Exit status: 0 success, 1 domain error, 2 usage error.
+(`--v`, `--pb`, `--b`).  The commands that write files make `--out` (default
+./out) once their inputs are read, before any work; only `simulate` takes
+`--seed`.  Identical flags and seed produce byte-identical files.  Exit
+status: 0 success, 1 domain or output error, 2 usage error.
 Diagnostic verbosity on stderr is controlled by the ADESS_LOG environment
 variable (error, info or debug).
 """
@@ -156,10 +157,10 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         data["seed"] = args.seed
     cfg = scenario_from_dict(data)
+    out = _out_dir(args)
     log.info("running scenario: protocol=%s strategy=%s seed=%d",
              cfg.protocol, cfg.attacker_strategy, cfg.seed)
     report = run_scenario(cfg)
-    out = _out_dir(args)
     _write(out / "report.txt", report.to_text())
     _write(out / "series.csv", report.series_csv())
     print(f"attack_succeeded = {report.attack_succeeded}")
@@ -208,8 +209,9 @@ def _malicious_rows(params: AttackParams, horizon
 
 
 def cmd_compare_protocols(args) -> int:
-    rows, a_pv, n_pv = _malicious_rows(_attack_params(args), args.horizon)
-    _write(_out_dir(args) / "malicious_cost.csv", "\n".join(rows) + "\n")
+    params, out = _attack_params(args), _out_dir(args)
+    rows, a_pv, n_pv = _malicious_rows(params, args.horizon)
+    _write(out / "malicious_cost.csv", "\n".join(rows) + "\n")
     print(f"adess_pv = {a_pv!r}")
     print(f"nakamoto_pv = {n_pv!r}")
     return 0
@@ -228,13 +230,12 @@ def _parse_krange(spec: str) -> List[int]:
 
 
 def cmd_security_bound(args) -> int:
-    ks = _parse_krange(args.k)
+    ks, out = _parse_krange(args.k), _out_dir(args)
     lines = ["k,bound"]
     for k in ks:
         b = economics.guo_ren_bound(k, args.rho, args.lambda_rate,
                                     args.delta_prop, variant=args.variant)
         lines.append(f"{k},{b!r}")
-    out = _out_dir(args)
     _write(out / "security_bound.csv", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
@@ -307,7 +308,7 @@ def cmd_sweep(args) -> int:
     data = _load_json(args.config)
     kind = data.get("kind", "profit")
     params = _build(AttackParams, data.get("attack", {}), "attack")
-    grid = data.get("grid", {})
+    grid, out = data.get("grid", {}), _out_dir(args)
     with _config_shape("sweep"):
         if kind == "profit":
             rows = _sweep_profit(params, grid)
@@ -317,7 +318,6 @@ def cmd_sweep(args) -> int:
             rows = _sweep_malicious(params, grid)
         else:
             raise ConfigError(f"unknown sweep kind {kind!r}")
-    out = _out_dir(args)
     _write(out / "sweep.csv", "\n".join(rows) + "\n")
     meta = {"kind": kind, "grid": grid, "attack": asdict(params),
             "rows": len(rows) - 1}
@@ -493,7 +493,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _setup_logging()
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (AdessError, ValueError) as e:
+    except (AdessError, ValueError, OSError) as e:
         log.error("%s", e)
         print(f"error: {e}", file=sys.stderr)
         return 1

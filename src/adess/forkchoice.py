@@ -7,13 +7,13 @@ Penalty assignment is driven purely by the order in which this node observed
 blocks, so two views fed the same blocks in different orders may disagree;
 identical orders agree exactly.  A chain is named by its head block's id.
 
-Every block enters through `observe`, which writes it to the store (a no-op
-for a block the store holds as is; one it holds with other fields is
-refused) and then logs it with `SeenTree.insert`, which checks its arrival
-before it writes; so a refused block or arrival changes no view state.  A
-block marked `synced` (bulk sync for a node that was offline when it was
-broadcast) carries no temporal order; that matters only if it opens a fork,
-which is then created undecidable and never assigns a penalty.
+Every block enters by id through `observe`, which reads it from the store
+(the one writer of block fields; a view never writes) and checks its arrival
+against the view's clock, the latest arrival connected or buffered, before
+anything else; so a refused id or arrival changes no view state.  A block
+marked `synced` (bulk sync for a node offline when it was broadcast) carries
+no temporal order; that matters only if it opens a fork, which is then
+created undecidable and never assigns a penalty.
 
 Penalty state is kept per (fork-block, branch) pair, where a branch is
 identified by the fork-block child it passes through.  Every head descending
@@ -129,31 +129,33 @@ class _ForkState:
 
 class NodeView:
     """Single-threaded subjective state of one observing node.  Blocks are
-    written to and read from `store`, a given one or its own; `tree` holds
-    the arrivals, children and heads this node has seen."""
+    read from `store`, which views may share; `tree` holds the arrivals,
+    children and heads this node has seen."""
 
-    def __init__(self, params: AdessParams, store: Optional[BlockTree] = None):
+    def __init__(self, params: AdessParams, store: BlockTree):
         self.params = params
-        self.store = BlockTree() if store is None else store
-        self.tree = SeenTree(self.store.genesis_id)
+        self.store = store
+        self.tree = SeenTree(store.genesis_id)
+        self._clock = 0.0  # latest arrival connected or buffered
         self._forks: Dict[BlockId, _ForkState] = {}
-        self._pending: Dict[BlockId, List[Tuple[Block, float, bool]]] = {}
+        self._pending: Dict[BlockId, List[Tuple[BlockId, bool]]] = {}
         # reset anchor block -> (cumdiff at anchor, re-based score at anchor)
         self._resets: Dict[BlockId, Tuple[float, float]] = {}
         # block -> (deepest reset anchor on its path or None, fork path of
         # (fork state, branch child) pairs)
-        self._index: Dict[BlockId, tuple] = {self.store.genesis_id: (None, ())}
+        self._index: Dict[BlockId, tuple] = {store.genesis_id: (None, ())}
         # block -> number of active penalties on its path; see module doc
-        self._active: Dict[BlockId, int] = {self.store.genesis_id: 0}
+        self._active: Dict[BlockId, int] = {store.genesis_id: 0}
         self._best: Optional[Tuple[float, BlockId]] = None  # see module doc
 
     # -- observation -------------------------------------------------------
 
-    def observe(self, block: Block, arrival: float,
+    def observe(self, bid: BlockId, arrival: float,
                 synced: bool = False) -> "NodeView":
-        """Record the arrival of `block`; orphans are buffered, with their
-        own `synced` flag, until their parent is observed (in-order delivery
-        per chain).
+        """Record the arrival of the store's block `bid` (an unknown id, or an
+        arrival before the view's clock or NaN, raises first); orphans are
+        buffered, with their own `synced` flag, and connect at their parent's
+        arrival (in-order delivery per chain).
 
         `synced` ingests the block without temporal-order information (bulk
         sync for a node that was not connected when it was broadcast).  It
@@ -162,19 +164,30 @@ class NodeView:
         a fork opened live counts toward alpha and the boundary like any
         other; syncing every earlier block before observing any live one,
         as a replay in arrival order does, never mixes the two."""
-        if block.id in self._index:
+        block = self.store.block(bid)
+        if not arrival >= self._clock:
+            raise ValueError(
+                f"arrival {arrival!r} breaks the non-decreasing order")
+        if bid in self._index:
             return self
+        self._clock = arrival
         if block.parent not in self._index:
-            self._pending.setdefault(block.parent, []).append(
-                (block, arrival, synced))
+            self._pending.setdefault(block.parent, []).append((bid, synced))
             return self
         self._connect(block, arrival, synced)
+        # then the orphans waiting on it, depth first in arrival order, each
+        # with its own flag (of a block delivered twice while it waited, the
+        # first wins); a loop, as a chain of orphans may be long
+        todo = self._pending.pop(bid, ())[::-1] if self._pending else ()
+        while todo:
+            bid, synced = todo.pop()
+            if bid not in self._index:
+                self._connect(self.store.blocks[bid], arrival, synced)
+                todo += self._pending.pop(bid, ())[::-1]
         return self
 
     def _connect(self, block: Block, arrival: float, synced: bool):
-        if self.store.blocks.get(block.id) != block:
-            self.store.insert(block)  # validates before any view state moves
-        self.tree.insert(block, arrival)  # checks the arrival before it writes
+        self.tree.insert(block, arrival)
         bid, parent = block.id, block.parent
         assert parent is not None
         self._active[bid] = self._active[parent]
@@ -192,13 +205,6 @@ class NodeView:
                 self._best = (score, bid)
             elif parent == self._best[1]:
                 self._best = None
-
-        # flush any orphans waiting on this block, each with its own flag; of
-        # a block delivered twice while it waited, the first arrival wins
-        for child, child_arrival, child_synced in (
-                self._pending and self._pending.pop(bid, ())):
-            if child.id not in self._index:
-                self._connect(child, max(child_arrival, arrival), child_synced)
 
     # -- fork bookkeeping --------------------------------------------------
 

@@ -39,7 +39,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .chain import Block, BlockId, BlockTree
+from .chain import BlockId, BlockTree
 from .economics import AttackParams, boundary_blocks
 from .errors import ConfigError, DomainError, check_numbers, number
 from .forkchoice import AdessParams, NodeView
@@ -299,9 +299,9 @@ class _Simulation:
         self._draw = cfg.mining._drawer(self.rng_honest)
         self._adraw = cfg.mining._drawer(self.rng_attacker)
         self._retarget = cfg.difficulty._retarget()
-        self._nextdiff: Dict[BlockId, float] = {self.tree.genesis_id: 1.0}
-        # block -> the epoch so far that the rule's step carries past it
-        self._epoch: Dict[BlockId, tuple] = {}
+        # block -> (next difficulty, the epoch so far it carries, or None)
+        self._retargets: Dict[BlockId, tuple] = {
+            self.tree.genesis_id: (1.0, None)}
 
         self._canonical: Dict[str, BlockId] = {
             name: self.tree.genesis_id for name in self._views}
@@ -352,7 +352,7 @@ class _Simulation:
         return (*self._views[names[0]], members,
                 unread if unread != members else members)
 
-    def _fan_out(self, sender: str, blocks: Sequence[Block]):
+    def _fan_out(self, sender: str, blocks: Sequence[BlockId]):
         """Send `blocks` over the sender's links: one arrive event per
         stretch of links at one delay, pushed in link order with consecutive
         seqs, so as if each (receiver, block) pair had its own event."""
@@ -385,18 +385,16 @@ class _Simulation:
         bid = self.tree.append_block(parent, difficulty, miner, self.time)
         # applied hashrate stands in for the implied hashrate so that the
         # deterministic retarget recurrences are reproduced exactly
-        count, total = self._epoch.get(parent, (0, 0))
-        self._nextdiff[bid], epoch = self._retarget(
+        count, total = self._retargets[parent][1] or (0, 0)
+        self._retargets[bid] = self._retarget(
             difficulty, hashrate, count + 1, total + duration)
-        if epoch is not None:
-            self._epoch[bid] = epoch
         return bid
 
     # -- honest mining -----------------------------------------------------
 
     def _schedule(self, head: BlockId, hashrate: float):
         """The one draw step: the group at `head` draws its next event."""
-        difficulty = self._nextdiff[head]
+        difficulty = self._retargets[head][0]
         p, u, tick = self._draw(difficulty, hashrate)
         seq = self._seq = self._seq + 1
         group = self._groups[head] = (hashrate, seq)
@@ -431,13 +429,13 @@ class _Simulation:
             return  # stale schedule, superseded by a regroup
         miner = self._members[head][0]  # the group's leader
         bid = self._add_block(head, difficulty, miner, group[0], duration)
-        self._fan_out(miner, (self.tree.blocks[bid],))
+        self._fan_out(miner, (bid,))
         # every membership change regroups, so the rate is still their sum
         self._schedule(head, group[0])
 
     # -- observation -------------------------------------------------------
 
-    def _on_arrive(self, runs: List[tuple], blocks: Sequence[Block]):
+    def _on_arrive(self, runs: List[tuple], blocks: Sequence[BlockId]):
         """`blocks` reach each run (see `_run`): the one ingestion path of
         every receiver.  A block's head comes from the memo, as the view may
         be ahead and a second observe would queue an orphan twice, or else
@@ -452,11 +450,11 @@ class _Simulation:
                 if not members:
                     continue
             moves, old = [], canonical[members[0][0]]
-            for block in blocks:
-                head = memo.get(block.id)
+            for bid in blocks:
+                head = memo.get(bid)
                 if head is None:
-                    view.observe(block, time)
-                    head = memo[block.id] = self._node_canonical(view)
+                    view.observe(bid, time)
+                    head = memo[bid] = self._node_canonical(view)
                 if head != old:
                     moves.append((old, head, stored[head].height))
                     old = head
@@ -483,16 +481,16 @@ class _Simulation:
                     self._check_conveyance(blocks[0])
                     self._check_broadcast_condition()
 
-    def _check_conveyance(self, block: Block):
+    def _check_conveyance(self, bid: BlockId):
         """The victim (n0) conveys the exchange item once it has observed
         alpha confirmation blocks of the transaction on the incumbent chain."""
         if (self.conveyed_time is not None or self.fork_block is None
-                or block.miner == ATTACKER):
+                or self.tree.blocks[bid].miner == ATTACKER):
             return
         need = self.cfg.attack.horizon_blocks
         fork_h = self.tree.block(self.fork_block).height
-        if (block.height - fork_h >= need
-                and self.tree.is_ancestor(self.fork_block, block.id)):
+        if (self.tree.blocks[bid].height - fork_h >= need
+                and self.tree.is_ancestor(self.fork_block, bid)):
             self.conveyed_time = self.time
 
     # -- attacker ----------------------------------------------------------
@@ -512,7 +510,7 @@ class _Simulation:
         parent = self.attacker_chain[-1] if self.attacker_chain \
             else self.fork_block
         assert parent is not None
-        difficulty = self._nextdiff[parent]
+        difficulty = self._retargets[parent][0]
         if self._rate is None:  # budish
             N = self.cfg.attack.horizon_blocks
             surplus = len(self.attacker_chain) >= N - 1
@@ -554,8 +552,7 @@ class _Simulation:
             return
         self.broadcast_time = self.time
         self._obs_read = False
-        self._fan_out(ATTACKER, [
-            self.tree.block(bid) for bid in self.attacker_chain])
+        self._fan_out(ATTACKER, tuple(self.attacker_chain))
 
     # -- reporting ---------------------------------------------------------
 
@@ -635,9 +632,8 @@ def disconnected_node_probe(cfg: ScenarioConfig, join_time: float
     late = NodeView(cfg.adess, sim.tree)
     post_join = 0
     for bid, arrival in reference.tree.arrivals[1:]:
-        block = sim.tree.block(bid)
         synced = arrival < join_time
-        late.observe(block, arrival, synced=synced)
+        late.observe(bid, arrival, synced=synced)
         post_join += not synced
     undecidable = bool(late.undecidable_forks)
     inferred = None

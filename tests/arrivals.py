@@ -8,7 +8,7 @@ from functools import partial
 
 def per_arrival(sim, step) -> None:
     """Split every arrive event of `sim` into single-member, single-block
-    runs, in push order, calling `step(node, block, arrive)` for each pair;
+    runs, in push order, calling `step(node, bid, arrive)` for each pair;
     `arrive()` runs the simulator's own handler on that pair alone."""
     on_arrive = sim._on_arrive
 
@@ -16,7 +16,7 @@ def per_arrival(sim, step) -> None:
         for _, _, members, _ in runs:
             for node, *_ in members:
                 run = sim._run((node,))
-                for block in blocks:
-                    step(node, block, partial(on_arrive, [run], [block]))
+                for bid in blocks:
+                    step(node, bid, partial(on_arrive, [run], [bid]))
 
     sim._on_arrive = split

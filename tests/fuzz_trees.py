@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from adess.chain import Block
+from adess.chain import BlockTree
 from adess.forkchoice import AdessParams, NodeView
 
 
@@ -13,13 +13,11 @@ def build_random_view(rng: random.Random) -> NodeView:
     """Feed a random tree (<= 200 blocks, <= 6 extra forks) in arrival order."""
     alpha = rng.randint(1, 4)
     xi = rng.choice([0.25, 0.5, 1.0, 2.0])
-    view = NodeView(AdessParams(alpha=alpha, xi=xi))
+    view = NodeView(AdessParams(alpha=alpha, xi=xi), BlockTree())
     n = rng.randint(1, 200)
     forks_left = 6
     ids = [0]
-    height = {0: 0}
     t = 1.0
-    next_id = 1
     tips = [0]
     for _ in range(n):
         if forks_left > 0 and rng.random() < 0.15:
@@ -27,10 +25,8 @@ def build_random_view(rng: random.Random) -> NodeView:
             forks_left -= 1
         else:
             parent = rng.choice(tips)
-        bid = next_id
-        next_id += 1
-        height[bid] = height[parent] + 1
-        view.observe(Block(bid, parent, height[bid], 1.0, "", 0.0), t)
+        bid = view.store.append_block(parent, 1.0)
+        view.observe(bid, t)
         t += 1.0
         ids.append(bid)
         if parent in tips:

@@ -4,8 +4,8 @@
 shortcuts:
 
 - one heap event per (receiver, block) arrival, pushed in link order;
-- a private `NodeView` over its own `BlockTree` for every receiver, att_obs
-  included, fed every arrival;
+- a private `NodeView` over the simulator's tree for every receiver,
+  att_obs included, fed every arrival;
 - a full regroup of every head, in sorted order, wherever a group can
   change: after a block is mined and after a miner's head moves;
 - mine events pushed as soon as they are drawn, and skipped as stale when
@@ -37,7 +37,7 @@ class NaiveSimulation(_Simulation):
     def __init__(self, cfg: ScenarioConfig):
         super().__init__(cfg)  # tree, RNGs, difficulty and attacker state
         names = ["att_obs", *cfg.node_names()]
-        self.views = {name: NodeView(cfg.adess) for name in names}
+        self.views = {name: NodeView(cfg.adess, self.tree) for name in names}
         self.nodes = {name: self.views[name] for name in cfg.node_names()}
         self.rates = {n: r for n, r in cfg.hashrates().items() if r > 0}
         nodes = sorted(cfg.node_names())
@@ -63,8 +63,8 @@ class NaiveSimulation(_Simulation):
 
     def _fan_out(self, sender: str, blocks):
         for delay, name in self.links[sender]:
-            for block in blocks:
-                self._push(self.time + delay, self.arrive, (name, block))
+            for bid in blocks:
+                self._push(self.time + delay, self.arrive, (name, bid))
 
     def regroup(self):
         """Draw a block time for every head whose members' summed hashrate
@@ -80,7 +80,7 @@ class NaiveSimulation(_Simulation):
             if hashrate is None:
                 del self.groups[head]
                 continue
-            difficulty = self._nextdiff[head]
+            difficulty = self._retargets[head][0]
             dur = next_block_time(difficulty, hashrate, self.cfg.mining,
                                   self.rng_honest)
             self.groups[head] = (hashrate, None)
@@ -97,12 +97,12 @@ class NaiveSimulation(_Simulation):
         del self.groups[head]
         miner = min(n for n in self.rates if self._canonical[n] == head)
         bid = self._add_block(head, difficulty, miner, hashrate, duration)
-        self._fan_out(miner, [self.tree.block(bid)])
+        self._fan_out(miner, [bid])
         self.regroup()
 
-    def arrive(self, name: str, block):
+    def arrive(self, name: str, bid: int):
         view = self.views[name]
-        view.observe(block, self.time)
+        view.observe(bid, self.time)
         head = (view.adess_canonical() if self.cfg.protocol == "adess"
                 else view.nakamoto_canonical())
         old, self._canonical[name] = self._canonical[name], head
@@ -116,7 +116,7 @@ class NaiveSimulation(_Simulation):
             if name in self.rates:
                 self.regroup()
         if name == "n0":
-            self._check_conveyance(block)
+            self._check_conveyance(bid)
             self._check_broadcast_condition()
 
 

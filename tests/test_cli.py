@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from adess import cli
 from adess.cli import SWEEP_HEADER, main, scenario_from_dict
 from adess.errors import ConfigError
 
@@ -107,6 +108,22 @@ def test_simulate_writes_report_and_series(capsys, tmp_path):
     assert "[run]" in report and "[tree]" in report
     series = (out_dir / "series.csv").read_text()
     assert series.splitlines()[0] == "time,node,head,height"
+
+
+def test_an_out_that_cannot_be_a_directory_exits_one_before_the_run(
+        capsys, tmp_path, monkeypatch):
+    # `simulate` made --out only after the whole run, and then ended in a
+    # FileExistsError or NotADirectoryError traceback
+    def no_run(cfg):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    cfg = scenario_json(tmp_path)
+    for out_dir in (cfg, str(Path(cfg) / "out")):
+        code, _, err = run(capsys, "simulate", "--config", cfg,
+                           "--out", out_dir)
+        assert code == 1 and "error:" in err, err
+        assert "Traceback" not in err
 
 
 def test_simulate_rerun_is_byte_identical(capsys, tmp_path):

@@ -132,6 +132,9 @@ COMMANDS = st.one_of(
         {"--tau": INT_TEXT, "--n": INT_TEXT, **ECON})),
 )
 WRITES_FILES = ("simulate", "sweep", "security-bound", "compare-protocols")
+#: --out under the run's temporary directory: a fresh path, or a path under
+#: a regular file (the drawn config), which no command can make
+OUT_PATHS = ("out", "config.json/out")
 #: commands whose printed numbers must be finite (a sweep's nan columns
 #: mark a penalty that does not deter or a safe value left undefined)
 FINITE_OUTPUT = ("profit", "safe-v", "min-xi", "compare-protocols")
@@ -166,15 +169,18 @@ def _run(argv) -> tuple:
 
 # p_B or c near the largest float overflows a revenue, cost or split cost
 @example((["profit"], None, ["--v", "1", "--xi", "1", "--pb", "1e308",
-                             "--b", "5"]))
-@example((["profit"], None, ["--v", "1", "--xi", "1", "--c", "1e308"]))
-@example((["safe-v"], None, ["--xi", "1", "--pb", "1e308"]))
-@example((["min-xi"], None, ["--v", "1", "--c", "1e308"]))
+                             "--b", "5"]), "out")
+@example((["profit"], None, ["--v", "1", "--xi", "1", "--c", "1e308"]), "out")
+@example((["safe-v"], None, ["--xi", "1", "--pb", "1e308"]), "out")
+@example((["min-xi"], None, ["--v", "1", "--c", "1e308"]), "out")
 @example((["compare-protocols"], None, ["--horizon", "20", "--c", "1e308",
-                                        "--xi", "1"]))
-@given(COMMANDS)
+                                        "--xi", "1"]), "out")
+# --out under a regular file once ended in a NotADirectoryError traceback
+@example((["compare-protocols"], None, ["--horizon", "20"]),
+         "config.json/out")
+@given(COMMANDS, st.sampled_from(OUT_PATHS))
 @settings(max_examples=250, deadline=None)
-def test_cli_exits_0_1_or_2_without_traceback_in_time(command):
+def test_cli_exits_0_1_or_2_without_traceback_in_time(command, out_path):
     head, config, tail = command
     tmp = Path(tempfile.mkdtemp(prefix="adess-cli-"))
     try:
@@ -182,7 +188,7 @@ def test_cli_exits_0_1_or_2_without_traceback_in_time(command):
         path.write_text(json.dumps(config))
         argv = head + [str(path) if tok is CONFIG else tok for tok in tail]
         if head[0] in WRITES_FILES:
-            argv += ["--out", str(tmp / "out")]
+            argv += ["--out", str(tmp / out_path)]
         code, out, err = _run(argv)
     finally:
         shutil.rmtree(tmp)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from adess.chain import Block
+from adess.chain import BlockTree
 from adess.economics import AttackParams
 from adess.forkchoice import AdessParams, NodeView
 from adess.mining import Stochastic
@@ -26,14 +26,19 @@ def rescored_head(view: NodeView) -> int:
                                         view.tree.first_seen[h], h))
 
 
+def add(view: NodeView, parent: int, difficulty: float) -> int:
+    """Write a block under `parent` to the view's store; return its id."""
+    return view.store.append_block(parent, difficulty)
+
+
 def replay_checked(source: NodeView) -> int:
     """Feed `source`'s observation log to a fresh view, comparing the cached
     canonical head with a full rescoring after every observe; returns how
     many queries the cache answered without rescoring."""
-    view = NodeView(source.params)
+    view = NodeView(source.params, source.store)
     cached = 0
     for bid, arrival in source.tree.arrivals[1:]:
-        view.observe(source.store.block(bid), arrival)
+        view.observe(bid, arrival)
         cached += view._best is not None
         assert view.adess_canonical() == rescored_head(view)
     assert view.adess_canonical() == source.adess_canonical()
@@ -73,10 +78,10 @@ def test_cached_head_matches_rescoring_in_forky_scenarios():
 
 def test_extending_the_cached_head_moves_it_at_an_equal_score():
     # 1.0 + 1e-20 == 1.0: the child does not outscore the head it extends
-    view = NodeView(AdessParams(alpha=2, xi=1.0))
-    view.observe(Block(1, 0, 1, 1.0, "", 0.0), 1.0)
+    view = NodeView(AdessParams(alpha=2, xi=1.0), BlockTree())
+    view.observe(add(view, 0, 1.0), 1.0)
     assert view.adess_canonical() == 1
-    view.observe(Block(2, 1, 2, 1e-20, "", 0.0), 2.0)
+    view.observe(add(view, 1, 1e-20), 2.0)
     assert view.adjusted_score(2) == view.adjusted_score(1)
     assert view.adess_canonical() == 2 == rescored_head(view)
 
@@ -84,14 +89,14 @@ def test_extending_the_cached_head_moves_it_at_an_equal_score():
 def test_a_penalty_that_misses_the_cached_head_keeps_it():
     # the synced block 3 opens an undecidable fork at 0 beside the heavy head
     # 2; block 6 then decides the fork at 3 against branch 5, away from 2
-    view = NodeView(AdessParams(alpha=2, xi=1.0))
-    view.observe(Block(1, 0, 1, 10.0, "", 0.0), 1.0)
-    view.observe(Block(2, 1, 2, 10.0, "", 0.0), 2.0)
-    view.observe(Block(3, 0, 1, 1.0, "", 0.0), 3.0, synced=True)
-    view.observe(Block(4, 3, 2, 1.0, "", 0.0), 4.0)
-    view.observe(Block(5, 3, 2, 1.0, "", 0.0), 5.0)
+    view = NodeView(AdessParams(alpha=2, xi=1.0), BlockTree())
+    view.observe(add(view, 0, 10.0), 1.0)
+    view.observe(add(view, 1, 10.0), 2.0)
+    view.observe(add(view, 0, 1.0), 3.0, synced=True)
+    view.observe(add(view, 3, 1.0), 4.0)
+    view.observe(add(view, 3, 1.0), 5.0)
     assert view.adess_canonical() == 2
-    view.observe(Block(6, 4, 3, 1.0, "", 0.0), 6.0)
+    view.observe(add(view, 4, 1.0), 6.0)
     assert [r.penalized_branch for r in view.penalty_records()] == [5]
     assert view._best == (21.0, 2)  # kept: no rescoring on the next query
     assert view.adess_canonical() == 2 == rescored_head(view)
@@ -100,11 +105,11 @@ def test_a_penalty_that_misses_the_cached_head_keeps_it():
 def test_a_penalty_on_the_cached_heads_branch_clears_it():
     # block 3 takes branch 2 to depth 2 first, penalizing the heavier head 1;
     # being lighter, 3 does not take the cache over
-    view = NodeView(AdessParams(alpha=2, xi=1.0))
-    view.observe(Block(1, 0, 1, 10.0, "", 0.0), 1.0)
-    view.observe(Block(2, 0, 1, 1.0, "", 0.0), 2.0)
+    view = NodeView(AdessParams(alpha=2, xi=1.0), BlockTree())
+    view.observe(add(view, 0, 10.0), 1.0)
+    view.observe(add(view, 0, 1.0), 2.0)
     assert view.adess_canonical() == 1
-    view.observe(Block(3, 2, 2, 1.0, "", 0.0), 3.0)
+    view.observe(add(view, 2, 1.0), 3.0)
     assert [r.penalized_branch for r in view.penalty_records()] == [1]
     assert view._best is None
     assert view.adess_canonical() == 3 == rescored_head(view)

@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adess.chain import Block
+from adess.chain import BlockTree
 from adess.forkchoice import AdessParams, NodeView
 
 from fuzz_trees import build_random_view
@@ -42,19 +42,16 @@ def test_deactivation_is_permanent_along_growth():
     rng = random.Random(42)
     for _ in range(20):
         alpha = rng.randint(1, 3)
-        view = NodeView(AdessParams(alpha=alpha, xi=rng.choice([0.5, 1.0])))
-        height = {0: 0}
+        view = NodeView(AdessParams(alpha=alpha, xi=rng.choice([0.5, 1.0])),
+                        BlockTree())
         tips = [0]
-        next_id = 1
         t = 1.0
         off = set()
         for step in range(120):
             parent = rng.choice(tips) if rng.random() > 0.1 else \
-                rng.choice(list(height))
-            bid = next_id
-            next_id += 1
-            height[bid] = height[parent] + 1
-            view.observe(Block(bid, parent, height[bid], 1.0, "", 0.0), t)
+                rng.choice(list(view.store.blocks))
+            bid = view.store.append_block(parent, 1.0)
+            view.observe(bid, t)
             t += 1.0
             if parent in tips:
                 tips.remove(parent)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from adess.chain import SeenTree
+from adess.chain import BlockTree, SeenTree
 from adess.economics import AttackParams
 from adess.forkchoice import AdessParams, NodeView
 from adess.mining import Stochastic
@@ -56,9 +56,9 @@ def check_entry(view: NodeView, bid: int):
 def replay_checked(source: NodeView) -> NodeView:
     """Feed `source`'s observation log to a fresh view, checking the index of
     every head after every observe and of every block at the end."""
-    view = NodeView(source.params)
+    view = NodeView(source.params, source.store)
     for bid, arrival in source.tree.arrivals[1:]:
-        view.observe(source.store.block(bid), arrival)
+        view.observe(bid, arrival)
         for head in view.tree.heads:
             check_entry(view, head)
     for bid in view.tree.children:
@@ -98,6 +98,8 @@ def test_index_matches_walks_in_forky_scenarios():
 
 
 def test_store_backed_view_matches_standalone_view():
+    # a view over a store other views read, and one over a copy of its own,
+    # agree through late arrivals, and neither writes to its store
     rng = random.Random(4)
     orphans = 0
     for _ in range(100):
@@ -106,13 +108,14 @@ def test_store_backed_view_matches_standalone_view():
         # some blocks arrive late, after their children
         late = [i + rng.choice((0, 0, 0, 2.5)) for i in range(len(arrivals))]
         arrivals = [bid for _, bid in sorted(zip(late, arrivals))]
-        shared = NodeView(source.params, store=source.store)
-        alone = NodeView(source.params)
+        snapshot = source.store.snapshot()
+        shared = NodeView(source.params, source.store)
+        alone = NodeView(source.params, BlockTree.from_snapshot(snapshot))
         for t, bid in enumerate(arrivals, start=1):
-            block = source.store.block(bid)
-            orphans += block.parent not in alone.tree.children
-            shared.observe(block, float(t))
-            alone.observe(block, float(t))
+            parent = source.store.block(bid).parent
+            orphans += parent not in alone.tree.children
+            shared.observe(bid, float(t))
+            alone.observe(bid, float(t))
             assert shared.adess_canonical() == alone.adess_canonical()
             assert shared.nakamoto_canonical() == alone.nakamoto_canonical()
         assert all(isinstance(v.tree, SeenTree) for v in (shared, alone))
@@ -120,5 +123,5 @@ def test_store_backed_view_matches_standalone_view():
         assert shared.tree.children == alone.tree.children
         assert shared.tree.arrivals == alone.tree.arrivals
         assert shared.penalty_ledger() == alone.penalty_ledger()
-        assert len(source.store.blocks) == len(alone.store.blocks)
+        assert source.store.snapshot() == alone.store.snapshot() == snapshot
     assert orphans > 0

@@ -153,9 +153,9 @@ def views_digest() -> str:
     h = hashlib.sha256()
     for seed in VIEW_SEEDS:
         source = build_random_view(random.Random(seed))
-        view = NodeView(source.params)
+        view = NodeView(source.params, source.store)
         for bid, arrival in source.tree.arrivals[1:]:
-            view.observe(source.store.block(bid), arrival)
+            view.observe(bid, arrival)
             h.update(f"{view.adess_canonical()},"
                      f"{view.nakamoto_canonical()};".encode())
         h.update(view.penalty_ledger().encode())

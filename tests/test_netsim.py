@@ -182,7 +182,7 @@ def test_an_attacker_hashrate_that_underflows_to_zero_stalls_the_attacker():
     # no block and raising nothing
     sim = _Simulation(replace(cfg, honest_hashrates=None))
     sim.fork_block = sim.tree.genesis_id
-    sim._nextdiff[sim.fork_block] = 5e-324  # x 0.5 rounds to 0.0
+    sim._retargets[sim.fork_block] = (5e-324, None)  # x 0.5 rounds to 0.0
     queued = list(sim._heap)
     sim._schedule_attacker_block()
     assert sim._heap == queued
@@ -478,15 +478,15 @@ def run_with_private_views(cfg: ScenarioConfig) -> tuple:
     (att_obs's only while it is read), and that the run's output is the
     per-class runs' own; returns (sim, memo hits, orphans)."""
     sim = _Simulation(cfg)
-    private = {name: NodeView(cfg.adess) for name in sim._views}
+    private = {name: NodeView(cfg.adess, sim.tree) for name in sim._views}
     hits = orphans = 0
 
-    def checked(node, block, arrive):
+    def checked(node, bid, arrive):
         nonlocal hits, orphans
         view = private[node]
-        hits += block.id in sim._views[node][1]
-        orphans += block.parent not in view.tree.children
-        view.observe(block, sim.time)
+        hits += bid in sim._views[node][1]
+        orphans += sim.tree.block(bid).parent not in view.tree.children
+        view.observe(bid, sim.time)
         read = node != "att_obs" or sim._obs_read
         arrive()
         if read:

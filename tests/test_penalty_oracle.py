@@ -210,13 +210,13 @@ def check_step(view: NodeView, oracle: NaiveReplay, bid):
 def replay_against_oracle(source: NodeView, n_synced: int = 0) -> NaiveReplay:
     """Replay `source`'s log into a fresh view and the oracle, the first
     `n_synced` blocks synced, comparing both after every observe."""
-    view = NodeView(source.params)
+    view = NodeView(source.params, source.store)
     genesis = source.store.block(source.store.genesis_id)
     oracle = NaiveReplay(source.params, genesis)
     records = None
     for i, (bid, arrival) in enumerate(source.tree.arrivals[1:]):
         block = source.store.block(bid)
-        view.observe(block, arrival, synced=i < n_synced)
+        view.observe(bid, arrival, synced=i < n_synced)
         oracle.step(block, arrival, i < n_synced)
         check_step(view, oracle, bid)
         # no block lies under two active penalties (forkchoice's module doc)
