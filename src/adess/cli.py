@@ -494,7 +494,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (AdessError, ValueError, OSError) as e:
-        log.error("%s", e)
         print(f"error: {e}", file=sys.stderr)
         return 1
 

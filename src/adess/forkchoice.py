@@ -26,14 +26,15 @@ was penalty-free when it reached the depth.  A record reads its chains live
 from the fork's branch lengths, and is active until `deactivated_at` is set.
 
 Every block carries a fork-choice index entry, inherited from its parent when
-it is connected, so no score or penalty query walks the tree.  Its reset
-anchor is the deepest block on its path where a chain's score was re-based.
-A reset is recorded only at the deepest block of a penalized branch, which is
-a leaf of the view's tree at that moment, so setting the anchor on that block
-alone is exact.  Its fork path holds a (fork state, branch child) entry per
-fork it descends through, in fork-creation order: a new branch child swaps
-the entry in a sibling's path, and a new fork, the newest, is appended along
-its existing subtree in one walk.
+it is connected, so no score or penalty query walks the tree.  Its reset is
+None, or (anchor, anchor cumdiff, re-based score) for the deepest block on
+its path where a chain's score was re-based.  A reset is recorded only at the
+deepest block of a penalized branch, a leaf of the view's tree at that
+moment, so setting it in that block's entry alone is exact.  Its fork path
+holds a (fork state, branch child) entry per fork it descends through, in
+fork-creation order: a new branch child swaps the entry in a sibling's path,
+and a new fork, the newest, is appended along its existing subtree in one
+walk.
 
 Each block also counts the active penalties on its path, inherited from its
 parent, so a penalty test is one lookup.  The count is at most 1: `_fire`
@@ -139,10 +140,9 @@ class NodeView:
         self._clock = 0.0  # latest arrival connected or buffered
         self._forks: Dict[BlockId, _ForkState] = {}
         self._pending: Dict[BlockId, List[Tuple[BlockId, bool]]] = {}
-        # reset anchor block -> (cumdiff at anchor, re-based score at anchor)
-        self._resets: Dict[BlockId, Tuple[float, float]] = {}
-        # block -> (deepest reset anchor on its path or None, fork path of
-        # (fork state, branch child) pairs)
+        # block -> (reset, fork path of (fork state, branch child) pairs);
+        # reset is (anchor, its cumdiff, its re-based score) for the deepest
+        # re-based block on the path, or None
         self._index: Dict[BlockId, tuple] = {store.genesis_id: (None, ())}
         # block -> number of active penalties on its path; see module doc
         self._active: Dict[BlockId, int] = {store.genesis_id: 0}
@@ -220,8 +220,8 @@ class NodeView:
         stack = [branch]
         while stack:
             bid = stack.pop()
-            anchor, path = self._index[bid]
-            self._index[bid] = (anchor, path + (entry,))
+            reset, path = self._index[bid]
+            self._index[bid] = (reset, path + (entry,))
             depth = self.store.block(bid).height - fs.height
             if depth > best_len or (depth == best_len and bid < best_block):
                 best_len, best_block = depth, bid
@@ -245,7 +245,7 @@ class NodeView:
                 fork, block.height - 1, undecidable=synced)
             alpha_block = self._scan_branch(fs, earlier)
         fs.branch_len[block.id] = (1, block.id)
-        # index it: the parent's anchor, and a sibling's fork path with the
+        # index it: the parent's reset, and a sibling's fork path with the
         # entry for this fork swapped
         path = tuple((fs, block.id) if e[0] is fs else e
                      for e in self._index[earlier][1])
@@ -345,11 +345,9 @@ class NodeView:
                 best = score
         if best is not None:
             assert not self.tree.children[head_pen]  # leaf: see module doc
-            self._resets[head_pen] = (
-                self.store.cumulative_difficulty(head_pen),
-                best + self.params.epsilon,
-            )
-            self._index[head_pen] = (head_pen, self._index[head_pen][1])
+            reset = (head_pen, self.store.cumulative_difficulty(head_pen),
+                     best + self.params.epsilon)
+            self._index[head_pen] = (reset, self._index[head_pen][1])
 
     def _best_baseline_score(self, fs: _ForkState) -> float:
         """Best score among the heads of the fork's baseline branch; it has
@@ -362,12 +360,11 @@ class NodeView:
     def adjusted_score(self, bid: BlockId) -> float:
         """Cumulative difficulty, re-based past the deepest crossing anchor
         on the chain's path."""
-        anchor = self._entry(bid)[0]  # raises UnknownBlock, as the store
+        reset = self._entry(bid)[0]  # raises UnknownBlock, as the store
         cum = self.store._cumdiff[bid]  # holds every block the view has seen
-        if anchor is None:
+        if reset is None:
             return cum
-        anchor_cum, value = self._resets[anchor]
-        return value + (cum - anchor_cum)
+        return reset[2] + (cum - reset[1])  # re-based score + growth since
 
     def penalized_score(self, bid: BlockId, fork: BlockId) -> float:
         """Discounted post-fork length of an actively penalized chain: the
@@ -396,13 +393,11 @@ class NodeView:
     def _pick(self, scored: List[Tuple[float, BlockId]]) -> tuple:
         best_score = max(s for s, _ in scored)
         tied = [h for s, h in scored if s == best_score]
-        if len(tied) > 1:
-            tied.sort(key=lambda h: (self.tree.first_seen[h], h))
-        return best_score, tied[0]
+        return best_score, min(tied, key=self.tree.first_seen.__getitem__)
 
     def nakamoto_canonical(self) -> BlockId:
         """Head with maximal raw cumulative difficulty; ties broken by
-        earliest first-seen arrival, then lowest id."""
+        earliest first-seen arrival."""
         scored = [(self.store.cumulative_difficulty(h), h)
                   for h in self.tree.heads]
         return self._pick(scored)[1]

@@ -305,13 +305,11 @@ class _Simulation:
 
         self._canonical: Dict[str, BlockId] = {
             name: self.tree.genesis_id for name in self._views}
-        # head -> the miners following it, in name order
-        self._members: Dict[BlockId, List[str]] = {
-            self.tree.genesis_id: list(self._miners)}
-        # head -> (hashrate, seq of its last draw) of each group; a mine
-        # event whose seq is not stored here is stale
-        self._groups: Dict[BlockId, Tuple[float, int]] = {}
-        # seq -> (head, hashrate, difficulty, p, u, tick) drawn this instant
+        # head -> [miners in name order, hashrate, seq of its last draw or
+        # None] per group, one record each: see `_regroup` and `_on_mine`
+        self._groups: Dict[BlockId, list] = {
+            self.tree.genesis_id: [list(self._miners), 0.0, None]}
+        # seq -> (head, difficulty, p, u, tick) drawn this instant
         self._instant: Dict[int, tuple] = {}
         self.series: List[Tuple[float, str, BlockId, int]] = []
 
@@ -335,11 +333,10 @@ class _Simulation:
         heapq.heappush(self._heap, (time, self._seq, handler, payload))
 
     def _flush(self):  # push the mine events drawn at this instant
-        for seq, (head, group, difficulty, p, u, tick) \
-                in self._instant.items():
+        for seq, (head, difficulty, p, u, tick) in self._instant.items():
             dur = geometric_time(p, u, tick)
             heapq.heappush(self._heap, (self.time + dur, seq, self._on_mine,
-                                        (head, group, difficulty, dur)))
+                                        (head, seq, difficulty, dur)))
         self._instant.clear()
 
     def _run(self, names: Tuple[str, ...]) -> tuple:
@@ -392,46 +389,47 @@ class _Simulation:
 
     # -- honest mining -----------------------------------------------------
 
-    def _schedule(self, head: BlockId, hashrate: float):
+    def _schedule(self, head: BlockId, group: list):
         """The one draw step: the group at `head` draws its next event."""
         difficulty = self._retargets[head][0]
-        p, u, tick = self._draw(difficulty, hashrate)
-        seq = self._seq = self._seq + 1
-        group = self._groups[head] = (hashrate, seq)
+        p, u, tick = self._draw(difficulty, group[1])
+        seq = group[2] = self._seq = self._seq + 1
         if tick != NEVER_FOUND:  # else the group never finds a block
-            self._instant[seq] = (head, group, difficulty, p, u, tick)
+            self._instant[seq] = (head, difficulty, p, u, tick)
             if self.time + tick == self.time:
                 self._flush()  # it may fall due at this instant
 
     def _regroup(self, dirty: Sequence[BlockId]):
-        """Reschedule the groups at the `dirty` heads (a miner left or joined)
-        in head order, folding member rates in name order.  A group whose
-        hashrate is unchanged keeps its pending event, so a slow group's
+        """Reschedule the groups at the `dirty` heads in head order, folding
+        each record's rates in name order and dropping an empty one.  A group
+        whose hashrate is unchanged keeps its pending event, so a slow group's
         progress is never reset; superseded draws stay in the RNG stream."""
         groups, instant = self._groups, self._instant
         for head in dirty:
+            group = groups[head]
             hashrate = 0.0  # every rate is > 0, so 0.0 means no members
-            for name in self._members.get(head, ()):
+            for name in group[0]:
                 hashrate += self._miners[name]
-            group = groups.get(head)
-            if group is not None:
-                if group[0] == hashrate:
-                    continue  # pending event still valid
-                instant.pop(group[1], None)
-                if not hashrate:
-                    del groups[head]
+            if group[1] == hashrate:
+                continue  # pending event still valid
+            instant.pop(group[2], None)
             if hashrate:
-                self._schedule(head, hashrate)
+                group[1] = hashrate
+                self._schedule(head, group)
+            else:
+                del groups[head]
 
-    def _on_mine(self, head: BlockId, group: tuple, difficulty: float,
+    def _on_mine(self, head: BlockId, seq: int, difficulty: float,
                  duration: float):
-        if self._groups.get(head) is not group:
+        """The group at `head` mines unless a regroup redrew or dropped it."""
+        group = self._groups.get(head)
+        if group is None or group[2] != seq:
             return  # stale schedule, superseded by a regroup
-        miner = self._members[head][0]  # the group's leader
-        bid = self._add_block(head, difficulty, miner, group[0], duration)
+        miner = group[0][0]  # the group's leader
+        bid = self._add_block(head, difficulty, miner, group[1], duration)
         self._fan_out(miner, (bid,))
         # every membership change regroups, so the rate is still their sum
-        self._schedule(head, group[0])
+        self._schedule(head, group)
 
     # -- observation -------------------------------------------------------
 
@@ -443,7 +441,7 @@ class _Simulation:
         once; each member, att_obs only if read, takes them in push order as
         single arrivals would: a row each, and for a miner a regroup each."""
         canonical, stored, time = self._canonical, self.tree.blocks, self.time
-        series, following = self.series, self._members
+        series, groups = self.series, self._groups
         for view, memo, members, unread in runs:
             if members is not unread and not self._obs_read:
                 members = unread
@@ -467,14 +465,10 @@ class _Simulation:
                     continue
                 for prev, head, height in moves:
                     series.append((time, node, head, height))
-                    if miner:
-                        following[prev].remove(node)
-                        if not following[prev]:
-                            del following[prev]
-                        if head in following:
-                            bisect.insort(following[head], node)
-                        else:
-                            following[head] = [node]
+                    if miner:  # `_regroup` drops a record left empty
+                        groups[prev][0].remove(node)
+                        bisect.insort(groups.setdefault(
+                            head, [[], 0.0, None])[0], node)
                         self._regroup((prev, head) if prev < head
                                       else (head, prev))
                 if victim and self.broadcast_time is None:  # one block
@@ -504,12 +498,9 @@ class _Simulation:
         self.fork_block = head
         self.fork_time = self.time
         self._obs_read = self._target is None  # budish's broadcast test
-        self._schedule_attacker_block()
+        self._schedule_attacker_block(head)
 
-    def _schedule_attacker_block(self):
-        parent = self.attacker_chain[-1] if self.attacker_chain \
-            else self.fork_block
-        assert parent is not None
+    def _schedule_attacker_block(self, parent: BlockId):
         difficulty = self._retargets[parent][0]
         if self._rate is None:  # budish
             N = self.cfg.attack.horizon_blocks
@@ -534,7 +525,7 @@ class _Simulation:
         self.realized_cost += (self.cfg.attack.c * hashrate * duration
                                * self.cfg.attack.delta ** max(start, 0.0))
         if self._target is None or len(self.attacker_chain) < self._target:
-            self._schedule_attacker_block()
+            self._schedule_attacker_block(bid)
         self._check_broadcast_condition()
 
     def _check_broadcast_condition(self):

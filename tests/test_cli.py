@@ -486,6 +486,22 @@ def test_oversized_inputs_exit_one_quickly(tmp_path, argv):
     assert float(proc.stdout) < 1.0
 
 
+def test_a_refused_command_writes_one_stderr_line(tmp_path):
+    # under the default log level the error was also logged, a second line
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"horizon": -1}')
+    for argv in (["simulate", "--config", str(cfg)],
+                 ["security-bound", "--k", "1..3", "--rho", "0.8",
+                  "--lambda", "0.1", "--delta-prop", "0.0", "--out", str(cfg)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "adess.cli", *argv],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(SRC), "ADESS_LOG": "error"})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 @pytest.mark.parametrize("grid", [
     {"param": "v", "values": [True, "3"]},
     {"param": "v", "values": [1.0, "3"]},

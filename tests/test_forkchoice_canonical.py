@@ -61,7 +61,7 @@ def test_cached_head_matches_rescoring_on_fuzz_trees():
     for _ in range(150):
         view = build_random_view(random.Random(rng.getrandbits(32)))
         cached += replay_checked(view)
-        resets += len(view._resets)
+        resets += len({r for r, _ in view._index.values() if r is not None})
     assert cached > 0 and resets > 0  # both the fast path and re-basing ran
 
 
@@ -134,19 +134,19 @@ def test_active_groups_follow_miner_heads_after_every_arrival():
         nonlocal arrivals
         arrive()
         arrivals += 1
-        assert {h: g[0] for h, g in sim._groups.items()} == miner_groups(sim)
+        assert {h: g[1] for h, g in sim._groups.items()} == miner_groups(sim)
 
     # and after every block a group mines, since it redraws at its old rate;
     # `_flush` looks the handler up as it pushes, so this one runs
     on_mine = sim._on_mine
 
-    def mined(head, group, difficulty, duration):
+    def mined(head, seq, difficulty, duration):
         nonlocal mines
-        live = sim._groups.get(head) is group
-        on_mine(head, group, difficulty, duration)
+        live = sim._groups.get(head, (None, None, None))[2] == seq
+        on_mine(head, seq, difficulty, duration)
         mines += live
         if live:
-            assert ({h: g[0] for h, g in sim._groups.items()}
+            assert ({h: g[1] for h, g in sim._groups.items()}
                     == miner_groups(sim))
 
     per_arrival(sim, checked)

@@ -31,7 +31,7 @@ def walk_branch(view: NodeView, fork: int, bid: int):
 def scan_anchor(view: NodeView, bid: int):
     """Deepest reset anchor on the path of `bid`, by a scan of every reset."""
     best = None
-    for anchor in view._resets:
+    for anchor in resets_of(view):
         if view.store.is_ancestor(anchor, bid) and (
                 best is None
                 or view.store.block(anchor).height
@@ -40,9 +40,15 @@ def scan_anchor(view: NodeView, bid: int):
     return best
 
 
+def resets_of(view: NodeView) -> dict:
+    """Reset anchor -> (cumdiff, re-based score), over the distinct resets
+    that the view's index entries hold."""
+    return {r[0]: r[1:] for r, _ in view._index.values() if r is not None}
+
+
 def check_entry(view: NodeView, bid: int):
-    anchor, path = view._index[bid]
-    assert anchor == scan_anchor(view, bid)
+    reset, path = view._index[bid]
+    assert (None if reset is None else reset[0]) == scan_anchor(view, bid)
     expected = []
     for fs in view._forks.values():  # fork-creation order
         c = walk_branch(view, fs.fork, bid)
@@ -76,7 +82,7 @@ def test_index_matches_walks_on_fuzz_trees():
     for _ in range(150):
         tree_rng = random.Random(rng.getrandbits(32))
         view = replay_checked(build_random_view(tree_rng))
-        resets += len(view._resets)
+        resets += len(resets_of(view))
     assert resets > 0  # the anchor check is exercised, not vacuous
 
 

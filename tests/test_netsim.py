@@ -184,7 +184,7 @@ def test_an_attacker_hashrate_that_underflows_to_zero_stalls_the_attacker():
     sim.fork_block = sim.tree.genesis_id
     sim._retargets[sim.fork_block] = (5e-324, None)  # x 0.5 rounds to 0.0
     queued = list(sim._heap)
-    sim._schedule_attacker_block()
+    sim._schedule_attacker_block(sim.fork_block)
     assert sim._heap == queued
 
 
@@ -625,8 +625,8 @@ def test_a_head_left_by_its_last_miner_keeps_no_member_entry():
     # every head n0 mined on and moved off would keep an empty list
     sim = _Simulation(one_miner_cfg(seed=7, horizon=200.0))
     sim.run()
-    assert len(sim.tree.blocks) > 100 and sim._members
-    assert all(sim._members.values())
+    assert len(sim.tree.blocks) > 100 and sim._groups
+    assert all(members for members, _, _ in sim._groups.values())
 
 
 # -- the same-instant draw buffer and per-class rows ---------------------------
@@ -637,15 +637,16 @@ def test_no_mine_event_superseded_in_its_instant_reaches_the_heap(
     drawn, superseded, pushed = {}, {}, []  # mine seq -> instant
     schedule, regroup = sim._schedule, sim._regroup
 
-    def drawing(head, hashrate):  # the one draw step
-        schedule(head, hashrate)
-        drawn[sim._groups[head][1]] = sim.time
+    def drawing(head, group):  # the one draw step
+        schedule(head, group)
+        drawn[sim._groups[head][2]] = sim.time
 
     def tracked(dirty):  # a regroup supersedes what it redraws or drops
-        before = {h: g[1] for h, g in sim._groups.items()}
+        before = {h: g[2] for h, g in sim._groups.items()
+                  if g[2] is not None}  # a record not yet drawn has none
         regroup(dirty)
         for head, seq in before.items():
-            if sim._groups.get(head, (None, None))[1] != seq:
+            if sim._groups.get(head, (None, None, None))[2] != seq:
                 superseded[seq] = sim.time
 
     def push(heap, item):
@@ -735,6 +736,6 @@ def test_a_draw_that_may_fall_due_at_its_instant_is_pushed_at_once():
     for time, pushed in ((0.0, False), (1e17, True)):  # 1e17 + 1.0 == 1e17
         sim = _Simulation(adess_cfg())  # one unit-rate miner: unit blocks
         sim.time = time
-        sim._regroup(list(sim._members))
+        sim._regroup(list(sim._groups))
         assert [e[2] for e in sim._heap] == [sim._on_mine] * pushed
         assert len(sim._instant) == 1 - pushed

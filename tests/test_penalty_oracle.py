@@ -200,7 +200,8 @@ def check_step(view: NodeView, oracle: NaiveReplay, bid):
     assert all(r.fork == oracle.parent[r.penalized_branch] for r in recs)
     assert oracle.records == {r.penalized_branch: [
         r.baseline_branch, r.assigned_at, r.deactivated_at] for r in recs}
-    assert view._resets == oracle.resets
+    assert {r[0]: r[1:] for r, _ in view._index.values()
+            if r is not None} == oracle.resets
     heads = oracle.heads()
     for h in heads:
         assert view.adjusted_score(h) == oracle.score(h)
