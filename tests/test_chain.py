@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from adess.chain import Block, BlockTree, SeenTree
 from adess.errors import DomainError, InvalidDifficulty, UnknownBlock
-from adess.netsim import ScenarioConfig, _Simulation, run_scenario
+from adess.netsim import ScenarioConfig, _Simulation
 
 
 def ancestors(tree: BlockTree, bid: Optional[int]) -> Iterator[int]:
@@ -217,14 +217,6 @@ def test_tree_children_and_heads_are_a_seen_tree_of_its_blocks(tree_ids):
     assert seen.heads == {b for b in ids if not seen.children[b]}
     back = seen_of(BlockTree.from_snapshot(tree.snapshot()))
     assert back.children == seen.children and back.heads == seen.heads
-
-
-def test_a_whole_report_parses_to_its_tree():
-    # the [run] and [heads] lines of a report are not block lines: skipped
-    report = run_scenario(ScenarioConfig(n_honest_nodes=3, delay=0.3))
-    text = report.to_text()
-    assert "[run]" in text and "[heads]" in text
-    assert BlockTree.from_snapshot(text).snapshot() == report.snapshot
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),

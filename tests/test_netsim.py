@@ -103,8 +103,9 @@ def test_report_text_and_csv_shapes():
     csv = rep.series_csv()
     assert csv.splitlines()[0] == "time,node,head,height"
     assert len(csv.splitlines()) == len(rep.series) + 1
-    # the tree section replays losslessly
-    back = BlockTree.from_snapshot(rep.snapshot)
+    # the tree section replays losslessly, and the whole report parses to
+    # it: its [run] and [heads] lines are not block lines
+    back = BlockTree.from_snapshot(text)
     assert back.snapshot() == rep.snapshot
 
 
