@@ -11,15 +11,16 @@ regroup then (a miner hearing its own block) drops it unresolved.  The
 attacker mines a secret chain and broadcasts it according to its strategy.
 
 A view's state is a function of its (time, block) arrival sequence alone.
-Receivers (the nodes and the attacker's observer `att_obs`) that hear every
-sender at equal delays sit in the same arrive events in the same block
-order, so they form a class sharing one `NodeView` over the simulator's tree
-and a memo of the canonical head right after each block.  An arrive event
-holds runs of consecutive receivers of one class, each observing a block and
-finding its head changes once for all members; the members take them in one
-loop, node-major: a series row each and, for a miner, a regroup each.
-att_obs is fed only while its head is read: until the attack starts, and
-under budish until the broadcast.
+A maximal run of nodes next in name order that hear every sender at equal
+delays is a class: its members sit next to each other in every sender's
+links, so each fan-out reaches it in one run of one arrive event, and it
+shares one `NodeView` over the simulator's tree.  The run observes each
+block once and finds its head changes once for all members; the members take
+them in one loop, node-major: a series row each and, for a miner, a regroup
+each.  The attacker's observer `att_obs` is in no link: a view of its own, it
+hears each honest block by an event of its own at the block's instant, only
+while its head is read: until the attack starts, and under budish until the
+broadcast.
 
 `validate` bounds the blocks a horizon allows at the unit pace every
 retarget aims for by `_MAX_BLOCKS`; a run that mines faster fails with
@@ -236,7 +237,6 @@ class ProbeReport:
     undecidable: bool
     undecidable_forks: List[BlockId]
     inferred_head: Optional[BlockId]
-    inference_used: bool
     nakamoto_head: BlockId
     reference_head: BlockId
 
@@ -255,42 +255,32 @@ class _Simulation:
         self._miners = {name: rate for name, rate
                         in sorted(rates.items()) if rate > 0}
 
-        # sender -> (delay, receiver) links in push order; the receiver
-        # att_obs tracks the honest chain on behalf of the attacker
+        # sender -> (delay, node) links in push order
         nodes = sorted(cfg.node_names())
         hidden, eclipsed = set(cfg.eclipse_from_honest), set(cfg.eclipse_set)
-        links = {m: [(0.0, "att_obs")] + [
-            (cfg.link_delay(m, n), n) for n in nodes
-            if n == m or n not in hidden] for m in self._miners}
+        links = {m: [(cfg.link_delay(m, n), n) for n in nodes
+                     if n == m or n not in hidden] for m in self._miners}
         links[ATTACKER] = [(cfg.link_delay(ATTACKER, n), n) for n in nodes
-                           if n not in eclipsed] + [(0.0, "att_obs")]
-        # receiver -> (view, {block id: canonical head right after it}),
-        # shared by the class of receivers hearing every sender at equal delays
-        heard: Dict[str, list] = {name: [] for name in ("att_obs", *nodes)}
+                           if n not in eclipsed]
+        # node -> the run (see `_run`) of its class: the nodes next to it in
+        # name order that hear the same (sender, delay) links
+        heard: Dict[str, list] = {name: [] for name in nodes}
         for sender, sender_links in links.items():
             for delay, name in sender_links:
                 heard[name].append((sender, delay))
-        by_links: Dict[tuple, tuple] = {}
-        self._views: Dict[str, Tuple[NodeView, Dict[BlockId, BlockId]]] = {}
-        for name, key in heard.items():
-            key = tuple(key)
-            if key not in by_links:
-                by_links[key] = (NodeView(cfg.adess, self.tree), {})
-            self._views[name] = by_links[key]
+        run_of: Dict[str, tuple] = {}
+        for _, names in groupby(nodes, heard.__getitem__):
+            names = tuple(names)
+            run_of.update(dict.fromkeys(names, self._run(names)))
+        self.nodes = {name: run[0] for name, run in run_of.items()}
         # sender -> [(delay, runs)] per stretch of links at one delay, in push
-        # order; a run (see _run) is consecutive links to one class (one view
-        # tuple, so compared by identity), built once
-        built: Dict[Tuple[str, ...], tuple] = {}
-        self._runs: Dict[str, list] = {}
-        for sender, sender_links in links.items():
-            self._runs[sender] = [(delay, tuple(
-                built[n] if n in built else built.setdefault(n, self._run(n))
-                for n in [tuple(names) for _, names in groupby(
-                    [name for _, name in stretch], self._views.__getitem__)]))
-                for delay, stretch in groupby(sender_links, itemgetter(0))]
-        self.nodes: Dict[str, NodeView] = {
-            name: self._views[name][0] for name in cfg.node_names()}
-        self.att_obs = self._views["att_obs"][0]
+        # order: a class's links are next to each other, so one run each
+        self._runs: Dict[str, list] = {sender: [(delay, tuple(
+            run for run, _ in groupby(run_of[name] for _, name in stretch)))
+            for delay, stretch in groupby(sender_links, itemgetter(0))]
+            for sender, sender_links in links.items()}
+        # tracks the honest chain for the attacker: see `_on_att_obs`
+        self.att_obs = NodeView(cfg.adess, self.tree)
         self._node_canonical = (NodeView.adess_canonical if cfg.protocol
                                 == "adess" else NodeView.nakamoto_canonical)
 
@@ -304,7 +294,7 @@ class _Simulation:
             self.tree.genesis_id: (1.0, None)}
 
         self._canonical: Dict[str, BlockId] = {
-            name: self.tree.genesis_id for name in self._views}
+            name: self.tree.genesis_id for name in ("att_obs", *nodes)}
         # head -> [miners in name order, hashrate, seq of its last draw or
         # None] per group, one record each: see `_regroup` and `_on_mine`
         self._groups: Dict[BlockId, list] = {
@@ -340,19 +330,16 @@ class _Simulation:
         self._instant.clear()
 
     def _run(self, names: Tuple[str, ...]) -> tuple:
-        """(view, memo, members, unread): a member is (name, miner, victim,
-        observer), and unread drops att_obs.  Every member of a run holds one
+        """(view, members) of the class `names`, a new view its members
+        share: a member is (name, miner, victim).  Every member holds one
         head, so `_on_arrive` finds the run's head changes once for all."""
-        members = tuple((n, n in self._miners, n == "n0", n == "att_obs")
-                        for n in names)
-        unread = tuple(m for m in members if not m[3])
-        return (*self._views[names[0]], members,
-                unread if unread != members else members)
+        return NodeView(self.cfg.adess, self.tree), tuple(
+            (n, n in self._miners, n == "n0") for n in names)
 
     def _fan_out(self, sender: str, blocks: Sequence[BlockId]):
         """Send `blocks` over the sender's links: one arrive event per
         stretch of links at one delay, pushed in link order with consecutive
-        seqs, so as if each (receiver, block) pair had its own event."""
+        seqs, so as if each (node, block) pair had its own event."""
         for delay, runs in self._runs[sender]:
             self._push(self.time + delay, self._on_arrive, (runs, blocks))
 
@@ -427,6 +414,8 @@ class _Simulation:
             return  # stale schedule, superseded by a regroup
         miner = group[0][0]  # the group's leader
         bid = self._add_block(head, difficulty, miner, group[1], duration)
+        if self._obs_read:  # att_obs hears it first, with no delay
+            self._push(self.time, self._on_att_obs, (bid,))
         self._fan_out(miner, (bid,))
         # every membership change regroups, so the rate is still their sum
         self._schedule(head, group)
@@ -435,34 +424,22 @@ class _Simulation:
 
     def _on_arrive(self, runs: List[tuple], blocks: Sequence[BlockId]):
         """`blocks` reach each run (see `_run`): the one ingestion path of
-        every receiver.  A block's head comes from the memo, as the view may
-        be ahead and a second observe would queue an orphan twice, or else
-        from observing it.  The run's head moves (old, new, height) are found
-        once; each member, att_obs only if read, takes them in push order as
-        single arrivals would: a row each, and for a miner a regroup each."""
+        the nodes.  The run's view observes each block and reads the head;
+        the head moves (old, new, height) are found once, and each member
+        takes them in push order as single arrivals would: a row each, and
+        for a miner a regroup each."""
         canonical, stored, time = self._canonical, self.tree.blocks, self.time
         series, groups = self.series, self._groups
-        for view, memo, members, unread in runs:
-            if members is not unread and not self._obs_read:
-                members = unread
-                if not members:
-                    continue
+        for view, members in runs:
             moves, old = [], canonical[members[0][0]]
             for bid in blocks:
-                head = memo.get(bid)
-                if head is None:
-                    view.observe(bid, time)
-                    head = memo[bid] = self._node_canonical(view)
+                view.observe(bid, time)
+                head = self._node_canonical(view)
                 if head != old:
                     moves.append((old, head, stored[head].height))
                     old = head
-            for node, miner, victim, observer in members:
+            for node, miner, victim in members:
                 canonical[node] = old
-                if observer:  # final head: the broadcast, the one event of
-                    # several blocks, comes after att_obs's last read
-                    self._maybe_start_attack()
-                    self._check_broadcast_condition()
-                    continue
                 for prev, head, height in moves:
                     series.append((time, node, head, height))
                     if miner:  # `_regroup` drops a record left empty
@@ -471,13 +448,23 @@ class _Simulation:
                             head, [[], 0.0, None])[0], node)
                         self._regroup((prev, head) if prev < head
                                       else (head, prev))
-                if victim and self.broadcast_time is None:  # one block
+                if victim:  # one block until the item is conveyed
                     self._check_conveyance(blocks[0])
-                    self._check_broadcast_condition()
+
+    def _on_att_obs(self, bid: BlockId):
+        """att_obs hears an honest block, while its head is read: the head
+        may start the attack or, under budish, let it broadcast."""
+        if not self._obs_read:
+            return
+        self.att_obs.observe(bid, self.time)
+        self._canonical["att_obs"] = self._node_canonical(self.att_obs)
+        self._maybe_start_attack()
+        self._check_broadcast_condition()
 
     def _check_conveyance(self, bid: BlockId):
         """The victim (n0) conveys the exchange item once it has observed
-        alpha confirmation blocks of the transaction on the incumbent chain."""
+        alpha confirmation blocks of the transaction on the incumbent chain,
+        which may let the attack broadcast."""
         if (self.conveyed_time is not None or self.fork_block is None
                 or self.tree.blocks[bid].miner == ATTACKER):
             return
@@ -486,6 +473,7 @@ class _Simulation:
         if (self.tree.blocks[bid].height - fork_h >= need
                 and self.tree.is_ancestor(self.fork_block, bid)):
             self.conveyed_time = self.time
+            self._check_broadcast_condition()
 
     # -- attacker ----------------------------------------------------------
 
@@ -549,7 +537,7 @@ class _Simulation:
 
     def _report(self) -> RunReport:
         cfg = self.cfg
-        heads = {n: self._canonical[n] for n in self.nodes}
+        heads = {n: self._canonical[n] for n in cfg.node_names()}
         heights = {n: self.tree.block(h).height for n, h in heads.items()}
         tips, chain = set(heads.values()), self.attacker_chain
         succeeded = (self.broadcast_time is not None
@@ -645,7 +633,6 @@ def disconnected_node_probe(cfg: ScenarioConfig, join_time: float
         undecidable=undecidable,
         undecidable_forks=late.undecidable_forks,
         inferred_head=inferred,
-        inference_used=undecidable,
         nakamoto_head=late.nakamoto_canonical(),
         reference_head=sim._canonical["n0"],
     )

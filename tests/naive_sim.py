@@ -11,12 +11,13 @@ shortcuts:
 - mine events pushed as soon as they are drawn, and skipped as stale when
   popped.
 
-It keeps no memo, runs, run cache or draw buffer.  Set-up, difficulty
-tracking, the attacker and the report are `_Simulation`'s own, so only the
-plumbing is re-implemented, and `run_naive(cfg)` must give `run_scenario`'s
-report byte for byte.  `random_config(rng)` draws the small configurations
-both are compared on.  Stdlib only, so `python tests/test_golden.py` can
-use it without pytest.
+It shares no view and keeps no runs or draw buffer; att_obs is a receiver
+at delay 0, first in every honest sender's links, where the simulator gives
+it an event of its own.  Set-up, difficulty tracking, the attacker and the
+report are `_Simulation`'s own, so only the plumbing is re-implemented, and
+`run_naive(cfg)` must give `run_scenario`'s report byte for byte.
+`random_config(rng)` draws the small configurations both are compared on.
+Stdlib only, so `python tests/test_golden.py` can use it without pytest.
 """
 
 from __future__ import annotations

@@ -130,7 +130,7 @@ def test_active_groups_follow_miner_heads_after_every_arrival():
     sim = _Simulation(cfg)
     arrivals = mines = 0
 
-    def checked(node, block, arrive):
+    def checked(nodes, blocks, arrive):
         nonlocal arrivals
         arrive()
         arrivals += 1
@@ -158,7 +158,7 @@ def test_active_groups_follow_miner_heads_after_every_arrival():
     # regrouping after every arrival as well draws nothing more
     sim = _Simulation(cfg)
 
-    def always(node, block, arrive):
+    def always(nodes, blocks, arrive):
         arrive()
         sim._regroup({sim._canonical[m] for m in sim._miners}
                      | set(sim._groups))

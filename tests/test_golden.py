@@ -7,8 +7,10 @@ batched arrivals per instant; the eclipsed-miners one again when a miner
 eclipsed from honest broadcasts began to hear its own blocks; the
 shared-views one before receivers with identical links shared a view; the
 two epoch-retarget ones before the epoch rule's step kept the epoch so far;
-the economics ones before the plan search and the deterrence solver scanned
-float rows); a refactor that keeps every output must keep every digest.
+the probe one when `ProbeReport` dropped `inference_used`, which always
+equalled `undecidable`, from its repr and from nothing else; the economics
+ones before the plan search and the deterrence solver scanned float rows); a
+refactor that keeps every output must keep every digest.
 Every float sum that feeds an output is a left fold, so they hold on each
 CPython from 3.10, like `bench/digests.json`.  The module needs only the
 stdlib: `python tests/test_golden.py` checks every digest without pytest,
@@ -271,7 +273,7 @@ GOLDEN = {
     "adess_shared_views":
         "ef2761096ec2c31e90033cf9112bfc60d9358e4a171e117d3e2323d6bb70feeb",
     "probe":
-        "4aa9ba013ec743379c5cd6cce9696debac83d3f4b47aecb254399ac43fea2d17",
+        "ece310cda49969966918ae69dd8ed91633447c0c3d8a89b72a2aa272457374b9",
     "views":
         "b44f752e034ff5a4f368c604f1344c80bf35f606b7acfb6025ca64fcfe5ff5a6",
     "plans_acceptance_04":

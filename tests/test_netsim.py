@@ -447,13 +447,13 @@ def test_epoch_history_memory_grows_linearly():
 
 def test_probe_connected_from_start_matches_reference():
     probe = disconnected_node_probe(adess_cfg(), join_time=0.0)
-    assert not probe.undecidable and not probe.inference_used
+    assert not probe.undecidable
     assert probe.inferred_head == probe.reference_head
 
 
 def test_probe_late_join_is_undecidable_but_infers_reference():
     probe = disconnected_node_probe(adess_cfg(), join_time=10.0)
-    assert probe.undecidable and probe.inference_used
+    assert probe.undecidable
     assert probe.undecidable_forks
     assert probe.inferred_head == probe.reference_head
 
@@ -473,32 +473,54 @@ def test_probe_refuses_a_join_time_that_is_not_a_finite_number(monkeypatch):
 # -- views shared by receivers with identical links ---------------------------
 
 def run_with_private_views(cfg: ScenarioConfig) -> tuple:
-    """Run `cfg` one (member, block) arrival at a time while also feeding
-    each receiver a private view, checking after every arrival that the head
-    the simulator took from the shared view's memo is the private view's
-    (att_obs's only while it is read), and that the run's output is the
-    per-class runs' own; returns (sim, memo hits, orphans)."""
+    """Run `cfg` one run (see `per_arrival`) at a time while also feeding
+    each node a private view, block by block, checking after every run that
+    the rows the simulator took from the shared view are the private views'
+    head changes; and feed att_obs, through its own handler, a private view
+    while it is read, checking its head.  Checks that the run's output is
+    the per-class runs' own; returns (sim, orphans)."""
     sim = _Simulation(cfg)
-    private = {name: NodeView(cfg.adess, sim.tree) for name in sim._views}
-    hits = orphans = 0
+    private = {name: NodeView(cfg.adess, sim.tree) for name in sim._canonical}
+    orphans = reads = 0
 
-    def checked(node, bid, arrive):
-        nonlocal hits, orphans
-        view = private[node]
-        hits += bid in sim._views[node][1]
-        orphans += sim.tree.block(bid).parent not in view.tree.children
-        view.observe(bid, sim.time)
-        read = node != "att_obs" or sim._obs_read
+    def checked(nodes, blocks, arrive):
+        nonlocal orphans
+        rows = []
+        for node in nodes:
+            view, head = private[node], sim._canonical[node]
+            for bid in blocks:
+                orphans += sim.tree.block(bid).parent not in view.tree.children
+                view.observe(bid, sim.time)
+                if sim._node_canonical(view) != head:
+                    head = sim._node_canonical(view)
+                    rows.append((sim.time, node, head,
+                                 sim.tree.block(head).height))
+        start = len(sim.series)
         arrive()
+        assert sim.series[start:] == rows
+        for node in nodes:
+            assert sim._canonical[node] == sim._node_canonical(private[node])
+
+    on_att_obs = sim._on_att_obs
+
+    def att_obs_checked(bid):
+        nonlocal reads
+        read = sim._obs_read
+        on_att_obs(bid)
         if read:
-            assert sim._canonical[node] == sim._node_canonical(view)
+            reads += 1
+            view = private["att_obs"]
+            view.observe(bid, sim.time)
+            assert sim._canonical["att_obs"] == sim._node_canonical(view)
 
     per_arrival(sim, checked)
+    sim._on_att_obs = att_obs_checked
     report = sim.run()
     plain = run_scenario(cfg)
+    assert reads > 0
     assert report.to_text() == plain.to_text()
     assert report.series_csv() == plain.series_csv()
-    return sim, hits, orphans
+    return sim, orphans
 
 
 def one_miner_cfg(**kw) -> ScenarioConfig:
@@ -507,68 +529,75 @@ def one_miner_cfg(**kw) -> ScenarioConfig:
 
 
 def test_shared_views_match_private_views_through_a_broadcast():
-    sim, hits, _ = run_with_private_views(one_miner_cfg(seed=1, horizon=60.0))
+    sim, _ = run_with_private_views(one_miner_cfg(seed=1, horizon=60.0))
     # n1..n7 share a view, and the attack's blocks reach them in one batch
     assert sim.broadcast_time is not None and len(sim.attacker_chain) > 1
-    assert sim.nodes["n1"] is sim.nodes["n7"] and hits > 0
+    assert sim.nodes["n1"] is sim.nodes["n7"]
 
 
 def test_shared_views_match_private_views_under_eclipses():
-    sim, hits, _ = run_with_private_views(one_miner_cfg(
+    sim, _ = run_with_private_views(one_miner_cfg(
         seed=2, horizon=40.0, eclipse_set=("n3",)))
-    assert sim.broadcast_time is not None and hits > 0
-    assert sim.nodes["n3"] is not sim.nodes["n2"]
-    sim, hits, _ = run_with_private_views(adess_cfg(
+    assert sim.broadcast_time is not None
+    assert sim.nodes["n3"] is not sim.nodes["n2"] is sim.nodes["n1"]
+    sim, _ = run_with_private_views(adess_cfg(
         n_honest_nodes=6, delay=0.3, mining=Stochastic(tick=0.01), seed=3,
         honest_hashrates={"n0": 0.5, "n1": 0.3, "n4": 0.2},
         eclipse_from_honest=("n4", "n5")))
-    assert hits > 0 and sim.nodes["n5"] is not sim.nodes["n2"]
+    assert sim.nodes["n5"] is not sim.nodes["n2"] is sim.nodes["n3"]
 
 
 def test_shared_views_match_private_views_with_orphans():
     # n0's blocks reach n4..n7 late, after n1's children of them
     slow = {("n0", f"n{i}"): 2.0 for i in range(4, 8)}
-    sim, hits, orphans = run_with_private_views(one_miner_cfg(
+    sim, orphans = run_with_private_views(one_miner_cfg(
         seed=4, horizon=40.0, honest_hashrates={"n0": 0.5, "n1": 0.5},
         delays=slow))
     assert sim.nodes["n2"] is sim.nodes["n3"]
     assert sim.nodes["n4"] is sim.nodes["n7"] is not sim.nodes["n3"]
-    assert hits > 0 and orphans > 0
+    assert orphans > 0
 
 
 @pytest.mark.parametrize("strategy", ["paper_optimal", "accelerated",
                                       "budish"])
-@pytest.mark.parametrize("nodes", [8, 1])  # att_obs alone, or with n0
+@pytest.mark.parametrize("nodes", [8, 1])
 def test_feeding_att_obs_throughout_changes_no_output(monkeypatch, strategy,
                                                       nodes):
     cfg = replace(one_miner_cfg(seed=2, horizon=60.0,
                                 attacker_strategy=strategy),
                   n_honest_nodes=nodes, delay=0.3 * (nodes > 1))
+
+    def heard_run(sim):  # the report, and the blocks att_obs observed
+        heard, observe = [], sim.att_obs.observe
+        sim.att_obs.observe = lambda bid, t: heard.append(bid) or observe(
+            bid, t)
+        return sim.run(), heard
+
     skipping = _Simulation(cfg)
-    skipped = skipping.run()
+    skipped, skipped_heard = heard_run(skipping)
     monkeypatch.setattr(_Simulation, "_obs_read", property(  # always read
         lambda self: True, lambda self, value: None), raising=False)
-    feeding = _Simulation(cfg)
-    fed = feeding.run()
+    fed, fed_heard = heard_run(_Simulation(cfg))
     assert skipped.attack_succeeded and skipped.broadcast_time is not None
     assert skipped.to_text() == fed.to_text()
     assert skipped.series_csv() == fed.series_csv()
-    # att_obs alone stops observing once it is no longer read; sharing n0's
-    # view, it loses nothing
-    fed_more = len(feeding.att_obs.tree.arrivals) > len(
-        skipping.att_obs.tree.arrivals)
-    assert fed_more == (nodes > 1)
+    # att_obs, a view of its own in no run, stops observing once it is no
+    # longer read
+    assert len(fed_heard) > len(skipped_heard)
+    assert all(run[0] is not skipping.att_obs for run in all_runs(skipping))
 
 
 def test_distinct_views_per_benchmark_shape():
-    def distinct(cfg):
-        return len({id(view) for view, _ in _Simulation(cfg)._views.values()})
+    def distinct(cfg):  # node views; att_obs has its own
+        sim = _Simulation(cfg)
+        assert sim.att_obs not in sim.nodes.values()
+        return len({id(view) for view in sim.nodes.values()})
 
     deep = one_miner_cfg(horizon=1000.0)
-    assert distinct(deep) == 3  # att_obs, n0, n1..n7
-    assert distinct(adess_cfg(horizon=100.0)) == 1  # n0 and att_obs
+    assert distinct(deep) == 2  # n0, n1..n7
+    assert distinct(adess_cfg(horizon=100.0)) == 1  # n0
     assert distinct(replace(deep, horizon=40.0, honest_hashrates={
-        f"n{i}": 0.125 for i in range(8)})) == 9  # each miner hears itself
+        f"n{i}": 0.125 for i in range(8)})) == 8  # each miner hears itself
 
 
 def all_runs(sim: _Simulation) -> list:
@@ -580,30 +609,33 @@ def test_each_receiver_run_is_built_once():
     sim = _Simulation(forky_config(0))
     built: dict = {}  # receiver names -> ids of the run objects naming them
     for run in all_runs(sim):
-        built.setdefault(tuple(m[0] for m in run[2]), set()).add(id(run))
-    assert len(built) == 9  # att_obs and n0..n7, each its own class
+        built.setdefault(tuple(m[0] for m in run[1]), set()).add(id(run))
+    assert len(built) == 8  # n0..n7, each its own class
     assert all(len(ids) == 1 for ids in built.values())
-    assert len(all_runs(sim)) == 81  # 9 senders, 9 runs each
+    assert len(all_runs(sim)) == 72  # 9 senders, 8 runs each
 
 
-@pytest.mark.parametrize("n, delay, eclipsed, classes", [
-    (600, 0.0, False, 1),  # one run of 601 receivers per sender
-    (600, 0.3, False, 601),
-    (1000, 0.3, True, 1001)])  # each node hears only itself
+@pytest.mark.parametrize("n, delay, eclipsed, every, classes", [
+    (600, 0.0, False, 1, 1),  # one run of 600 nodes per sender
+    (600, 0.3, False, 1, 600),
+    (1000, 0.3, True, 1, 1000),  # each node hears only itself
+    # the even-numbered nodes mine, so a class of plain nodes holds those
+    # next to each other in name order, like n109 and n11
+    (1000, 0.3, False, 2, 951)])
 def test_wiring_a_wide_network_is_linear_in_its_links(n, delay, eclipsed,
-                                                      classes):
+                                                      every, classes):
     # set-up once copied a growing tuple per link and scanned the eclipse
     # tuples per link: 7-9 s for 600 all-mining nodes, 11 s for 1,000 eclipsed
     names = tuple(f"n{i}" for i in range(n))
     cfg = ScenarioConfig(
-        n_honest_nodes=n, honest_hashrates=dict.fromkeys(names, 1 / n),
-        delay=delay, eclipse_set=names * eclipsed,
-        eclipse_from_honest=names * eclipsed)
+        n_honest_nodes=n,
+        honest_hashrates=dict.fromkeys(names[::every], 1 / n), delay=delay,
+        eclipse_set=names * eclipsed, eclipse_from_honest=names * eclipsed)
     start = time.perf_counter()
     sim = _Simulation(cfg)
     elapsed = time.perf_counter() - start
     assert elapsed < 3.0, f"{elapsed:.2f}s"
-    assert len({id(view) for view, _ in sim._views.values()}) == classes
+    assert len({id(view) for view in sim.nodes.values()}) == classes
 
 
 @pytest.mark.parametrize("kw", [
@@ -611,11 +643,13 @@ def test_wiring_a_wide_network_is_linear_in_its_links(n, delay, eclipsed,
     dict(seed=4, honest_hashrates={"n0": 0.5, "n1": 0.5},
          delays={("n0", "n3"): 2.0})])
 def test_a_class_split_into_several_runs_matches_the_naive_twin(kw):
-    # n3 hears a sender unlike n2 and n4, so one class falls into two runs
-    # of that sender's 0.3 stretch, around n3's
+    # n3 hears a sender unlike n2 and n4, so the nodes that hear alike
+    # around it split into two classes, n1..n2 and n4..n7: each view is in
+    # at most one run of a stretch
     cfg = one_miner_cfg(horizon=40.0, **kw)
     sim = _Simulation(cfg)
-    assert any(len({id(r[0]) for r in runs}) < len(runs)
+    assert sim.nodes["n2"] is not sim.nodes["n4"] is sim.nodes["n7"]
+    assert all(len({id(r[0]) for r in runs}) == len(runs)
                for batches in sim._runs.values() for _, runs in batches)
     report, naive = sim.run(), run_naive(cfg)
     assert report.to_text() == naive.to_text()
@@ -718,7 +752,7 @@ def test_plain_class_rows_are_node_major_as_single_arrivals():
         on_arrive(runs, blocks)
         if len(blocks) > 1 and any(
                 len(members) > 1 and not any(any(m[1:]) for m in members)
-                for _, _, members, _ in runs):
+                for _, members in runs):
             batched.append(sim.series[start:])
 
     sim._on_arrive = watched
@@ -727,7 +761,7 @@ def test_plain_class_rows_are_node_major_as_single_arrivals():
     plain = [node for _, node, _, _ in batched[0] if node >= "n4"]
     assert plain == [f"n{i}" for i in range(4, 8) for _ in range(3)]
     single = _Simulation(cfg)
-    per_arrival(single, lambda node, block, arrive: arrive())
+    per_arrival(single, lambda nodes, blocks, arrive: arrive())
     replayed = single.run()
     assert single.series == sim.series
     assert replayed.to_text() == report.to_text()
