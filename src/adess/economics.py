@@ -14,7 +14,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
 from operator import add
 from typing import Callable, Iterable, List, Optional, Tuple
 
@@ -481,9 +480,13 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
     exhaustive search, bit-identical to `attack_plan_profit`.  It scans only
     head forks: each tau >= 1 boundary costs at least its tau-0 twin, so no
     deeper plan is a new strict maximum (README).  It skips the B scan of an
-    N whose revenue cap less its boundary cost cannot beat the best, and
-    raises the DomainError of the first (tau, N) whose last power overflows,
-    as summing every boundary would.  An inf revenue or best is an error."""
+    N whose revenue cap less its boundary cost cannot beat the best.  The
+    tau-0 boundaries are one left fold from int 0, extended to N's K only if
+    the fold so far does not already skip N: the terms left are >= 0 and each
+    rounded step of the cap test is monotone, so the fold so far bounds N's
+    cost from below and a skip it takes is one the full fold takes.  It raises
+    the DomainError of the first (tau, N) whose last power overflows, as
+    summing every boundary would.  An inf revenue or best is an error."""
     if n_extra < 0:
         raise ValueError("n_extra >= 0 required")
     n0, d, c, xi, v, p_B = p.horizon_blocks, p.delta, p.c, p.xi, p.v, p.p_B
@@ -492,10 +495,6 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
     Ns = range(n0, n0 + n_extra + 1)
     Ks = [boundary_blocks(N, xi) for N in Ns]
     _finite(v + p_B * (Ks[-1] + b_max), "attack revenue")  # w <= 1: bounds all
-    tau0, total, g0 = [], 0, 1.0 + xi  # each N's tau-0 boundary cost: one
-    for n, K in zip([0, *Ks], Ks):  # left fold from int 0 read at each K, so
-        # the first N whose own sum overflows raises
-        tau0.append(total := _boundary_cost(d, g0, g0, K, n, total))
 
     def overflow(tau: int):  # (g, K) of the first N whose g^(K-1) overflows
         for N, K in zip(Ns, Ks):
@@ -506,14 +505,21 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
                 return g, K
         return None
     taus = range(tau_max + 1)  # as in range, a float tau_max is a TypeError
-    if overflow(tau_max):  # g rises with tau and tau 0's fold ran: bisect
+    if overflow(tau_max):  # g rises with tau: bisect, tau 0 included
         tau = bisect_left(taus, True, key=lambda t: bool(overflow(t)))
         g, K = overflow(tau)
         _boundary_cost(d, g, g, K)  # raises that (tau, N)'s DomainError
-    tops = list(accumulate(reversed(powers), max))[::-1]  # max(powers[i:])
-    best, best_plan = -math.inf, None
-    for i, (N, K, boundary) in enumerate(zip(Ns, Ks, tau0)):
-        if tops[i] * (v + p_B * (K + b_max)) - c * boundary <= best:
+    tops, top = [], 0.0  # then reversed: tops[i] = max(powers[i:])
+    for w in reversed(powers):
+        tops.append(top := w if w > top else top)
+    tops.reverse()
+    best, best_plan, g0, n, boundary = -math.inf, None, 1.0 + xi, 0, 0
+    for i, (N, K) in enumerate(zip(Ns, Ks)):
+        cap = tops[i] * (v + p_B * (K + b_max))
+        if cap - c * boundary <= best:  # the fold so far: at most N's cost
+            continue
+        boundary, n = _boundary_cost(d, g0, g0, K, n, boundary), K
+        if cap - c * boundary <= best:
             continue  # the revenue cap: no B can beat the best plan
         secret = 0  # the B-term fold at N, read from the power table
         for B, w in enumerate(powers[i:i + b_max + 1]):

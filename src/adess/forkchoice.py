@@ -121,7 +121,7 @@ class PenaltyRecord:
 class _ForkState:
     fork: BlockId
     height: int  # of the fork block
-    # branch child -> (max post-fork length, deepest block achieving it)
+    # branch child -> (max post-fork length, first-seen block at it)
     branch_len: Dict[BlockId, Tuple[int, BlockId]] = field(default_factory=dict)
     records: Dict[BlockId, PenaltyRecord] = field(default_factory=dict)
     undecidable: bool = False
@@ -210,20 +210,20 @@ class NodeView:
 
     def _scan_branch(self, fs: _ForkState, branch: BlockId
                      ) -> Optional[BlockId]:
-        """Initialize the length of a pre-existing branch, append (fs, branch)
-        to the fork path of every block on it, and return its first-seen
-        block at depth alpha past the fork, or None if it is shorter."""
+        """Set a pre-existing branch's length and first-seen deepest block,
+        append (fs, branch) to the fork path of every block on it, and return
+        its first-seen block at depth alpha past the fork, or None if none."""
         alpha, seen = self.params.alpha, self.tree.first_seen
         best_len, best_block = 0, branch
         alpha_block: Optional[BlockId] = None
-        entry = (fs, branch)
-        stack = [branch]
+        entry, stack = (fs, branch), [branch]
         while stack:
             bid = stack.pop()
             reset, path = self._index[bid]
             self._index[bid] = (reset, path + (entry,))
             depth = self.store.block(bid).height - fs.height
-            if depth > best_len or (depth == best_len and bid < best_block):
+            if depth > best_len or (depth == best_len
+                                    and seen[bid] < seen[best_block]):
                 best_len, best_block = depth, bid
             if depth == alpha and (alpha_block is None
                                    or seen[bid] < seen[alpha_block]):

@@ -9,8 +9,10 @@ from adess.chain import BlockTree
 from adess.forkchoice import AdessParams, NodeView
 
 
-def build_random_view(rng: random.Random) -> NodeView:
-    """Feed a random tree (<= 200 blocks, <= 6 extra forks) in arrival order."""
+def build_random_view(rng: random.Random, shuffled: bool = False) -> NodeView:
+    """Feed a random tree (<= 200 steps, <= 6 extra forks) in arrival order.
+    With `shuffled`, a step now and then appends 2-4 siblings to the store
+    and observes them in a random order, so arrival order is not id order."""
     alpha = rng.randint(1, 4)
     xi = rng.choice([0.25, 0.5, 1.0, 2.0])
     view = NodeView(AdessParams(alpha=alpha, xi=xi), BlockTree())
@@ -25,11 +27,14 @@ def build_random_view(rng: random.Random) -> NodeView:
             forks_left -= 1
         else:
             parent = rng.choice(tips)
-        bid = view.store.append_block(parent, 1.0)
-        view.observe(bid, t)
-        t += 1.0
-        ids.append(bid)
+        k = rng.randint(2, 4) if shuffled and rng.random() < 0.05 else 1
+        bids = [view.store.append_block(parent, 1.0) for _ in range(k)]
+        rng.shuffle(bids)
+        for bid in bids:
+            view.observe(bid, t)
+            t += 1.0
+        ids += bids
         if parent in tips:
             tips.remove(parent)
-        tips.append(bid)
+        tips += bids
     return view

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adess import economics
 from adess.economics import (AttackParams, _boundary_cost, _plan_blocks,
                              adess_attack_cost,
                              adess_attack_profit, affine_cost_term,
@@ -460,40 +461,65 @@ def test_deeper_fork_boundaries_cost_at_least_their_tau0_twins():
     assert elapsed < 2.0, elapsed
 
 
-def test_skipping_search_matches_summing_search_near_overflow():
+def counting_folds(monkeypatch) -> list:
+    """Wrap the search's `_boundary_cost`: each call appends its (n, K), so
+    K - n terms were folded."""
+    calls = []
+
+    def fold(delta, g, base, K, n=0, total=0):
+        calls.append((n, K))
+        return _boundary_cost(delta, g, base, K, n, total)
+    monkeypatch.setattr(economics, "_boundary_cost", fold)
+    return calls
+
+
+def test_skipping_search_matches_summing_search_near_overflow(monkeypatch):
     # the skip must keep every plan and raise each overflow at the same
     # (tau, N): the DomainError's repr names that boundary's base and K
     rng = random.Random(15)
-    points = [params(alpha=rng.randint(20, 120), xi=rng.uniform(2.0, 12.0),
-                     delta=rng.uniform(0.5, 1.0), v=rng.uniform(0.0, 50.0))
-              for _ in range(150)]
+    points = [(params(alpha=rng.randint(20, 120), xi=rng.uniform(2.0, 12.0),
+                      delta=rng.uniform(0.5, 1.0), v=rng.uniform(0.0, 50.0)),
+               10) for _ in range(150)]
     for _ in range(50):
         alpha = rng.randint(20, 120)
-        points.append(params(alpha=alpha,
-                             xi=edge_xi(alpha + 3, rng.uniform(695.0, 715.0)),
-                             delta=rng.uniform(0.5, 1.0),
-                             v=rng.uniform(0.0, 50.0)))
+        points.append((params(alpha=alpha,
+                              xi=edge_xi(alpha + 3, rng.uniform(695.0, 715.0)),
+                              delta=rng.uniform(0.5, 1.0),
+                              v=rng.uniform(0.0, 50.0)), 10))
+    # at tau_max 0, points whose last N has finite tau-0 terms but a fold
+    # that reaches inf (at tau 1 its last power overflows): the search must
+    # return its plan without folding that N
+    for _ in range(300):
+        alpha = rng.randint(20, 120)
+        points.append((params(alpha=alpha,
+                              xi=edge_xi(alpha + 3, rng.uniform(709.5, 709.78)),
+                              delta=rng.choice((1.0, rng.uniform(0.99, 1.0))),
+                              v=rng.uniform(0.0, 50.0)), 0))
 
-    def outcome(search, p):
-        try:
-            return search(p, tau_max=10, n_extra=3, b_max=3)
-        except DomainError as e:
-            return repr(e)
-
-    seen = collections.Counter()
-    for p in points:
-        want = outcome(summing_search, p)
-        assert outcome(brute_force_optimal_plan, p) == want
+    folds, seen = counting_folds(monkeypatch), collections.Counter()
+    for p, tau_max in points:
+        grid = dict(tau_max=tau_max, n_extra=3, b_max=3)
+        want = search_outcome(summing_search, p, grid)
+        folds.clear()
+        assert search_outcome(brute_force_optimal_plan, p, grid) == want
         seen["plan" if isinstance(want, tuple) else
              "tau 0" if f"{1.0 + p.xi!r}^n" in want else "tau >= 1"] += 1
+        if isinstance(want, tuple):  # the lazy fold stopped short of an inf
+            g0, far = 1.0 + p.xi, max(K for _, K in folds)
+            Ks = [boundary_blocks(N, p.xi) for N in range(p.alpha, p.alpha + 4)]
+            seen["inf unfolded"] += any(
+                K > far and _boundary_cost(p.delta, g0, g0, K) == math.inf
+                for K in Ks)
     # every outcome is exercised
-    assert all(seen[k] >= 10 for k in ("plan", "tau 0", "tau >= 1")), seen
+    assert all(seen[k] >= 10 for k in ("plan", "tau 0", "tau >= 1",
+                                       "inf unfolded")), seen
 
 
 def test_shared_tau0_prefix_names_the_first_overflowing_boundary():
-    # the search sums the tau-0 terms once, up to the largest K; an overflow
-    # that first shows at some N > n0 must still name that N's K, as
-    # summing each N's boundary on its own does, and not the largest K
+    # the search folds the tau-0 terms once, and its overflow probe raises
+    # a tau-0 overflow before that fold runs; an overflow that first shows
+    # at some N > n0 must still name that N's K, as summing each N's
+    # boundary on its own does, and not the largest K
     rng = random.Random(18)
     grid = dict(tau_max=2, n_extra=6, b_max=2)
     later = 0
@@ -567,7 +593,8 @@ def test_retiring_search_matches_summing_search_at_deep_forks():
     assert seen["plan"] >= 100 and seen["error"] >= 10, seen
 
 
-def test_acceptance_04_plans_do_not_depend_on_the_fork_depth_bound():
+def test_acceptance_04_plans_do_not_depend_on_the_fork_depth_bound(
+        monkeypatch):
     # the search scans tau 0 only and probes each N's last power once, at
     # tau_max, so its cost does not grow with tau_max: testing every fork
     # depth up to 100,000 took about 48 s for the 100 searches
@@ -575,9 +602,15 @@ def test_acceptance_04_plans_do_not_depend_on_the_fork_depth_bound():
     deep = [brute_force_optimal_plan(p, tau_max=100_000)
             for p in ACCEPTANCE_04_GRID]
     elapsed = time.perf_counter() - start
+    folds = counting_folds(monkeypatch)
     assert deep == [brute_force_optimal_plan(p, tau_max=10)
                     for p in ACCEPTANCE_04_GRID]
     assert len(deep) == 100 and elapsed < 5.0, elapsed
+    # the revenue cap skips most N on the fold so far, so the tau-0 fold
+    # stops short of the largest K: it added 35.2 terms a search when it ran
+    # to the largest K, 12.34 now
+    terms = sum(K - n for n, K in folds) / len(deep)
+    assert terms <= 13, terms
 
 
 def test_a_one_block_boundary_retires_without_a_margin():

@@ -20,6 +20,7 @@ from adess.netsim import _Simulation
 
 from test_forkchoice_canonical import forky_config
 from fuzz_trees import build_random_view
+from naive_sim import random_config
 
 BOUNDARY_EPS = 1e-9
 
@@ -63,17 +64,13 @@ class NaiveReplay:
 
     def branch_len(self, f, c):
         """(post-fork length, deepest block) of the branch through c.  Of the
-        deepest blocks, the lowest id among those seen before the fork opened
-        wins, else the first seen."""
+        deepest blocks, the first seen wins."""
         top = len(self.level) - 1  # every height up to the tallest is seen
         deepest = self.on_branch(c, top)
         while not deepest:
             top -= 1
             deepest = self.on_branch(c, top)
-        opened = self.seen[self.children[f][1]]
-        early = [b for b in deepest if self.seen[b] < opened]
-        pick = min(early) if early else min(deepest, key=self.seen.__getitem__)
-        return top - self.height[f], pick
+        return top - self.height[f], min(deepest, key=self.seen.__getitem__)
 
     def alpha_block(self, f, c):
         """First-seen block at post-fork depth alpha on the branch via c."""
@@ -196,6 +193,9 @@ def check_step(view: NodeView, oracle: NaiveReplay, bid):
     for x in oracle.path(bid):  # the only entries this observe can touch
         if oracle.parent[x] in view._forks:
             check_fork(view, oracle, oracle.parent[x], [x])
+    fork = oracle.parent[bid]
+    if oracle.children[fork][1:2] == [bid]:  # bid opened it: the view has
+        check_fork(view, oracle, fork)  # just scanned its earlier branch
     recs = view.penalty_records()
     assert all(r.fork == oracle.parent[r.penalized_branch] for r in recs)
     assert oracle.records == {r.penalized_branch: [
@@ -249,8 +249,9 @@ def coverage(oracle: NaiveReplay) -> dict:
 def test_oracle_matches_views_on_fuzz_trees():
     rng = random.Random(2026)
     seen: Counter = Counter()
-    for i in range(500):
-        source = build_random_view(random.Random(rng.getrandbits(32)))
+    for i in range(500):  # odd trees: some siblings arrive out of id order
+        source = build_random_view(random.Random(rng.getrandbits(32)),
+                                   shuffled=i % 2 == 1)
         n_synced = (rng.randint(0, len(source.tree.arrivals) - 1)
                     if i % 3 == 0 else 0)
         seen.update(coverage(replay_against_oracle(source, n_synced)))
@@ -258,9 +259,13 @@ def test_oracle_matches_views_on_fuzz_trees():
 
 
 def test_oracle_matches_every_view_of_forky_scenarios():
+    # a view of each random config holds a branch whose deepest blocks
+    # arrived out of id order: the first seen is its deepest block
+    cfgs = [forky_config(100 + seed) for seed in range(10)]
+    cfgs += [random_config(random.Random(seed)) for seed in (282, 456, 537)]
     seen: Counter = Counter()
-    for seed in range(10):
-        sim = _Simulation(forky_config(100 + seed))
+    for cfg in cfgs:
+        sim = _Simulation(cfg)
         sim.run()
         for view in list(sim.nodes.values()) + [sim.att_obs]:
             seen.update(coverage(replay_against_oracle(view)))
