@@ -6,7 +6,8 @@ always its head block's id; segments are derived on demand.  `Block` is a
 named tuple: immutable, ordered, cheap to build.  A `BlockTree` is only a
 store: it validates each block once, as it is written, and keeps blocks and
 cumulative difficulty.  What a reader of the store has seen lives in its own
-`SeenTree`: the arrival log, each block's place in it, children and heads.
+`SeenTree`: the arrival log, each block's place in it, children and heads,
+which the reader's `NodeView._connect` alone writes.
 """
 
 from __future__ import annotations
@@ -40,15 +41,6 @@ class SeenTree:
         self.first_seen: Dict[BlockId, int] = {genesis_id: 0}
         self.children: Dict[BlockId, List[BlockId]] = {genesis_id: []}
         self.heads: Set[BlockId] = {genesis_id}
-
-    def insert(self, block: Block, arrival: float) -> None:
-        """Log `block` at `arrival`; its reader checks the arrival first."""
-        self.children[block.parent].append(block.id)  # parent seen, or raise
-        self.children[block.id] = []
-        self.first_seen[block.id] = len(self.arrivals)
-        self.arrivals.append((block.id, arrival))
-        self.heads.discard(block.parent)
-        self.heads.add(block.id)
 
 
 class BlockTree:

@@ -15,15 +15,16 @@ marked `synced` (bulk sync for a node offline when it was broadcast) carries
 no temporal order; that matters only if it opens a fork, which is then
 created undecidable and never assigns a penalty.
 
-Penalty state is kept per (fork-block, branch) pair, where a branch is
-identified by the fork-block child it passes through.  Every head descending
-through a penalized branch is penalized; the first branch observed to reach
-the confirmation depth is the baseline and is never penalized at that fork.
-The fork is decided the moment that happens, in `_advance`, or as it opens if
-its earlier branch is already that deep (always so at alpha 1).
-Records exist only at resolved forks: a decidable fork whose baseline chain
-was penalty-free when it reached the depth.  A record reads its chains live
-from the fork's branch lengths, and is active until `deactivated_at` is set.
+Penalty state is kept in one `_Branch` record per (fork-block, branch) pair,
+where a branch is identified by the fork-block child it passes through.
+Every head descending through a penalized branch is penalized; the first
+branch observed to reach the confirmation depth is the baseline and is never
+penalized at that fork.  The fork is decided the moment that happens, in
+`_advance`, or as it opens if its earlier branch is already that deep
+(always so at alpha 1).  Records exist only at resolved forks: a decidable
+fork whose baseline chain was penalty-free when it reached the depth.  A
+penalty record reads its chains live from its penalized and baseline
+branches' records, and is active until `deactivated_at` is set.
 
 Every block carries a fork-choice index entry, inherited from its parent when
 it is connected, so no score or penalty query walks the tree.  Its reset is
@@ -31,10 +32,10 @@ None, or (anchor, anchor cumdiff, re-based score) for the deepest block on
 its path where a chain's score was re-based.  A reset is recorded only at the
 deepest block of a penalized branch, a leaf of the view's tree at that
 moment, so setting it in that block's entry alone is exact.  Its fork path
-holds a (fork state, branch child) entry per fork it descends through, in
-fork-creation order: a new branch child swaps the entry in a sibling's path,
-and a new fork, the newest, is appended along its existing subtree in one
-walk.
+holds the branch record of each fork it descends through, in fork-creation
+order, for `_advance` to update in place: a new branch child swaps the record
+in a sibling's path, and a new fork, the newest, is appended along its
+existing subtree in one walk.
 
 Each block also counts the active penalties on its path, inherited from its
 parent, so a penalty test is one lookup.  The count is at most 1: `_fire`
@@ -97,9 +98,8 @@ class PenaltyRecord:
     penalized_branch: BlockId
     baseline_branch: BlockId
     assigned_at: float
-    # the fork's branch child -> (length, deepest block) table, shared
-    _branch_len: Dict[BlockId, Tuple[int, BlockId]] = field(
-        repr=False, compare=False)
+    _pen: _Branch = field(repr=False, compare=False)
+    _base: _Branch = field(repr=False, compare=False)
     deactivated_at: Optional[float] = None
 
     @property
@@ -109,23 +109,30 @@ class PenaltyRecord:
     @property
     def penalized(self) -> BlockId:
         """Current deepest head of the penalized branch."""
-        return self._branch_len[self.penalized_branch][1]
+        return self._pen.deepest
 
     @property
     def baseline(self) -> BlockId:
         """Current deepest head of the baseline branch."""
-        return self._branch_len[self.baseline_branch][1]
+        return self._base.deepest
 
 
 @dataclass(slots=True)
 class _ForkState:
     fork: BlockId
     height: int  # of the fork block
-    # branch child -> (max post-fork length, first-seen block at it)
-    branch_len: Dict[BlockId, Tuple[int, BlockId]] = field(default_factory=dict)
-    records: Dict[BlockId, PenaltyRecord] = field(default_factory=dict)
+    branches: Dict[BlockId, _Branch] = field(default_factory=dict)
     undecidable: bool = False
     baseline_branch: Optional[BlockId] = None  # set once assigned
+
+
+@dataclass(slots=True, eq=False)  # compared by identity
+class _Branch:
+    fork: _ForkState
+    child: BlockId  # the fork block's child the branch passes through
+    tip: int  # height of the branch's first-seen deepest block
+    deepest: BlockId  # that block
+    record: Optional[PenaltyRecord] = None  # once the branch is penalized
 
 
 class NodeView:
@@ -140,7 +147,7 @@ class NodeView:
         self._clock = 0.0  # latest arrival connected or buffered
         self._forks: Dict[BlockId, _ForkState] = {}
         self._pending: Dict[BlockId, List[Tuple[BlockId, bool]]] = {}
-        # block -> (reset, fork path of (fork state, branch child) pairs);
+        # block -> (reset, fork path of branch records);
         # reset is (anchor, its cumdiff, its re-based score) for the deepest
         # re-based block on the path, or None
         self._index: Dict[BlockId, tuple] = {store.genesis_id: (None, ())}
@@ -187,11 +194,16 @@ class NodeView:
         return self
 
     def _connect(self, block: Block, arrival: float, synced: bool):
-        self.tree.insert(block, arrival)
-        bid, parent = block.id, block.parent
-        assert parent is not None
+        bid, parent, tree = block.id, block.parent, self.tree
+        siblings = tree.children[parent]  # the tree's one writer logs it
+        siblings.append(bid)
+        tree.children[bid] = []
+        tree.first_seen[bid] = len(tree.arrivals)
+        tree.arrivals.append((bid, arrival))
+        tree.heads.discard(parent)
+        tree.heads.add(bid)
         self._active[bid] = self._active[parent]
-        if len(self.tree.children[parent]) > 1:
+        if len(siblings) > 1:
             self._new_branch(parent, block, arrival, synced)
         else:
             self._index[bid] = self._index[parent]
@@ -210,26 +222,26 @@ class NodeView:
 
     def _scan_branch(self, fs: _ForkState, branch: BlockId
                      ) -> Optional[BlockId]:
-        """Set a pre-existing branch's length and first-seen deepest block,
-        append (fs, branch) to the fork path of every block on it, and return
-        its first-seen block at depth alpha past the fork, or None if none."""
-        alpha, seen = self.params.alpha, self.tree.first_seen
-        best_len, best_block = 0, branch
+        """Add the record of a pre-existing branch, with its first-seen
+        deepest block, to the fork path of every block on it, and return its
+        first-seen block at depth alpha past the fork, or None if none."""
+        seen = self.tree.first_seen
+        alpha_height = fs.height + self.params.alpha
         alpha_block: Optional[BlockId] = None
-        entry, stack = (fs, branch), [branch]
+        br = fs.branches[branch] = _Branch(fs, branch, fs.height, branch)
+        stack = [branch]
         while stack:
             bid = stack.pop()
             reset, path = self._index[bid]
-            self._index[bid] = (reset, path + (entry,))
-            depth = self.store.block(bid).height - fs.height
-            if depth > best_len or (depth == best_len
-                                    and seen[bid] < seen[best_block]):
-                best_len, best_block = depth, bid
-            if depth == alpha and (alpha_block is None
-                                   or seen[bid] < seen[alpha_block]):
+            self._index[bid] = (reset, path + (br,))
+            height = self.store.block(bid).height
+            if height > br.tip or (height == br.tip
+                                   and seen[bid] < seen[br.deepest]):
+                br.tip, br.deepest = height, bid
+            if height == alpha_height and (alpha_block is None
+                                           or seen[bid] < seen[alpha_block]):
                 alpha_block = bid
             stack.extend(self.tree.children[bid])
-        fs.branch_len[branch] = (best_len, best_block)
         return alpha_block
 
     def _new_branch(self, fork: BlockId, block: Block, arrival: float,
@@ -244,15 +256,16 @@ class NodeView:
             fs = self._forks[fork] = _ForkState(
                 fork, block.height - 1, undecidable=synced)
             alpha_block = self._scan_branch(fs, earlier)
-        fs.branch_len[block.id] = (1, block.id)
+        br = fs.branches[block.id] = _Branch(fs, block.id, block.height,
+                                             block.id)
         # index it: the parent's reset, and a sibling's fork path with the
-        # entry for this fork swapped
-        path = tuple((fs, block.id) if e[0] is fs else e
+        # record for this fork swapped
+        path = tuple(br if e.fork is fs else e
                      for e in self._index[earlier][1])
         self._index[block.id] = (self._index[fork][0], path)
-        if fs.records:
+        if any(b.record is not None for b in fs.branches.values()):
             # late sibling at an already-resolved fork: penalized immediately
-            self._cross_check(self._make_record(fs, block.id, arrival), arrival)
+            self._cross_check(self._make_record(fs, br, arrival), arrival)
         elif alpha_block is not None:
             self._fire(fs, earlier, alpha_block, arrival)
 
@@ -262,28 +275,20 @@ class NodeView:
         except KeyError:
             raise UnknownBlock(f"unknown block {bid}") from None
 
-    def _branch_at(self, fs: _ForkState, bid: BlockId) -> Optional[BlockId]:
-        """Branch child of fs.fork through which `bid` descends, or None."""
-        for f, c in self._entry(bid)[1]:
-            if f is fs:
-                return c
-        return None
-
     # -- penalty assignment ------------------------------------------------
 
     def _advance(self, block: Block, arrival: float):
-        """Update per-fork lengths for the new block and, on each branch it
-        lengthens, decide the fork if the branch first reaches alpha, and
-        sweep the canonical boundary."""
-        alpha = self.params.alpha
-        for fs, c in self._index[block.id][1]:
-            depth = block.height - fs.height
-            if depth <= fs.branch_len[c][0]:
+        """Update the branch records on the new block's path and, on each
+        branch it lengthens, decide the fork if the branch first reaches
+        alpha, and sweep the canonical boundary."""
+        height, alpha = block.height, self.params.alpha
+        for br in self._index[block.id][1]:
+            if height <= br.tip:
                 continue
-            fs.branch_len[c] = (depth, block.id)
-            if depth == alpha:
-                self._fire(fs, c, block.id, arrival)
-            rec = fs.records.get(c)
+            br.tip, br.deepest = height, block.id
+            if height - br.fork.height == alpha:
+                self._fire(br.fork, br.child, block.id, arrival)
+            rec = br.record
             if rec is not None and rec.deactivated_at is None:
                 self._cross_check(rec, arrival)
 
@@ -298,18 +303,18 @@ class NodeView:
             # generalized rule: a first-to-alpha chain that is itself under an
             # active penalty suppresses assignment at this fork entirely
             return
-        new = [self._make_record(fs, c, arrival)
-               for c in self.tree.children[fs.fork] if c != baseline]
+        new = [self._make_record(fs, br, arrival)
+               for c, br in fs.branches.items() if c != baseline]
         for rec in new:
             self._cross_check(rec, arrival)
 
-    def _make_record(self, fs: _ForkState, branch: BlockId,
+    def _make_record(self, fs: _ForkState, br: _Branch,
                      arrival: float) -> PenaltyRecord:
         assert fs.baseline_branch is not None
-        rec = PenaltyRecord(fs.fork, branch, fs.baseline_branch, arrival,
-                            fs.branch_len)
-        fs.records[branch] = rec
-        self._count_penalty(branch, 1)
+        rec = br.record = PenaltyRecord(
+            fs.fork, br.child, fs.baseline_branch, arrival, br,
+            fs.branches[fs.baseline_branch])
+        self._count_penalty(br.child, 1)
         if self._best is not None and self._active[self._best[1]]:
             self._best = None  # else it only lost candidates: still _pick's
         return rec
@@ -327,8 +332,9 @@ class NodeView:
     def _cross_check(self, rec: PenaltyRecord, arrival: float):
         """Deactivate the active `rec` if its branch has reached the canonical
         boundary, re-basing the chain's score (see module doc)."""
-        len_pen, head_pen = rec._branch_len[rec.penalized_branch]
-        len_base, _ = rec._branch_len[rec.baseline_branch]
+        pen, fork_height = rec._pen, rec._pen.fork.height
+        len_pen, head_pen = pen.tip - fork_height, pen.deepest
+        len_base = rec._base.tip - fork_height
         if len_pen < (1.0 + self.params.xi) * len_base - _BOUNDARY_EPS:
             return
         rec.deactivated_at = arrival
@@ -336,11 +342,11 @@ class NodeView:
         self._best = None
         # re-base to the best baseline among penalties deactivated now
         best = None
-        for other, c in self._index[head_pen][1]:
-            orec = other.records.get(c)
+        for other in self._index[head_pen][1]:
+            orec = other.record
             if orec is None or orec.deactivated_at != arrival:
                 continue
-            score = self._best_baseline_score(other)
+            score = self._best_baseline_score(orec._base)
             if best is None or score > best:
                 best = score
         if best is not None:
@@ -349,11 +355,11 @@ class NodeView:
                      best + self.params.epsilon)
             self._index[head_pen] = (reset, self._index[head_pen][1])
 
-    def _best_baseline_score(self, fs: _ForkState) -> float:
-        """Best score among the heads of the fork's baseline branch; it has
+    def _best_baseline_score(self, base: _Branch) -> float:
+        """Best score among the heads of the baseline branch `base`; it has
         one, as every branch ends in a leaf whose fork path carries it."""
         return max(self.adjusted_score(h) for h in self.tree.heads
-                   if self._branch_at(fs, h) == fs.baseline_branch)
+                   if base in self._index[h][1])
 
     # -- scoring -----------------------------------------------------------
 
@@ -368,25 +374,24 @@ class NodeView:
 
     def penalized_score(self, bid: BlockId, fork: BlockId) -> float:
         """Discounted post-fork length of an actively penalized chain: the
-        README's score of 1/(1+xi) per block past the fork."""
+        README's score of 1/(1+xi) per block past the fork.  An unknown
+        fork raises NotPenalized before `bid` is looked up."""
         fs = self._forks.get(fork)
-        rec = fs.records.get(self._branch_at(fs, bid)) if fs else None
-        if rec is None or rec.deactivated_at is not None:
+        active = self.active_penalties(bid) if fs else ()
+        if not any(r.fork == fork for r in active):
             raise NotPenalized(f"chain {bid} not penalized at {fork}")
         n = self.store.block(bid).height - fs.height
         return n / (1.0 + self.params.xi)
 
     def active_penalties(self, bid: BlockId) -> List[PenaltyRecord]:
-        recs = (fs.records.get(c) for fs, c in self._entry(bid)[1])
+        recs = (br.record for br in self._entry(bid)[1])
         return [r for r in recs if r is not None and r.deactivated_at is None]
 
     def penalty_records(self) -> List[PenaltyRecord]:
         """All records ever assigned, by fork then penalized branch."""
-        out = []
-        for fork in sorted(self._forks):
-            records = self._forks[fork].records
-            out.extend(records[b] for b in sorted(records))
-        return out
+        return [br.record for fork in sorted(self._forks)
+                for _, br in sorted(self._forks[fork].branches.items())
+                if br.record is not None]
 
     # -- canonical choice --------------------------------------------------
 
@@ -426,7 +431,7 @@ class NodeView:
         while self.tree.children[cur]:
             fs = self._forks.get(cur)
             clean = sorted(c for c in self.tree.children[cur]
-                           if fs is None or c not in fs.records)
+                           if fs is None or fs.branches[c].record is None)
             assert clean, f"every branch penalized at fork {cur}"
             cur = clean[0]
         return cur

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from adess.chain import Block, BlockTree, SeenTree
 from adess.errors import DomainError, InvalidDifficulty, UnknownBlock
+from adess.forkchoice import AdessParams, NodeView
 from adess.netsim import ScenarioConfig, _Simulation
 
 
@@ -26,11 +27,12 @@ def recompute_cumulative_difficulty(tree: BlockTree, bid: int) -> float:
 
 
 def seen_of(tree: BlockTree) -> SeenTree:
-    """A SeenTree fed the tree's blocks in insertion order."""
-    seen = SeenTree(tree.genesis_id)
+    """The SeenTree of a view that observed the tree's blocks in insertion
+    order."""
+    view = NodeView(AdessParams(), tree)
     for bid in list(tree.blocks)[1:]:
-        seen.insert(tree.block(bid), 0.0)
-    return seen
+        view.observe(bid, 0.0)
+    return view.tree
 
 
 def chain(tree: BlockTree, parent: int, n: int, difficulty: float = 1.0) -> int:

@@ -144,6 +144,12 @@ def test_penalized_score_longer_chain():
         view.penalized_score(bs[-1].id, 0)  # baseline never scored
     with pytest.raises(NotPenalized):
         view.penalized_score(as_[-1].id, b1.id)  # not a fork block
+    # an unknown fork is refused before the block is looked up; an unknown
+    # block at a known fork is an unknown block
+    with pytest.raises(NotPenalized):
+        view.penalized_score(999, b1.id)
+    with pytest.raises(UnknownBlock):
+        view.penalized_score(999, 0)
 
 
 # -- canonical boundary --------------------------------------------------------

@@ -16,22 +16,27 @@ from adess.netsim import ScenarioConfig, _Simulation
 from fuzz_trees import build_random_view
 
 
-def walk_branch(view: NodeView, fork: int, bid: int):
-    """Branch child of `fork` that `bid` descends through, by parent walk."""
-    tree = view.store
-    fork_h = tree.block(fork).height
-    cur = bid
-    while tree.block(cur).height > fork_h + 1:
-        cur = tree.block(cur).parent
-    if tree.block(cur).height == fork_h + 1 and tree.block(cur).parent == fork:
-        return cur
+def walk_path(view: NodeView, bid: int) -> list:
+    """`bid` and its ancestors by parent walk, the one at height h at h."""
+    path = []
+    while bid is not None:
+        path.append(bid)
+        bid = view.store.block(bid).parent
+    return path[::-1]
+
+
+def branch_on(view: NodeView, fork: int, path: list):
+    """Branch child of `fork` that a walked `path` passes through, or None."""
+    h = view.store.block(fork).height + 1
+    if h < len(path) and view.store.block(path[h]).parent == fork:
+        return path[h]
     return None
 
 
-def scan_anchor(view: NodeView, bid: int):
+def scan_anchor(view: NodeView, bid: int, resets: dict):
     """Deepest reset anchor on the path of `bid`, by a scan of every reset."""
     best = None
-    for anchor in resets_of(view):
+    for anchor in resets:
         if view.store.is_ancestor(anchor, bid) and (
                 best is None
                 or view.store.block(anchor).height
@@ -46,17 +51,39 @@ def resets_of(view: NodeView) -> dict:
     return {r[0]: r[1:] for r, _ in view._index.values() if r is not None}
 
 
-def check_entry(view: NodeView, bid: int):
+def deepest_by_walk(view: NodeView) -> dict:
+    """Block -> (height, -first-seen index, id) of the first-seen deepest
+    block in its subtree, children folded before their parent."""
+    seen, deepest = view.tree.first_seen, {}
+    for bid, _ in reversed(view.tree.arrivals):  # a child after its parent
+        top = (view.store.block(bid).height, -seen[bid], bid)
+        for c in view.tree.children[bid]:
+            top = max(top, deepest[c])
+        deepest[bid] = top
+    return deepest
+
+
+def check_entry(view: NodeView, bid: int, deepest: dict, resets: dict):
     reset, path = view._index[bid]
-    assert (None if reset is None else reset[0]) == scan_anchor(view, bid)
-    expected = []
+    assert (None if reset is None else reset[0]) == scan_anchor(view, bid,
+                                                                resets)
+    expected, walked = [], walk_path(view, bid)
     for fs in view._forks.values():  # fork-creation order
-        c = walk_branch(view, fs.fork, bid)
-        assert view._branch_at(fs, bid) == c
+        c = branch_on(view, fs.fork, walked)
         if c is not None:
             expected.append((fs.fork, c))
-    assert [(fs.fork, c) for fs, c in path] == expected
-    assert all(fs is view._forks[fs.fork] for fs, _ in path)
+    assert [(br.fork.fork, br.child) for br in path] == expected
+    # each entry is its branch's one record, holding the branch's length
+    # and deepest block, and a penalty record reads the records of its
+    # penalized and baseline branches
+    for br in path:
+        fs = view._forks[br.fork.fork]
+        assert br.fork is fs and br is fs.branches[br.child]
+        height, _, block = deepest[br.child]
+        assert (br.tip - fs.height, br.deepest) == (height - fs.height, block)
+        if br.record is not None:
+            assert br.record._pen is br
+            assert br.record._base is fs.branches[fs.baseline_branch]
 
 
 def replay_checked(source: NodeView) -> NodeView:
@@ -65,10 +92,11 @@ def replay_checked(source: NodeView) -> NodeView:
     view = NodeView(source.params, source.store)
     for bid, arrival in source.tree.arrivals[1:]:
         view.observe(bid, arrival)
+        deepest, resets = deepest_by_walk(view), resets_of(view)
         for head in view.tree.heads:
-            check_entry(view, head)
+            check_entry(view, head, deepest, resets)
     for bid in view.tree.children:
-        check_entry(view, bid)
+        check_entry(view, bid, deepest, resets)
     assert view.penalty_ledger() == source.penalty_ledger()
     assert view.adess_canonical() == source.adess_canonical()
     assert view.tree.heads == source.tree.heads
@@ -79,9 +107,10 @@ def replay_checked(source: NodeView) -> NodeView:
 def test_index_matches_walks_on_fuzz_trees():
     rng = random.Random(2)
     resets = 0
-    for _ in range(150):
+    for i in range(150):  # every third: some siblings out of id order
         tree_rng = random.Random(rng.getrandbits(32))
-        view = replay_checked(build_random_view(tree_rng))
+        view = replay_checked(build_random_view(tree_rng,
+                                                shuffled=i % 3 == 2))
         resets += len(resets_of(view))
     assert resets > 0  # the anchor check is exercised, not vacuous
 

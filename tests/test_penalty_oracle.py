@@ -176,12 +176,17 @@ class NaiveReplay:
 
 
 def check_fork(view: NodeView, oracle: NaiveReplay, f, branches=None):
-    """Compare fork f's tables, on `branches` only if given."""
+    """Compare fork f's branch records, on `branches` only if given."""
     fs = view._forks[f]
     children = oracle.children[f]
-    assert fs.branch_len.keys() == set(children)
+    assert fs.branches.keys() == set(children)
     for c in children if branches is None else branches:
-        assert fs.branch_len[c] == oracle.branch_len(f, c)
+        br = fs.branches[c]
+        assert br.fork is fs and br.child == c
+        assert (br.tip - fs.height, br.deepest) == oracle.branch_len(f, c)
+        if br.record is not None:  # it reads its two branches' records
+            assert br.record._pen is br
+            assert br.record._base is fs.branches[fs.baseline_branch]
     assert fs.baseline_branch == oracle.fired.get(f, (None,))[0]
 
 
