@@ -15,16 +15,17 @@ marked `synced` (bulk sync for a node offline when it was broadcast) carries
 no temporal order; that matters only if it opens a fork, which is then
 created undecidable and never assigns a penalty.
 
-Penalty state is kept in one `_Branch` record per (fork-block, branch) pair,
-where a branch is identified by the fork-block child it passes through.
-Every head descending through a penalized branch is penalized; the first
-branch observed to reach the confirmation depth is the baseline and is never
-penalized at that fork.  The fork is decided the moment that happens, in
-`_advance`, or as it opens if its earlier branch is already that deep
-(always so at alpha 1).  Records exist only at resolved forks: a decidable
+Penalty state is kept in one `PenaltyRecord` per (fork-block, branch) pair,
+where a branch is identified by the fork-block child it passes through.  It
+holds the fork's id and height, not its state, so nothing refers back to its
+owner.  Every head descending through a penalized branch is penalized; the
+first branch observed to reach the confirmation depth is the baseline and is
+never penalized at that fork.  The fork is decided the moment that happens,
+in `_advance`, or as it opens if its earlier branch is already that deep
+(always so at alpha 1).  Penalties exist only at resolved forks: a decidable
 fork whose baseline chain was penalty-free when it reached the depth.  A
-penalty record reads its chains live from its penalized and baseline
-branches' records, and is active until `deactivated_at` is set.
+penalized record holds its baseline's record, reads both chains live, and is
+active until `deactivated_at` is set.
 
 Every block carries a fork-choice index entry, inherited from its parent when
 it is connected, so no score or penalty query walks the tree.  Its reset is
@@ -42,7 +43,7 @@ parent, so a penalty test is one lookup.  The count is at most 1: `_fire`
 suppresses a fork whose baseline is penalized; a branch holding a deeper
 decided fork reached alpha first at the outer fork, so is its baseline; and
 a late sibling is a fresh leaf under a fork unpenalized when it resolved.
-Its only writers, `_make_record` (+1) and the deactivation in `_cross_check`
+Its only writers, `_penalize` (+1) and the deactivation in `_cross_check`
 (-1, so it clears the chain's last penalty and may re-base), walk the
 penalized branch's subtree; only they change other heads' eligibility or
 scores.  The ADESS canonical (score, head) is cached.  A connecting block
@@ -89,17 +90,19 @@ class AdessParams:
             raise ValueError("epsilon must be > 0")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)  # compared by identity
 class PenaltyRecord:
-    """A penalty assigned at `fork` to the branch through `penalized_branch`,
-    against the baseline branch; active until `deactivated_at` is set."""
+    """The branch of `fork` through `child`, with its first-seen deepest
+    block; a penalty once it has the baseline branch's record `base`, from
+    `assigned_at` until `deactivated_at` is set."""
 
     fork: BlockId
-    penalized_branch: BlockId
-    baseline_branch: BlockId
-    assigned_at: float
-    _pen: _Branch = field(repr=False, compare=False)
-    _base: _Branch = field(repr=False, compare=False)
+    height: int  # of the fork block
+    child: BlockId  # the fork block's child the branch passes through
+    tip: int  # height of the branch's first-seen deepest block
+    deepest: BlockId  # that block
+    base: Optional[PenaltyRecord] = None
+    assigned_at: Optional[float] = None
     deactivated_at: Optional[float] = None
 
     @property
@@ -107,32 +110,31 @@ class PenaltyRecord:
         return self.deactivated_at is None
 
     @property
+    def penalized_branch(self) -> BlockId:
+        return self.child
+
+    @property
+    def baseline_branch(self) -> BlockId:
+        return self.base.child
+
+    @property
     def penalized(self) -> BlockId:
         """Current deepest head of the penalized branch."""
-        return self._pen.deepest
+        return self.deepest
 
     @property
     def baseline(self) -> BlockId:
         """Current deepest head of the baseline branch."""
-        return self._base.deepest
+        return self.base.deepest
 
 
 @dataclass(slots=True)
 class _ForkState:
     fork: BlockId
     height: int  # of the fork block
-    branches: Dict[BlockId, _Branch] = field(default_factory=dict)
+    branches: Dict[BlockId, PenaltyRecord] = field(default_factory=dict)
     undecidable: bool = False
     baseline_branch: Optional[BlockId] = None  # set once assigned
-
-
-@dataclass(slots=True, eq=False)  # compared by identity
-class _Branch:
-    fork: _ForkState
-    child: BlockId  # the fork block's child the branch passes through
-    tip: int  # height of the branch's first-seen deepest block
-    deepest: BlockId  # that block
-    record: Optional[PenaltyRecord] = None  # once the branch is penalized
 
 
 class NodeView:
@@ -228,7 +230,8 @@ class NodeView:
         seen = self.tree.first_seen
         alpha_height = fs.height + self.params.alpha
         alpha_block: Optional[BlockId] = None
-        br = fs.branches[branch] = _Branch(fs, branch, fs.height, branch)
+        br = fs.branches[branch] = PenaltyRecord(fs.fork, fs.height, branch,
+                                                 fs.height, branch)
         stack = [branch]
         while stack:
             bid = stack.pop()
@@ -256,16 +259,17 @@ class NodeView:
             fs = self._forks[fork] = _ForkState(
                 fork, block.height - 1, undecidable=synced)
             alpha_block = self._scan_branch(fs, earlier)
-        br = fs.branches[block.id] = _Branch(fs, block.id, block.height,
-                                             block.id)
+        br = fs.branches[block.id] = PenaltyRecord(fork, fs.height, block.id,
+                                                   block.height, block.id)
         # index it: the parent's reset, and a sibling's fork path with the
         # record for this fork swapped
-        path = tuple(br if e.fork is fs else e
-                     for e in self._index[earlier][1])
-        self._index[block.id] = (self._index[fork][0], path)
-        if any(b.record is not None for b in fs.branches.values()):
+        path = self._index[earlier][1]
+        i = path.index(fs.branches[earlier])
+        self._index[block.id] = (self._index[fork][0],
+                                 path[:i] + (br,) + path[i + 1:])
+        if any(b.base is not None for b in fs.branches.values()):
             # late sibling at an already-resolved fork: penalized immediately
-            self._cross_check(self._make_record(fs, br, arrival), arrival)
+            self._cross_check(self._penalize(fs, br, arrival), arrival)
         elif alpha_block is not None:
             self._fire(fs, earlier, alpha_block, arrival)
 
@@ -280,17 +284,16 @@ class NodeView:
     def _advance(self, block: Block, arrival: float):
         """Update the branch records on the new block's path and, on each
         branch it lengthens, decide the fork if the branch first reaches
-        alpha, and sweep the canonical boundary."""
+        alpha, and sweep the canonical boundary if it is penalized."""
         height, alpha = block.height, self.params.alpha
         for br in self._index[block.id][1]:
             if height <= br.tip:
                 continue
             br.tip, br.deepest = height, block.id
-            if height - br.fork.height == alpha:
-                self._fire(br.fork, br.child, block.id, arrival)
-            rec = br.record
-            if rec is not None and rec.deactivated_at is None:
-                self._cross_check(rec, arrival)
+            if height - br.height == alpha:
+                self._fire(self._forks[br.fork], br.child, block.id, arrival)
+            if br.base is not None and br.deactivated_at is None:
+                self._cross_check(br, arrival)
 
     def _fire(self, fs: _ForkState, baseline: BlockId, alpha_block: BlockId,
               arrival: float):
@@ -303,18 +306,15 @@ class NodeView:
             # generalized rule: a first-to-alpha chain that is itself under an
             # active penalty suppresses assignment at this fork entirely
             return
-        new = [self._make_record(fs, br, arrival)
+        new = [self._penalize(fs, br, arrival)
                for c, br in fs.branches.items() if c != baseline]
         for rec in new:
             self._cross_check(rec, arrival)
 
-    def _make_record(self, fs: _ForkState, br: _Branch,
-                     arrival: float) -> PenaltyRecord:
-        assert fs.baseline_branch is not None
-        rec = br.record = PenaltyRecord(
-            fs.fork, br.child, fs.baseline_branch, arrival, br,
-            fs.branches[fs.baseline_branch])
-        self._count_penalty(br.child, 1)
+    def _penalize(self, fs: _ForkState, rec: PenaltyRecord,
+                  arrival: float) -> PenaltyRecord:
+        rec.base, rec.assigned_at = fs.branches[fs.baseline_branch], arrival
+        self._count_penalty(rec.child, 1)
         if self._best is not None and self._active[self._best[1]]:
             self._best = None  # else it only lost candidates: still _pick's
         return rec
@@ -332,30 +332,24 @@ class NodeView:
     def _cross_check(self, rec: PenaltyRecord, arrival: float):
         """Deactivate the active `rec` if its branch has reached the canonical
         boundary, re-basing the chain's score (see module doc)."""
-        pen, fork_height = rec._pen, rec._pen.fork.height
-        len_pen, head_pen = pen.tip - fork_height, pen.deepest
-        len_base = rec._base.tip - fork_height
+        len_pen, head_pen = rec.tip - rec.height, rec.deepest
+        len_base = rec.base.tip - rec.height
         if len_pen < (1.0 + self.params.xi) * len_base - _BOUNDARY_EPS:
             return
         rec.deactivated_at = arrival
-        self._count_penalty(rec.penalized_branch, -1)
+        self._count_penalty(rec.child, -1)
         self._best = None
-        # re-base to the best baseline among penalties deactivated now
-        best = None
-        for other in self._index[head_pen][1]:
-            orec = other.record
-            if orec is None or orec.deactivated_at != arrival:
-                continue
-            score = self._best_baseline_score(orec._base)
-            if best is None or score > best:
-                best = score
-        if best is not None:
-            assert not self.tree.children[head_pen]  # leaf: see module doc
-            reset = (head_pen, self.store.cumulative_difficulty(head_pen),
-                     best + self.params.epsilon)
-            self._index[head_pen] = (reset, self._index[head_pen][1])
+        # re-base to the best baseline among the penalties on its path
+        # deactivated now, this one among them
+        path = self._index[head_pen][1]
+        best = max(self._best_baseline_score(r.base) for r in path
+                   if r.deactivated_at == arrival)
+        assert not self.tree.children[head_pen]  # leaf: see module doc
+        reset = (head_pen, self.store.cumulative_difficulty(head_pen),
+                 best + self.params.epsilon)
+        self._index[head_pen] = (reset, path)
 
-    def _best_baseline_score(self, base: _Branch) -> float:
+    def _best_baseline_score(self, base: PenaltyRecord) -> float:
         """Best score among the heads of the baseline branch `base`; it has
         one, as every branch ends in a leaf whose fork path carries it."""
         return max(self.adjusted_score(h) for h in self.tree.heads
@@ -384,14 +378,14 @@ class NodeView:
         return n / (1.0 + self.params.xi)
 
     def active_penalties(self, bid: BlockId) -> List[PenaltyRecord]:
-        recs = (br.record for br in self._entry(bid)[1])
-        return [r for r in recs if r is not None and r.deactivated_at is None]
+        return [r for r in self._entry(bid)[1]
+                if r.base is not None and r.deactivated_at is None]
 
     def penalty_records(self) -> List[PenaltyRecord]:
-        """All records ever assigned, by fork then penalized branch."""
-        return [br.record for fork in sorted(self._forks)
-                for _, br in sorted(self._forks[fork].branches.items())
-                if br.record is not None]
+        """All penalties ever assigned, by fork then penalized branch."""
+        return [r for fork in sorted(self._forks)
+                for _, r in sorted(self._forks[fork].branches.items())
+                if r.base is not None]
 
     # -- canonical choice --------------------------------------------------
 
@@ -431,7 +425,7 @@ class NodeView:
         while self.tree.children[cur]:
             fs = self._forks.get(cur)
             clean = sorted(c for c in self.tree.children[cur]
-                           if fs is None or fs.branches[c].record is None)
+                           if fs is None or fs.branches[c].base is None)
             assert clean, f"every branch penalized at fork {cur}"
             cur = clean[0]
         return cur

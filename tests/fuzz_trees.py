@@ -38,3 +38,9 @@ def build_random_view(rng: random.Random, shuffled: bool = False) -> NodeView:
             tips.remove(parent)
         tips += bids
     return view
+
+
+def out_of_id_order(view: NodeView) -> bool:
+    """Whether `view` observed some block before one with a lower id."""
+    ids = [bid for bid, _ in view.tree.arrivals]
+    return ids != sorted(ids)

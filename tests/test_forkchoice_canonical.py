@@ -14,7 +14,7 @@ from adess.mining import Stochastic
 from adess.netsim import ScenarioConfig, _Simulation
 
 from arrivals import per_arrival
-from fuzz_trees import build_random_view
+from fuzz_trees import build_random_view, out_of_id_order
 
 
 def rescored_head(view: NodeView) -> int:
@@ -57,12 +57,15 @@ def forky_config(seed: int) -> ScenarioConfig:
 
 def test_cached_head_matches_rescoring_on_fuzz_trees():
     rng = random.Random(3)
-    cached = resets = 0
-    for _ in range(150):
-        view = build_random_view(random.Random(rng.getrandbits(32)))
+    cached = resets = shuffled = 0
+    for i in range(150):  # every third: some siblings out of id order
+        view = build_random_view(random.Random(rng.getrandbits(32)),
+                                 shuffled=i % 3 == 2)
         cached += replay_checked(view)
         resets += len({r for r, _ in view._index.values() if r is not None})
-    assert cached > 0 and resets > 0  # both the fast path and re-basing ran
+        shuffled += out_of_id_order(view)
+    # both the fast path and re-basing ran, and not only in id order
+    assert cached > 0 and resets > 0 and shuffled > 0
 
 
 def test_cached_head_matches_rescoring_in_forky_scenarios():

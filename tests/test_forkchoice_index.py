@@ -5,13 +5,14 @@ scratch."""
 
 from __future__ import annotations
 
+import gc
 import random
 
 from adess.chain import BlockTree, SeenTree
 from adess.economics import AttackParams
 from adess.forkchoice import AdessParams, NodeView
 from adess.mining import Stochastic
-from adess.netsim import ScenarioConfig, _Simulation
+from adess.netsim import ScenarioConfig, _Simulation, run_scenario
 
 from fuzz_trees import build_random_view
 
@@ -72,18 +73,17 @@ def check_entry(view: NodeView, bid: int, deepest: dict, resets: dict):
         c = branch_on(view, fs.fork, walked)
         if c is not None:
             expected.append((fs.fork, c))
-    assert [(br.fork.fork, br.child) for br in path] == expected
-    # each entry is its branch's one record, holding the branch's length
-    # and deepest block, and a penalty record reads the records of its
-    # penalized and baseline branches
+    assert [(br.fork, br.child) for br in path] == expected
+    # each entry is its branch's one record, holding the fork's height and
+    # the branch's length and deepest block, and a penalized record holds
+    # its baseline branch's record
     for br in path:
-        fs = view._forks[br.fork.fork]
-        assert br.fork is fs and br is fs.branches[br.child]
+        fs = view._forks[br.fork]
+        assert br.height == fs.height and br is fs.branches[br.child]
         height, _, block = deepest[br.child]
         assert (br.tip - fs.height, br.deepest) == (height - fs.height, block)
-        if br.record is not None:
-            assert br.record._pen is br
-            assert br.record._base is fs.branches[fs.baseline_branch]
+        if br.base is not None:
+            assert br.base is fs.branches[fs.baseline_branch]
 
 
 def replay_checked(source: NodeView) -> NodeView:
@@ -160,3 +160,30 @@ def test_store_backed_view_matches_standalone_view():
         assert shared.penalty_ledger() == alone.penalty_ledger()
         assert source.store.snapshot() == alone.store.snapshot() == snapshot
     assert orphans > 0
+
+
+def test_a_dropped_run_or_view_leaves_no_reference_cycles():
+    # no fork-choice record refers back to its owner, so reference counting
+    # frees a finished run or view whole and the cyclic collector finds none
+    cfg = ScenarioConfig(
+        adess=AdessParams(alpha=2, xi=1.0),
+        attack=AttackParams(alpha=2, xi=1.0, v=11.0),
+        mining=Stochastic(tick=0.01),
+        n_honest_nodes=8,
+        honest_hashrates={f"n{i}": 0.125 for i in range(8)},
+        delay=0.3, horizon=40.0, seed=1)
+    gc.collect()
+    gc.disable()
+    try:
+        run_scenario(cfg)  # its report is dropped at once
+        assert gc.collect() == 0
+        source = build_random_view(random.Random(3))
+        view = NodeView(source.params, source.store)
+        for bid, arrival in source.tree.arrivals[1:]:
+            view.observe(bid, arrival)
+        # penalized, deactivated and re-based records are dropped with it
+        assert any(not r.active for r in view.penalty_records())
+        del source, view
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -182,11 +182,10 @@ def check_fork(view: NodeView, oracle: NaiveReplay, f, branches=None):
     assert fs.branches.keys() == set(children)
     for c in children if branches is None else branches:
         br = fs.branches[c]
-        assert br.fork is fs and br.child == c
+        assert (br.fork, br.height, br.child) == (f, fs.height, c)
         assert (br.tip - fs.height, br.deepest) == oracle.branch_len(f, c)
-        if br.record is not None:  # it reads its two branches' records
-            assert br.record._pen is br
-            assert br.record._base is fs.branches[fs.baseline_branch]
+        if br.base is not None:  # it holds its baseline branch's record
+            assert br.base is fs.branches[fs.baseline_branch]
     assert fs.baseline_branch == oracle.fired.get(f, (None,))[0]
 
 
