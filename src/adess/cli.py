@@ -264,6 +264,7 @@ def _grid_points(grid: dict) -> List[float]:
             if x + step == x:
                 raise ConfigError(f"grid step {step!r} does not move {x!r}")
             x += step
+        _size("grid points", len(pts))  # the bound above admits one more
     if not pts:
         raise ConfigError("empty grid")
     return pts

@@ -235,6 +235,17 @@ def _plan_blocks(xi: float, N: int, tau: int, b_max: int) -> int:
     return boundary_blocks(N, xi)
 
 
+def _first_overflow(xi: float, tau: int, Ns: range, Ks: List[int]):
+    """(g, K) of the first N whose g^(K-1) overflows at fork depth tau."""
+    for N, K in zip(Ns, Ks):
+        g = 1.0 + (xi + tau / N)  # 1 + fork_depth_growth(N, xi, tau)
+        try:
+            g ** (K - 1)
+        except OverflowError:
+            return g, K
+    return None
+
+
 def _finite(x: float, what: str) -> float:
     """`x`, or DomainError if it overflowed to inf (or nan: inf times 0)."""
     if not math.isfinite(x):
@@ -492,28 +503,22 @@ def brute_force_optimal_plan(p: AttackParams, tau_max: int = 10,
     n0, d, c, xi, v, p_B = p.horizon_blocks, p.delta, p.c, p.xi, p.v, p.p_B
     _plan_blocks(xi, n0 + n_extra, tau_max, b_max)  # monotone in N
     powers = [d ** e for e in range(n0 - 1, n0 + n_extra + b_max)]
-    Ns = range(n0, n0 + n_extra + 1)
-    Ks = [boundary_blocks(N, xi) for N in Ns]
+    Ns, g0 = range(n0, n0 + n_extra + 1), 1.0 + xi
+    Ks = [math.ceil(N * g0 - _BOUNDARY_EPS) for N in Ns]  # boundary_blocks'
     _finite(v + p_B * (Ks[-1] + b_max), "attack revenue")  # w <= 1: bounds all
-
-    def overflow(tau: int):  # (g, K) of the first N whose g^(K-1) overflows
-        for N, K in zip(Ns, Ks):
-            g = 1.0 + (xi + tau / N)  # 1 + fork_depth_growth(N, xi, tau)
-            try:
-                g ** (K - 1)
-            except OverflowError:
-                return g, K
-        return None
     taus = range(tau_max + 1)  # as in range, a float tau_max is a TypeError
-    if overflow(tau_max):  # g rises with tau: bisect, tau 0 included
-        tau = bisect_left(taus, True, key=lambda t: bool(overflow(t)))
-        g, K = overflow(tau)
+    # a probed power can overflow only past this log bound (README)
+    if ((Ks[-1] - 1) * math.log2(1.0 + xi + tau_max / n0) > 1000
+            and _first_overflow(xi, tau_max, Ns, Ks)):
+        tau = bisect_left(taus, True, key=lambda t: bool(
+            _first_overflow(xi, t, Ns, Ks)))  # g rises with tau: bisect
+        g, K = _first_overflow(xi, tau, Ns, Ks)
         _boundary_cost(d, g, g, K)  # raises that (tau, N)'s DomainError
     tops, top = [], 0.0  # then reversed: tops[i] = max(powers[i:])
     for w in reversed(powers):
         tops.append(top := w if w > top else top)
     tops.reverse()
-    best, best_plan, g0, n, boundary = -math.inf, None, 1.0 + xi, 0, 0
+    best, best_plan, n, boundary = -math.inf, None, 0, 0
     for i, (N, K) in enumerate(zip(Ns, Ks)):
         cap = tops[i] * (v + p_B * (K + b_max))
         if cap - c * boundary <= best:  # the fold so far: at most N's cost

@@ -467,6 +467,8 @@ HUGE = str(10 ** 400)  # no float holds it
     ["compare-protocols", "--c", "1e308", "--xi", "1", "--horizon", "20",
      "--delta", "1e-320"],
     ["simulate", {"horizon": -1}],
+    # a start/stop/step grid of 100,001 points wrote 100,001 rows
+    _sweep("profit", {"param": "v", "start": 0, "stop": 100_000, "step": 1}),
 ])
 def test_oversized_inputs_exit_one_quickly(tmp_path, argv):
     if argv[0] in ("sweep", "simulate"):
@@ -487,6 +489,14 @@ def test_oversized_inputs_exit_one_quickly(tmp_path, argv):
     # the error was also logged under the default level: a second line
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert float(proc.stdout) < 1.0
+
+
+def test_a_start_stop_step_grid_admits_exactly_the_row_bound():
+    # the points the loop yields are counted, not (stop - start) / step
+    assert len(cli._grid_points({"start": 0, "stop": 99_999, "step": 1})) \
+        == cli._MAX_ROWS == 100_000
+    with pytest.raises(ConfigError, match="got 100001"):
+        cli._grid_points({"start": 0, "stop": 100_000, "step": 1})
 
 
 @pytest.mark.parametrize("grid", [

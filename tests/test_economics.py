@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adess import economics
-from adess.economics import (AttackParams, _boundary_cost, _plan_blocks,
-                             adess_attack_cost,
+from adess.economics import (AttackParams, _boundary_cost, _first_overflow,
+                             _plan_blocks, adess_attack_cost,
                              adess_attack_profit, affine_cost_term,
                              affine_cost_term_derivative,
                              affine_growth_cost_margin, attack_plan_profit,
@@ -595,9 +595,10 @@ def test_retiring_search_matches_summing_search_at_deep_forks():
 
 def test_acceptance_04_plans_do_not_depend_on_the_fork_depth_bound(
         monkeypatch):
-    # the search scans tau 0 only and probes each N's last power once, at
-    # tau_max, so its cost does not grow with tau_max: testing every fork
-    # depth up to 100,000 took about 48 s for the 100 searches
+    # the search scans tau 0 only, and on this grid its log bound admits no
+    # overflow even at tau_max 100,000, so it probes no power: its cost does
+    # not grow with tau_max.  Testing every fork depth up to 100,000 took
+    # about 48 s for the 100 searches
     start = time.perf_counter()
     deep = [brute_force_optimal_plan(p, tau_max=100_000)
             for p in ACCEPTANCE_04_GRID]
@@ -611,6 +612,67 @@ def test_acceptance_04_plans_do_not_depend_on_the_fork_depth_bound(
     # to the largest K, 12.34 now
     terms = sum(K - n for n, K in folds) / len(deep)
     assert terms <= 13, terms
+
+
+def counting_probes(monkeypatch) -> list:
+    """Wrap the search's `_first_overflow`: each call appends its tau and
+    what it found."""
+    calls = []
+
+    def probe(xi, tau, Ns, Ks):
+        found = _first_overflow(xi, tau, Ns, Ks)
+        calls.append((tau, found))
+        return found
+    monkeypatch.setattr(economics, "_first_overflow", probe)
+    return calls
+
+
+def probe_gate(p: AttackParams, tau_max: int, n_extra: int) -> float:
+    """log2 of the largest base the overflow probe could meet, times the
+    largest K less one: the search probes only when this exceeds 1000."""
+    n0 = p.horizon_blocks
+    K = boundary_blocks(n0 + n_extra, p.xi)
+    return (K - 1) * math.log2(1.0 + p.xi + tau_max / n0)
+
+
+def test_overflow_probe_runs_only_where_a_power_could_overflow(monkeypatch):
+    # below the log bound every probed power is under 2^1001, far from the
+    # largest float, so the search skips its probe with no change of plan
+    # or error; past it, the probe and its bisection still decide
+    probes = counting_probes(monkeypatch)
+    for p in ACCEPTANCE_04_GRID + ORACLE_GRID:
+        brute_force_optimal_plan(p)
+    assert probes == []
+    rng = random.Random(39)
+    seen = collections.Counter()
+    for _ in range(60):  # the bound just past 1000: probed, none overflows
+        alpha, tau_max = rng.randint(20, 120), rng.randint(0, 30)
+        grid = dict(tau_max=tau_max, n_extra=3, b_max=3)
+        lo, hi = 0.0, 12.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = probe_gate(params(alpha=alpha, xi=mid), tau_max, 3) <= 1000
+            lo, hi = (mid, hi) if below else (lo, mid)
+        p = params(alpha=alpha, xi=hi, delta=rng.uniform(0.5, 1.0),
+                   v=rng.uniform(0.0, 50.0))
+        assert 1000 < probe_gate(p, tau_max, 3) < 1010, p
+        probes.clear()
+        want = summing_search(p, **grid)
+        assert brute_force_optimal_plan(p, **grid) == want, p
+        assert probes == [(tau_max, None)], probes
+        seen["plan"] += 1
+    for _ in range(60):  # near the largest float: the probe names the error
+        alpha, j = rng.randint(20, 120), rng.randint(0, 3)
+        grid = dict(tau_max=rng.randint(0, 30), n_extra=3, b_max=3)
+        p = params(alpha=alpha, delta=rng.uniform(0.5, 1.0),
+                   xi=edge_xi(alpha + j, rng.uniform(709.0, 712.0)),
+                   v=rng.uniform(0.0, 50.0))
+        want = search_outcome(summing_search, p, grid)
+        probes.clear()
+        assert search_outcome(brute_force_optimal_plan, p, grid) == want, p
+        assert probes, p
+        seen["error" if isinstance(want, str) else "edge plan"] += 1
+    assert seen["plan"] == 60 and seen["error"] >= 30, seen
 
 
 def test_a_one_block_boundary_retires_without_a_margin():
