@@ -4,10 +4,11 @@ Subcommands map one-to-one onto the library: `simulate` and `sweep` read a
 JSON config whose keys mirror the ScenarioConfig / AttackParams field names;
 the scalar commands (`min-xi`, `safe-v`, `profit`, ...) take everything as
 flags and print their results; `compare-protocols` takes no payoff flag
-(`--v`, `--pb`, `--b`).  The commands that write files make `--out` (default
-./out) once their inputs are read, before any work; only `simulate` takes
-`--seed`.  Identical flags and seed produce byte-identical files.  Exit
-status: 0 success, 1 domain or output error, 2 usage error.
+(`--v`, `--pb`, `--b`).  The commands that write files check their inputs,
+then make `--out` (default ./out), then do the work, so a refused input
+leaves no directory; only `simulate` takes `--seed`.  Identical flags and
+seed produce byte-identical files.  Exit status: 0 success, 1 domain or
+output error, 2 usage error.
 Diagnostic verbosity on stderr is controlled by the ADESS_LOG environment
 variable (error, info or debug).
 """
@@ -23,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from . import economics
 from .economics import AttackParams
@@ -209,8 +210,8 @@ def _malicious_rows(params: AttackParams, horizon
 
 
 def cmd_compare_protocols(args) -> int:
-    params, out = _attack_params(args), _out_dir(args)
-    rows, a_pv, n_pv = _malicious_rows(params, args.horizon)
+    rows, a_pv, n_pv = _malicious_rows(_attack_params(args), args.horizon)
+    out = _out_dir(args)
     _write(out / "malicious_cost.csv", "\n".join(rows) + "\n")
     print(f"adess_pv = {a_pv!r}")
     print(f"nakamoto_pv = {n_pv!r}")
@@ -230,13 +231,12 @@ def _parse_krange(spec: str) -> List[int]:
 
 
 def cmd_security_bound(args) -> int:
-    ks, out = _parse_krange(args.k), _out_dir(args)
     lines = ["k,bound"]
-    for k in ks:
+    for k in _parse_krange(args.k):
         b = economics.guo_ren_bound(k, args.rho, args.lambda_rate,
                                     args.delta_prop, variant=args.variant)
         lines.append(f"{k},{b!r}")
-    _write(out / "security_bound.csv", "\n".join(lines) + "\n")
+    _write(_out_dir(args) / "security_bound.csv", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 
@@ -270,24 +270,28 @@ def _grid_points(grid: dict) -> List[float]:
     return pts
 
 
-def _sweep_profit(params: AttackParams, grid: dict) -> List[str]:
+def _sweep_profit(params: AttackParams, grid: dict) -> Iterator[str]:
+    """Check the grid now; each row's plan search runs as it is read."""
     param = grid.get("param", "xi")
     if param not in ("xi", "v"):
         raise ConfigError(f"sweep parameter must be xi or v, got {param!r}")
-    rows = [SWEEP_HEADER]
-    for x in _grid_points(grid):
-        pt = replace(params, **{param: x})
-        br = economics.adess_attack_profit(pt)
-        try:
-            xi_star = economics.min_deterring_xi(pt.v, pt)
-        except SolverFailure:
-            xi_star = float("nan")
-        v_max = economics.safe_value_interval(pt.xi, pt) if pt.xi > 0 \
-            else float("nan")
-        rows.append(f"{x!r}, {br.discounted_revenue!r}, "
-                    f"{br.discounted_cost!r}, {br.profit!r}, "
-                    f"{xi_star!r}, {v_max!r}")
-    return rows
+    points = _grid_points(grid)
+
+    def rows():
+        yield SWEEP_HEADER
+        for x in points:
+            pt = replace(params, **{param: x})
+            br = economics.adess_attack_profit(pt)
+            try:
+                xi_star = economics.min_deterring_xi(pt.v, pt)
+            except SolverFailure:
+                xi_star = float("nan")
+            v_max = economics.safe_value_interval(pt.xi, pt) if pt.xi > 0 \
+                else float("nan")
+            yield (f"{x!r}, {br.discounted_revenue!r}, "
+                   f"{br.discounted_cost!r}, {br.profit!r}, "
+                   f"{xi_star!r}, {v_max!r}")
+    return rows()
 
 
 def _sweep_hashrate(params: AttackParams, grid: dict) -> List[str]:
@@ -309,8 +313,9 @@ def cmd_sweep(args) -> int:
     data = _load_json(args.config)
     kind = data.get("kind", "profit")
     params = _build(AttackParams, data.get("attack", {}), "attack")
-    grid, out = data.get("grid", {}), _out_dir(args)
+    grid = data.get("grid", {})
     with _config_shape("sweep"):
+        # the cheap kinds' rows are built here; profit's only after --out
         if kind == "profit":
             rows = _sweep_profit(params, grid)
         elif kind == "hashrate":
@@ -319,6 +324,8 @@ def cmd_sweep(args) -> int:
             rows = _sweep_malicious(params, grid)
         else:
             raise ConfigError(f"unknown sweep kind {kind!r}")
+        out = _out_dir(args)
+        rows = list(rows)
     _write(out / "sweep.csv", "\n".join(rows) + "\n")
     meta = {"kind": kind, "grid": grid, "attack": asdict(params),
             "rows": len(rows) - 1}

@@ -15,17 +15,18 @@ marked `synced` (bulk sync for a node offline when it was broadcast) carries
 no temporal order; that matters only if it opens a fork, which is then
 created undecidable and never assigns a penalty.
 
-Penalty state is kept in one `PenaltyRecord` per (fork-block, branch) pair,
-where a branch is identified by the fork-block child it passes through.  It
+Each fork is in one state: undecidable if a synced block opened it, else
+undecided until a branch first reaches the confirmation depth.  That branch
+is its baseline, found in `_advance`, or as the fork opens if its earlier
+branch is already that deep (always so at alpha 1); the fork is then
+resolved, or suppressed if the baseline chain carried an active penalty at
+that depth.  Penalty state is kept in one `PenaltyRecord` per (fork-block,
+branch) pair, a branch named by the fork-block child it passes through; it
 holds the fork's id and height, not its state, so nothing refers back to its
-owner.  Every head descending through a penalized branch is penalized; the
-first branch observed to reach the confirmation depth is the baseline and is
-never penalized at that fork.  The fork is decided the moment that happens,
-in `_advance`, or as it opens if its earlier branch is already that deep
-(always so at alpha 1).  Penalties exist only at resolved forks: a decidable
-fork whose baseline chain was penalty-free when it reached the depth.  A
-penalized record holds its baseline's record, reads both chains live, and is
-active until `deactivated_at` is set.
+owner.  Only a resolved fork penalizes: every branch but its baseline, late
+siblings included, and each head descending through one.  A penalized record
+holds its baseline's record `base`, reads both chains live, and is active
+while `deactivated_at` is None.
 
 Every block carries a fork-choice index entry, inherited from its parent when
 it is connected, so no score or penalty query walks the tree.  Its reset is
@@ -105,36 +106,13 @@ class PenaltyRecord:
     assigned_at: Optional[float] = None
     deactivated_at: Optional[float] = None
 
-    @property
-    def active(self) -> bool:
-        return self.deactivated_at is None
-
-    @property
-    def penalized_branch(self) -> BlockId:
-        return self.child
-
-    @property
-    def baseline_branch(self) -> BlockId:
-        return self.base.child
-
-    @property
-    def penalized(self) -> BlockId:
-        """Current deepest head of the penalized branch."""
-        return self.deepest
-
-    @property
-    def baseline(self) -> BlockId:
-        """Current deepest head of the baseline branch."""
-        return self.base.deepest
-
 
 @dataclass(slots=True)
 class _ForkState:
-    fork: BlockId
     height: int  # of the fork block
+    state: str  # undecided, undecidable, suppressed or resolved: module doc
     branches: Dict[BlockId, PenaltyRecord] = field(default_factory=dict)
-    undecidable: bool = False
-    baseline_branch: Optional[BlockId] = None  # set once assigned
+    baseline: Optional[PenaltyRecord] = None  # set once decided
 
 
 class NodeView:
@@ -222,7 +200,7 @@ class NodeView:
 
     # -- fork bookkeeping --------------------------------------------------
 
-    def _scan_branch(self, fs: _ForkState, branch: BlockId
+    def _scan_branch(self, fork: BlockId, fs: _ForkState, branch: BlockId
                      ) -> Optional[BlockId]:
         """Add the record of a pre-existing branch, with its first-seen
         deepest block, to the fork path of every block on it, and return its
@@ -230,7 +208,7 @@ class NodeView:
         seen = self.tree.first_seen
         alpha_height = fs.height + self.params.alpha
         alpha_block: Optional[BlockId] = None
-        br = fs.branches[branch] = PenaltyRecord(fs.fork, fs.height, branch,
+        br = fs.branches[branch] = PenaltyRecord(fork, fs.height, branch,
                                                  fs.height, branch)
         stack = [branch]
         while stack:
@@ -257,8 +235,8 @@ class NodeView:
         alpha_block = None
         if fs is None:
             fs = self._forks[fork] = _ForkState(
-                fork, block.height - 1, undecidable=synced)
-            alpha_block = self._scan_branch(fs, earlier)
+                block.height - 1, "undecidable" if synced else "undecided")
+            alpha_block = self._scan_branch(fork, fs, earlier)
         br = fs.branches[block.id] = PenaltyRecord(fork, fs.height, block.id,
                                                    block.height, block.id)
         # index it: the parent's reset, and a sibling's fork path with the
@@ -267,8 +245,7 @@ class NodeView:
         i = path.index(fs.branches[earlier])
         self._index[block.id] = (self._index[fork][0],
                                  path[:i] + (br,) + path[i + 1:])
-        if any(b.base is not None for b in fs.branches.values()):
-            # late sibling at an already-resolved fork: penalized immediately
+        if fs.state == "resolved":  # a late sibling: penalized at once
             self._cross_check(self._penalize(fs, br, arrival), arrival)
         elif alpha_block is not None:
             self._fire(fs, earlier, alpha_block, arrival)
@@ -299,12 +276,13 @@ class NodeView:
               arrival: float):
         """Decide a fork: `baseline`, the first branch to reach alpha (at
         `alpha_block`), is the baseline and every other branch is penalized."""
-        if fs.undecidable or fs.baseline_branch is not None:
+        if fs.state != "undecided":
             return
-        fs.baseline_branch = baseline
-        if self._active[alpha_block]:
-            # generalized rule: a first-to-alpha chain that is itself under an
-            # active penalty suppresses assignment at this fork entirely
+        fs.baseline = fs.branches[baseline]
+        # generalized rule: a first-to-alpha chain that is itself under an
+        # active penalty suppresses assignment at this fork entirely
+        fs.state = "suppressed" if self._active[alpha_block] else "resolved"
+        if fs.state == "suppressed":
             return
         new = [self._penalize(fs, br, arrival)
                for c, br in fs.branches.items() if c != baseline]
@@ -313,7 +291,7 @@ class NodeView:
 
     def _penalize(self, fs: _ForkState, rec: PenaltyRecord,
                   arrival: float) -> PenaltyRecord:
-        rec.base, rec.assigned_at = fs.branches[fs.baseline_branch], arrival
+        rec.base, rec.assigned_at = fs.baseline, arrival
         self._count_penalty(rec.child, 1)
         if self._best is not None and self._active[self._best[1]]:
             self._best = None  # else it only lost candidates: still _pick's
@@ -416,7 +394,8 @@ class NodeView:
 
     @property
     def undecidable_forks(self) -> List[BlockId]:
-        return sorted(f for f, fs in self._forks.items() if fs.undecidable)
+        return sorted(f for f, fs in self._forks.items()
+                      if fs.state == "undecidable")
 
     def never_penalized_witness(self) -> BlockId:
         """Constructive path walk from genesis choosing an un-penalized branch
@@ -434,9 +413,10 @@ class NodeView:
         """Dump records as `penalty chain=... fork=... baseline=...` lines."""
         lines = []
         for rec in self.penalty_records():
-            t_off = "-" if rec.deactivated_at is None else repr(rec.deactivated_at)
+            on = rec.deactivated_at is None
             lines.append(
-                f"penalty chain={rec.penalized} fork={rec.fork} "
-                f"baseline={rec.baseline} active={1 if rec.active else 0} "
-                f"t_on={rec.assigned_at!r} t_off={t_off}")
+                f"penalty chain={rec.deepest} fork={rec.fork} "
+                f"baseline={rec.base.deepest} active={int(on)} "
+                f"t_on={rec.assigned_at!r} "
+                f"t_off={'-' if on else repr(rec.deactivated_at)}")
         return "\n".join(lines) + ("\n" if lines else "")

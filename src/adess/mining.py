@@ -116,10 +116,12 @@ def next_block_time(difficulty: float, hashrate: float, mode: MiningMode,
     """Waiting time for the next block, or NEVER_FOUND at zero hashrate: the
     `geometric_time` of the draw (p, u, tick) of `mode._drawer(rng)`, a rule
     that a simulation binds once and whose draw it may drop unresolved."""
-    if difficulty <= 0:
-        raise ValueError("difficulty must be > 0")
-    if hashrate < 0:
-        raise ValueError("hashrate must be >= 0")
+    if not 0 < difficulty < math.inf:
+        raise ValueError(f"difficulty must be > 0 and finite, "
+                         f"got {difficulty!r}")
+    if not 0 <= hashrate < math.inf:
+        raise ValueError(f"hashrate must be >= 0 and finite, "
+                         f"got {hashrate!r}")
     if hashrate == 0:
         return NEVER_FOUND
     if not isinstance(mode, (CertaintyEquivalent, Stochastic)):
@@ -148,9 +150,11 @@ def adjust_difficulty(prev_difficulty: float, implied_hashrate: float,
     list of observed block times in the closing epoch and triggers a retarget
     when it holds E entries.
     """
-    if prev_difficulty <= 0 or implied_hashrate <= 0:
-        raise ValueError("inputs must be > 0")
     history = epoch_history or ()
+    if not all(0 < x < math.inf
+               for x in (prev_difficulty, implied_hashrate, *history)):
+        raise ValueError("inputs must be > 0 and finite, and so must every "
+                         "epoch_history entry")
     return rule._retarget()(prev_difficulty, implied_hashrate,
                             len(history), left_sum(history))[0]
 
@@ -159,8 +163,8 @@ def required_hashrate_series(growth: float, n_blocks: int,
                              rule: DifficultyRule) -> List[float]:
     """Per-block hashrate needed to sustain inter-block time 1/(1+growth),
     starting from unit difficulty and unit target pace."""
-    if growth <= -1:
-        raise ValueError("growth must be > -1")
+    if not -1 < growth < math.inf:
+        raise ValueError(f"growth must be > -1 and finite, got {growth!r}")
     if n_blocks < 1:
         raise ValueError("n_blocks must be >= 1")
     g = 1.0 + growth

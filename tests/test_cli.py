@@ -378,6 +378,7 @@ def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
     # no run reads attack.B: 7 wrote the report of a run without it
     ("simulate", {"adess": {"alpha": 2},
                   "attack": {"alpha": 2, "xi": 1.0, "v": 11.0, "B": 7}}),
+    ("sweep", {"kind": "nope"}),
 ])
 def test_malformed_config_shape_exits_one(capsys, tmp_path, command, cfg):
     path = tmp_path / "cfg.json"
@@ -385,6 +386,20 @@ def test_malformed_config_shape_exits_one(capsys, tmp_path, command, cfg):
     code, _, err = run(capsys, command, "--config", str(path),
                        "--out", str(tmp_path / "out"))
     assert code == 1 and "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare-protocols", "--horizon", "1", "--alpha", "3"],
+    ["compare-protocols", "--horizon", "200000"],
+    ["security-bound", "--k", "1..3", "--rho", "2", "--lambda", "0.1",
+     "--delta-prop", "0.0"],
+])
+def test_refused_flag_commands_make_no_out(capsys, tmp_path, argv):
+    # each exited 1 after making its --out
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 1 and "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -100,8 +100,8 @@ def test_alpha_race_assigns_penalty_to_loser():
     recs = view.penalty_records()
     assert len(recs) == 1
     rec = recs[0]
-    assert rec.fork == 0 and rec.active
-    assert rec.penalized == a_head and rec.baseline == b_head
+    assert rec.fork == 0 and rec.deactivated_at is None
+    assert rec.deepest == a_head and rec.base.deepest == b_head
     assert rec.assigned_at == 3.0  # the moment b2 arrived
 
 
@@ -172,7 +172,7 @@ def boundary_view():
 def test_below_boundary_stays_penalized():
     view, _, ic_head, a_rest, _ = boundary_view()
     rec = view.penalty_records()[0]
-    assert rec.active and rec.deactivated_at is None
+    assert rec.deactivated_at is None
     assert view.adess_canonical() == ic_head
 
 
@@ -181,7 +181,7 @@ def test_crossing_deactivates_and_rebases():
     a10 = a_rest[-1]
     view.observe(a10.id, t)
     rec = view.penalty_records()[0]
-    assert not rec.active and rec.deactivated_at == t
+    assert rec.deactivated_at == t
     # re-based score: best baseline score plus epsilon, not raw cumdiff 11
     assert view.adjusted_score(a10.id) == pytest.approx(
         6.0 + 1e-6, abs=1e-12)
@@ -192,15 +192,16 @@ def test_crossing_deactivates_and_rebases():
 def test_held_record_reads_current_heads():
     view, s, ic_head, a_rest, t = boundary_view()
     rec = view.penalty_records()[0]
-    assert rec.penalized == a_rest[-2].id
-    assert rec.baseline == ic_head
+    assert rec.deepest == a_rest[-2].id
+    assert rec.base.deepest == ic_head
     ic6 = s.block(ic_head)
     view.observe(ic6.id, t)
     view.observe(a_rest[-1].id, t + 1.0)
     # no second penalty_records() call: the record follows the branches
-    assert rec.baseline == ic6.id
-    assert rec.penalized == a_rest[-1].id
-    assert rec.active  # 10 post-fork blocks no longer reach 2 * 6
+    assert rec.base.deepest == ic6.id
+    assert rec.deepest == a_rest[-1].id
+    # 10 post-fork blocks no longer reach 2 * 6
+    assert rec.deactivated_at is None
 
 
 def test_record_readers_assign_nothing(monkeypatch):
@@ -247,7 +248,7 @@ def test_a_record_deactivates_at_the_attackers_boundary_block_count(xi):
             view.observe(block.id, t + n)
             parent = block.id
             rec, = view.penalty_records()
-            assert rec.active == (n < K), (len_base, n, K)
+            assert (rec.deactivated_at is None) == (n < K), (len_base, n, K)
         assert rec.deactivated_at == t + K
 
 
@@ -262,9 +263,9 @@ def test_three_branches_share_one_baseline():
     feed(view, [a1, b1, c1])
     recs = view.penalty_records()
     assert len(recs) == 2
-    assert {r.penalized for r in recs} == {b1.id, c1.id}
-    assert all(r.baseline == a1.id for r in recs)
-    assert all(r.active for r in recs)
+    assert {r.deepest for r in recs} == {b1.id, c1.id}
+    assert all(r.base.deepest == a1.id for r in recs)
+    assert all(r.deactivated_at is None for r in recs)
     assert view.adess_canonical() == a1.id
 
 
@@ -277,8 +278,9 @@ def test_late_sibling_penalized_immediately():
     assert len(view.penalty_records()) == 1
     c1 = s.block(0)
     view.observe(c1.id, t)
-    recs = [r for r in view.penalty_records() if r.penalized == c1.id]
-    assert len(recs) == 1 and recs[0].active and recs[0].assigned_at == t
+    recs = [r for r in view.penalty_records() if r.deepest == c1.id]
+    assert len(recs) == 1 and recs[0].deactivated_at is None
+    assert recs[0].assigned_at == t
 
 
 def test_penalized_winner_suppresses_inner_fork():
@@ -484,10 +486,10 @@ def test_synced_flag_matters_only_where_a_fork_opens():
     # a synced block on a live fork counts toward alpha: b reaches it first
     view.observe(b2.id, 3.0, synced=True)
     (rec,) = view.penalty_records()
-    assert (rec.penalized, rec.baseline) == (a1.id, b2.id)
+    assert (rec.deepest, rec.base.deepest) == (a1.id, b2.id)
     # and a synced late sibling at the resolved fork is penalized at once
     view.observe(c1.id, 4.0, synced=True)
-    assert [r.penalized_branch for r in view.penalty_records()] \
+    assert [r.child for r in view.penalty_records()] \
         == [a1.id, c1.id]
     # a fork opened by a synced block stays undecidable under live blocks
     view.observe(x1.id, 5.0)
@@ -513,7 +515,7 @@ def test_subjective_views_may_disagree():
     assert v1.adess_canonical() == a2.id
     assert v2.adess_canonical() == b2.id
     r1, r2 = v1.penalty_records()[0], v2.penalty_records()[0]
-    assert r1.baseline == a2.id and r2.baseline == b2.id
+    assert r1.base.deepest == a2.id and r2.base.deepest == b2.id
 
 
 def test_identical_order_gives_identical_state():

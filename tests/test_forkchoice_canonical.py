@@ -100,7 +100,7 @@ def test_a_penalty_that_misses_the_cached_head_keeps_it():
     view.observe(add(view, 3, 1.0), 5.0)
     assert view.adess_canonical() == 2
     view.observe(add(view, 4, 1.0), 6.0)
-    assert [r.penalized_branch for r in view.penalty_records()] == [5]
+    assert [r.child for r in view.penalty_records()] == [5]
     assert view._best == (21.0, 2)  # kept: no rescoring on the next query
     assert view.adess_canonical() == 2 == rescored_head(view)
 
@@ -113,7 +113,7 @@ def test_a_penalty_on_the_cached_heads_branch_clears_it():
     view.observe(add(view, 0, 1.0), 2.0)
     assert view.adess_canonical() == 1
     view.observe(add(view, 2, 1.0), 3.0)
-    assert [r.penalized_branch for r in view.penalty_records()] == [1]
+    assert [r.child for r in view.penalty_records()] == [1]
     assert view._best is None
     assert view.adess_canonical() == 3 == rescored_head(view)
 

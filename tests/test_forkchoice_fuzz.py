@@ -21,11 +21,12 @@ def check_invariants(view: NodeView, deactivated_before=None):
     # the constructive witness also carries no penalty record at all
     witness = view.never_penalized_witness()
     recs = view.penalty_records()
-    assert all(not view.store.is_ancestor(r.penalized_branch, witness)
+    assert all(not view.store.is_ancestor(r.child, witness)
                for r in recs)
     assert view.active_penalties(witness) == []
     # deactivation is permanent
-    now_off = {(r.fork, r.penalized_branch) for r in recs if not r.active}
+    now_off = {(r.fork, r.child) for r in recs
+               if r.deactivated_at is not None}
     if deactivated_before is not None:
         assert deactivated_before <= now_off
     return now_off

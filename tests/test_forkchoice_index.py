@@ -69,10 +69,10 @@ def check_entry(view: NodeView, bid: int, deepest: dict, resets: dict):
     assert (None if reset is None else reset[0]) == scan_anchor(view, bid,
                                                                 resets)
     expected, walked = [], walk_path(view, bid)
-    for fs in view._forks.values():  # fork-creation order
-        c = branch_on(view, fs.fork, walked)
+    for fork in view._forks:  # fork-creation order
+        c = branch_on(view, fork, walked)
         if c is not None:
-            expected.append((fs.fork, c))
+            expected.append((fork, c))
     assert [(br.fork, br.child) for br in path] == expected
     # each entry is its branch's one record, holding the fork's height and
     # the branch's length and deepest block, and a penalized record holds
@@ -83,7 +83,7 @@ def check_entry(view: NodeView, bid: int, deepest: dict, resets: dict):
         height, _, block = deepest[br.child]
         assert (br.tip - fs.height, br.deepest) == (height - fs.height, block)
         if br.base is not None:
-            assert br.base is fs.branches[fs.baseline_branch]
+            assert br.base is fs.baseline
 
 
 def replay_checked(source: NodeView) -> NodeView:
@@ -182,7 +182,8 @@ def test_a_dropped_run_or_view_leaves_no_reference_cycles():
         for bid, arrival in source.tree.arrivals[1:]:
             view.observe(bid, arrival)
         # penalized, deactivated and re-based records are dropped with it
-        assert any(not r.active for r in view.penalty_records())
+        assert any(r.deactivated_at is not None
+                   for r in view.penalty_records())
         del source, view
         assert gc.collect() == 0
     finally:

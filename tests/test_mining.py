@@ -47,6 +47,27 @@ def test_bad_inputs():
         required_hashrate_series(1.0, 0, DifficultyRule.full())
     with pytest.raises(DomainError, match="overflows a float within 1000"):
         required_hashrate_series(1e3, 1000, DifficultyRule.full())
+    # NaN and inf pass no check: each returned nan, 0.0 or a non-ValueError
+    nan, inf, full = math.nan, math.inf, DifficultyRule.full()
+    for mode, rng in ((CE, None), (Stochastic(), random.Random(1))):
+        for difficulty, hashrate, what in ((nan, 1.0, "difficulty"),
+                                           (inf, 1.0, "difficulty"),
+                                           (1.0, nan, "hashrate"),
+                                           (1.0, inf, "hashrate")):
+            with pytest.raises(ValueError, match=f"{what} must be"):
+                next_block_time(difficulty, hashrate, mode, rng)
+    for args in ((1.0, nan, full), (nan, 1.0, full), (inf, 1.0, full),
+                 (1.0, inf, full),
+                 (1.0, 1.0, DifficultyRule.epoch(2), [1.0, nan]),
+                 (1.0, 1.0, DifficultyRule.epoch(2), [inf, 1.0]),
+                 (1.0, 1.0, DifficultyRule.epoch(2), [0.0, 1.0])):
+        with pytest.raises(ValueError, match="inputs must be > 0"):
+            adjust_difficulty(*args)
+    for growth in (nan, inf):
+        with pytest.raises(ValueError, match="growth must be > -1"):
+            required_hashrate_series(growth, 3, full)
+        with pytest.raises(ValueError, match="growth must be > -1"):
+            sustained_growth_cost(growth, 3, full)
 
 
 def test_stochastic_mean_within_two_percent():

@@ -185,8 +185,9 @@ def check_fork(view: NodeView, oracle: NaiveReplay, f, branches=None):
         assert (br.fork, br.height, br.child) == (f, fs.height, c)
         assert (br.tip - fs.height, br.deepest) == oracle.branch_len(f, c)
         if br.base is not None:  # it holds its baseline branch's record
-            assert br.base is fs.branches[fs.baseline_branch]
-    assert fs.baseline_branch == oracle.fired.get(f, (None,))[0]
+            assert br.base is fs.baseline
+    assert (fs.baseline and fs.baseline.child) == oracle.fired.get(
+        f, (None,))[0]
 
 
 def check_step(view: NodeView, oracle: NaiveReplay, bid):
@@ -201,9 +202,9 @@ def check_step(view: NodeView, oracle: NaiveReplay, bid):
     if oracle.children[fork][1:2] == [bid]:  # bid opened it: the view has
         check_fork(view, oracle, fork)  # just scanned its earlier branch
     recs = view.penalty_records()
-    assert all(r.fork == oracle.parent[r.penalized_branch] for r in recs)
-    assert oracle.records == {r.penalized_branch: [
-        r.baseline_branch, r.assigned_at, r.deactivated_at] for r in recs}
+    assert all(r.fork == oracle.parent[r.child] for r in recs)
+    assert oracle.records == {r.child: [
+        r.base.child, r.assigned_at, r.deactivated_at] for r in recs}
     assert {r[0]: r[1:] for r, _ in view._index.values()
             if r is not None} == oracle.resets
     heads = oracle.heads()
