@@ -109,7 +109,6 @@ class PenaltyRecord:
 
 @dataclass(slots=True)
 class _ForkState:
-    height: int  # of the fork block
     state: str  # undecided, undecidable, suppressed or resolved: module doc
     branches: Dict[BlockId, PenaltyRecord] = field(default_factory=dict)
     baseline: Optional[PenaltyRecord] = None  # set once decided
@@ -200,16 +199,16 @@ class NodeView:
 
     # -- fork bookkeeping --------------------------------------------------
 
-    def _scan_branch(self, fork: BlockId, fs: _ForkState, branch: BlockId
-                     ) -> Optional[BlockId]:
+    def _scan_branch(self, fork: BlockId, fork_height: int, fs: _ForkState,
+                     branch: BlockId) -> Optional[BlockId]:
         """Add the record of a pre-existing branch, with its first-seen
         deepest block, to the fork path of every block on it, and return its
         first-seen block at depth alpha past the fork, or None if none."""
         seen = self.tree.first_seen
-        alpha_height = fs.height + self.params.alpha
+        alpha_height = fork_height + self.params.alpha
         alpha_block: Optional[BlockId] = None
-        br = fs.branches[branch] = PenaltyRecord(fork, fs.height, branch,
-                                                 fs.height, branch)
+        br = fs.branches[branch] = PenaltyRecord(fork, fork_height, branch,
+                                                 fork_height, branch)
         stack = [branch]
         while stack:
             bid = stack.pop()
@@ -231,13 +230,13 @@ class NodeView:
         second child (undecidable if `block` is synced) and deciding it if
         the earlier branch is already alpha long."""
         fs = self._forks.get(fork)
-        earlier = self.tree.children[fork][0]
+        earlier, height = self.tree.children[fork][0], block.height - 1
         alpha_block = None
         if fs is None:
             fs = self._forks[fork] = _ForkState(
-                block.height - 1, "undecidable" if synced else "undecided")
-            alpha_block = self._scan_branch(fork, fs, earlier)
-        br = fs.branches[block.id] = PenaltyRecord(fork, fs.height, block.id,
+                "undecidable" if synced else "undecided")
+            alpha_block = self._scan_branch(fork, height, fs, earlier)
+        br = fs.branches[block.id] = PenaltyRecord(fork, height, block.id,
                                                    block.height, block.id)
         # index it: the parent's reset, and a sibling's fork path with the
         # record for this fork swapped
@@ -348,12 +347,11 @@ class NodeView:
         """Discounted post-fork length of an actively penalized chain: the
         README's score of 1/(1+xi) per block past the fork.  An unknown
         fork raises NotPenalized before `bid` is looked up."""
-        fs = self._forks.get(fork)
-        active = self.active_penalties(bid) if fs else ()
-        if not any(r.fork == fork for r in active):
-            raise NotPenalized(f"chain {bid} not penalized at {fork}")
-        n = self.store.block(bid).height - fs.height
-        return n / (1.0 + self.params.xi)
+        for rec in self.active_penalties(bid) if fork in self._forks else ():
+            if rec.fork == fork:
+                n = self.store.block(bid).height - rec.height
+                return n / (1.0 + self.params.xi)
+        raise NotPenalized(f"chain {bid} not penalized at {fork}")
 
     def active_penalties(self, bid: BlockId) -> List[PenaltyRecord]:
         return [r for r in self._entry(bid)[1]
@@ -391,6 +389,10 @@ class NodeView:
         return self._best[1]
 
     # -- diagnostics -------------------------------------------------------
+
+    def fork_states(self) -> Dict[BlockId, str]:
+        """Each fork's state (see module doc), in fork-id order."""
+        return {f: self._forks[f].state for f in sorted(self._forks)}
 
     @property
     def undecidable_forks(self) -> List[BlockId]:

@@ -41,11 +41,11 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain import BlockId, BlockTree
-from .economics import AttackParams, boundary_blocks
+from .economics import AttackParams, boundary_blocks, left_sum
 from .errors import ConfigError, DomainError, check_numbers, number
 from .forkchoice import AdessParams, NodeView
 from .mining import (CertaintyEquivalent, DifficultyRule, MiningMode,
-                     NEVER_FOUND, geometric_time)
+                     NEVER_FOUND, Stochastic, geometric_time)
 
 ATTACKER = "attacker"
 
@@ -127,6 +127,14 @@ class ScenarioConfig:
         total = sum(rates.values())  # the scale of honest difficulty
         if total == math.inf:
             raise ConfigError("honest hashrates must have a finite sum")
+        if isinstance(self.mining, Stochastic):  # the genesis group's first
+            # draw at the largest uniform, its rates folded as `_regroup` does
+            tick = self.mining.tick
+            p = min(left_sum(rates[n] for n in sorted(rates)) * tick, 1.0)
+            try:
+                geometric_time(p, math.nextafter(1.0, 0.0), tick)
+            except DomainError as e:
+                raise ConfigError(f"stochastic mining: the first {e}") from None
         # one block per unit of time per mining node, and one for the attacker
         miners = sum(1 for h in rates.values() if h > 0)
         if self.horizon * (miners + 1) > _MAX_BLOCKS:
@@ -236,7 +244,7 @@ class ProbeReport:
     join_time: float
     undecidable: bool
     undecidable_forks: List[BlockId]
-    inferred_head: Optional[BlockId]
+    inferred_head: BlockId
     nakamoto_head: BlockId
     reference_head: BlockId
 
@@ -603,36 +611,25 @@ def disconnected_node_probe(cfg: ScenarioConfig, join_time: float
     """Replay a finished run into a node that joins at `join_time`: earlier
     blocks are bulk-synced without temporal order, later ones observed
     normally.  Penalty assignment at pre-join forks is undecidable; the
-    operational fallback adopts the chain being actively mined."""
+    operational fallback adopts the chain being actively mined: the last
+    block heard, if it was heard live, else the Nakamoto head."""
     number("join_time", join_time)  # before any event runs
     sim = _Simulation(cfg)
     sim.run()
-    reference = sim.nodes["n0"]
     late = NodeView(cfg.adess, sim.tree)
-    post_join = 0
-    for bid, arrival in reference.tree.arrivals[1:]:
-        synced = arrival < join_time
-        late.observe(bid, arrival, synced=synced)
-        post_join += not synced
-    undecidable = bool(late.undecidable_forks)
-    inferred = None
-    if undecidable:
-        # actively-mined chain: the head above the most recently arrived block
-        if post_join:
-            last = late.tree.arrivals[-1][0]
-            for head in sorted(late.tree.heads):
-                if sim.tree.is_ancestor(last, head):
-                    inferred = head
-                    break
-        if inferred is None:
-            inferred = late.nakamoto_canonical()
-    else:
-        inferred = late.adess_canonical()
+    for bid, arrival in sim.nodes["n0"].tree.arrivals[1:]:
+        late.observe(bid, arrival, synced=arrival < join_time)
+    undecidable, nakamoto = late.undecidable_forks, late.nakamoto_canonical()
+    # the replay follows n0's connect order, so no block waits as an orphan
+    # and the last one heard is a leaf: the head of the chain being mined
+    last, arrival = late.tree.arrivals[-1]
+    inferred = (late.adess_canonical() if not undecidable
+                else last if arrival >= join_time else nakamoto)
     return ProbeReport(
         join_time=join_time,
-        undecidable=undecidable,
-        undecidable_forks=late.undecidable_forks,
+        undecidable=bool(undecidable),
+        undecidable_forks=undecidable,
         inferred_head=inferred,
-        nakamoto_head=late.nakamoto_canonical(),
+        nakamoto_head=nakamoto,
         reference_head=sim._canonical["n0"],
     )

@@ -81,8 +81,8 @@ def point(nodes: int, shape: str, mode: str) -> dict:
     except AdessError as e:
         outcome = f"{type(e).__name__}: {e}"
     return {"outcome": outcome, "seconds": time.perf_counter() - start,
-            "blocks": len(sim.tree._cumdiff) - 1, "rows": len(sim.series),
-            "forks": len(sim.nodes["n0"]._forks)}
+            "blocks": len(sim.tree.blocks) - 1, "rows": len(sim.series),
+            "forks": len(sim.nodes["n0"].fork_states())}
 
 
 def run_point(nodes: int, shape: str, mode: str) -> dict:

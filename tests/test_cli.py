@@ -379,6 +379,7 @@ def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
     ("simulate", {"adess": {"alpha": 2},
                   "attack": {"alpha": 2, "xi": 1.0, "v": 11.0, "B": 7}}),
     ("sweep", {"kind": "nope"}),
+    ("simulate", {"n_honest_node": 2}),  # a misspelt key
 ])
 def test_malformed_config_shape_exits_one(capsys, tmp_path, command, cfg):
     path = tmp_path / "cfg.json"
@@ -457,7 +458,8 @@ HUGE = str(10 ** 400)  # no float holds it
     ["simulate", {"n_honest_nodes": 100_000_000}],
     # a values grid is bounded before any value is read
     _sweep("profit", {"param": "v", "values": [1.0] * 200_000}),
-    # block-time draws whose success chance p is subnormal or 0.0
+    # block-time draws whose success chance p is subnormal or 0.0: each
+    # exited 1 only after it had made an empty --out
     ["simulate", {"honest_hashrates": {"n0": 1e-307}, "seed": 2, "horizon": 5,
                   "mining": {"mode": "stochastic", "tick": 0.01}}],
     ["simulate", {"mining": {"mode": "stochastic", "tick": 1e-320},
@@ -484,6 +486,10 @@ HUGE = str(10 ** 400)  # no float holds it
     ["simulate", {"horizon": -1}],
     # a start/stop/step grid of 100,001 points wrote 100,001 rows
     _sweep("profit", {"param": "v", "start": 0, "stop": 100_000, "step": 1}),
+    # p = 2.3e-308 is a normal float, yet its largest draw underflows: this
+    # ran while no draw of its seed came near 1
+    ["simulate", {"honest_hashrates": {"n0": 2.3e-306}, "horizon": 5,
+                  "mining": {"mode": "stochastic", "tick": 0.01}}],
 ])
 def test_oversized_inputs_exit_one_quickly(tmp_path, argv):
     if argv[0] in ("sweep", "simulate"):
@@ -504,6 +510,7 @@ def test_oversized_inputs_exit_one_quickly(tmp_path, argv):
     # the error was also logged under the default level: a second line
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert float(proc.stdout) < 1.0
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_start_stop_step_grid_admits_exactly_the_row_bound():

@@ -39,7 +39,8 @@ def test_fork_states_match_the_oracle_on_fuzz_trees():
         for j, (bid, arrival) in enumerate(source.tree.arrivals[1:]):
             view.observe(bid, arrival, synced=j < n_synced)
             oracle.step(source.store.block(bid), arrival, j < n_synced)
-        states = {f: fs.state for f, fs in view._forks.items()}
+        states = view.fork_states()
+        assert list(states) == oracle.forks()  # in fork-id order
         assert states == {f: oracle_state(oracle, f) for f in oracle.forks()}
         seen.update(states.values())
     assert set(seen) == set(STATES), seen
@@ -61,12 +62,12 @@ def test_a_split_network_holds_its_forks_by_state():
     # no digest tells a suppressed fork from an undecided one: the ledger
     # prints records only, and neither state has any
     sim = split_network(8, 800)
-    assert len(sim.tree._cumdiff) - 1 == 4239  # blocks, genesis excluded
+    assert len(sim.tree.blocks) - 1 == 4239  # blocks, genesis excluded
     n0 = sim.nodes["n0"]
     assert len(n0.tree.heads) == 164
-    states = Counter(fs.state for fs in n0._forks.values())
+    states = Counter(n0.fork_states().values())
     assert [states[s] for s in STATES] == [44, 84, 1, 0]
-    assert sum(states.values()) == len(n0._forks)  # and no other state
+    assert set(states) <= set(STATES)  # and no other state
     recs = n0.penalty_records()
     assert len(recs) == 65
     assert sum(r.deactivated_at is None for r in recs) == 62

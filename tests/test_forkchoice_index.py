@@ -78,10 +78,10 @@ def check_entry(view: NodeView, bid: int, deepest: dict, resets: dict):
     # the branch's length and deepest block, and a penalized record holds
     # its baseline branch's record
     for br in path:
-        fs = view._forks[br.fork]
-        assert br.height == fs.height and br is fs.branches[br.child]
+        fs, at = view._forks[br.fork], view.store.block(br.fork).height
+        assert br.height == at and br is fs.branches[br.child]
         height, _, block = deepest[br.child]
-        assert (br.tip - fs.height, br.deepest) == (height - fs.height, block)
+        assert (br.tip - at, br.deepest) == (height - at, block)
         if br.base is not None:
             assert br.base is fs.baseline
 
@@ -128,7 +128,7 @@ def test_index_matches_walks_in_forky_scenarios():
         sim = _Simulation(cfg)
         sim.run()
         for view in list(sim.nodes.values()) + [sim.att_obs]:
-            forks += len(replay_checked(view)._forks)
+            forks += len(replay_checked(view).fork_states())
     assert forks > 0
 
 

@@ -13,6 +13,7 @@ import random
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -29,7 +30,7 @@ from adess.netsim import (ATTACKER, ScenarioConfig, _Simulation,
                           latency_split_check, run_scenario)
 
 from arrivals import per_arrival
-from naive_sim import run_naive
+from naive_sim import random_config, run_naive
 from test_forkchoice_canonical import forky_config
 
 
@@ -456,6 +457,41 @@ def test_probe_late_join_is_undecidable_but_infers_reference():
     assert probe.undecidable
     assert probe.undecidable_forks
     assert probe.inferred_head == probe.reference_head
+
+
+def searched_head(cfg: ScenarioConfig, join_time: float) -> tuple:
+    """The probe's inferred head as first written, and the rule that gave
+    it: with no undecidable fork the ADESS head; else, once a block arrived
+    at or after the join, the first head in id order that the last arrival
+    is an ancestor of; else the Nakamoto head."""
+    sim = _Simulation(cfg)
+    sim.run()
+    late = NodeView(cfg.adess, sim.tree)
+    post_join = 0
+    for bid, arrival in sim.nodes["n0"].tree.arrivals[1:]:
+        late.observe(bid, arrival, synced=arrival < join_time)
+        post_join += arrival >= join_time
+    if not late.undecidable_forks:
+        return late.adess_canonical(), "decidable"
+    last = late.tree.arrivals[-1][0]
+    for head in sorted(late.tree.heads) if post_join else ():
+        if sim.tree.is_ancestor(last, head):
+            return head, "searched"
+    return late.nakamoto_canonical(), "fallback"
+
+
+def test_probe_head_matches_the_head_search():
+    # the last block heard is a leaf, so no other head lies above it
+    configs = [random_config(random.Random(seed)) for seed in range(30)]
+    configs += [forky_config(seed) for seed in range(5)]
+    rules: Counter = Counter()
+    for cfg in configs:
+        for join_time in (0.0, cfg.horizon / 2, cfg.horizon + 1):
+            head, rule = searched_head(cfg, join_time)
+            probe = disconnected_node_probe(cfg, join_time)
+            assert probe.inferred_head == head, (cfg, join_time)
+            rules[rule] += 1
+    assert set(rules) == {"decidable", "searched", "fallback"}, rules
 
 
 def test_probe_refuses_a_join_time_that_is_not_a_finite_number(monkeypatch):

@@ -177,13 +177,13 @@ class NaiveReplay:
 
 def check_fork(view: NodeView, oracle: NaiveReplay, f, branches=None):
     """Compare fork f's branch records, on `branches` only if given."""
-    fs = view._forks[f]
+    fs, at = view._forks[f], view.store.block(f).height
     children = oracle.children[f]
     assert fs.branches.keys() == set(children)
     for c in children if branches is None else branches:
         br = fs.branches[c]
-        assert (br.fork, br.height, br.child) == (f, fs.height, c)
-        assert (br.tip - fs.height, br.deepest) == oracle.branch_len(f, c)
+        assert (br.fork, br.height, br.child) == (f, at, c)
+        assert (br.tip - at, br.deepest) == oracle.branch_len(f, c)
         if br.base is not None:  # it holds its baseline branch's record
             assert br.base is fs.baseline
     assert (fs.baseline and fs.baseline.child) == oracle.fired.get(
