@@ -10,23 +10,20 @@ identical orders agree exactly.  A chain is named by its head block's id.
 Every block enters by id through `observe`, which reads it from the store
 (the one writer of block fields; a view never writes) and checks its arrival
 against the view's clock, the latest arrival connected or buffered, before
-anything else; so a refused id or arrival changes no view state.  A block
-marked `synced` (bulk sync for a node offline when it was broadcast) carries
-no temporal order; that matters only if it opens a fork, which is then
-created undecidable and never assigns a penalty.
+anything else; so a refused id or arrival changes no view state.
 
-Each fork is in one state: undecidable if a synced block opened it, else
-undecided until a branch first reaches the confirmation depth.  That branch
-is its baseline, found in `_advance`, or as the fork opens if its earlier
-branch is already that deep (always so at alpha 1); the fork is then
-resolved, or suppressed if the baseline chain carried an active penalty at
-that depth.  Penalty state is kept in one `PenaltyRecord` per (fork-block,
-branch) pair, a branch named by the fork-block child it passes through; it
-holds the fork's id and height, not its state, so nothing refers back to its
-owner.  Only a resolved fork penalizes: every branch but its baseline, late
-siblings included, and each head descending through one.  A penalized record
-holds its baseline's record `base`, reads both chains live, and is active
-while `deactivated_at` is None.
+Each fork is in one state: undecided until a branch first reaches the
+confirmation depth.  That branch is its baseline, found in `_advance`, or as
+the fork opens if its earlier branch is already that deep (always so at
+alpha 1); the fork is then resolved, or suppressed if the baseline chain
+carried an active penalty at that depth.  Penalty state is kept in one
+`PenaltyRecord` per (fork-block, branch) pair, a branch named by the
+fork-block child it passes through; it holds the fork's id and height, not
+its state, so nothing refers back to its owner.  Only a resolved fork
+penalizes: every branch but its baseline, late siblings included, and each
+head descending through one.  A penalized record holds its baseline's record
+`base`, reads both chains live, and is active while `deactivated_at` is
+None.
 
 Every block carries a fork-choice index entry, inherited from its parent when
 it is connected, so no score or penalty query walks the tree.  Its reset is
@@ -109,7 +106,7 @@ class PenaltyRecord:
 
 @dataclass(slots=True)
 class _ForkState:
-    state: str  # undecided, undecidable, suppressed or resolved: module doc
+    state: str = "undecided"  # or suppressed or resolved: module doc
     branches: Dict[BlockId, PenaltyRecord] = field(default_factory=dict)
     baseline: Optional[PenaltyRecord] = None  # set once decided
 
@@ -125,7 +122,7 @@ class NodeView:
         self.tree = SeenTree(store.genesis_id)
         self._clock = 0.0  # latest arrival connected or buffered
         self._forks: Dict[BlockId, _ForkState] = {}
-        self._pending: Dict[BlockId, List[Tuple[BlockId, bool]]] = {}
+        self._pending: Dict[BlockId, List[BlockId]] = {}
         # block -> (reset, fork path of branch records);
         # reset is (anchor, its cumdiff, its re-based score) for the deepest
         # re-based block on the path, or None
@@ -136,20 +133,11 @@ class NodeView:
 
     # -- observation -------------------------------------------------------
 
-    def observe(self, bid: BlockId, arrival: float,
-                synced: bool = False) -> "NodeView":
+    def observe(self, bid: BlockId, arrival: float) -> "NodeView":
         """Record the arrival of the store's block `bid` (an unknown id, or an
         arrival before the view's clock or NaN, raises first); orphans are
-        buffered, with their own `synced` flag, and connect at their parent's
-        arrival (in-order delivery per chain).
-
-        `synced` ingests the block without temporal-order information (bulk
-        sync for a node that was not connected when it was broadcast).  It
-        matters only if the block opens a fork: that fork can never receive
-        a penalty assignment and is flagged undecidable.  A synced block on
-        a fork opened live counts toward alpha and the boundary like any
-        other; syncing every earlier block before observing any live one,
-        as a replay in arrival order does, never mixes the two."""
+        buffered and connect at their parent's arrival (in-order delivery
+        per chain)."""
         block = self.store.block(bid)
         if not arrival >= self._clock:
             raise ValueError(
@@ -158,21 +146,21 @@ class NodeView:
             return self
         self._clock = arrival
         if block.parent not in self._index:
-            self._pending.setdefault(block.parent, []).append((bid, synced))
+            self._pending.setdefault(block.parent, []).append(bid)
             return self
-        self._connect(block, arrival, synced)
-        # then the orphans waiting on it, depth first in arrival order, each
-        # with its own flag (of a block delivered twice while it waited, the
-        # first wins); a loop, as a chain of orphans may be long
+        self._connect(block, arrival)
+        # then the orphans waiting on it, depth first in arrival order (of a
+        # block delivered twice while it waited, the first wins); a loop, as
+        # a chain of orphans may be long
         todo = self._pending.pop(bid, ())[::-1] if self._pending else ()
         while todo:
-            bid, synced = todo.pop()
+            bid = todo.pop()
             if bid not in self._index:
-                self._connect(self.store.blocks[bid], arrival, synced)
+                self._connect(self.store.blocks[bid], arrival)
                 todo += self._pending.pop(bid, ())[::-1]
         return self
 
-    def _connect(self, block: Block, arrival: float, synced: bool):
+    def _connect(self, block: Block, arrival: float):
         bid, parent, tree = block.id, block.parent, self.tree
         siblings = tree.children[parent]  # the tree's one writer logs it
         siblings.append(bid)
@@ -183,7 +171,7 @@ class NodeView:
         tree.heads.add(bid)
         self._active[bid] = self._active[parent]
         if len(siblings) > 1:
-            self._new_branch(parent, block, arrival, synced)
+            self._new_branch(parent, block, arrival)
         else:
             self._index[bid] = self._index[parent]
 
@@ -224,17 +212,14 @@ class NodeView:
             stack.extend(self.tree.children[bid])
         return alpha_block
 
-    def _new_branch(self, fork: BlockId, block: Block, arrival: float,
-                    synced: bool):
+    def _new_branch(self, fork: BlockId, block: Block, arrival: float):
         """Add `block` as a branch of `fork`, opening the fork state on its
-        second child (undecidable if `block` is synced) and deciding it if
-        the earlier branch is already alpha long."""
+        second child, and decide it if the earlier branch is alpha long."""
         fs = self._forks.get(fork)
         earlier, height = self.tree.children[fork][0], block.height - 1
         alpha_block = None
         if fs is None:
-            fs = self._forks[fork] = _ForkState(
-                "undecidable" if synced else "undecided")
+            fs = self._forks[fork] = _ForkState()
             alpha_block = self._scan_branch(fork, height, fs, earlier)
         br = fs.branches[block.id] = PenaltyRecord(fork, height, block.id,
                                                    block.height, block.id)
@@ -393,11 +378,6 @@ class NodeView:
     def fork_states(self) -> Dict[BlockId, str]:
         """Each fork's state (see module doc), in fork-id order."""
         return {f: self._forks[f].state for f in sorted(self._forks)}
-
-    @property
-    def undecidable_forks(self) -> List[BlockId]:
-        return sorted(f for f, fs in self._forks.items()
-                      if fs.state == "undecidable")
 
     def never_penalized_witness(self) -> BlockId:
         """Constructive path walk from genesis choosing an un-penalized branch

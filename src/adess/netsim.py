@@ -608,22 +608,22 @@ def latency_split_check(cfg: ScenarioConfig) -> RunReport:
 
 def disconnected_node_probe(cfg: ScenarioConfig, join_time: float
                             ) -> ProbeReport:
-    """Replay a finished run into a node that joins at `join_time`: earlier
-    blocks are bulk-synced without temporal order, later ones observed
-    normally.  Penalty assignment at pre-join forks is undecidable; the
-    operational fallback adopts the chain being actively mined: the last
-    block heard, if it was heard live, else the Nakamoto head."""
+    """Diagnose a finished run as a node joining at `join_time` would: it
+    gets the blocks n0 heard earlier without their order, so a fork whose
+    second branch n0 heard then is undecidable.  With none, its head is
+    n0's ADESS head; else it adopts the chain being mined: the last block n0
+    connected if it arrived at or after the join, else the Nakamoto head."""
     number("join_time", join_time)  # before any event runs
     sim = _Simulation(cfg)
     sim.run()
-    late = NodeView(cfg.adess, sim.tree)
-    for bid, arrival in sim.nodes["n0"].tree.arrivals[1:]:
-        late.observe(bid, arrival, synced=arrival < join_time)
-    undecidable, nakamoto = late.undecidable_forks, late.nakamoto_canonical()
-    # the replay follows n0's connect order, so no block waits as an orphan
-    # and the last one heard is a leaf: the head of the chain being mined
-    last, arrival = late.tree.arrivals[-1]
-    inferred = (late.adess_canonical() if not undecidable
+    n0 = sim.nodes["n0"]
+    seen = n0.tree  # a fork opens on its second child
+    undecidable = [f for f in n0.fork_states() if seen.arrivals[
+        seen.first_seen[seen.children[f][1]]][1] < join_time]
+    nakamoto = n0.nakamoto_canonical()
+    # the last block connected is a leaf: the head of the chain being mined
+    last, arrival = seen.arrivals[-1]
+    inferred = (n0.adess_canonical() if not undecidable
                 else last if arrival >= join_time else nakamoto)
     return ProbeReport(
         join_time=join_time,

@@ -14,12 +14,10 @@ from adess.netsim import ScenarioConfig, _Simulation
 from fuzz_trees import build_random_view
 from test_penalty_oracle import NaiveReplay
 
-STATES = ("resolved", "suppressed", "undecided", "undecidable")
+STATES = ("resolved", "suppressed", "undecided")
 
 
 def oracle_state(oracle: NaiveReplay, f) -> str:
-    if oracle.undecidable(f):
-        return "undecidable"
     if f not in oracle.fired:
         return "undecided"
     return "suppressed" if oracle.fired[f][1] else "resolved"
@@ -31,14 +29,12 @@ def test_fork_states_match_the_oracle_on_fuzz_trees():
     for i in range(300):
         source = build_random_view(random.Random(rng.getrandbits(32)),
                                    shuffled=i % 2 == 1)
-        n_synced = (rng.randint(0, len(source.tree.arrivals) - 1)
-                    if i % 3 == 0 else 0)
         view = NodeView(source.params, source.store)
         oracle = NaiveReplay(source.params,
                              source.store.block(source.store.genesis_id))
-        for j, (bid, arrival) in enumerate(source.tree.arrivals[1:]):
-            view.observe(bid, arrival, synced=j < n_synced)
-            oracle.step(source.store.block(bid), arrival, j < n_synced)
+        for bid, arrival in source.tree.arrivals[1:]:
+            view.observe(bid, arrival)
+            oracle.step(source.store.block(bid), arrival)
         states = view.fork_states()
         assert list(states) == oracle.forks()  # in fork-id order
         assert states == {f: oracle_state(oracle, f) for f in oracle.forks()}
@@ -66,7 +62,7 @@ def test_a_split_network_holds_its_forks_by_state():
     n0 = sim.nodes["n0"]
     assert len(n0.tree.heads) == 164
     states = Counter(n0.fork_states().values())
-    assert [states[s] for s in STATES] == [44, 84, 1, 0]
+    assert [states[s] for s in STATES] == [44, 84, 1]
     assert set(states) <= set(STATES)  # and no other state
     recs = n0.penalty_records()
     assert len(recs) == 65

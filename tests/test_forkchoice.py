@@ -416,8 +416,7 @@ def test_a_rejected_block_leaves_the_view_unchanged(shared):
     refused(a1.id, nan, ValueError, "non-decreasing", {})
     refused(a1.id, -1.0, ValueError, "non-decreasing", {})  # before genesis
     view.observe(b2.id, 1.0)  # an orphan: buffered, and the clock is 1.0
-    refused(a1.id, 0.5, ValueError, "non-decreasing",
-            {a1.id: [(b2.id, False)]})
+    refused(a1.id, 0.5, ValueError, "non-decreasing", {a1.id: [b2.id]})
     view.observe(a1.id, 2.0)  # b2 connects with it, at its arrival
     assert view.tree.arrivals == [(0, 0.0), (a1.id, 2.0), (b2.id, 2.0)]
     view.observe(a2.id, 3.0)
@@ -444,64 +443,6 @@ def test_an_unseen_block_has_no_adjusted_score(shared):
         view.store.insert(a1)  # the store's writer, never the view
     view.observe(a1.id, 1.0)
     assert view.adjusted_score(a1.id) == source.adjusted_score(a1.id) == 2.0
-
-
-def test_sync_observed_fork_is_undecidable():
-    s = Script()
-    a1, a2 = s.chain(0, 2)
-    b1, b2 = s.chain(0, 2)
-    view = NodeView(AdessParams(alpha=1, xi=1.0), s.store)
-    feed(view, [a1, a2])
-    view.observe(b1.id, 3.0, synced=True)
-    view.observe(b2.id, 4.0, synced=True)
-    assert view.undecidable_forks == [0]
-    assert view.penalty_records() == []
-    assert view.adess_canonical() == view.nakamoto_canonical() \
-        == a2.id
-
-
-def test_buffered_orphans_keep_their_own_synced_flag():
-    # two synced children of b1 wait for b1, which then arrives live: the
-    # fork they open at b1 carries no temporal order
-    s = Script()
-    b1 = s.block(0)
-    c1, c2 = s.block(b1.id), s.block(b1.id)
-    view = NodeView(AdessParams(alpha=1, xi=1.0), s.store)
-    view.observe(c1.id, 1.0, synced=True)
-    view.observe(c2.id, 1.0, synced=True)
-    view.observe(b1.id, 2.0)
-    assert view.undecidable_forks == [b1.id]
-    assert view.penalty_records() == []
-
-
-def test_synced_flag_matters_only_where_a_fork_opens():
-    s = Script()
-    a1 = s.block(0)
-    b1, b2 = s.chain(0, 2)
-    c1 = s.block(0)
-    x1, x2, x3 = s.chain(a1.id, 3)
-    y1 = s.block(a1.id)
-    view = NodeView(AdessParams(alpha=2, xi=1.0), s.store)
-    feed(view, [a1, b1])  # fork 0 opened live
-    # a synced block on a live fork counts toward alpha: b reaches it first
-    view.observe(b2.id, 3.0, synced=True)
-    (rec,) = view.penalty_records()
-    assert (rec.deepest, rec.base.deepest) == (a1.id, b2.id)
-    # and a synced late sibling at the resolved fork is penalized at once
-    view.observe(c1.id, 4.0, synced=True)
-    assert [r.child for r in view.penalty_records()] \
-        == [a1.id, c1.id]
-    # a fork opened by a synced block stays undecidable under live blocks
-    view.observe(x1.id, 5.0)
-    view.observe(y1.id, 6.0, synced=True)
-    feed(view, [x2, x3], start=7.0)
-    assert view.undecidable_forks == [a1.id]
-    assert [r.fork for r in view.penalty_records()] == [0, 0]
-
-
-def test_live_observation_has_no_undecidable_forks():
-    view, _, _ = race_view()
-    assert view.undecidable_forks == []
 
 
 def test_subjective_views_may_disagree():

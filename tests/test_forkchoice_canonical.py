@@ -90,18 +90,18 @@ def test_extending_the_cached_head_moves_it_at_an_equal_score():
 
 
 def test_a_penalty_that_misses_the_cached_head_keeps_it():
-    # the synced block 3 opens an undecidable fork at 0 beside the heavy head
-    # 2; block 6 then decides the fork at 3 against branch 5, away from 2
+    # block 3 opens fork 0 when branch 1 is already alpha deep, so 3 is
+    # penalized at once, away from the heavy head 2; so is a late sibling 4
     view = NodeView(AdessParams(alpha=2, xi=1.0), BlockTree())
     view.observe(add(view, 0, 10.0), 1.0)
     view.observe(add(view, 1, 10.0), 2.0)
-    view.observe(add(view, 0, 1.0), 3.0, synced=True)
-    view.observe(add(view, 3, 1.0), 4.0)
-    view.observe(add(view, 3, 1.0), 5.0)
     assert view.adess_canonical() == 2
-    view.observe(add(view, 4, 1.0), 6.0)
-    assert [r.child for r in view.penalty_records()] == [5]
+    view.observe(add(view, 0, 1.0), 3.0)
+    assert [r.child for r in view.penalty_records()] == [3]
     assert view._best == (21.0, 2)  # kept: no rescoring on the next query
+    view.observe(add(view, 0, 1.0), 4.0)
+    assert [r.child for r in view.penalty_records()] == [3, 4]
+    assert view._best == (21.0, 2)
     assert view.adess_canonical() == 2 == rescored_head(view)
 
 

