@@ -242,7 +242,6 @@ class ProbeReport:
     """Late-joining node diagnosis: penalty state under each rule."""
 
     join_time: float
-    undecidable: bool
     undecidable_forks: List[BlockId]
     inferred_head: BlockId
     nakamoto_head: BlockId
@@ -627,7 +626,6 @@ def disconnected_node_probe(cfg: ScenarioConfig, join_time: float
                 else last if arrival >= join_time else nakamoto)
     return ProbeReport(
         join_time=join_time,
-        undecidable=bool(undecidable),
         undecidable_forks=undecidable,
         inferred_head=inferred,
         nakamoto_head=nakamoto,

@@ -449,13 +449,12 @@ def test_epoch_history_memory_grows_linearly():
 
 def test_probe_connected_from_start_matches_reference():
     probe = disconnected_node_probe(adess_cfg(), join_time=0.0)
-    assert not probe.undecidable
+    assert not probe.undecidable_forks
     assert probe.inferred_head == probe.reference_head
 
 
 def test_probe_late_join_is_undecidable_but_infers_reference():
     probe = disconnected_node_probe(adess_cfg(), join_time=10.0)
-    assert probe.undecidable
     assert probe.undecidable_forks
     assert probe.inferred_head == probe.reference_head
 
