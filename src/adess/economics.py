@@ -13,12 +13,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
-from operator import add
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from .errors import DomainError, SolverFailure, brief, check_numbers
-from .forkchoice import _BOUNDARY_EPS
+from .errors import (_BOUNDARY_EPS, DomainError, SolverFailure, brief,
+                     check_numbers, left_sum)
 
 #: penalty step `penalty_margin` takes to see whether the ceiling increments
 _MARGIN_DXI = 1e-6
@@ -31,12 +29,6 @@ _TAIL_SAMPLES = 20
 
 #: largest tau, N, B and ceil(N(1+xi)) of an attack plan (else DomainError)
 _MAX_PLAN_BLOCKS = 100_000
-
-
-def left_sum(terms: Iterable[float]) -> float:
-    """Add left to right from 0, as float `sum()` did until Python 3.12 made
-    it compensated, so outputs keep the same bits on every version."""
-    return reduce(add, terms, 0)
 
 
 def boundary_blocks(n_ic: float, xi: float) -> int:

@@ -1,7 +1,14 @@
-"""Exception types shared across the package, and its one number rule."""
+"""Exception types shared across the package, and its number rules."""
 
 from dataclasses import fields
+from functools import reduce
+from operator import add
 from sys import float_info
+from typing import Iterable
+
+#: Slack when comparing weighted lengths at the canonical boundary, so exact
+#: products like 2*5 hold; `economics.boundary_blocks` takes its K with it.
+_BOUNDARY_EPS = 1e-9
 
 
 class AdessError(Exception):
@@ -42,6 +49,12 @@ def brief(x) -> str:
     if isinstance(x, int) and x.bit_length() > 64:
         return f"an int of {x.bit_length()} bits"
     return repr(x)
+
+
+def left_sum(terms: Iterable[float]) -> float:
+    """Add left to right from 0, as float `sum()` did until Python 3.12 made
+    it compensated, so outputs keep the same bits on every version."""
+    return reduce(add, terms, 0)
 
 
 def number(what: str, x, integer: bool = False):

@@ -16,8 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
-from .economics import left_sum
-from .errors import DomainError, check_numbers
+from .errors import DomainError, check_numbers, left_sum
 
 #: Sentinel returned when hashrate is zero: the chain is stalled.
 NEVER_FOUND = math.inf

@@ -41,8 +41,8 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain import BlockId, BlockTree
-from .economics import AttackParams, boundary_blocks, left_sum
-from .errors import ConfigError, DomainError, check_numbers, number
+from .economics import AttackParams, boundary_blocks
+from .errors import ConfigError, DomainError, check_numbers, left_sum, number
 from .forkchoice import AdessParams, NodeView
 from .mining import (CertaintyEquivalent, DifficultyRule, MiningMode,
                      NEVER_FOUND, Stochastic, geometric_time)

@@ -1,7 +1,8 @@
 """Every name a module under src/adess imports is used there: read as a name,
 or listed in the module's `__all__` for re-export.  Every private name a
 module defines at its top level is read somewhere under src/adess, so no
-helper is left that only tests reach."""
+helper is left that only tests reach.  The modules form layers: each imports
+only modules before it in `LAYERS`."""
 
 from __future__ import annotations
 
@@ -85,3 +86,34 @@ def test_detector_flags_only_unread_private_names():
 def test_every_private_name_under_src_is_read_there():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_privates(sources) == []
+
+
+#: src/adess's modules, each importing only modules before it
+LAYERS = ("errors", "chain", "forkchoice", "mining", "economics", "netsim",
+          "cli")
+
+
+def package_imports(source: str) -> set:
+    """The sibling modules a module imports, by `from . import x` or
+    `from .x import y`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module.split(".")[0]] if node.module else
+                         (alias.name for alias in node.names))
+    return found
+
+
+def test_detector_finds_only_sibling_imports():
+    source = ("from __future__ import annotations\nimport json\n"
+              "from . import economics\nfrom .errors import number\n"
+              "from adess.chain import Block\n")
+    assert package_imports(source) == {"economics", "errors"}
+
+
+def test_each_module_imports_only_the_layers_before_it():
+    assert {path.stem for path in SRC.glob("*.py")} == {*LAYERS, "__init__"}
+    found = {name: package_imports((SRC / f"{name}.py").read_text())
+             for name in LAYERS}
+    assert found == {name: found[name] & set(LAYERS[:i])
+                     for i, name in enumerate(LAYERS)}
