@@ -126,10 +126,10 @@ class BlockTree:
 
     def snapshot(self) -> str:
         """Line-oriented dump, one `block ...` line per block, id order."""
-        lines = [f"block {b.id} parent={'-' if b.parent is None else b.parent}"
-                 f" h={b.height} d={b.difficulty!r} t={b.created_at!r}"
-                 f" miner={b.miner}"
-                 for b in map(self.blocks.__getitem__, sorted(self.blocks))]
+        lines = [f"block {bid} parent={'-' if parent is None else parent}"
+                 f" h={height} d={difficulty!r} t={created_at!r} miner={miner}"
+                 for bid, parent, height, difficulty, miner, created_at
+                 in map(self.blocks.__getitem__, sorted(self.blocks))]
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -55,8 +55,10 @@ class Stochastic:
         def draw(difficulty: float, hashrate: float) -> tuple:
             if difficulty <= 0:
                 raise ValueError("difficulty must be > 0")
-            p = min(hashrate * tick / difficulty, 1.0)
-            return p, uniform() if p < 1.0 else 0.0, tick
+            p = hashrate * tick / difficulty
+            if p < 1.0:  # the one case that reads a uniform
+                return p, uniform(), tick
+            return min(p, 1.0), 0.0, tick
         return draw
 
 

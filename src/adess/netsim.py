@@ -5,21 +5,23 @@ sequence-number) order, so identical configurations (including the seed)
 replay bit-identically; a block sent over a stretch of a sender's links at
 one delay is one arrive event.  Honest hashrate is grouped by the canonical
 head each mining node follows; a group mines jointly.  A miner's head change
-regroups only its old and new heads; the group that mined redraws at its own
-rate.  A mine event waits out its instant unless it may fall due in it, so a
-regroup then (a miner hearing its own block) drops it unresolved.  The
-attacker mines a secret chain and broadcasts it according to its strategy.
+regroups only its old and new heads, in O(1) when all miners share a rate
+(see `_fold`); the group that mined redraws at its own rate.  A mine event
+waits out its instant unless it may fall due in it, so a regroup then (a
+miner hearing its own block) drops it unresolved.  The attacker mines a
+secret chain and broadcasts it according to its strategy.
 
 A view's state is a function of its (time, block) arrival sequence alone.
 A maximal run of nodes next in name order that hear every sender at equal
 delays is a class: its members sit next to each other in every sender's
 links, so each fan-out reaches it in one run of one arrive event, and it
-shares one `NodeView` over the simulator's tree.  The run observes each
-block once and finds its head changes once for all members; the members take
-them in one loop, node-major: a series row each and, for a miner, a regroup
-each.  The attacker's observer `att_obs` is in no link: a view of its own, it
-hears each honest block by an event of its own at the block's instant, only
-while its head is read: until the attack starts, and under budish until the
+shares one `NodeView` over the simulator's tree; set-up is linear in nodes,
+and wires a sender as it first sends.  The run observes each block once and
+finds its head changes once for all members; the members take them in one
+loop, node-major: a series row each and, for a miner, a regroup each.  The
+attacker's observer `att_obs` is in no link: a view of its own, it hears
+each honest block by an event of its own at the block's instant, only while
+its head is read: until the attack starts, and under budish until the
 broadcast.
 
 `validate` bounds the blocks a horizon allows at the unit pace every
@@ -42,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain import BlockId, BlockTree
 from .economics import AttackParams, boundary_blocks
-from .errors import ConfigError, DomainError, check_numbers, left_sum, number
+from .errors import ConfigError, DomainError, check_numbers, number
 from .forkchoice import AdessParams, NodeView
 from .mining import (CertaintyEquivalent, DifficultyRule, MiningMode,
                      NEVER_FOUND, Stochastic, geometric_time)
@@ -62,6 +64,35 @@ def accelerated_rate(xi: float, N: int, delay: float) -> float:
     if N < 1:
         raise ValueError("N must be >= 1")
     return 1.0 + xi + (delay / N) * (1.0 + xi)
+
+
+def _leads(rates: Dict[str, float]) -> Dict[str, tuple]:
+    """miner -> (last name of its run, table): a run is a maximal stretch of
+    miners in name order at one rate r, and r's table holds at k the fold of
+    k copies of r from 0.0."""
+    tables, leads = {}, {}  # rate -> table, miner -> (last, table)
+    for rate, names in groupby(rates, rates.__getitem__):
+        names, table = tuple(names), tables.setdefault(rate, [0.0])
+        for _ in range(len(table), len(names) + 1):
+            table.append(table[-1] + rate)
+        leads.update(dict.fromkeys(names, (names[-1], table)))
+    return leads
+
+
+def _fold(members: List[str], rates: Dict[str, float], leads: dict) -> float:
+    """A group's hashrate: the left fold from 0.0 of its `members`' rates in
+    name order, the leading ones in the first one's run read from its table:
+    O(1) when that run holds them all."""
+    if not members:
+        return 0.0
+    last, table = leads[members[0]]
+    if members[-1] <= last:
+        return table[len(members)]
+    k = bisect.bisect_right(members, last)
+    hashrate = table[k]
+    for name in members[k:]:
+        hashrate += rates[name]
+    return hashrate
 
 
 @dataclass(frozen=True)
@@ -102,7 +133,8 @@ class ScenarioConfig:
 
     def validate(self) -> Tuple[Dict[str, float], tuple]:
         """Raise ConfigError unless a run can start; return what the check
-        derived, (`hashrates()`, `attacker_plan()`), for the run to use."""
+        derived, (the mining nodes' `hashrates()` in name order,
+        `attacker_plan()`), for the run to use."""
         check_numbers(self)
         nodes = self.n_honest_nodes  # before anything builds a dict of them
         if not 1 <= nodes <= _MAX_NODES:
@@ -127,17 +159,17 @@ class ScenarioConfig:
         total = sum(rates.values())  # the scale of honest difficulty
         if total == math.inf:
             raise ConfigError("honest hashrates must have a finite sum")
+        miners = {n: rates[n] for n in sorted(rates) if rates[n] > 0}
         if isinstance(self.mining, Stochastic):  # the genesis group's first
-            # draw at the largest uniform, its rates folded as `_regroup` does
+            # draw at the largest uniform, its rate folded as `_regroup` does
             tick = self.mining.tick
-            p = min(left_sum(rates[n] for n in sorted(rates)) * tick, 1.0)
+            p = min(_fold(list(miners), miners, _leads(miners)) * tick, 1.0)
             try:
                 geometric_time(p, math.nextafter(1.0, 0.0), tick)
             except DomainError as e:
                 raise ConfigError(f"stochastic mining: the first {e}") from None
         # one block per unit of time per mining node, and one for the attacker
-        miners = sum(1 for h in rates.values() if h > 0)
-        if self.horizon * (miners + 1) > _MAX_BLOCKS:
+        if self.horizon * (len(miners) + 1) > _MAX_BLOCKS:
             raise ConfigError(f"horizon x (mining nodes + 1) must be at most "
                               f"{_MAX_BLOCKS} blocks")
         names = set(self.node_names())
@@ -175,7 +207,7 @@ class ScenarioConfig:
             raise ConfigError("the attacker's difficulty overflows or "
                               "underflows a float before its chain reaches "
                               "its block target")
-        return rates, plan
+        return miners, plan
 
     def attacker_plan(self) -> Tuple[Optional[float], Optional[int]]:
         """(rate, target): the attacker's hashrate per unit of difficulty, so
@@ -250,7 +282,9 @@ class ProbeReport:
 
 class _Simulation:
     def __init__(self, cfg: ScenarioConfig):
-        rates, (self._rate, self._target) = cfg.validate()
+        # node -> hashrate of every mining node, in name order
+        self._miners, (self._rate, self._target) = cfg.validate()
+        self._leads = _leads(self._miners)  # see `_fold`
         self.cfg = cfg
         self.tree = BlockTree()
         self.time = 0.0
@@ -258,34 +292,33 @@ class _Simulation:
         self._heap: List[tuple] = []
         self.rng_honest = random.Random(cfg.seed)
         self.rng_attacker = random.Random(cfg.seed ^ 0x5DEECE66D)
-        # node -> hashrate of every mining node, in name order
-        self._miners = {name: rate for name, rate
-                        in sorted(rates.items()) if rate > 0}
 
-        # sender -> (delay, node) links in push order
-        nodes = sorted(cfg.node_names())
-        hidden, eclipsed = set(cfg.eclipse_from_honest), set(cfg.eclipse_set)
-        links = {m: [(cfg.link_delay(m, n), n) for n in nodes
-                     if n == m or n not in hidden] for m in self._miners}
-        links[ATTACKER] = [(cfg.link_delay(ATTACKER, n), n) for n in nodes
-                           if n not in eclipsed]
         # node -> the run (see `_run`) of its class: the nodes next to it in
-        # name order that hear the same (sender, delay) links
-        heard: Dict[str, list] = {name: [] for name in nodes}
-        for sender, sender_links in links.items():
-            for delay, name in sender_links:
-                heard[name].append((sender, delay))
-        run_of: Dict[str, tuple] = {}
-        for _, names in groupby(nodes, heard.__getitem__):
+        # name order keyed alike by how their links differ from hearing every
+        # sender at `delay`.  A node hidden from the others' broadcasts hears
+        # only its own, so a lone miner hears every miner, hidden or not.
+        nodes, miners, delay = sorted(cfg.node_names()), self._miners, cfg.delay
+        self._eclipsed = eclipsed = set(cfg.eclipse_set)
+        self._hidden = hidden = set(cfg.eclipse_from_honest).difference(
+            miners if len(miners) == 1 else ())
+        # node -> the (miner, delay) links it hears unlike at `delay` (all of
+        # them if hidden), from the miners' own links and the `delays` entries
+        odd: Dict[str, set] = {}
+        for (m, n), d in {**{(m, m): cfg.link_delay(m, m) for m in miners},
+                          **(cfg.delays or {})}.items():
+            if m in miners and (n == m or n not in hidden) and (
+                    d != delay or n in hidden):
+                odd.setdefault(n, set()).add((m, d))
+        self._classes = []  # (first member, run) per class, in name order
+        for _, names in groupby(nodes, lambda n: (
+                n in hidden, frozenset(odd.get(n, ())), None if n in eclipsed
+                else cfg.link_delay(ATTACKER, n))):
             names = tuple(names)
-            run_of.update(dict.fromkeys(names, self._run(names)))
-        self.nodes = {name: run[0] for name, run in run_of.items()}
-        # sender -> [(delay, runs)] per stretch of links at one delay, in push
-        # order: a class's links are next to each other, so one run each
-        self._runs: Dict[str, list] = {sender: [(delay, tuple(
-            run for run, _ in groupby(run_of[name] for _, name in stretch)))
-            for delay, stretch in groupby(sender_links, itemgetter(0))]
-            for sender, sender_links in links.items()}
+            self._classes.append((names[0], self._run(names)))
+        self.nodes = {name: run[0] for _, run in self._classes
+                      for name, _, _ in run[1]}
+        # sender -> [(delay, runs)], built as it first sends: see `_wire`
+        self._runs: Dict[str, list] = {}
         # tracks the honest chain for the attacker: see `_on_att_obs`
         self.att_obs = NodeView(cfg.adess, self.tree)
         self._node_canonical = (NodeView.adess_canonical if cfg.protocol
@@ -343,11 +376,23 @@ class _Simulation:
         return NodeView(self.cfg.adess, self.tree), tuple(
             (n, n in self._miners, n == "n0") for n in names)
 
+    def _wire(self, sender: str) -> list:
+        """Store the sender's [(delay, runs)] per stretch of its links at one
+        delay in push order, a class's links next to each other: one run."""
+        cfg, hidden, eclipsed = self.cfg, self._hidden, self._eclipsed
+        links = [(cfg.link_delay(sender, n), run) for n, run in self._classes
+                 if (n not in eclipsed if sender == ATTACKER
+                     else n == sender or n not in hidden)]
+        self._runs[sender] = stretches = [
+            (delay, tuple(run for _, run in stretch))
+            for delay, stretch in groupby(links, itemgetter(0))]
+        return stretches
+
     def _fan_out(self, sender: str, blocks: Sequence[BlockId]):
         """Send `blocks` over the sender's links: one arrive event per
         stretch of links at one delay, pushed in link order with consecutive
         seqs, so as if each (node, block) pair had its own event."""
-        for delay, runs in self._runs[sender]:
+        for delay, runs in self._runs.get(sender) or self._wire(sender):
             self._push(self.time + delay, self._on_arrive, (runs, blocks))
 
     def run(self) -> RunReport:
@@ -395,15 +440,15 @@ class _Simulation:
 
     def _regroup(self, dirty: Sequence[BlockId]):
         """Reschedule the groups at the `dirty` heads in head order, folding
-        each record's rates in name order and dropping an empty one.  A group
-        whose hashrate is unchanged keeps its pending event, so a slow group's
-        progress is never reset; superseded draws stay in the RNG stream."""
+        each record's rates with `_fold`, O(1) for members in one run of
+        equal rates, and dropping an empty one.  A group whose hashrate is
+        unchanged keeps its pending event, so a slow group's progress is never
+        reset; superseded draws stay in the RNG stream."""
         groups, instant = self._groups, self._instant
         for head in dirty:
             group = groups[head]
-            hashrate = 0.0  # every rate is > 0, so 0.0 means no members
-            for name in group[0]:
-                hashrate += self._miners[name]
+            # every rate is > 0, so 0.0 means no members
+            hashrate = _fold(group[0], self._miners, self._leads)
             if group[1] == hashrate:
                 continue  # pending event still valid
             instant.pop(group[2], None)
@@ -451,8 +496,10 @@ class _Simulation:
                     series.append((time, node, head, height))
                     if miner:  # `_regroup` drops a record left empty
                         groups[prev][0].remove(node)
-                        bisect.insort(groups.setdefault(
-                            head, [[], 0.0, None])[0], node)
+                        if head in groups:
+                            bisect.insort(groups[head][0], node)
+                        else:
+                            groups[head] = [[node], 0.0, None]
                         self._regroup((prev, head) if prev < head
                                       else (head, prev))
                 if victim:  # one block until the item is conveyed

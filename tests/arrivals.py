@@ -1,10 +1,19 @@
 """Hand a simulation's arrivals to its arrive handler one run at a time, and
 one member at a time where the batch is one block, so a test can look at
-the simulator between any two."""
+the simulator between any two; and list the runs every sender reaches."""
 
 from __future__ import annotations
 
 from functools import partial
+
+from adess.netsim import ATTACKER
+
+
+def stretches(sim) -> list:
+    """Every sender's (delay, runs) stretches, the miners' in name order and
+    then the attacker's, each built by `_wire` as its first fan-out would."""
+    return [stretch for sender in (*sim._miners, ATTACKER)
+            for stretch in sim._wire(sender)]
 
 
 def per_arrival(sim, step) -> None:

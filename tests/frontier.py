@@ -9,8 +9,10 @@ not a test (pytest does not collect it):
 The shapes are every node mining at 1/n and the default single miner (n0).
 Every point runs the adess protocol with alpha 2, xi 1, a `paper_optimal`
 attacker with v 11, delay 0.3 and seed 1.  Each prints one row: the outcome
-(ok, the error's text, or timeout), wall time, blocks mined, series rows and
-n0's fork count; a failed run reports what it held when it stopped.
+(ok, the error's text, or timeout), wall time (the horizon search, set-up
+and run), set-up time (`_Simulation`'s construction alone), blocks mined,
+series rows and n0's fork count; a failed run reports what it held when it
+stopped.
 """
 
 from __future__ import annotations
@@ -74,14 +76,18 @@ def point(nodes: int, shape: str, mode: str) -> dict:
     from adess.netsim import _Simulation
 
     start = time.perf_counter()
-    sim = _Simulation(config(nodes, shape, mode))
+    cfg = config(nodes, shape, mode)
+    built = time.perf_counter()
+    sim = _Simulation(cfg)
+    setup = time.perf_counter() - built
     try:
         sim.run()
         outcome = "ok"
     except AdessError as e:
         outcome = f"{type(e).__name__}: {e}"
     return {"outcome": outcome, "seconds": time.perf_counter() - start,
-            "blocks": len(sim.tree.blocks) - 1, "rows": len(sim.series),
+            "setup": setup, "blocks": len(sim.tree.blocks) - 1,
+            "rows": len(sim.series),
             "forks": len(sim.nodes["n0"].fork_states())}
 
 
@@ -104,15 +110,16 @@ def run_point(nodes: int, shape: str, mode: str) -> dict:
 
 
 def main(argv) -> None:
-    print("| n | shape | mining | horizon | outcome | wall s | blocks | rows "
-          "| n0 forks |")
-    print("|---|---|---|---|---|---|---|---|---|")
+    print("| n | shape | mining | horizon | outcome | wall s | set-up s "
+          "| blocks | rows | n0 forks |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     for n, shape, mode in itertools.product(
             [int(n) for n in argv] or NODES, SHAPES, MODES):
         horizon = config(n, shape, mode).horizon
         row = run_point(n, shape, mode)
         print(f"| {n} | {shape} | {mode} | {horizon:.3f} | {row['outcome']} "
-              f"| {row['seconds']:.2f} | {row.get('blocks', '-')} | "
+              f"| {row['seconds']:.2f} | {format(row.get('setup', '-'), '.3')} "
+              f"| {row.get('blocks', '-')} | "
               f"{row.get('rows', '-')} | {row.get('forks', '-')} |",
               flush=True)
 

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 from adess.netsim import ATTACKER, STRATEGIES, _Simulation, run_scenario
 
+from arrivals import stretches
 from naive_sim import DELAYS, random_config, run_naive
 
 SEEDS = range(300)
@@ -72,13 +73,12 @@ def test_simulator_matches_its_naive_twin_on_wide_configs():
     for seed in range(6):
         cfg = wide_config(seed)
         sim = _Simulation(cfg)
-        stretches = [runs for batches in sim._runs.values()
-                     for _, runs in batches]
+        wired = [runs for _, runs in stretches(sim)]
         # classes interleave in name order, yet each view is in at most one
         # run of a stretch
         assert all(len({id(run[0]) for run in runs}) == len(runs)
-                   for runs in stretches)
-        longest = max(longest, *(len(run[1]) for runs in stretches
+                   for runs in wired)
+        longest = max(longest, *(len(run[1]) for runs in wired
                                  for run in runs))
         fast, naive = sim.run(), run_naive(cfg)
         assert naive.to_text() == fast.to_text(), seed

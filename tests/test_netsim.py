@@ -15,6 +15,8 @@ import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
+from itertools import groupby
+from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -25,12 +27,13 @@ from adess.economics import AttackParams
 from adess.errors import ConfigError, DomainError
 from adess.forkchoice import AdessParams, NodeView
 from adess.mining import DifficultyRule, Stochastic, adjust_difficulty
-from adess.netsim import (ATTACKER, ScenarioConfig, _Simulation,
-                          accelerated_rate, disconnected_node_probe,
-                          latency_split_check, run_scenario)
+from adess.netsim import (ATTACKER, ScenarioConfig, _fold, _leads,
+                          _Simulation, accelerated_rate,
+                          disconnected_node_probe, latency_split_check,
+                          run_scenario)
 
-from arrivals import per_arrival
-from naive_sim import random_config, run_naive
+from arrivals import per_arrival, stretches
+from naive_sim import NaiveSimulation, random_config, run_naive
 from test_forkchoice_canonical import forky_config
 from test_penalty_oracle import NaiveReplay
 
@@ -664,8 +667,7 @@ def test_distinct_views_per_benchmark_shape():
 
 
 def all_runs(sim: _Simulation) -> list:
-    return [run for batches in sim._runs.values() for _, runs in batches
-            for run in runs]
+    return [run for _, runs in stretches(sim) for run in runs]
 
 
 def test_each_receiver_run_is_built_once():
@@ -701,6 +703,104 @@ def test_wiring_a_wide_network_is_linear_in_its_links(n, delay, eclipsed,
     assert len({id(view) for view in sim.nodes.values()}) == classes
 
 
+def wiring_config(rng: random.Random) -> ScenarioConfig:
+    """Up to 10 nodes, one to all of them mining, with link overrides that
+    may equal `delay` or a miner's own 0.0, and eclipses; a lone miner is
+    often hidden from the others' broadcasts."""
+    names = [f"n{i}" for i in range(rng.randint(1, 10))]
+    miners = rng.sample(names, min(rng.choice((1, 1, 2, 10)), len(names)))
+    return ScenarioConfig(
+        n_honest_nodes=len(names), honest_hashrates=dict.fromkeys(miners, 1.0),
+        delay=rng.choice((0.0, 0.3)),
+        delays={(rng.choice(names + [ATTACKER]), rng.choice(names)):
+                rng.choice((0.0, 0.3, 1.0)) for _ in range(rng.randint(0, 6))},
+        eclipse_set=tuple(n for n in names if rng.random() < 0.2),
+        eclipse_from_honest=tuple(n for n in names if rng.random() < rng.choice(
+            (0.0, 0.3, 0.7))))
+
+
+def test_classes_and_stretches_follow_the_per_node_links():
+    # set-up keys a node by how its links differ from hearing every sender
+    # at `delay`; the naive twin lists every (sender, node) link, so a class
+    # is a run of nodes next in name order with equal heard lists
+    rng = random.Random(7)
+    for _ in range(300):
+        cfg = wiring_config(rng)
+        sim = _Simulation(cfg)
+        links = {sender: [link for link in sender_links if link[1] != "att_obs"]
+                 for sender, sender_links in NaiveSimulation(cfg).links.items()}
+        heard: dict = {n: [] for n in sorted(cfg.node_names())}
+        for sender, sender_links in links.items():
+            for delay, name in sender_links:
+                heard[name].append((sender, delay))
+        assert [list(names) for _, names in groupby(heard, lambda n: id(
+            sim.nodes[n]))] == [list(names) for _, names in groupby(
+                heard, heard.__getitem__)], cfg
+        for sender, sender_links in links.items():
+            assert [(delay, [n for run in runs for n, _, _ in run[1]])
+                    for delay, runs in sim._wire(sender)] == [
+                (delay, [n for _, n in stretch]) for delay, stretch
+                in groupby(sender_links, itemgetter(0))], cfg
+
+
+def test_senders_are_wired_as_they_first_send():
+    # the attack never starts, and n2 never finds a block
+    sim = _Simulation(one_miner_cfg(
+        seed=3, horizon=40.0, attack_start_height=10 ** 6,
+        honest_hashrates={"n0": 0.5, "n1": 0.5, "n2": 1e-9}))
+    assert sim.run().broadcast_time is None
+    miners = {b.miner for b in sim.tree.blocks.values()} - {"genesis"}
+    assert set(sim._runs) == miners == {"n0", "n1"}
+
+
+RATES = (0.1, 1 / 3, 0.7, 0.125, 1e-3, 2.5)
+
+
+@pytest.mark.parametrize("shape", ["equal", "runs", "alternating",
+                                   "singletons", "one miner"])
+def test_a_group_rate_is_the_left_fold_of_its_members(shape):
+    rng = random.Random(shape)
+    for _ in range(100):
+        names = sorted(f"n{i}" for i in range(  # name order: n10 before n2
+            1 if shape == "one miner" else rng.randint(2, 40)))
+        if shape == "runs":  # a rate may come back after another
+            rates = []
+            while len(rates) < len(names):
+                rates += [rng.choice(RATES)] * rng.randint(1, 6)
+        else:
+            pick = {"equal": [rng.choice(RATES)],
+                    "alternating": rng.sample(RATES, 2)}.get(shape)
+            rates = [pick[i % len(pick)] if pick else rng.random()
+                     for i in range(len(names))]
+        rates = dict(zip(names, rates))
+        leads = _leads(rates)
+        for _ in range(20):
+            members = [n for n in names if rng.random() < rng.random()]
+            want = 0.0
+            for name in members:
+                want += rates[name]
+            assert repr(_fold(members, rates, leads)) == repr(want)
+
+
+def test_an_equal_rate_network_folds_no_rate_one_by_one():
+    # every miner's rate is 1/100, so each group reads its rate from the
+    # table; folding the members one by one reads each member's rate
+    class Counted(dict):
+        reads = 0
+
+        def __getitem__(self, name):
+            Counted.reads += 1
+            return dict.__getitem__(self, name)
+
+    names = [f"n{i}" for i in range(100)]
+    sim = _Simulation(adess_cfg(n_honest_nodes=100, delay=0.3, horizon=3.0,
+                                honest_hashrates=dict.fromkeys(names, 0.01)))
+    sim._miners = Counted(sim._miners)
+    report = sim.run()
+    moves = len(report.series)  # every node mines, so each row is a regroup
+    assert moves > 100 and Counted.reads == 0
+
+
 @pytest.mark.parametrize("kw", [
     dict(seed=2, eclipse_set=("n3",)),
     dict(seed=4, honest_hashrates={"n0": 0.5, "n1": 0.5},
@@ -713,7 +813,7 @@ def test_a_class_split_into_several_runs_matches_the_naive_twin(kw):
     sim = _Simulation(cfg)
     assert sim.nodes["n2"] is not sim.nodes["n4"] is sim.nodes["n7"]
     assert all(len({id(r[0]) for r in runs}) == len(runs)
-               for batches in sim._runs.values() for _, runs in batches)
+               for _, runs in stretches(sim))
     report, naive = sim.run(), run_naive(cfg)
     assert report.to_text() == naive.to_text()
     assert report.series_csv() == naive.series_csv()
