@@ -32,7 +32,7 @@ from .errors import AdessError, ConfigError, SolverFailure, number
 from .forkchoice import AdessParams
 from .mining import (CertaintyEquivalent, DifficultyRule, Stochastic,
                      required_hashrate_series)
-from .netsim import ScenarioConfig, run_scenario
+from .netsim import ScenarioConfig, _Simulation
 
 log = logging.getLogger("adess")
 
@@ -80,12 +80,10 @@ def _build(cls, data: dict, what: str):
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from parsed JSON; keys mirror
-    field names."""
+    """Build a ScenarioConfig from parsed JSON, keys mirroring field names;
+    a run validates it."""
     with _config_shape("scenario"):
-        cfg = _build(ScenarioConfig, _scenario_kwargs(dict(data)), "scenario")
-        cfg.validate()
-    return cfg
+        return _build(ScenarioConfig, _scenario_kwargs(dict(data)), "scenario")
 
 
 def _scenario_kwargs(data: dict) -> dict:
@@ -158,10 +156,12 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         data["seed"] = args.seed
     cfg = scenario_from_dict(data)
+    with _config_shape("scenario"):
+        sim = _Simulation(cfg)  # validates, so a refused config makes no --out
     out = _out_dir(args)
     log.info("running scenario: protocol=%s strategy=%s seed=%d",
              cfg.protocol, cfg.attacker_strategy, cfg.seed)
-    report = run_scenario(cfg)
+    report = sim.run()
     _write(out / "report.txt", report.to_text())
     _write(out / "series.csv", report.series_csv())
     print(f"attack_succeeded = {report.attack_succeeded}")

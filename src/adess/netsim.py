@@ -5,11 +5,12 @@ sequence-number) order, so identical configurations (including the seed)
 replay bit-identically; a block sent over a stretch of a sender's links at
 one delay is one arrive event.  Honest hashrate is grouped by the canonical
 head each mining node follows; a group mines jointly.  A miner's head change
-regroups only its old and new heads, in O(1) when all miners share a rate
-(see `_fold`); the group that mined redraws at its own rate.  A mine event
-waits out its instant unless it may fall due in it, so a regroup then (a
-miner hearing its own block) drops it unresolved.  The attacker mines a
-secret chain and broadcasts it according to its strategy.
+regroups only its old and new heads, each folding its rates in name order
+(`_fold`: one table read when all miners share a rate); the group that mined
+redraws at its own rate.  A mine event waits out its instant unless it may
+fall due in it, so a regroup then (a miner hearing its own block) drops it
+unresolved.  The attacker mines a secret chain and broadcasts it according
+to its strategy.
 
 A view's state is a function of its (time, block) arrival sequence alone.
 A maximal run of nodes next in name order that hear every sender at equal
@@ -38,7 +39,7 @@ import io
 import math
 import random
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,31 +67,22 @@ def accelerated_rate(xi: float, N: int, delay: float) -> float:
     return 1.0 + xi + (delay / N) * (1.0 + xi)
 
 
-def _leads(rates: Dict[str, float]) -> Dict[str, tuple]:
-    """miner -> (last name of its run, table): a run is a maximal stretch of
-    miners in name order at one rate r, and r's table holds at k the fold of
-    k copies of r from 0.0."""
-    tables, leads = {}, {}  # rate -> table, miner -> (last, table)
-    for rate, names in groupby(rates, rates.__getitem__):
-        names, table = tuple(names), tables.setdefault(rate, [0.0])
-        for _ in range(len(table), len(names) + 1):
-            table.append(table[-1] + rate)
-        leads.update(dict.fromkeys(names, (names[-1], table)))
-    return leads
+def _table(rates: Dict[str, float]) -> Optional[List[float]]:
+    """When every miner in `rates` mines at one rate r, the fold from 0.0 of
+    k copies of r at k, for `_fold`; else None."""
+    rate, *others = set(rates.values())
+    return None if others else list(
+        accumulate([rate] * len(rates), initial=0.0))
 
 
-def _fold(members: List[str], rates: Dict[str, float], leads: dict) -> float:
+def _fold(members: List[str], rates: Dict[str, float],
+          table: Optional[List[float]]) -> float:
     """A group's hashrate: the left fold from 0.0 of its `members`' rates in
-    name order, the leading ones in the first one's run read from its table:
-    O(1) when that run holds them all."""
-    if not members:
-        return 0.0
-    last, table = leads[members[0]]
-    if members[-1] <= last:
+    name order, read from `table` (see `_table`) when there is one."""
+    if table is not None:
         return table[len(members)]
-    k = bisect.bisect_right(members, last)
-    hashrate = table[k]
-    for name in members[k:]:
+    hashrate = 0.0
+    for name in members:
         hashrate += rates[name]
     return hashrate
 
@@ -156,14 +148,14 @@ class ScenarioConfig:
         rates = self.hashrates()
         if not (all(h >= 0 for h in rates.values()) and any(rates.values())):
             raise ConfigError("honest hashrates must be >= 0, some > 0")
-        total = sum(rates.values())  # the scale of honest difficulty
+        miners = {n: rates[n] for n in sorted(rates) if rates[n] > 0}
+        total = _fold(list(miners), miners, None)  # the genesis group's rate
         if total == math.inf:
             raise ConfigError("honest hashrates must have a finite sum")
-        miners = {n: rates[n] for n in sorted(rates) if rates[n] > 0}
         if isinstance(self.mining, Stochastic):  # the genesis group's first
-            # draw at the largest uniform, its rate folded as `_regroup` does
+            # draw at the largest uniform
             tick = self.mining.tick
-            p = min(_fold(list(miners), miners, _leads(miners)) * tick, 1.0)
+            p = min(total * tick, 1.0)
             try:
                 geometric_time(p, math.nextafter(1.0, 0.0), tick)
             except DomainError as e:
@@ -284,7 +276,7 @@ class _Simulation:
     def __init__(self, cfg: ScenarioConfig):
         # node -> hashrate of every mining node, in name order
         self._miners, (self._rate, self._target) = cfg.validate()
-        self._leads = _leads(self._miners)  # see `_fold`
+        self._table = _table(self._miners)  # see `_fold`
         self.cfg = cfg
         self.tree = BlockTree()
         self.time = 0.0
@@ -440,15 +432,15 @@ class _Simulation:
 
     def _regroup(self, dirty: Sequence[BlockId]):
         """Reschedule the groups at the `dirty` heads in head order, folding
-        each record's rates with `_fold`, O(1) for members in one run of
-        equal rates, and dropping an empty one.  A group whose hashrate is
+        each record's rates with `_fold`, O(1) when every miner mines at one
+        rate, and dropping an empty one.  A group whose hashrate is
         unchanged keeps its pending event, so a slow group's progress is never
         reset; superseded draws stay in the RNG stream."""
         groups, instant = self._groups, self._instant
         for head in dirty:
             group = groups[head]
             # every rate is > 0, so 0.0 means no members
-            hashrate = _fold(group[0], self._miners, self._leads)
+            hashrate = _fold(group[0], self._miners, self._table)
             if group[1] == hashrate:
                 continue  # pending event still valid
             instant.pop(group[2], None)

@@ -114,10 +114,10 @@ def test_an_out_that_cannot_be_a_directory_exits_one_before_the_run(
         capsys, tmp_path, monkeypatch):
     # `simulate` made --out only after the whole run, and then ended in a
     # FileExistsError or NotADirectoryError traceback
-    def no_run(cfg):
+    def no_run(sim):
         raise AssertionError("the scenario ran")
 
-    monkeypatch.setattr(cli, "run_scenario", no_run)
+    monkeypatch.setattr(cli._Simulation, "run", no_run)
     cfg = scenario_json(tmp_path)
     for out_dir in (cfg, str(Path(cfg) / "out")):
         code, _, err = run(capsys, "simulate", "--config", cfg,
@@ -355,6 +355,8 @@ def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
     ("simulate", {"n_honest_nodes": 2, "delays": [["attackr", "n1", 0.5]]}),
     ("simulate", {"n_honest_nodes": 2, "delays": [["n1", "att_obs", 5.0]]}),
     ("simulate", {"eclipse_from_honest": 5}),
+    # one that only validation trips on, as a TypeError from `set()`
+    ("simulate", {"eclipse_set": [["n0"]]}),
     ("simulate", {"mining": {"mode": "pow"}}),
     ("simulate", '{"horizon": 10,'),  # text, written as is: not valid JSON
     ("sweep", {"grid": {"start": 0, "stop": 1, "step": 0}}),

@@ -2,7 +2,9 @@
 or listed in the module's `__all__` for re-export.  Every private name a
 module defines at its top level is read somewhere under src/adess, so no
 helper is left that only tests reach.  The modules form layers: each imports
-only modules before it in `LAYERS`."""
+only modules before it in `LAYERS`.  A float sum is a left fold, so outputs
+keep their bits on every CPython: the builtin `sum()`, compensated from 3.12,
+adds only ints or Fractions, in the functions of `EXACT_SUMS`."""
 
 from __future__ import annotations
 
@@ -117,3 +119,45 @@ def test_each_module_imports_only_the_layers_before_it():
              for name in LAYERS}
     assert found == {name: found[name] & set(LAYERS[:i])
                      for i, name in enumerate(LAYERS)}
+
+
+#: the functions whose builtin `sum()` adds only ints or Fractions: exact,
+#: and so the same on every CPython
+EXACT_SUMS = {"cli._suite_proposition1", "economics.expected_attack_hashrate"}
+
+
+def builtin_sums(sources: dict) -> list:
+    """(function, line) of each call of the builtin `sum()` in `sources`
+    (module -> source), the function named by its dotted path in the
+    module."""
+    found = []
+
+    def visit(node, where: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and isinstance(
+                    child.func, ast.Name) and child.func.id == "sum":
+                found.append((where, child.lineno))
+            visit(child, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return sorted(found)
+
+
+def test_detector_finds_builtin_sums_by_function():
+    source = ("total = sum([1, 2])\n"
+              "class A:\n    def f(self, xs):\n"
+              "        return [sum(x) for x in xs]\n"
+              "def g(xs):\n    def h():\n        return xs.sum()\n"
+              "    return math.fsum(xs) + sum(xs, 0.0)\n")
+    assert builtin_sums({"m": source}) == [("m", 1), ("m.A.f", 4),
+                                            ("m.g", 8)]
+
+
+def test_float_sums_under_src_are_left_folds():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [(where, line) for where, line in builtin_sums(sources)
+            if where not in EXACT_SUMS] == []

@@ -27,11 +27,12 @@ from adess.economics import AttackParams
 from adess.errors import ConfigError, DomainError
 from adess.forkchoice import AdessParams, NodeView
 from adess.mining import DifficultyRule, Stochastic, adjust_difficulty
-from adess.netsim import (ATTACKER, ScenarioConfig, _fold, _leads,
+from adess.netsim import (ATTACKER, ScenarioConfig, _fold, _table,
                           _Simulation, accelerated_rate,
                           disconnected_node_probe, latency_split_check,
                           run_scenario)
 
+import frontier
 from arrivals import per_arrival, stretches
 from naive_sim import NaiveSimulation, random_config, run_naive
 from test_forkchoice_canonical import forky_config
@@ -773,13 +774,49 @@ def test_a_group_rate_is_the_left_fold_of_its_members(shape):
             rates = [pick[i % len(pick)] if pick else rng.random()
                      for i in range(len(names))]
         rates = dict(zip(names, rates))
-        leads = _leads(rates)
+        table = _table(rates)  # one exactly when every miner mines at one rate
+        assert (table is None) == (len(set(rates.values())) > 1)
         for _ in range(20):
             members = [n for n in names if rng.random() < rng.random()]
             want = 0.0
             for name in members:
                 want += rates[name]
-            assert repr(_fold(members, rates, leads)) == repr(want)
+            # `validate` folds term by term, a regroup reads the table
+            assert repr(_fold(members, rates, table)) == repr(want)
+            assert repr(_fold(members, rates, None)) == repr(want)
+
+
+def test_every_config_run_at_scale_folds_its_groups_from_the_table():
+    # the benchmark's shapes (sim_forky: 8 miners at 1/8; sim_deep and
+    # sim_batch: one miner), every frontier point, and CI's two 1,000-node
+    # configs (every node at 0.001, and every even one at 0.002)
+    eight = [f"n{i}" for i in range(8)]
+    cfgs = [adess_cfg(n_honest_nodes=8, honest_hashrates=dict.fromkeys(
+                eight, 0.125)), adess_cfg(n_honest_nodes=8), adess_cfg()]
+    cfgs += [frontier.config(n, shape, mode) for n in frontier.NODES
+             for shape in frontier.SHAPES for mode in frontier.MODES]
+    cfgs += [ScenarioConfig(n_honest_nodes=1000, delay=0.3, horizon=99.0,
+                            honest_hashrates={f"n{i}": rate for i in range(
+                                0, 1000, step)})
+             for step, rate in ((1, 0.001), (2, 0.002))]
+    for cfg in cfgs:
+        assert _Simulation(cfg)._table is not None, cfg.n_honest_nodes
+
+
+@pytest.mark.parametrize("keys", [("n1", "n2", "n0"), ("n0", "n1", "n2")])
+def test_admission_folds_the_rates_in_name_order_whatever_their_keys(keys):
+    # `sum()` in key order read n1, n2, n0 as 1e-16 + 1e-16 + 1.0, one ulp
+    # above 1.0 (as does CPython 3.12's compensated sum in either order), and
+    # budish's bound, epsilon_extra x 1e5 blocks, then overflowed; a run
+    # folds the rates in name order, to 1.0
+    cfg = ScenarioConfig(
+        protocol="nakamoto", attacker_strategy="budish",
+        attack=AttackParams(epsilon_extra=1.7976931348623158e+303),
+        n_honest_nodes=3, horizon=1.0,
+        honest_hashrates={n: 1.0 if n == "n0" else 1e-16 for n in keys})
+    miners, _ = cfg.validate()
+    assert _fold(list(miners), miners, None) == 1.0
+    assert run_scenario(cfg).per_node_height == {"n0": 1, "n1": 1, "n2": 1}
 
 
 def test_an_equal_rate_network_folds_no_rate_one_by_one():
