@@ -355,8 +355,6 @@ def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
     ("simulate", {"n_honest_nodes": 2, "delays": [["attackr", "n1", 0.5]]}),
     ("simulate", {"n_honest_nodes": 2, "delays": [["n1", "att_obs", 5.0]]}),
     ("simulate", {"eclipse_from_honest": 5}),
-    # one that only validation trips on, as a TypeError from `set()`
-    ("simulate", {"eclipse_set": [["n0"]]}),
     ("simulate", {"mining": {"mode": "pow"}}),
     ("simulate", '{"horizon": 10,'),  # text, written as is: not valid JSON
     ("sweep", {"grid": {"start": 0, "stop": 1, "step": 0}}),
@@ -382,6 +380,8 @@ def test_removed_attack_fields_are_config_errors(capsys, tmp_path):
                   "attack": {"alpha": 2, "xi": 1.0, "v": 11.0, "B": 7}}),
     ("sweep", {"kind": "nope"}),
     ("simulate", {"n_honest_node": 2}),  # a misspelt key
+    # one that only validation trips on, as a TypeError from `set()`
+    ("simulate", {"eclipse_set": [["n0"]]}),
 ])
 def test_malformed_config_shape_exits_one(capsys, tmp_path, command, cfg):
     path = tmp_path / "cfg.json"
